@@ -252,58 +252,42 @@ type bench_row = {
   optimal_length : int option;
 }
 
-let n5_sweep_depth = 4
+(* The n = 4 and n = 5 rows run the benchmark's own search specs
+   ([Benchkit.Spec]), so the two harnesses cannot drift apart. *)
+let n5_sweep_depth =
+  match Benchkit.Spec.n5_level.Benchkit.Spec.mode with
+  | Search.Prove_none depth -> depth
+  | _ -> invalid_arg "Spec.n5_level is not a Prove_none sweep"
+
+let spec_row (s : Benchkit.Spec.search) =
+  ( s.label,
+    s.n,
+    fun () -> Search.run_mode ~opts:s.opts ~mode:s.mode (Isa.Config.default s.n) )
 
 let bench_search_specs =
   [
     ( "n3-best-astar",
       3,
       fun () -> Search.run ~opts:Search.best (Isa.Config.default 3) );
-    ( "n4-best-astar",
-      4,
-      fun () -> Search.run ~opts:Search.best (Isa.Config.default 4) );
-    ( "n4-symcert-final",
-      4,
-      fun () ->
-        (* Same search as n4-best-astar plus the symbolic sortedness
-           certifier as the final-state acceptance check: the row prices
-           the per-solution certification overhead against its twin. The
-           check accepts unless the certifier refutes (Unknown defers to
-           the packed probe, which is exact), so the artifact is
-           unchanged. *)
-        let cfg = Isa.Config.default 4 in
-        let check p =
-          match Analysis.Symcert.certify cfg p with
-          | Analysis.Symcert.Refuted _ -> false
-          | Analysis.Symcert.Proved | Analysis.Symcert.Unknown _ -> true
-        in
-        let opts = { Search.best with Search.final_check = Some check } in
-        Search.run ~opts cfg );
-    ( "n5-bounded-level",
-      5,
-      fun () ->
-        (* Lower-bound sweep: exhaust every program of length <= depth
-           (only the optimality-safe erasure check prunes), certifying
-           "no n=5 kernel of length <= depth". A full n=5 optimal search
-           is a minutes-to-hours job, so this is the n=5 row's
-           deterministic, CI-sized stand-in — and its 120-code states
-           make it the most representation-sensitive of the three. *)
-        let opts =
-          {
-            Search.default with
-            Search.engine = Search.Level_sync;
-            dist_viability = false;
-            cut = Search.No_cut;
-          }
-        in
-        Search.run_mode ~opts ~mode:(Search.Prove_none n5_sweep_depth)
-          (Isa.Config.default 5) );
+    spec_row Benchkit.Spec.n4_astar;
+    (* Lower-bound sweep: exhaust every program of length <= depth (only
+       the optimality-safe erasure check prunes), certifying "no n=5
+       kernel of length <= depth". A full n=5 optimal search is a
+       minutes-to-hours job, so this is the n=5 row's deterministic,
+       CI-sized stand-in — and its 120-code states make it the most
+       representation-sensitive of the three. *)
+    spec_row Benchkit.Spec.n5_level;
   ]
 
 let bench_repeats () =
   match Sys.getenv_opt "BENCH_REPEATS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 3)
   | None -> 3
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some r when r >= 1 -> r
+      | _ ->
+          Printf.eprintf "bench: BENCH_REPEATS must be a positive integer, got %S\n" s;
+          exit 2)
 
 let run_bench_row (bench, bn, runit) =
   (* Warm the process-wide distance cache so the first repeat is not
@@ -562,9 +546,11 @@ let bench_serve ~out ~rev =
       exit 1);
   let samples =
     Array.init serve_warm_requests (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Serve.Server.handle srv (Serve.Protocol.Lookup key));
-        (Unix.gettimeofday () -. t0) *. 1e6)
+        let (_ : Serve.Protocol.response), dt =
+          Benchkit.Mono.time (fun () ->
+              Serve.Server.handle srv (Serve.Protocol.Lookup key))
+        in
+        dt *. 1e6)
   in
   Serve.Server.destroy srv;
   Array.sort compare samples;

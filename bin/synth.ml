@@ -112,7 +112,7 @@ let resolve_root = function
 (* Verification must survive release builds (asserts do not): print a
    diagnostic and exit nonzero instead. *)
 let certify_or_die cfg p =
-  match Registry.Verify.certify_fast cfg p with
+  match Machine.Exec.certify cfg p with
   | Ok () -> ()
   | Error msg ->
       Printf.eprintf "synth: VERIFICATION FAILED: %s\n" msg;
@@ -226,14 +226,7 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
           | Some j -> [ ("degraded", j) ]
           | None -> [])
         @ (match !opt_note with Some j -> [ ("opt", j) ] | None -> [])
-        @ [
-            ( "symcert",
-              Printf.sprintf
-                {|{"symbolic_proofs":%d,"exact_fallbacks":%d,"exact_certifications":%d}|}
-                (Registry.Verify.symbolic_proofs ())
-                (Registry.Verify.exact_fallbacks ())
-                (Registry.Verify.certifications ()) );
-          ]
+        @ [ ("certifications", string_of_int (Machine.Exec.certifications ())) ]
       with
       | [] -> None
       | l -> Some l
@@ -975,7 +968,7 @@ let run_analyze file n m json =
   | Ok (cfg, prog, lines) ->
       let findings = Analysis.Lint.check_all cfg prog in
       let sizes = Analysis.Absint.set_sizes cfg prog in
-      let cert = Analysis.Absint.certify cfg prog in
+      let cert = Machine.Exec.certify cfg prog in
       let d = Analysis.Dce.run cfg prog in
       let removed = d.Analysis.Dce.removed in
       if json then begin
@@ -1134,7 +1127,7 @@ let analyze_cmd =
        ~doc:
          "Full static-analysis report for one kernel: per-instruction \
           dataflow facts, reachable-assignment counts per program point, \
-          the abstract correctness certificate, lint findings, and the \
+          the exact n! correctness verdict, lint findings, and the \
           proof-carrying DCE result (with the shrunk kernel when anything \
           was removable).")
     Term.(ret (const run_analyze $ file_arg $ opt_n $ opt_m $ json_flag))
@@ -1248,10 +1241,11 @@ let devlint_cmd =
         $ devlint_waivers_arg))
 
 (* ------------------------------------------------------------------ *)
-(* certify: the symbolic sortedness certifier, exact fallback on
-   Unknown — the CLI face of [Registry.Verify.certify_fast].           *)
+(* certify: the symbolic sortedness certifier as an analysis, with the
+   exact n! check as the fallback on Unknown. No trust boundary runs
+   the symbolic certifier; this command is where it is exposed.        *)
 
-let run_certify files n m json max_worlds =
+let run_certify files n m json =
   if files = [] then `Error (true, "no kernel files given")
   else begin
     let failures = ref 0 in
@@ -1266,9 +1260,7 @@ let run_certify files n m json max_worlds =
               incr failures;
               (file, Error msg)
           | Ok (cfg, prog, _lines) ->
-              let verdict =
-                Analysis.Symcert.certify ?max_worlds cfg prog
-              in
+              let verdict = Analysis.Symcert.certify cfg prog in
               (* Soundness contract: Unknown MUST fall back to the exact
                  n! check; Proved/Refuted are final (Refuted is already
                  execution-confirmed). *)
@@ -1279,7 +1271,7 @@ let run_certify files n m json max_worlds =
                 | Analysis.Symcert.Refuted _ ->
                     (false, "symbolic", Analysis.Symcert.explain verdict)
                 | Analysis.Symcert.Unknown reason -> (
-                    match Registry.Verify.certify cfg prog with
+                    match Registry.Verify.fallback cfg prog with
                     | Ok () ->
                         ( true,
                           "exact",
@@ -1340,16 +1332,6 @@ let run_certify files n m json max_worlds =
   end
 
 let certify_cmd =
-  let max_worlds =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-worlds" ] ~docv:"K"
-          ~doc:
-            "World budget for the symbolic certifier (default 20000). \
-             Exceeding it yields an $(i,unknown) verdict and the exact \
-             fallback, never an unsound answer.")
-  in
   Cmd.v
     (Cmd.info "certify" ~exits
        ~doc:
@@ -1361,8 +1343,7 @@ let certify_cmd =
           fails to certify (or to parse).")
     Term.(
       ret
-        (const run_certify $ files_arg $ opt_n $ opt_m $ json_flag
-       $ max_worlds))
+        (const run_certify $ files_arg $ opt_n $ opt_m $ json_flag))
 
 (* ------------------------------------------------------------------ *)
 (* optimize / equiv: the proof-carrying optimizer and the translation- *)
@@ -1567,8 +1548,8 @@ let run_equiv file_a file_b n m json =
   | Error msg -> `Error (false, msg)
   | Ok (cfg, pa, pb) -> (
       let ints a = Registry.Json.Arr (List.map (fun v -> Registry.Json.Int v) (Array.to_list a)) in
-      match Opt.Equiv.compare cfg pa pb with
-      | Opt.Equiv.Equivalent ->
+      match Machine.Exec.equiv cfg pa pb with
+      | Machine.Exec.Equivalent ->
           if json then
             print_endline
               (Registry.Json.to_string
@@ -1586,7 +1567,7 @@ let run_equiv file_a file_b n m json =
                all %d! permutations\n"
               file_a file_b cfg.Isa.Config.n;
           `Ok ()
-      | Opt.Equiv.Differs { input; out_a; out_b } ->
+      | Machine.Exec.Differs { input; out_a; out_b } ->
           if json then
             print_endline
               (Registry.Json.to_string
@@ -1627,7 +1608,7 @@ let optimize_cmd =
           cmp elimination, cmov coalescing, DCE, canonical renaming, list \
           scheduling) to fixpoint over a kernel file. Every rewrite is \
           accepted only with a certificate — bit-identical value registers \
-          on all n! permutations, re-checked by the abstract certifier — \
+          on all n! permutations, then re-certified by the exact check — \
           and refused otherwise, leaving the kernel unchanged. Also reports \
           whether the result is syntactically a comparator network (then \
           0-1 certified and compared against the known-optimal size).")

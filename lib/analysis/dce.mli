@@ -8,13 +8,13 @@
     justified another instruction's no-op proof, so deleting members of
     both sets computed on the same program would be unsound.
 
-    The rewrite is {e proof-carrying}: the optimized program must produce
-    bit-identical value-register outputs on every one of the [n!] input
-    permutations (checked by direct execution), and when the input kernel
-    certifies as sorting, the output must re-certify under
-    {!Absint.certify}. If either proof fails the rewrite is refused and the
-    original program returned untouched — the optimizer can decline to
-    optimize, but can never miscompile. *)
+    The rewrite is {e proof-carrying}: the optimized program must be
+    {!Machine.Exec.equiv}alent to the input (bit-identical value registers
+    on every one of the [n!] input permutations), and when the input
+    kernel certifies as sorting, the output must re-certify under the one
+    certifier, {!Machine.Exec.certify}. If either proof fails the rewrite
+    is refused and the original program returned untouched — the
+    optimizer can decline to optimize, but can never miscompile. *)
 
 type removal = { index : int; rule : Lint.rule }
 (** One deleted instruction: [index] is its position in the {e original}
@@ -27,8 +27,8 @@ type result = {
   removed : removal list;  (** Ascending by original index. *)
   passes : int;  (** Analysis passes run until the fixpoint. *)
   certified : bool;
-      (** Did the optimized program pass {!Absint.certify}? (Equals the
-          input's certification status: DCE preserves behavior.) *)
+      (** Did the optimized program pass {!Machine.Exec.certify}? (Equals
+          the input's certification status: DCE preserves behavior.) *)
   refused : bool;
       (** True iff a shrink was found but failed re-verification and was
           thrown away. Always [false] unless the analyses are buggy; the

@@ -73,8 +73,8 @@ let describe = function
       "the abstract interpreter proved the instruction changes no \
        reachable assignment"
   | Not_sorting ->
-      "the abstract certifier rejected the program: some reachable final \
-       assignment is unsorted"
+      "the exact n! check rejected the program: some input permutation \
+       comes out unsorted"
 
 let finding rule index message =
   { rule; severity = severity_of_rule rule; index; message }
@@ -197,7 +197,7 @@ let check_all cfg p =
                 (Isa.Instr.to_string cfg p.(i))))
   in
   let cert =
-    match Absint.certify cfg p with
+    match Machine.Exec.certify cfg p with
     | Ok () -> []
     | Error m -> [ finding Not_sorting None m ]
   in

@@ -32,8 +32,8 @@ type rule =
       (** The abstract interpreter proved the instruction changes no
           reachable assignment ({!Absint.semantic_noops}). *)
   | Not_sorting
-      (** The abstract certifier rejected the program: some reachable final
-          assignment is unsorted ({!Absint.certify}). *)
+      (** The one certifier rejected the program: some input permutation
+          comes out unsorted ({!Machine.Exec.certify}). *)
 
 type finding = {
   rule : rule;
@@ -68,9 +68,9 @@ val check : Isa.Config.t -> Isa.Program.t -> finding list
     are byte-stable). Purely syntactic — never executes the program. *)
 
 val check_all : Isa.Config.t -> Isa.Program.t -> finding list
-(** {!check} plus the semantic lints from the abstract interpreter:
-    {!Semantic_noop} findings (on instructions not already carrying an
-    [Error]) and a {!Not_sorting} finding when certification fails. This is
+(** {!check} plus the semantic lints: {!Semantic_noop} findings from the
+    abstract interpreter (on instructions not already carrying an [Error])
+    and a {!Not_sorting} finding when {!Machine.Exec.certify} fails. This is
     the full analyzer the registry and CLI run. *)
 
 val errors : finding list -> finding list

@@ -280,14 +280,6 @@ let certify ?(max_worlds = default_max_worlds) cfg p =
     match !unknown with Some u -> u | None -> Proved
   with Done v -> v
 
-(* ------------------------------------------------------------------ *)
-(* The sound fast path and its process-wide proof counters. *)
-
-let symbolic_counter = Atomic.make 0
-let fallback_counter = Atomic.make 0
-let symbolic_proofs () = Atomic.get symbolic_counter
-let exact_fallbacks () = Atomic.get fallback_counter
-
 let ints a = String.concat " " (Array.to_list (Array.map string_of_int a))
 
 let verdict_name = function
@@ -301,18 +293,3 @@ let explain = function
       Printf.sprintf "refuted: on input [%s] the kernel produces [%s]"
         (ints input) (ints output)
   | Unknown reason -> Printf.sprintf "unknown: %s" reason
-
-let certify_fast ?max_worlds ?(fallback = fun cfg p -> Absint.certify cfg p)
-    cfg p =
-  match certify ?max_worlds cfg p with
-  | Proved ->
-      Atomic.incr symbolic_counter;
-      Ok ()
-  | Refuted { input; output } ->
-      Error
-        (Printf.sprintf
-           "kernel of length %d fails on input [%s]: produced [%s]"
-           (Isa.Program.length p) (ints input) (ints output))
-  | Unknown _ ->
-      Atomic.incr fallback_counter;
-      fallback cfg p

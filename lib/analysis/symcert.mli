@@ -32,9 +32,15 @@
       direct execution ({!Machine.Exec}). Never returned unconfirmed.
     - [Unknown] — the world budget ran out, or a constructed
       counterexample failed to confirm (a certifier bug, reported
-      honestly). The caller {b must} fall back to the exact [n!] check —
-      {!certify_fast} does exactly that, making the pipeline sound by
-      construction.
+      honestly). The caller {b must} fall back to the exact [n!] check,
+      {!Machine.Exec.certify}; [synth certify] does exactly that.
+
+    Symcert is an {e analysis}, not a trust boundary. The registry, the
+    daemon, the optimizer and DCE all run the one exact certifier,
+    {!Machine.Exec.certify}: at every width a workload uses (n <= 5) the
+    exact check is also the faster one (per call, n=3: ~1 us exact vs.
+    ~16 us symbolic; n=5: ~40 us vs. ~80 us). Only [synth certify] and the
+    benchmark's per-layer timings call {!certify}.
 
     The {!Machine.Zeroone} gap kernels — correct on all [2^n] binary
     inputs yet wrong on a permutation — are the adversarial regression:
@@ -49,34 +55,13 @@ type verdict =
   | Unknown of string  (** Why the certifier gave up. *)
 
 val certify : ?max_worlds:int -> Isa.Config.t -> Isa.Program.t -> verdict
-(** Run the symbolic certifier. [max_worlds] (default [20_000]) bounds
-    the live world count at any program point; exceeding it yields
-    [Unknown], never an unsound verdict. *)
+(** Run the symbolic certifier. At most [max_worlds] worlds (default
+    [20_000]; tests lower it to force [Unknown]) are live at any program
+    point; exceeding the budget yields [Unknown], never an unsound
+    verdict. *)
 
 val explain : verdict -> string
 (** One-line human rendering of a verdict. *)
 
 val verdict_name : verdict -> string
 (** ["proved"], ["refuted"], or ["unknown"] — stable strings for JSON. *)
-
-val certify_fast :
-  ?max_worlds:int ->
-  ?fallback:(Isa.Config.t -> Isa.Program.t -> (unit, string) result) ->
-  Isa.Config.t ->
-  Isa.Program.t ->
-  (unit, string) result
-(** The sound fast path every trust boundary routes through: [Proved]
-    is [Ok ()] ({!symbolic_proofs} ticks), [Refuted] is [Error] with the
-    confirmed counterexample (formatted like {!Machine.Exec} failures),
-    and [Unknown] defers to [fallback] — the exact certifier
-    ({!Absint.certify} by default; the registry passes its own
-    [n!]-execution check) — after ticking {!exact_fallbacks}. *)
-
-val symbolic_proofs : unit -> int
-(** Kernels this process proved symbolically (no [n!] enumeration),
-    ever. Monotone; compare readings. *)
-
-val exact_fallbacks : unit -> int
-(** [Unknown] verdicts that sent {!certify_fast} to the exact fallback.
-    Monotone. Stays at zero on decidable workloads — the smoke and CI
-    gates pin that. *)

@@ -28,15 +28,43 @@ let run cfg p input =
 let output_correct ~input ~output =
   Perms.is_sorted output && Perms.same_multiset input output
 
-let sorts_all_permutations cfg p =
-  List.for_all
-    (fun perm -> Perms.is_identity (run cfg p perm))
-    (Perms.all cfg.Isa.Config.n)
+(* The one exact correctness check (paper Eq. 1): every certification,
+   optimizer proof and analysis verdict in the system runs this n! loop,
+   and each run ticks [certify_counter] — the daemon's proof that a warm
+   in-memory hit skipped re-certification. *)
+let certify_counter = Atomic.make 0
+let certifications () = Atomic.get certify_counter
 
 let counterexample cfg p =
+  Atomic.incr certify_counter;
   List.find_opt
     (fun perm -> not (Perms.is_identity (run cfg p perm)))
     (Perms.all cfg.Isa.Config.n)
+
+let sorts_all_permutations cfg p = counterexample cfg p = None
+
+let ints a = String.concat " " (Array.to_list (Array.map string_of_int a))
+
+let certify cfg p =
+  match counterexample cfg p with
+  | None -> Ok ()
+  | Some input ->
+      Error
+        (Printf.sprintf "kernel of length %d fails on input [%s]: produced [%s]"
+           (Isa.Program.length p) (ints input) (ints (run cfg p input)))
+
+type verdict =
+  | Equivalent
+  | Differs of { input : int array; out_a : int array; out_b : int array }
+
+let equiv cfg a b =
+  let rec go = function
+    | [] -> Equivalent
+    | perm :: rest ->
+        let out_a = run cfg a perm and out_b = run cfg b perm in
+        if out_a = out_b then go rest else Differs { input = perm; out_a; out_b }
+  in
+  go (Perms.all cfg.Isa.Config.n)
 
 let sorts_random_suite cfg p ~seed ~cases ~lo ~hi =
   let st = Random.State.make [| seed |] in

@@ -25,14 +25,43 @@ val output_correct : input:int array -> output:int array -> bool
 (** Eq. 1: the output is weakly ascending and is a rearrangement of the
     input. *)
 
-val sorts_all_permutations : Isa.Config.t -> Isa.Program.t -> bool
-(** The paper's correctness procedure (Section 2.3): run the kernel on all
-    [n!] permutations of [1..n] and check each result is [1..n]. Sufficient
-    for correctness on arbitrary inputs because the ISA is constant-free. *)
+val certify : Isa.Config.t -> Isa.Program.t -> (unit, string) result
+(** The paper's correctness procedure (Section 2.3, Eq. 1) and the system's
+    one certifier: run the kernel on all [n!] permutations of [1..n] and
+    check each result is [1..n]. Complete for arbitrary inputs because the
+    ISA is constant-free. [Ok ()] iff the kernel sorts; the error message
+    names the first failing input and the produced output, suitable for
+    printing verbatim. Every trust boundary (registry load and insert,
+    serve admission, the CLI), every optimizer proof ({!Opt.Cert},
+    {!Analysis.Dce}) and every analysis verdict runs this check. *)
 
 val counterexample : Isa.Config.t -> Isa.Program.t -> int array option
-(** First permutation of [1..n] (in lexicographic order) that the program
-    fails to sort, if any. Used as the oracle in CEGIS loops. *)
+(** The same check, returning the first permutation of [1..n] (in
+    lexicographic order) the program fails to sort, if any. Used as the
+    oracle in CEGIS loops. *)
+
+val sorts_all_permutations : Isa.Config.t -> Isa.Program.t -> bool
+(** The same check as a predicate: [counterexample cfg p = None]. *)
+
+val certifications : unit -> int
+(** Exact [n!] runs ({!certify}, {!counterexample},
+    {!sorts_all_permutations}) in this process, ever. Monotone; compare
+    readings — the daemon exports the delta so a warm cache hit can be
+    shown to have skipped re-certification. *)
+
+type verdict =
+  | Equivalent
+  | Differs of { input : int array; out_a : int array; out_b : int array }
+      (** The lexicographically first permutation of [1..n] on which the
+          kernels' value-register outputs differ. *)
+
+val equiv : Isa.Config.t -> Isa.Program.t -> Isa.Program.t -> verdict
+(** Exact kernel equivalence: do the value-register outputs agree on all
+    [n!] input permutations? By the constant-free argument that makes
+    {!certify} complete, agreement there implies agreement on arbitrary
+    inputs. Neither kernel needs to sort. Scratch contents and flags are
+    not observable; [cfg] must be wide enough for both kernels. Not a
+    certification: it does not tick {!certifications}. *)
 
 val sorts_random_suite :
   Isa.Config.t -> Isa.Program.t -> seed:int -> cases:int -> lo:int -> hi:int -> bool

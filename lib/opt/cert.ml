@@ -3,34 +3,21 @@ type t = { pass : string; before : Isa.Program.t; after : Isa.Program.t }
 let ints a = String.concat " " (Array.to_list (Array.map string_of_int a))
 
 let discharge cfg { pass; before; after } =
-  let n = cfg.Isa.Config.n in
-  let mismatch =
-    List.find_opt
-      (fun perm ->
-        let c0 = Machine.Assign.of_permutation cfg perm in
-        Machine.Assign.perm_key cfg (Machine.Assign.run cfg before c0)
-        <> Machine.Assign.perm_key cfg (Machine.Assign.run cfg after c0))
-      (Perms.all n)
-  in
-  match mismatch with
-  | Some perm ->
+  match Machine.Exec.equiv cfg before after with
+  | Machine.Exec.Differs { input; out_a; out_b } ->
       Error
         (Printf.sprintf
            "pass %s is not behavior-preserving: on input [%s] the rewrite \
             produces [%s] where the original produces [%s]"
-           pass (ints perm)
-           (ints (Machine.Exec.run cfg after perm))
-           (ints (Machine.Exec.run cfg before perm)))
-  | None ->
+           pass (ints input) (ints out_b) (ints out_a))
+  | Machine.Exec.Equivalent ->
       (* Independent second proof: when the input certifies, the output
-         must re-certify. Bit-identity already implies it semantically;
-         running a certifier anyway means a bug in either checker is
-         caught by the other. The symbolic order-poset certifier goes
-         first; an Unknown verdict falls back to the permutation-set
-         abstract interpreter, so the check stays exact. *)
+         must re-certify. Equivalence already implies it semantically;
+         running the certifier anyway means a bug in either check is
+         caught by the other. *)
       if
-        Result.is_ok (Analysis.Symcert.certify_fast cfg before)
-        && not (Result.is_ok (Analysis.Symcert.certify_fast cfg after))
+        Result.is_ok (Machine.Exec.certify cfg before)
+        && Result.is_error (Machine.Exec.certify cfg after)
       then
         Error
           (Printf.sprintf

@@ -2,17 +2,12 @@
 
     Every pass in {!Pipeline} emits a certificate — the program before and
     after the rewrite, tagged with the pass name — and the rewrite is only
-    applied once the certificate {e discharges}: the two programs must be
-    bit-identical on the observable value registers for {e every} one of
-    the [n!] input permutations, checked by direct execution of both
-    programs over the packed-code semantics ({!Machine.Assign}). When the
-    input certifies as a sorting kernel, the output must re-certify too —
-    an independent second proof, mirroring {!Analysis.Dce}'s contract.
-    That second proof routes through the symbolic order-poset certifier
-    ({!Analysis.Symcert.certify_fast}), which falls back to the exact
-    permutation-set abstract interpreter ({!Analysis.Absint.certify}) on
-    an [Unknown] verdict, so it is as strong as before and usually far
-    cheaper. A pass that fails either check is {e refused}: the optimizer
+    applied once the certificate {e discharges}. Both proofs run through
+    the system's one exact module, {!Machine.Exec}: first
+    [equiv before after] (bit-identical value registers on every one of
+    the [n!] input permutations), then [certify after] whenever [before]
+    certifies — an independent second proof, mirroring {!Analysis.Dce}'s
+    contract. A pass that fails either check is {e refused}: the optimizer
     can decline to optimize but can never miscompile.
 
     Note that the sound-for-networks 0-1 shortcut ({!Machine.Zeroone}) is
@@ -29,7 +24,6 @@ type t = {
 }
 
 val discharge : Isa.Config.t -> t -> (unit, string) result
-(** [Ok ()] iff [after] produces the same value-register contents as
-    [before] on every input permutation {e and} re-certifies (symbolic
-    certifier with exact fallback) whenever [before] certified. The error
-    message names the pass and a concrete counterexample permutation. *)
+(** [Ok ()] iff [after] is {!Machine.Exec.equiv}alent to [before] {e and}
+    passes {!Machine.Exec.certify} whenever [before] does. An equivalence
+    failure names the pass and a concrete counterexample permutation. *)

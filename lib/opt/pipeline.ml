@@ -91,5 +91,5 @@ let run ?(passes = Passes.all) cfg p =
     deltas = List.rev !deltas;
     refusals = List.rev !refusals;
     rounds = !round;
-    certified = Result.is_ok (Analysis.Absint.certify cfg !current);
+    certified = Result.is_ok (Machine.Exec.certify cfg !current);
   }

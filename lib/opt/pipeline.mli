@@ -38,7 +38,7 @@ type report = {
   rounds : int;  (** Rounds run, including the final no-change round. *)
   certified : bool;
       (** Does [optimized] certify as sorting under
-          {!Analysis.Absint.certify}? (Equals the input's status: the
+          {!Machine.Exec.certify}? (Equals the input's status: the
           pipeline preserves behavior.) *)
 }
 

@@ -157,7 +157,7 @@ let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
       | o -> (
           match o.result.Search.programs with
           | p :: _ -> (
-              match Verify.certify_fast (Key.config key) p with
+              match Machine.Exec.certify (Key.config key) p with
               | Ok () ->
                   if optimize then begin
                     (* Post-synthesis polish: every rewrite the pipeline

@@ -362,7 +362,7 @@ let load_unverified ~root hash = load ~root hash
 
 let certified ~root hash =
   let* e = load ~root hash in
-  let* () = Verify.certify_fast (Key.config e.key) e.program in
+  let* () = Machine.Exec.certify (Key.config e.key) e.program in
   Ok e
 
 let lookup ?counters ~root key =
@@ -405,7 +405,7 @@ let insert ?counters ?(degraded = false) ?provenance ~root key
     | [] -> Error "search result has no program to store"
     | program :: _ -> (
         let cfg = Key.config key in
-        let* () = Verify.certify_fast cfg program in
+        let* () = Machine.Exec.certify cfg program in
         let entry =
           {
             key;

@@ -19,9 +19,8 @@
     staged in a temp directory, fsynced file-by-file (and the directory
     itself), then renamed into place — so a crash at any instant leaves
     either no entry or a complete one, never a half-written one that could
-    be served. Loads re-certify the kernel ({!Verify.certify_fast}: the
-    symbolic certifier, with the exact [n!] check as the [Unknown]
-    fallback) and cross-check the metadata, and any failure
+    be served. Loads re-certify the kernel (the one exact [n!] check,
+    {!Machine.Exec.certify}) and cross-check the metadata, and any failure
     {e quarantines} the entry — moves it aside with a recorded reason —
     rather than serving it. A quarantined request therefore looks like a
     miss to callers, who re-synthesize and re-insert. {!recover} is the

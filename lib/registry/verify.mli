@@ -1,32 +1,27 @@
-(** Kernel certification: the registry's trust boundary.
+(** Kernel certification at the registry's trust boundary.
 
-    Nothing leaves the store unchecked — every load re-runs the paper's
-    correctness procedure (all [n!] permutations, {!Machine.Exec}), so a
-    corrupted or stale entry can never be served. The same check replaces
-    the old [assert] in the CLI, which release builds compiled out. *)
+    Nothing leaves the store unchecked: every load and insert runs the
+    system's one certifier, {!Machine.Exec.certify} (all [n!]
+    permutations), so a corrupted or stale entry can never be served.
+    The registry calls that function directly; this module keeps the
+    [certify] and [certifications] names for existing callers and owns
+    the counter of [synth certify]'s exact fallbacks. It adds no second
+    certifier. *)
 
 val certify : Isa.Config.t -> Isa.Program.t -> (unit, string) result
-(** [Ok ()] iff the program sorts all permutations. The error message
-    names the first failing input and the produced output — suitable for
-    printing verbatim as a diagnostic. *)
+(** Alias of {!Machine.Exec.certify}: [Ok ()] iff the program sorts all
+    permutations; the error names the first failing input and the
+    produced output. *)
 
 val certifications : unit -> int
-(** Full [n!]-permutation certifications run by this process, ever —
-    the daemon exports the delta so a warm cache hit can be shown to
-    have skipped re-certification. Monotone; compare readings. *)
+(** Alias of {!Machine.Exec.certifications}: exact [n!] runs in this
+    process, ever. Monotone; compare readings. *)
 
-val certify_fast : Isa.Config.t -> Isa.Program.t -> (unit, string) result
-(** The default trust-boundary check: {!Analysis.Symcert} first, exact
-    {!certify} only when the symbolic verdict is [Unknown]. Same
-    [Ok]/[Error] contract as {!certify} — [Error] always carries a
-    confirmed counterexample — but a symbolically proved kernel skips the
-    [n!] enumeration entirely and bumps {!symbolic_proofs} instead of
-    {!certifications}. *)
-
-val symbolic_proofs : unit -> int
-(** Kernels this process proved symbolically (no [n!] enumeration).
-    Monotone; alias of {!Analysis.Symcert.symbolic_proofs}. *)
+val fallback : Isa.Config.t -> Isa.Program.t -> (unit, string) result
+(** {!certify}, ticking {!exact_fallbacks}. [synth certify] runs it when
+    the symbolic certifier ({!Analysis.Symcert}) answers [Unknown]. *)
 
 val exact_fallbacks : unit -> int
-(** [Unknown] symbolic verdicts that made {!certify_fast} run the exact
-    check. Monotone; alias of {!Analysis.Symcert.exact_fallbacks}. *)
+(** [Unknown] symbolic verdicts that {!fallback} settled with the exact
+    check. Monotone. Only [synth certify] produces them: no trust boundary
+    runs the symbolic certifier. *)

@@ -16,11 +16,6 @@ type options = {
   max_solutions : int;
   trace_every : int option;
   state_budget : int option;
-  final_check : (Isa.Program.t -> bool) option;
-      (* Extra acceptance predicate applied to reconstructed final
-         programs before they are registered as solutions (e.g. the
-         symbolic sortedness certifier). [None] trusts the packed
-         final-state probe alone. *)
 }
 
 exception Resource_exhausted of { live : int; budget : int option }

@@ -42,7 +42,6 @@ type options = {
   max_solutions : int;
   trace_every : int option;
   state_budget : int option;
-  final_check : (Isa.Program.t -> bool) option;
 }
 (** See {!Search.options} for field documentation; [Search.options] is an
     alias of this type. *)

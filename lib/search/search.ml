@@ -29,7 +29,6 @@ type options = Expand.options = {
   max_solutions : int;
   trace_every : int option;
   state_budget : int option;
-  final_check : (Isa.Program.t -> bool) option;
 }
 
 let default =
@@ -46,7 +45,6 @@ let default =
     max_solutions = 10_000;
     trace_every = None;
     state_budget = None;
-    final_check = None;
   }
 
 let best =
@@ -453,16 +451,7 @@ let run_level ctx ~pool mode =
       (* Merge one vetted successor of [node] into the level structures. *)
       let register node (s : Expand.succ) =
         let state' = s.Expand.state in
-        let vetoed_final () =
-          (* One representative path suffices: all paths into a packed
-             final state execute identically, so the check is per-state. *)
-          match opts.final_check with
-          | None -> false
-          | Some check ->
-              not (check (Array.append (program_of_node node) [| s.Expand.instr |]))
-        in
         if s.Expand.is_final then begin
-          if vetoed_final () then () else begin
           ctx.solutions_found <- ctx.solutions_found + 1;
           (match Sstate.Tbl.find_opt final_tbl state' with
           | Some fn ->
@@ -482,7 +471,6 @@ let run_level ctx ~pool mode =
               Sstate.Tbl.replace final_tbl state' fn;
               final_order := fn :: !final_order);
           if mode = Find_first then stop := true
-          end
         end
         else
           let seen_before =
@@ -634,31 +622,18 @@ let run_astar ctx =
           List.iter
             (fun (s : Expand.succ) ->
               if !continue then begin
-                let vetoed_final () =
-                  match opts.final_check with
-                  | None -> false
-                  | Some check ->
-                      not
-                        (check
-                           (Array.append (program_of_node node)
-                              [| s.Expand.instr |]))
-                in
                 if s.Expand.is_final then begin
-                  (* A vetoed final is dropped outright — finals are
-                     terminal, never re-queued. *)
-                  if not (vetoed_final ()) then begin
-                    ctx.solutions_found <- 1;
-                    found :=
-                      Some
-                        {
-                          state = s.Expand.state;
-                          g = g';
-                          pc = 1;
-                          paths = node.paths;
-                          parents = [ (node, s.Expand.instr) ];
-                        };
-                    continue := false
-                  end
+                  ctx.solutions_found <- 1;
+                  found :=
+                    Some
+                      {
+                        state = s.Expand.state;
+                        g = g';
+                        pc = 1;
+                        paths = node.paths;
+                        parents = [ (node, s.Expand.instr) ];
+                      };
+                  continue := false
                 end
                 else
                   match

@@ -120,13 +120,6 @@ type options = Expand.options = {
           the open set otherwise — PAPER.md §6 reports multi-GB state sets
           at [n = 5]). Exceeding it raises {!Resource_exhausted}; [None]
           never does. *)
-  final_check : (Isa.Program.t -> bool) option;
-      (** Extra acceptance predicate run on each reconstructed final
-          program before it is counted as a solution — e.g. the symbolic
-          sortedness certifier as an independent check on the packed
-          final-state probe. A rejected final is dropped (and with it the
-          candidate solution), never a crash. [None] (the default) trusts
-          the probe alone. *)
 }
 
 val default : options

@@ -26,7 +26,6 @@
 
 module Key = Registry.Key
 module Store = Registry.Store
-module Verify = Registry.Verify
 module Scheduler = Registry.Scheduler
 module Json = Registry.Json
 
@@ -257,8 +256,8 @@ let lookup_one t key =
       locked t.store_mutex (fun () ->
           match Store.lookup ~counters:t.store_counters ~root:t.cfg.root key with
           | Store.Hit e ->
-              (* The load above just re-certified through certify_fast:
-                 admission is the certificate. *)
+              (* The load above just re-certified: admission is the
+                 certificate. *)
               Lru.add t.lru canonical e;
               served_of_entry ~source:"disk" ~elapsed:(Fault.Clock.now () -. start) key e
           | Store.Miss -> miss ~elapsed:(Fault.Clock.now () -. start) key
@@ -594,9 +593,7 @@ let snapshot t =
         Json.Obj
           [
             ("readdir_calls", Json.Int (Store.readdir_calls ()));
-            ("certifications", Json.Int (Verify.certifications ()));
-            ("symbolic_proofs", Json.Int (Verify.symbolic_proofs ()));
-            ("exact_fallbacks", Json.Int (Verify.exact_fallbacks ()));
+            ("certifications", Json.Int (Machine.Exec.certifications ()));
           ] );
     ]
 

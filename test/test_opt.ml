@@ -53,9 +53,9 @@ let prop_pipeline_preserves_behavior =
     ~count:150 random_program (fun spec ->
       let cfg, p = decode_program spec in
       let rep = Opt.Pipeline.run cfg p in
-      match Opt.Equiv.compare cfg p rep.Opt.Pipeline.optimized with
-      | Opt.Equiv.Equivalent -> true
-      | Opt.Equiv.Differs _ -> false)
+      match Machine.Exec.equiv cfg p rep.Opt.Pipeline.optimized with
+      | Machine.Exec.Equivalent -> true
+      | Machine.Exec.Differs _ -> false)
 
 (* Property 2: the cost gate. Optimization never increases the
    instruction count nor the simulated cycle count. *)
@@ -85,7 +85,7 @@ let extraction_roundtrip_on name net =
         (Sortnet.sorts_all_binary net');
       let recompiled = Sortnet.to_kernel cfg net' in
       check Alcotest.bool (name ^ " recompiled equivalent") true
-        (Opt.Equiv.compare cfg k recompiled = Opt.Equiv.Equivalent)
+        (Machine.Exec.equiv cfg k recompiled = Machine.Exec.Equivalent)
 
 let test_extraction_roundtrip () =
   for n = 2 to 5 do
@@ -151,7 +151,7 @@ let test_pipeline_improves_naive_sort3 () =
     (rep.Opt.Pipeline.deltas <> []);
   check Alcotest.bool "still certified" true rep.Opt.Pipeline.certified;
   check Alcotest.bool "equivalent" true
-    (Opt.Equiv.compare cfg p q = Opt.Equiv.Equivalent)
+    (Machine.Exec.equiv cfg p q = Machine.Exec.Equivalent)
 
 let test_pipeline_refuses_sabotage () =
   (* Arm the opt.break_pass fault site: every proposal is mutated into a
@@ -196,7 +196,7 @@ let test_schedule_fills_stall_slots () =
   check Alcotest.bool "strictly fewer simulated cycles" true
     (Perf.Cost.simulated_cycles cfg q < Perf.Cost.simulated_cycles cfg p);
   check Alcotest.bool "still equivalent" true
-    (Opt.Equiv.compare cfg p q = Opt.Equiv.Equivalent)
+    (Machine.Exec.equiv cfg p q = Machine.Exec.Equivalent)
 
 let test_redundant_cmp_pass () =
   let cfg = Isa.Config.default 2 in
@@ -214,7 +214,7 @@ let test_coalesce_cmov_pass () =
   check Alcotest.bool "collapsed to a mov" true
     (Array.exists (fun i -> i.Isa.Instr.op = Isa.Instr.Mov && i.Isa.Instr.dst = 0) q);
   check Alcotest.bool "equivalent" true
-    (Opt.Equiv.compare cfg p q = Opt.Equiv.Equivalent)
+    (Machine.Exec.equiv cfg p q = Machine.Exec.Equivalent)
 
 let test_canonicalize_pass () =
   (* Scratch registers renumber in first-write order: a kernel using s2
@@ -232,12 +232,12 @@ let test_equiv_counterexample () =
   let cfg = Isa.Config.default 2 in
   let sorts = parse cfg sort2 in
   let id = [||] in
-  (match Opt.Equiv.compare cfg sorts sorts with
-  | Opt.Equiv.Equivalent -> ()
-  | Opt.Equiv.Differs _ -> Alcotest.fail "kernel differs from itself");
-  match Opt.Equiv.compare cfg sorts id with
-  | Opt.Equiv.Equivalent -> Alcotest.fail "sort2 equivalent to the identity"
-  | Opt.Equiv.Differs { input; out_a; out_b } ->
+  (match Machine.Exec.equiv cfg sorts sorts with
+  | Machine.Exec.Equivalent -> ()
+  | Machine.Exec.Differs _ -> Alcotest.fail "kernel differs from itself");
+  match Machine.Exec.equiv cfg sorts id with
+  | Machine.Exec.Equivalent -> Alcotest.fail "sort2 equivalent to the identity"
+  | Machine.Exec.Differs { input; out_a; out_b } ->
       (* The counterexample must be a genuine witness. *)
       check
         (Alcotest.array Alcotest.int)

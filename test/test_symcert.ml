@@ -5,8 +5,9 @@
      it rejects, and the carried counterexample replays on the machine;
    - the Machine.Zeroone gap kernel (sorts all 2^n binary inputs, fails a
      permutation) is never Proved — the adversarial regression;
-   - the trust boundaries (Registry.Verify.certify_fast) route Proved
-     kernels around the n! enumeration, with the counters to show it. *)
+   - Symcert is an analysis only: the one certifier (Machine.Exec.certify)
+     is what every trust boundary, optimizer and analysis path runs and
+     counts, and Symcert, Absint's final row and it agree. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -17,6 +18,27 @@ let parse cfg s =
   | Error e -> Alcotest.fail e
 
 let verdict_label v = Analysis.Symcert.verdict_name v
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* A committed repository file. dune runtest runs in _build/default/test,
+   dune exec wherever the user stands — walk upward until it shows up. *)
+let find_repo_file rel =
+  let rec go prefix depth =
+    let candidate = Filename.concat prefix rel in
+    if Sys.file_exists candidate then candidate
+    else if depth = 0 then Alcotest.failf "%s not found" rel
+    else go (Filename.concat prefix Filename.parent_dir_name) (depth - 1)
+  in
+  go Filename.current_dir_name 4
+
+let load_kernel ~n rel =
+  let cfg = Isa.Config.make ~n ~m:1 in
+  (cfg, parse cfg (read_file (find_repo_file rel)))
 
 (* The committed example kernels, inlined (tests run in the build sandbox). *)
 let sort2 = "cmp r1 r2\nmov s1 r1\ncmovg r1 r2\ncmovg r2 s1\n"
@@ -137,17 +159,8 @@ let test_zeroone_gap_kernel_not_proved () =
           Alcotest.fail "symcert PROVED the Zeroone gap kernel (unsound!)"
       | Analysis.Symcert.Unknown _ -> ()
       | Analysis.Symcert.Refuted _ -> assert_refutation_confirmed cfg p v);
-      (* And the fast path rejects it without ever running the fallback. *)
-      let fb = ref 0 in
-      let fallback cfg p =
-        incr fb;
-        Registry.Verify.certify cfg p
-      in
-      (match Analysis.Symcert.certify_fast ~fallback cfg p with
-      | Ok () -> Alcotest.fail "certify_fast accepted the gap kernel"
-      | Error msg ->
-          if not (String.length msg > 0) then Alcotest.fail "empty error");
-      check Alcotest.int "no fallback needed to refute" 0 !fb
+      if Result.is_ok (Machine.Exec.certify cfg p) then
+        Alcotest.fail "the one certifier accepted the gap kernel"
 
 (* ------------------------------------------------------------------ *)
 (* Soundness gate: randomized programs, n = 2..5.                      *)
@@ -186,12 +199,18 @@ let test_soundness_n3 = soundness_gate ~n:3 ~m:1 ~runs:200 ~max_len:12
 let test_soundness_n4 = soundness_gate ~n:4 ~m:1 ~runs:80 ~max_len:12
 let test_soundness_n5 = soundness_gate ~n:5 ~m:1 ~runs:30 ~max_len:10
 
-(* QCheck property: the symcert verdict agrees with the permutation-set
-   abstract interpreter (Absint) and the exact check on random programs. *)
+(* The three answers to "does this kernel sort all n! permutations?":
+   the one certifier, the final row of Absint's reachable sets, and the
+   symbolic verdict when it is not Unknown. *)
+let final_row_sorted cfg p =
+  Array.for_all
+    (Machine.Assign.is_sorted cfg)
+    (Analysis.Absint.reachable cfg p).(Array.length p)
+
 let qcheck_agrees_with_absint =
   let gen =
     QCheck.Gen.(
-      let* n = int_range 2 4 in
+      let* n = int_range 2 5 in
       let* m = int_range 1 2 in
       let cfg = Isa.Config.make ~n ~m in
       let all = Isa.Instr.all cfg in
@@ -205,109 +224,116 @@ let qcheck_agrees_with_absint =
   in
   QCheck.Test.make ~count:150 ~name:"symcert agrees with absint and exact"
     (QCheck.make ~print gen) (fun (cfg, p) ->
-      let absint_ok = Result.is_ok (Analysis.Absint.certify cfg p) in
-      let exact_ok = exact_sorts cfg p in
-      if absint_ok <> exact_ok then
-        QCheck.Test.fail_reportf "absint and exact disagree";
+      let exact_ok = Result.is_ok (Machine.Exec.certify cfg p) in
+      if final_row_sorted cfg p <> exact_ok then
+        QCheck.Test.fail_reportf "absint's final row and the certifier disagree";
       match Analysis.Symcert.certify cfg p with
-      | Analysis.Symcert.Proved -> absint_ok && exact_ok
-      | Analysis.Symcert.Refuted _ -> (not absint_ok) && not exact_ok
+      | Analysis.Symcert.Proved -> exact_ok
+      | Analysis.Symcert.Refuted _ -> not exact_ok
       | Analysis.Symcert.Unknown _ -> true)
 
-(* ------------------------------------------------------------------ *)
-(* The fast path and its counters.                                     *)
+let test_gap_file_rejected_by_all () =
+  let cfg, p = load_kernel ~n:2 "examples/gap/zeroone_gap.txt" in
+  assert (Machine.Zeroone.sorts_all_binary cfg p);
+  if Result.is_ok (Machine.Exec.certify cfg p) then
+    Alcotest.fail "the one certifier accepted the gap kernel";
+  if final_row_sorted cfg p then
+    Alcotest.fail "absint's final row is all sorted on the gap kernel";
+  match Analysis.Symcert.certify cfg p with
+  | Analysis.Symcert.Refuted _ -> ()
+  | v -> Alcotest.failf "symcert said %s on the gap kernel" (verdict_label v)
 
-let test_counters_and_fast_path () =
+(* ------------------------------------------------------------------ *)
+(* The one certifier and its counter.                                  *)
+
+let test_one_certifier_counters () =
   let cfg = Isa.Config.default 3 in
   let p = parse cfg sort3 in
-  let sp0 = Analysis.Symcert.symbolic_proofs () in
-  let fb0 = Analysis.Symcert.exact_fallbacks () in
-  (* Proved: Ok, symbolic_proofs ticks, no fallback. *)
-  (match Analysis.Symcert.certify_fast cfg p with
+  let c0 = Machine.Exec.certifications () in
+  let fb0 = Registry.Verify.exact_fallbacks () in
+  (match Machine.Exec.certify cfg p with
   | Ok () -> ()
   | Error e -> Alcotest.failf "sort3 rejected: %s" e);
-  check Alcotest.int "symbolic_proofs +1" (sp0 + 1)
-    (Analysis.Symcert.symbolic_proofs ());
-  check Alcotest.int "exact_fallbacks unchanged" fb0
-    (Analysis.Symcert.exact_fallbacks ());
-  (* Refuted: Error in the Verify.certify message format, no counter. *)
-  (match Analysis.Symcert.certify_fast cfg (parse cfg sort2) with
+  check Alcotest.int "certify ticks certifications" (c0 + 1)
+    (Machine.Exec.certifications ());
+  (match Machine.Exec.certify cfg (parse cfg sort2) with
   | Ok () -> Alcotest.fail "accepted a non-sorting kernel"
   | Error msg ->
       if not (String.length msg >= 16 && String.sub msg 0 16 = "kernel of length")
       then Alcotest.failf "unexpected error format: %s" msg);
-  check Alcotest.int "refuted bumps nothing" (sp0 + 1)
-    (Analysis.Symcert.symbolic_proofs ());
-  check Alcotest.int "refuted no fallback" fb0
-    (Analysis.Symcert.exact_fallbacks ());
-  (* Unknown (starved world budget): the fallback runs and decides. *)
-  let fb_ran = ref 0 in
-  let fallback cfg p =
-    incr fb_ran;
-    Registry.Verify.certify cfg p
-  in
-  (match Analysis.Symcert.certify_fast ~max_worlds:1 ~fallback cfg p with
+  check Alcotest.int "a rejection is counted too" (c0 + 2)
+    (Machine.Exec.certifications ());
+  (* The symbolic analysis runs no exact check and moves no counter. *)
+  check Alcotest.string "sort3 proved" "proved"
+    (verdict_label (Analysis.Symcert.certify cfg p));
+  check Alcotest.int "symcert moves nothing" (c0 + 2)
+    (Machine.Exec.certifications ());
+  (* [synth certify]'s Unknown path: a starved budget, then the exact
+     fallback, which is the one certifier plus the fallback counter. *)
+  check Alcotest.string "starved budget" "unknown"
+    (verdict_label (Analysis.Symcert.certify ~max_worlds:1 cfg p));
+  (match Registry.Verify.fallback cfg p with
   | Ok () -> ()
   | Error e -> Alcotest.failf "fallback rejected sort3: %s" e);
-  check Alcotest.int "fallback ran once" 1 !fb_ran;
+  check Alcotest.int "fallback is an exact run" (c0 + 3)
+    (Machine.Exec.certifications ());
   check Alcotest.int "exact_fallbacks +1" (fb0 + 1)
-    (Analysis.Symcert.exact_fallbacks ())
+    (Registry.Verify.exact_fallbacks ())
 
-let test_verify_certify_fast_skips_enumeration () =
-  let cfg = Isa.Config.default 3 in
-  let p = parse cfg sort3 in
-  let exact0 = Registry.Verify.certifications () in
-  let sp0 = Registry.Verify.symbolic_proofs () in
-  (match Registry.Verify.certify_fast cfg p with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "certify_fast rejected sort3: %s" e);
-  check Alcotest.int "no exact certification ran" exact0
-    (Registry.Verify.certifications ());
-  check Alcotest.int "proved symbolically" (sp0 + 1)
-    (Registry.Verify.symbolic_proofs ())
+let test_optimizer_and_dce_certify () =
+  let cfg, p = load_kernel ~n:3 "examples/kernels/sort3.txt" in
+  let moved what f =
+    let c0 = Machine.Exec.certifications () in
+    f ();
+    if Machine.Exec.certifications () = c0 then
+      Alcotest.failf "%s ran no counted certification" what
+  in
+  moved "Opt.Pipeline.run" (fun () ->
+      let r = Opt.Pipeline.run cfg p in
+      check Alcotest.bool "pipeline certified" true r.Opt.Pipeline.certified);
+  moved "Analysis.Dce.run" (fun () ->
+      let d = Analysis.Dce.run cfg p in
+      check Alcotest.bool "dce certified" true d.Analysis.Dce.certified)
 
-(* ------------------------------------------------------------------ *)
-(* The search-facing final check.                                      *)
-
-let test_search_final_check () =
-  let cfg = Isa.Config.default 3 in
-  let calls = ref 0 in
-  let accept_all p =
-    incr calls;
-    match Analysis.Symcert.certify cfg p with
-    | Analysis.Symcert.Refuted _ -> false
-    | Analysis.Symcert.Proved | Analysis.Symcert.Unknown _ -> true
+(* The equivalence check against an oracle written here: run both
+   kernels on every permutation and compare value registers. *)
+let qcheck_equiv_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 2 4 in
+      let cfg = Isa.Config.make ~n ~m:1 in
+      let all = Isa.Instr.all cfg in
+      let prog =
+        let* len = int_range 0 8 in
+        let* idx = list_repeat len (int_bound (Array.length all - 1)) in
+        return (Array.of_list (List.map (Array.get all) idx))
+      in
+      let* a = prog in
+      (* Half the pairs share a prefix, so Equivalent verdicts occur. *)
+      let* b = oneof [ prog; return a; map (fun s -> Array.append a s) prog ] in
+      return (cfg, a, b))
   in
-  let opts = { Search.best with Search.final_check = Some accept_all } in
-  let r = Search.run ~opts cfg in
-  check (Alcotest.option Alcotest.int) "optimum unchanged" (Some 11)
-    r.Search.optimal_length;
-  if !calls = 0 then Alcotest.fail "final check never consulted";
-  (* A veto-everything check finds nothing instead of mis-reporting. *)
-  let never = { Search.best with Search.final_check = Some (fun _ -> false) } in
-  let r =
-    Search.run_mode ~opts:{ never with Search.max_len = Some 11 }
-      ~mode:Search.Find_first cfg
+  let print (cfg, a, b) =
+    Printf.sprintf "n=%d\n%s---\n%s" cfg.Isa.Config.n
+      (Isa.Program.to_string cfg a) (Isa.Program.to_string cfg b)
   in
-  check (Alcotest.option Alcotest.int) "vetoed search finds nothing" None
-    r.Search.optimal_length;
-  (* Level-sync and parallel honor the same predicate. *)
-  let seq =
-    Search.run_mode
-      ~opts:{ opts with Search.engine = Search.Level_sync }
-      ~mode:Search.Find_first cfg
-  in
-  check (Alcotest.option Alcotest.int) "level-sync agrees" (Some 11)
-    seq.Search.optimal_length
+  QCheck.Test.make ~count:300 ~name:"equiv agrees with per-permutation runs"
+    (QCheck.make ~print gen) (fun (cfg, a, b) ->
+      let first_difference =
+        List.find_opt
+          (fun perm -> Machine.Exec.run cfg a perm <> Machine.Exec.run cfg b perm)
+          (Perms.all cfg.Isa.Config.n)
+      in
+      match (Machine.Exec.equiv cfg a b, first_difference) with
+      | Machine.Exec.Equivalent, None -> true
+      | Machine.Exec.Differs { input; out_a; out_b }, Some perm ->
+          input = perm
+          && out_a = Machine.Exec.run cfg a perm
+          && out_b = Machine.Exec.run cfg b perm
+      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* lint --rules stays in sync with the README rule table.              *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 let split_on_string sep s =
   let seplen = String.length sep and n = String.length s in
@@ -356,19 +382,8 @@ let readme_rule_rows readme =
   in
   take [] rows
 
-let find_readme () =
-  (* dune runtest runs in _build/default/test, dune exec wherever the user
-     stands — walk upward until the README shows up. *)
-  let rec go prefix depth =
-    let candidate = Filename.concat prefix "README.md" in
-    if Sys.file_exists candidate then candidate
-    else if depth = 0 then Alcotest.fail "README.md not found"
-    else go (Filename.concat prefix Filename.parent_dir_name) (depth - 1)
-  in
-  go Filename.current_dir_name 4
-
 let test_lint_rules_sync_with_readme () =
-  let readme = read_file (find_readme ()) in
+  let readme = read_file (find_repo_file "README.md") in
   let rows = readme_rule_rows readme in
   let rules = Analysis.Lint.rules in
   check Alcotest.int "row count" (List.length rules) (List.length rows);
@@ -402,6 +417,8 @@ let () =
             test_broken_kernels_refuted;
           Alcotest.test_case "zeroone gap kernel never proved" `Quick
             test_zeroone_gap_kernel_not_proved;
+          Alcotest.test_case "gap file rejected by all three" `Quick
+            test_gap_file_rejected_by_all;
         ] );
       ( "soundness",
         [
@@ -411,13 +428,12 @@ let () =
           Alcotest.test_case "randomized n=5" `Slow test_soundness_n5;
           qtest qcheck_agrees_with_absint;
         ] );
-      ( "fast-path",
+      ( "one-certifier",
         [
-          Alcotest.test_case "counters" `Quick test_counters_and_fast_path;
-          Alcotest.test_case "verify.certify_fast skips n!" `Quick
-            test_verify_certify_fast_skips_enumeration;
-          Alcotest.test_case "search final check" `Slow
-            test_search_final_check;
+          Alcotest.test_case "counters" `Quick test_one_certifier_counters;
+          Alcotest.test_case "optimizer and dce certify" `Quick
+            test_optimizer_and_dce_certify;
+          qtest qcheck_equiv_matches_oracle;
         ] );
       ( "lint-rules",
         [
