@@ -673,9 +673,11 @@ let bench_serve_cli rest =
 
 (* --stats-json [FILE|-]: skip the Bechamel run and dump a machine-readable
    search-stats snapshot instead — one JSON object per representative
-   engine run (A*, level-sync enumeration, parallel), self-validated
-   before writing. This is the perf-trajectory hook: every CI run can
-   archive the snapshot and diff counters across commits. *)
+   engine run (A*, level-sync enumeration, parallel). The rendered array
+   must parse back to the value it was rendered from, so every
+   `dune runtest` checks the emitter/parser round trip on real stats. This
+   is the perf-trajectory hook: every CI run can archive the snapshot and
+   diff counters across commits. *)
 let stats_snapshot () =
   let runs =
     [
@@ -690,17 +692,23 @@ let stats_snapshot () =
         Search.run_parallel ~opts:Search.best ~domains:2 cfg3 );
     ]
   in
-  let objects =
-    List.map (fun (label, r) -> Search.stats_json ~label r) runs
+  let value =
+    Registry.Json.Arr
+      (List.map
+         (fun (label, (r : Search.result)) ->
+           Search.Stats.to_json ~label r.Search.stats)
+         runs)
   in
-  let json = "[" ^ String.concat ",\n" objects ^ "]\n"
-  in
-  (match Search.Stats.validate_json json with
-  | Ok () -> ()
+  let json = Registry.Json.to_string value in
+  (match Registry.Json.parse json with
+  | Ok v when v = value -> ()
+  | Ok _ ->
+      prerr_endline "stats snapshot does not parse back to what was rendered";
+      exit 1
   | Error e ->
       Printf.eprintf "stats snapshot is not well-formed JSON: %s\n" e;
       exit 1);
-  json
+  json ^ "\n"
 
 let () =
   match Array.to_list Sys.argv with

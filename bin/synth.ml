@@ -94,7 +94,7 @@ let setup_faults spec =
       exit 1
 
 let write_json path json =
-  let json = json ^ "\n" in
+  let json = Registry.Json.to_string json ^ "\n" in
   if path = "-" then print_string json
   else
     match open_out path with
@@ -104,6 +104,14 @@ let write_json path json =
     | exception Sys_error msg ->
         Printf.eprintf "synth: cannot write stats JSON: %s\n" msg;
         exit 1
+
+let read_file_res path =
+  match open_in_bin path with
+  | ic ->
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Ok s
+  | exception Sys_error msg -> Error msg
 
 let resolve_root = function
   | Some dir -> dir
@@ -189,17 +197,21 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
       let p = rep.Opt.Pipeline.optimized in
       opt_note :=
         Some
-          (Printf.sprintf
-             {|{"passes":[%s],"refused":%d,"rounds":%d,"instructions_before":%d,"instructions_after":%d,"cycles_before":%d,"cycles_after":%d}|}
-             (String.concat ","
-                (List.map
-                   (fun (d : Opt.Pipeline.delta) ->
-                     Printf.sprintf "%S" d.Opt.Pipeline.pass)
-                   rep.Opt.Pipeline.deltas))
-             (List.length rep.Opt.Pipeline.refusals)
-             rep.Opt.Pipeline.rounds (Array.length before) (Array.length p)
-             (Perf.Cost.simulated_cycles cfg before)
-             (Perf.Cost.simulated_cycles cfg p))
+          Registry.Json.(
+            Obj
+              [
+                ( "passes",
+                  Arr
+                    (List.map
+                       (fun (d : Opt.Pipeline.delta) -> Str d.Opt.Pipeline.pass)
+                       rep.Opt.Pipeline.deltas) );
+                ("refused", Int (List.length rep.Opt.Pipeline.refusals));
+                ("rounds", Int rep.Opt.Pipeline.rounds);
+                ("instructions_before", Int (Array.length before));
+                ("instructions_after", Int (Array.length p));
+                ("cycles_before", Int (Perf.Cost.simulated_cycles cfg before));
+                ("cycles_after", Int (Perf.Cost.simulated_cycles cfg p));
+              ])
     in
     let note_analysis p =
       let fs = Analysis.Lint.check_all cfg p in
@@ -207,9 +219,13 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
       let d = Analysis.Dce.run cfg p in
       analysis_note :=
         Some
-          (Printf.sprintf {|{"findings":%d,"errors":%d,"eliminated":%d}|}
-             (List.length fs) errs
-             (List.length d.Analysis.Dce.removed));
+          Registry.Json.(
+            Obj
+              [
+                ("findings", Int (List.length fs));
+                ("errors", Int errs);
+                ("eliminated", Int (List.length d.Analysis.Dce.removed));
+              ]);
       if errs > 0 then
         Printf.eprintf "synth: lint: %s on the produced kernel\n"
           (Analysis.Lint.summary fs)
@@ -226,7 +242,10 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
           | Some j -> [ ("degraded", j) ]
           | None -> [])
         @ (match !opt_note with Some j -> [ ("opt", j) ] | None -> [])
-        @ [ ("certifications", string_of_int (Machine.Exec.certifications ())) ]
+        @ [
+            ( "certifications",
+              Registry.Json.Int (Machine.Exec.certifications ()) );
+          ]
       with
       | [] -> None
       | l -> Some l
@@ -290,7 +309,7 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
         in
         let r = outcome.Registry.Scheduler.result in
         let degraded = outcome.Registry.Scheduler.degraded in
-        degraded_note := Some (if degraded then "true" else "false");
+        degraded_note := Some (Registry.Json.Bool degraded);
         if degraded then
           Printf.eprintf
             "synth: degraded result (ladder rung %d): the kernel is verified \
@@ -503,6 +522,22 @@ let default_term =
 (* ------------------------------------------------------------------ *)
 (* batch: run a JSON job list through the registry + scheduler.        *)
 
+(* A homogeneous failure class keeps its dedicated exit code, so scripts
+   can tell "give it more time" (2) from "give it more memory" (3) from
+   "retry later" (6); mixed or other failures collapse to 1. *)
+let exit_on_batch_failures ~jobs ~timeouts ~exhausted ~shed ~other =
+  let failures = timeouts + exhausted + shed + other in
+  if failures > 0 then begin
+    Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
+      failures jobs;
+    exit
+      (match (timeouts, exhausted, shed, other) with
+      | _, 0, 0, 0 -> exit_timeout
+      | 0, _, 0, 0 -> exit_exhausted
+      | 0, 0, _, 0 -> exit_overloaded
+      | _ -> 1)
+  end
+
 (* The thin-client path of [batch --server]: ship the parsed job list to
    the daemon and print its answers in the local format. The kernel text
    is byte-identical to a local run — both ends print
@@ -618,34 +653,16 @@ let run_batch_remote sock keys timeout retries backoff budget optimize
       (match stats_json with
       | Some path ->
           write_json path
-            (Registry.Json.to_string
-               (Serve.Protocol.response_to_json (Serve.Protocol.Jobs served)))
+            (Serve.Protocol.response_to_json (Serve.Protocol.Jobs served))
       | None -> ());
-      let failures = !timeouts + !exhausted + !shed + !other in
-      if failures > 0 then begin
-        Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
-          failures (List.length keys);
-        exit
-          (if !other = 0 && !exhausted = 0 && !shed = 0 then exit_timeout
-           else if !other = 0 && !timeouts = 0 && !shed = 0 then exit_exhausted
-           else if !other = 0 && !timeouts = 0 && !exhausted = 0 then
-             exit_overloaded
-           else 1)
-      end;
+      exit_on_batch_failures ~jobs:(List.length keys) ~timeouts:!timeouts
+        ~exhausted:!exhausted ~shed:!shed ~other:!other;
       `Ok ()
 
 let run_batch jobs_file server workers timeout retries backoff budget no_cache
     cache_dir x86 stats_json fault_plan optimize =
   setup_faults fault_plan;
-  let src =
-    match open_in_bin jobs_file with
-    | ic ->
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Ok s
-    | exception Sys_error msg -> Error msg
-  in
-  match Result.bind src Registry.Scheduler.parse_jobs with
+  match Result.bind (read_file_res jobs_file) Registry.Scheduler.parse_jobs with
   | Error msg -> `Error (false, Printf.sprintf "cannot read jobs: %s" msg)
   | Ok keys when server <> None ->
       run_batch_remote (Option.get server) keys timeout retries backoff budget
@@ -714,18 +731,8 @@ let run_batch jobs_file server workers timeout retries backoff budget no_cache
       (match stats_json with
       | Some path -> write_json path (Registry.Scheduler.batch_json b)
       | None -> ());
-      let failures = !timeouts + !exhausted + !other in
-      if failures > 0 then begin
-        Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
-          failures (List.length keys);
-        (* A homogeneous failure class keeps its dedicated exit code, so
-           scripts can tell "give it more time" (2) from "give it more
-           memory" (3); mixed or other failures collapse to 1. *)
-        exit
-          (if !other = 0 && !exhausted = 0 then exit_timeout
-           else if !other = 0 && !timeouts = 0 then exit_exhausted
-           else 1)
-      end;
+      exit_on_batch_failures ~jobs:(List.length keys) ~timeouts:!timeouts
+        ~exhausted:!exhausted ~shed:0 ~other:!other;
       `Ok ()
 
 let batch_cmd =
@@ -804,14 +811,6 @@ let batch_cmd =
 (* ------------------------------------------------------------------ *)
 (* lint / analyze: the static analyzer over kernel files.              *)
 
-let read_file_res path =
-  match open_in_bin path with
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Ok s
-  | exception Sys_error msg -> Error msg
-
 (* Kernel files carry no register-file header; unless -n/-m are given,
    infer the smallest configuration covering the registers the kernel
    names (parse once under the widest file, then re-parse under the
@@ -866,22 +865,22 @@ let print_findings file lines findings =
    the README rule table by a test. *)
 let print_rules json =
   if json then begin
-    let parts =
-      List.map
-        (fun r ->
-          Registry.Json.to_string
-            (Registry.Json.Obj
-               [
-                 ("id", Registry.Json.Str (Analysis.Lint.rule_id r));
-                 ( "severity",
-                   Registry.Json.Str
-                     (Analysis.Lint.severity_to_string
-                        (Analysis.Lint.severity_of_rule r)) );
-                 ("description", Registry.Json.Str (Analysis.Lint.describe r));
-               ]))
-        Analysis.Lint.rules
-    in
-    print_endline ("[" ^ String.concat "," parts ^ "]")
+    let open Registry.Json in
+    print_endline
+      (to_string
+         (Arr
+            (List.map
+               (fun r ->
+                 Obj
+                   [
+                     ("id", Str (Analysis.Lint.rule_id r));
+                     ( "severity",
+                       Str
+                         (Analysis.Lint.severity_to_string
+                            (Analysis.Lint.severity_of_rule r)) );
+                     ("description", Str (Analysis.Lint.describe r));
+                   ])
+               Analysis.Lint.rules)))
   end
   else
     List.iter
@@ -923,20 +922,17 @@ let run_lint files n m json rules =
       reports
   in
   if json then begin
-    let parts =
-      List.map
-        (fun (file, r) ->
-          match r with
-          | Error msg ->
-              Registry.Json.to_string
-                (Registry.Json.Obj
-                   [ ("file", Registry.Json.Str file);
-                     ("error", Registry.Json.Str msg) ])
-          | Ok (_, findings, lines) ->
-              Analysis.Lint.report_json ~file ~lines findings)
-        analyzed
-    in
-    print_endline ("[" ^ String.concat "," parts ^ "]")
+    let open Registry.Json in
+    print_endline
+      (to_string
+         (Arr
+            (List.map
+               (fun (file, r) ->
+                 match r with
+                 | Error msg -> Obj [ ("file", Str file); ("error", Str msg) ]
+                 | Ok (_, findings, lines) ->
+                     Analysis.Lint.report_json ~file ~lines findings)
+               analyzed)))
   end
   else begin
     List.iter
@@ -972,16 +968,14 @@ let run_analyze file n m json =
       let d = Analysis.Dce.run cfg prog in
       let removed = d.Analysis.Dce.removed in
       if json then begin
+        let open Registry.Json in
         (* Reuse the lint report as the base object and graft the abstract-
            interpretation and DCE sections on. *)
         let base =
-          match
-            Registry.Json.parse (Analysis.Lint.report_json ~file ~lines findings)
-          with
-          | Ok (Registry.Json.Obj kvs) -> kvs
+          match Analysis.Lint.report_json ~file ~lines findings with
+          | Obj kvs -> kvs
           | _ -> []
         in
-        let open Registry.Json in
         let dce =
           Obj
             [
@@ -1141,20 +1135,20 @@ let analyze_cmd =
 let run_devlint paths json rules waivers_path =
   if rules then begin
     if json then begin
-      let parts =
-        List.map
-          (fun r ->
-            Registry.Json.to_string
-              (Registry.Json.Obj
-                 [
-                   ("id", Registry.Json.Str (Devlint.Rule.id r));
-                   ("title", Registry.Json.Str (Devlint.Rule.title r));
-                   ("description", Registry.Json.Str (Devlint.Rule.describe r));
-                   ("hint", Registry.Json.Str (Devlint.Rule.hint r));
-                 ]))
-          Devlint.Rule.all
-      in
-      print_endline ("[" ^ String.concat "," parts ^ "]")
+      let open Registry.Json in
+      print_endline
+        (to_string
+           (Arr
+              (List.map
+                 (fun r ->
+                   Obj
+                     [
+                       ("id", Str (Devlint.Rule.id r));
+                       ("title", Str (Devlint.Rule.title r));
+                       ("description", Str (Devlint.Rule.describe r));
+                       ("hint", Str (Devlint.Rule.hint r));
+                     ])
+                 Devlint.Rule.all)))
     end
     else
       List.iter
@@ -1192,7 +1186,7 @@ let run_devlint paths json rules waivers_path =
           }
         in
         print_string
-          (if json then Devlint.Report.json run ^ "\n"
+          (if json then Registry.Json.to_string (Devlint.Report.json run) ^ "\n"
            else Devlint.Report.text run);
         if Devlint.Report.exit_code run <> 0 then exit 1;
         `Ok ()
@@ -1292,29 +1286,26 @@ let run_certify files n m json =
         files
     in
     if json then begin
-      let parts =
-        List.map
-          (fun (file, r) ->
-            let fields =
-              match r with
-              | Error msg ->
-                  [ ("file", Registry.Json.Str file);
-                    ("error", Registry.Json.Str msg) ]
-              | Ok (cfg, verdict, certified, method_, detail) ->
-                  [
-                    ("file", Registry.Json.Str file);
-                    ("n", Registry.Json.Int cfg.Isa.Config.n);
-                    ("m", Registry.Json.Int cfg.Isa.Config.m);
-                    ("verdict", Registry.Json.Str verdict);
-                    ("certified", Registry.Json.Bool certified);
-                    ("method", Registry.Json.Str method_);
-                    ("detail", Registry.Json.Str detail);
-                  ]
-            in
-            Registry.Json.to_string (Registry.Json.Obj fields))
-          reports
-      in
-      print_endline ("[" ^ String.concat "," parts ^ "]")
+      let open Registry.Json in
+      print_endline
+        (to_string
+           (Arr
+              (List.map
+                 (fun (file, r) ->
+                   match r with
+                   | Error msg -> Obj [ ("file", Str file); ("error", Str msg) ]
+                   | Ok (cfg, verdict, certified, method_, detail) ->
+                       Obj
+                         [
+                           ("file", Str file);
+                           ("n", Int cfg.Isa.Config.n);
+                           ("m", Int cfg.Isa.Config.m);
+                           ("verdict", Str verdict);
+                           ("certified", Bool certified);
+                           ("method", Str method_);
+                           ("detail", Str detail);
+                         ])
+                 reports)))
     end
     else
       List.iter
@@ -1713,22 +1704,17 @@ let registry_verify cache_dir lint stats_json =
   (match stats_json with
   | None -> ()
   | Some path ->
-      let counters_value =
-        match Registry.Json.parse (Registry.Store.counters_json counters) with
-        | Ok v -> v
-        | Error _ -> Registry.Json.Null
-      in
       write_json path
-        (Registry.Json.to_string
-           (Registry.Json.Obj
-              [
-                ("label", Registry.Json.Str "registry verify");
-                ("root", Registry.Json.Str root);
-                ("lint", Registry.Json.Bool lint);
-                ("checked", Registry.Json.Int (List.length checked));
-                ("ok", Registry.Json.Int (List.length checked - !bad));
-                ("registry", counters_value);
-              ])));
+        Registry.Json.(
+          Obj
+            [
+              ("label", Str "registry verify");
+              ("root", Str root);
+              ("lint", Bool lint);
+              ("checked", Int (List.length checked));
+              ("ok", Int (List.length checked - !bad));
+              ("registry", Registry.Store.counters_json counters);
+            ]));
   (* Any corrupted entry — found by the recovery scan or the certify
      sweep — is the documented "registry corruption" exit code. *)
   if !bad + rcv.Registry.Store.requarantined > 0 then exit exit_corrupt;
@@ -1847,7 +1833,7 @@ let run_serve socket cache_dir capacity workers max_conns max_queue
     ~handle_signals:true t;
   (match stats_json with
   | Some path ->
-      write_json path (Registry.Json.to_string (Serve.Server.snapshot t))
+      write_json path (Serve.Server.snapshot t)
   | None -> ());
   `Ok ()
 
@@ -2011,10 +1997,9 @@ let run_client server op n scratch engine heuristic cut max_len timeout budget
       Printf.printf "# server shutting down\n";
       `Ok ()
   | Ok (Serve.Protocol.Snapshot j) ->
-      let rendered = Registry.Json.to_string j in
       (match stats_json with
-      | Some path -> write_json path rendered
-      | None -> print_endline rendered);
+      | Some path -> write_json path j
+      | None -> print_endline (Registry.Json.to_string j));
       `Ok ()
   | Ok (Serve.Protocol.Served s) -> print_served s
   | Ok (Serve.Protocol.Jobs _) ->

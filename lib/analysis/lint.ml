@@ -216,69 +216,31 @@ let summary fs =
     (if w = 1 then "" else "s")
 
 (* ------------------------------------------------------------------ *)
-(* JSON. Same hand-rolled emitter discipline as Search.Stats: the
-   schema is flat and the library must not depend on lib/registry. *)
-
-let escape b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let add_finding b ?line f =
-  Buffer.add_string b "{\"rule\":";
-  escape b (rule_id f.rule);
-  Buffer.add_string b ",\"severity\":";
-  escape b (severity_to_string f.severity);
-  Buffer.add_string b ",\"index\":";
-  Buffer.add_string b
-    (match f.index with Some i -> string_of_int i | None -> "null");
-  Buffer.add_string b ",\"line\":";
-  Buffer.add_string b
-    (match line with Some l -> string_of_int l | None -> "null");
-  Buffer.add_string b ",\"message\":";
-  escape b f.message;
-  Buffer.add_char b '}'
-
-let to_json ?line f =
-  let b = Buffer.create 128 in
-  add_finding b ?line f;
-  Buffer.contents b
+(* JSON.                                                               *)
 
 let report_json ?file ?lines fs =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '{';
-  (match file with
-  | Some f ->
-      Buffer.add_string b "\"file\":";
-      escape b f;
-      Buffer.add_char b ','
-  | None -> ());
-  Buffer.add_string b "\"findings\":[";
-  List.iteri
-    (fun k f ->
-      if k > 0 then Buffer.add_char b ',';
-      let line =
-        match (f.index, lines) with
-        | Some i, Some ls when i < Array.length ls -> Some ls.(i)
-        | _ -> None
-      in
-      add_finding b ?line f)
-    fs;
-  Buffer.add_string b "],\"errors\":";
-  Buffer.add_string b (string_of_int (List.length (errors fs)));
-  Buffer.add_string b ",\"warnings\":";
-  Buffer.add_string b
-    (string_of_int (List.length fs - List.length (errors fs)));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let open Json in
+  let opt_int = function Some i -> Int i | None -> Null in
+  let finding f =
+    let line =
+      match (f.index, lines) with
+      | Some i, Some ls when i < Array.length ls -> Some ls.(i)
+      | _ -> None
+    in
+    Obj
+      [
+        ("rule", Str (rule_id f.rule));
+        ("severity", Str (severity_to_string f.severity));
+        ("index", opt_int f.index);
+        ("line", opt_int line);
+        ("message", Str f.message);
+      ]
+  in
+  let errs = List.length (errors fs) in
+  Obj
+    ((match file with Some f -> [ ("file", Str f) ] | None -> [])
+    @ [
+        ("findings", Arr (List.map finding fs));
+        ("errors", Int errs);
+        ("warnings", Int (List.length fs - errs));
+      ])

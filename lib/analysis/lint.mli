@@ -79,14 +79,11 @@ val errors : finding list -> finding list
 val summary : finding list -> string
 (** One-line human summary, e.g. ["3 findings (2 errors, 1 warning)"]. *)
 
-val to_json : ?line:int -> finding -> string
-(** One finding as a JSON object:
-    [{"rule":…,"severity":…,"index":…,"line":…,"message":…}]. [index] and
-    [line] are [null] when absent. The output passes
-    {!Search.Stats.validate_json}. *)
-
-val report_json : ?file:string -> ?lines:int array -> finding list -> string
-(** A JSON report [{"file":…,"findings":[…],"errors":N,"warnings":N}].
-    [lines] maps instruction indices to 1-based source lines (as returned
-    by {!Isa.Program.of_string_numbered}) so findings and parse
-    diagnostics share coordinates. *)
+val report_json : ?file:string -> ?lines:int array -> finding list -> Json.t
+(** A JSON report [{"file":…,"findings":[…],"errors":N,"warnings":N}], one
+    [{"rule":…,"severity":…,"index":…,"line":…,"message":…}] object per
+    finding ([index] and [line] are [null] when absent). [lines] maps
+    instruction indices to 1-based source lines (as returned by
+    {!Isa.Program.of_string_numbered}) so findings and parse diagnostics
+    share coordinates. Callers may graft further fields onto the object
+    before rendering it with {!Json.to_string}. *)

@@ -40,65 +40,43 @@ let text run =
        (if List.length run.errors = 1 then "" else "s"));
   Buffer.contents b
 
-(* Minimal JSON string escaping: the fields we emit are paths, rule
-   metadata, and justifications — control characters, quotes, and
-   backslashes are all that needs care. *)
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let jfinding (f : Lint.finding) extra =
-  Printf.sprintf
-    "{\"file\":%s,\"line\":%d,\"col\":%d,\"rule\":%s,\"title\":%s,\"message\":%s,\"hint\":%s%s}"
-    (jstr f.file) f.line f.col
-    (jstr (Rule.id f.rule))
-    (jstr (Rule.title f.rule))
-    (jstr f.message)
-    (jstr (Rule.hint f.rule))
-    extra
-
-let jlist xs = "[" ^ String.concat "," xs ^ "]"
-
 let json run =
-  let unwaived = List.map (fun f -> jfinding f "") run.unwaived in
-  let waived =
-    List.map
-      (fun (f, (w : Waivers.t)) ->
-        jfinding f
-          (Printf.sprintf ",\"waived_by\":%s" (jstr w.justification)))
-      run.waived
+  let open Json in
+  let finding (f : Lint.finding) extra =
+    Obj
+      ([
+         ("file", Str f.file);
+         ("line", Int f.line);
+         ("col", Int f.col);
+         ("rule", Str (Rule.id f.rule));
+         ("title", Str (Rule.title f.rule));
+         ("message", Str f.message);
+         ("hint", Str (Rule.hint f.rule));
+       ]
+      @ extra)
   in
-  let unused =
-    List.map
-      (fun (w : Waivers.t) ->
-        Printf.sprintf "{\"rule\":%s,\"path\":%s}" (jstr (Rule.id w.rule))
-          (jstr w.path))
-      run.unused
-  in
-  let errors =
-    List.map
-      (fun (path, err) ->
-        Printf.sprintf "{\"file\":%s,\"error\":%s}" (jstr path) (jstr err))
-      run.errors
-  in
-  Printf.sprintf
-    "{\"files_scanned\":%d,\"findings\":%s,\"waived\":%s,\"stale_waivers\":%s,\"errors\":%s,\"ok\":%b}"
-    run.files_scanned (jlist unwaived) (jlist waived) (jlist unused)
-    (jlist errors)
-    (run.unwaived = [] && run.errors = [])
+  Obj
+    [
+      ("files_scanned", Int run.files_scanned);
+      ("findings", Arr (List.map (fun f -> finding f []) run.unwaived));
+      ( "waived",
+        Arr
+          (List.map
+             (fun (f, (w : Waivers.t)) ->
+               finding f [ ("waived_by", Str w.justification) ])
+             run.waived) );
+      ( "stale_waivers",
+        Arr
+          (List.map
+             (fun (w : Waivers.t) ->
+               Obj [ ("rule", Str (Rule.id w.rule)); ("path", Str w.path) ])
+             run.unused) );
+      ( "errors",
+        Arr
+          (List.map
+             (fun (path, err) -> Obj [ ("file", Str path); ("error", Str err) ])
+             run.errors) );
+      ("ok", Bool (run.unwaived = [] && run.errors = []));
+    ]
 
 let exit_code run = if run.unwaived = [] && run.errors = [] then 0 else 1

@@ -15,9 +15,11 @@ val text : run -> string
 (** Human output: [file:line:col: DLxxx[title] message; fix: hint] per
     finding, then waived/stale sections and a one-line summary. *)
 
-val json : run -> string
-(** Machine output as one JSON object; devlint carries its own minimal
-    string escaper so the library stays on compiler-libs alone. *)
+val json : run -> Json.t
+(** Machine output as one JSON object
+    [{"files_scanned":N,"findings":[…],"waived":[…],"stale_waivers":[…],
+    "errors":[…],"ok":B}], built on the shared {!Json} module; render it
+    with {!Json.to_string}. *)
 
 val exit_code : run -> int
 (** 0 when there is nothing unwaived and no scan errors, 1 otherwise. *)

@@ -396,18 +396,8 @@ let batch_json batch =
           [ ("error", Json.Str (failure_string s)) ]
       | Cached | Synthesized | Timed_out -> [])
   in
-  let c = batch.counters in
-  Json.to_string
-    (Json.Obj
-       [
-         ("jobs", Json.Arr (List.map job batch.results));
-         ( "registry",
-           Json.Obj
-             [
-               ("hits", Json.Int c.Store.hits);
-               ("misses", Json.Int c.Store.misses);
-               ("quarantined", Json.Int c.Store.quarantined);
-               ("inserted", Json.Int c.Store.inserted);
-               ("recovered", Json.Int c.Store.recovered);
-             ] );
-       ])
+  Json.Obj
+    [
+      ("jobs", Json.Arr (List.map job batch.results));
+      ("registry", Store.counters_json batch.counters);
+    ]

@@ -174,8 +174,8 @@ val poison_status : status -> bool
     failures say more about load than about the key, so they do not
     count. *)
 
-val batch_json : batch -> string
+val batch_json : batch -> Json.t
 (** Machine-readable batch summary:
     [{"jobs":[...],"registry":{"hits":...}}]. Each job carries [degraded],
-    [rung], and its [attempt_log]; the registry object includes the
-    [recovered] counter. Always passes {!Search.Stats.validate_json}. *)
+    [rung], and its [attempt_log]; the registry object is
+    {!Store.counters_json}. *)

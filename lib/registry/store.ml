@@ -18,16 +18,15 @@ let fresh_counters () =
   }
 
 let counters_json c =
-  Json.to_string
-    (Json.Obj
-       [
-         ("hits", Json.Int c.hits);
-         ("misses", Json.Int c.misses);
-         ("quarantined", Json.Int c.quarantined);
-         ("inserted", Json.Int c.inserted);
-         ("lint_errors", Json.Int c.lint_errors);
-         ("recovered", Json.Int c.recovered);
-       ])
+  Json.Obj
+    [
+      ("hits", Json.Int c.hits);
+      ("misses", Json.Int c.misses);
+      ("quarantined", Json.Int c.quarantined);
+      ("inserted", Json.Int c.inserted);
+      ("lint_errors", Json.Int c.lint_errors);
+      ("recovered", Json.Int c.recovered);
+    ]
 
 type provenance = { optimized_from : string; passes : string list }
 

@@ -51,9 +51,13 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
-val counters_json : counters -> string
-(** Pre-rendered JSON object, e.g. [{"hits":1,"misses":0,...}] — the value
-    handed to {!Search.Stats.to_json}'s [extra] field. *)
+val counters_json : counters -> Json.t
+(** The one registry counter schema,
+    [{"hits":…,"misses":…,"quarantined":…,"inserted":…,"lint_errors":…,
+    "recovered":…}]: the ["registry"] block of [--stats-json] snapshots
+    (via {!Search.Stats.to_json}'s [extra]), of [registry verify
+    --stats-json], of {!Scheduler.batch_json} and of the serve [stats]
+    reply. *)
 
 type provenance = {
   optimized_from : string;

@@ -698,8 +698,6 @@ let run_mode ?(opts = default) ?deadline ~mode cfg =
 
 let run ?(opts = default) ?deadline cfg = run_mode ~opts ?deadline ~mode:Find_first cfg
 
-let stats_json ?label ?extra result = Stats.to_json ?label ?extra result.stats
-
 let synthesize ?(opts = best) n =
   let cfg = Isa.Config.default n in
   let r = run ~opts cfg in

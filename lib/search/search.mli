@@ -9,8 +9,8 @@ module Expand : module type of Expand
     engines cannot disagree on what counts as a successor or a prune. *)
 
 module Stats : module type of Stats
-(** Re-export: search statistics types and the JSON snapshot emitter
-    ({!Stats.to_json} / {!Stats.validate_json}). *)
+(** Re-export: search statistics types and the JSON snapshot builder
+    ({!Stats.to_json}). *)
 
 (** Enumerative synthesis of sorting kernels (the paper's core contribution,
     Section 3).
@@ -231,10 +231,6 @@ val run_parallel :
     in [Find_first] mode only the last level's generated/pruned counters
     may exceed the sequential engine's (the frontier drains completely
     before the merge notices a solution). *)
-
-val stats_json : ?label:string -> ?extra:(string * string) list -> result -> string
-(** JSON snapshot of a run's statistics; see {!Stats.to_json}. [extra]
-    fields (pre-rendered JSON values) are appended at the top level. *)
 
 val synthesize : ?opts:options -> int -> Isa.Program.t option
 (** [synthesize n] finds one sorting kernel for arrays of length [n] with

@@ -26,257 +26,49 @@ type t = {
   levels : level_stat list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Emission. The container has no JSON library; the schema is flat
-   enough that a Buffer-based emitter stays readable. *)
-
-let escape_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let add_float b x =
-  (* JSON has no inf/nan literals; clamp those to representable decimals. *)
-  if not (Float.is_finite x) then
-    Buffer.add_string b
-      (if x > 0. then "1e308" else if x < 0. then "-1e308" else "0.0")
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.1f" x)
-  else Buffer.add_string b (Printf.sprintf "%.9g" x)
-
-let add_fields b fields =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, add_v) ->
-      if i > 0 then Buffer.add_char b ',';
-      escape_string b k;
-      Buffer.add_char b ':';
-      add_v b)
-    fields;
-  Buffer.add_char b '}'
-
-let add_int_field k v = (k, fun b -> Buffer.add_string b (string_of_int v))
-
-let add_list b add_item items =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      add_item b x)
-    items;
-  Buffer.add_char b ']'
-
 let to_json ?label ?(extra = []) s =
-  let b = Buffer.create 1024 in
-  let counters_field bb =
-    add_fields bb
+  let open Json in
+  let counters =
+    Obj
       [
-        add_int_field "expanded" s.expanded;
-        add_int_field "generated" s.generated;
-        add_int_field "deduped" s.deduped;
-        add_int_field "pruned_cut" s.pruned_cut;
-        add_int_field "pruned_viability" s.pruned_viability;
-        add_int_field "pruned_bound" s.pruned_bound;
-        add_int_field "max_open" s.max_open;
-        ("elapsed_s", fun bb -> add_float bb s.elapsed);
+        ("expanded", Int s.expanded);
+        ("generated", Int s.generated);
+        ("deduped", Int s.deduped);
+        ("pruned_cut", Int s.pruned_cut);
+        ("pruned_viability", Int s.pruned_viability);
+        ("pruned_bound", Int s.pruned_bound);
+        ("max_open", Int s.max_open);
+        ("elapsed_s", Float s.elapsed);
       ]
   in
-  let timeline_field bb =
-    add_list bb
-      (fun bb p ->
-        add_fields bb
-          [
-            ("t", fun bb -> add_float bb p.t);
-            add_int_field "open_states" p.open_states;
-            add_int_field "solutions_found" p.solutions_found;
-          ])
-      s.timeline
+  let point p =
+    Obj
+      [
+        ("t", Float p.t);
+        ("open_states", Int p.open_states);
+        ("solutions_found", Int p.solutions_found);
+      ]
   in
-  let levels_field bb =
-    add_list bb
-      (fun bb l ->
-        add_fields bb
-          [
-            add_int_field "depth" l.depth;
-            add_int_field "nodes_expanded" l.nodes_expanded;
-            add_int_field "succs_generated" l.succs_generated;
-            add_int_field "succs_kept" l.succs_kept;
-            add_int_field "finals_found" l.finals_found;
-            add_int_field "succs_deduped" l.succs_deduped;
-            add_int_field "cut_pruned" l.cut_pruned;
-            add_int_field "viability_pruned" l.viability_pruned;
-            add_int_field "bound_pruned" l.bound_pruned;
-            add_int_field "open_after" l.open_after;
-          ])
-      s.levels
+  let level l =
+    Obj
+      [
+        ("depth", Int l.depth);
+        ("nodes_expanded", Int l.nodes_expanded);
+        ("succs_generated", Int l.succs_generated);
+        ("succs_kept", Int l.succs_kept);
+        ("finals_found", Int l.finals_found);
+        ("succs_deduped", Int l.succs_deduped);
+        ("cut_pruned", Int l.cut_pruned);
+        ("viability_pruned", Int l.viability_pruned);
+        ("bound_pruned", Int l.bound_pruned);
+        ("open_after", Int l.open_after);
+      ]
   in
-  let fields =
-    (match label with
-    | Some l -> [ ("label", fun bb -> escape_string bb l) ]
-    | None -> [])
+  Obj
+    ((match label with Some l -> [ ("label", Str l) ] | None -> [])
     @ [
-        ("counters", counters_field);
-        ("timeline", timeline_field);
-        ("levels", levels_field);
+        ("counters", counters);
+        ("timeline", Arr (List.map point s.timeline));
+        ("levels", Arr (List.map level s.levels));
       ]
-    @ List.map
-        (fun (k, raw) -> (k, fun bb -> Buffer.add_string bb raw))
-        extra
-  in
-  add_fields b fields;
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Validation: a minimal recursive-descent JSON reader. Accepts exactly
-   the RFC 8259 grammar (minus unicode escapes' surrogate pairing, which
-   the emitter never produces) and rejects trailing garbage. *)
-
-exception Bad of int * string
-
-let validate_json src =
-  let n = String.length src in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let fail msg = raise (Bad (!pos, msg)) in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word =
-    String.iter (fun c -> expect c) word
-  in
-  let string_body () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-              advance ();
-              go ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control char in string"
-      | Some _ ->
-          advance ();
-          go ()
-    in
-    go ()
-  in
-  let digits () =
-    let saw = ref false in
-    let rec go () =
-      match peek () with
-      | Some '0' .. '9' ->
-          saw := true;
-          advance ();
-          go ()
-      | _ -> ()
-    in
-    go ();
-    if not !saw then fail "expected digit"
-  in
-  let number () =
-    (match peek () with Some '-' -> advance () | _ -> ());
-    (match peek () with
-    | Some '0' -> advance ()
-    | Some '1' .. '9' -> digits ()
-    | _ -> fail "expected digit");
-    (match peek () with
-    | Some '.' ->
-        advance ();
-        digits ()
-    | _ -> ());
-    match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        (match peek () with
-        | Some '}' -> advance ()
-        | _ ->
-            let rec members () =
-              skip_ws ();
-              string_body ();
-              skip_ws ();
-              expect ':';
-              value ();
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ()
-              | Some '}' -> advance ()
-              | _ -> fail "expected , or }"
-            in
-            members ())
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        (match peek () with
-        | Some ']' -> advance ()
-        | _ ->
-            let rec elements () =
-              value ();
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elements ()
-              | Some ']' -> advance ()
-              | _ -> fail "expected , or ]"
-            in
-            elements ())
-    | Some '"' -> string_body ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> fail (Printf.sprintf "unexpected %c" c)
-    | None -> fail "unexpected end of input"
-  in
-  match
-    value ();
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage"
-  with
-  | () -> Ok ()
-  | exception Bad (p, msg) -> Error (Printf.sprintf "at offset %d: %s" p msg)
+    @ extra)

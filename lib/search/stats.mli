@@ -2,10 +2,8 @@
     machine-readable JSON snapshot.
 
     Every engine populates one {!t} per run (exposed as
-    [Search.result.stats]). The JSON emitter is dependency-free — the
-    container has no JSON library — and {!validate_json} is a minimal
-    well-formedness checker so tests and the bench smoke path can assert
-    that emitted snapshots parse. *)
+    [Search.result.stats]). {!to_json} builds the snapshot as a {!Json.t};
+    callers graft their own blocks on through [extra] and render once. *)
 
 type trace_point = {
   t : float;  (** Seconds since the search started. *)
@@ -49,16 +47,11 @@ type t = {
   levels : level_stat list;  (** Shallowest first. *)
 }
 
-val to_json : ?label:string -> ?extra:(string * string) list -> t -> string
-(** Render a stats snapshot as a JSON object:
+val to_json : ?label:string -> ?extra:(string * Json.t) list -> t -> Json.t
+(** A stats snapshot as a JSON object:
     [{"label": ..., "counters": {...}, "timeline": [...], "levels": [...]}].
     The [label] field is omitted when not given. Each [(name, value)] in
-    [extra] is appended as an additional top-level field; [value] must be a
-    pre-rendered JSON value (this is how the registry's hit/miss/quarantine
-    counters flow into the snapshot). The output always passes
-    {!validate_json} provided every [extra] value does. *)
-
-val validate_json : string -> (unit, string) result
-(** Check that a string is one well-formed JSON value (objects, arrays,
-    strings, numbers, [true]/[false]/[null]) with nothing trailing.
-    Positions in error messages are 0-based byte offsets. *)
+    [extra] is appended as an additional top-level field (this is how the
+    registry, analysis and optimizer blocks flow into the snapshot). Float
+    fields ([elapsed_s], timeline [t]) round-trip bit-identically through
+    {!Json.to_string} and {!Json.parse}. *)

@@ -507,16 +507,7 @@ let batch_fanout t keys p =
 let snapshot t =
   let ls = Lru.stats t.lru in
   let registry =
-    locked t.store_mutex (fun () ->
-        let c = t.store_counters in
-        Json.Obj
-          [
-            ("hits", Json.Int c.Store.hits);
-            ("misses", Json.Int c.Store.misses);
-            ("quarantined", Json.Int c.Store.quarantined);
-            ("inserted", Json.Int c.Store.inserted);
-            ("recovered", Json.Int c.Store.recovered);
-          ])
+    locked t.store_mutex (fun () -> Store.counters_json t.store_counters)
   in
   let bc = Breaker.counters t.breaker in
   let breaker =

@@ -89,7 +89,8 @@ val snapshot : t -> Registry.Json.t
 (** The [stats] response body: the [serve] block (request/cache/coalesce
     counters, queue depth + high-water mark, shed counts by reason, the
     breaker block with per-key state, snapshot restored/written, LRU
-    occupancy, uptime), the session's [registry] counters, and the
+    occupancy, uptime), the session's [registry] counters (the
+    {!Registry.Store.counters_json} schema), and the
     process-wide [readdir_calls] / [certifications] monotone counters. *)
 
 val run : ?on_ready:(unit -> unit) -> ?handle_signals:bool -> t -> unit

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 smoke: build everything, run the full test tree, and exercise the
-# search-stats JSON emitter end to end (the snapshot self-validates inside
-# bench/main.exe; a malformed snapshot exits non-zero and fails the smoke).
+# search-stats JSON emitter end to end (bench/main.exe checks that the
+# snapshot parses back to what it rendered; a mismatch exits non-zero and
+# fails the smoke).
 #
 # SMOKE_ONLY=chaos runs only the fault-injection / crash-recovery
 # section; SMOKE_ONLY=opt runs only the proof-carrying-optimizer section;
@@ -25,7 +26,7 @@ dune build @runtest
 echo "== bench --stats-json =="
 out="${TMPDIR:-/tmp}/sortsynth-stats-smoke.json"
 dune exec bench/main.exe -- --stats-json "$out"
-# Belt and braces: the emitter already validated the snapshot; check the
+# Belt and braces: the emitter already checked the round trip; check the
 # file landed non-empty and looks like a JSON array.
 [ -s "$out" ] || { echo "stats snapshot is empty" >&2; exit 1; }
 case "$(head -c 1 "$out")" in
@@ -482,6 +483,14 @@ devout="${TMPDIR:-/tmp}/sortsynth-devlint-smoke.json"
 grep -q '"ok":true' "$devout" \
   || { echo "devlint JSON report does not say ok" >&2; exit 1; }
 rm -f "$devout"
+
+echo "== devlint: one JSON emitter =="
+# Every JSON document is built as a Json.t and rendered by lib/json; a
+# hand-rolled emitter would need its own string escaper, so the escape
+# format must occur in exactly one file under lib/ and bin/.
+escapers="$(grep -rlF 'u%04x' lib bin || true)"
+[ "$escapers" = "lib/json/json.ml" ] \
+  || { echo "JSON string escaping outside lib/json/json.ml: $escapers" >&2; exit 1; }
 
 echo "== devlint: corpus still fails =="
 # The gate is only a gate if a known-bad file trips it: every corpus file

@@ -515,9 +515,9 @@ let test_run_batch_recovers_at_open () =
   check Alcotest.int "reinserted" 1
     b.Registry.Scheduler.counters.Registry.Store.inserted;
   (* JSON snapshot carries the robustness fields and stays valid. *)
-  let json = Registry.Scheduler.batch_json b in
-  (match Search.Stats.validate_json json with
-  | Ok () -> ()
+  let json = Registry.Json.to_string (Registry.Scheduler.batch_json b) in
+  (match Registry.Json.parse json with
+  | Ok _ -> ()
   | Error m -> Alcotest.fail ("batch json invalid: " ^ m));
   List.iter
     (fun needle ->

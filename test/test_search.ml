@@ -131,9 +131,9 @@ let test_stats_sanity () =
 let test_stats_json_well_formed () =
   let cfg = Isa.Config.default 3 in
   let r = Search.run ~opts:{ Search.best with Search.trace_every = Some 50 } cfg in
-  let json = Search.stats_json ~label:"test n=3" r in
-  (match Search.Stats.validate_json json with
-  | Ok () -> ()
+  let json = Json.to_string (Search.Stats.to_json ~label:"test n=3" r.Search.stats) in
+  (match Json.parse json with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "stats JSON malformed: %s\n%s" e json);
   let contains needle =
     let nl = String.length needle and jl = String.length json in
@@ -223,10 +223,59 @@ let test_prune_attribution_identity () =
   let loose = { Search.default with Search.max_len = Some 11 } in
   assert_level_identity "astar-loose" (Search.run ~opts:loose cfg).Search.stats
 
+(* The stats snapshot's floats must survive rendering: a value that needs
+   17 significant digits comes back bit-identical through Json.parse. *)
+let test_stats_json_floats_roundtrip () =
+  let x = 0.1 +. 1e-12 and y = 1. /. 3. in
+  let stats =
+    {
+      Search.Stats.expanded = 1;
+      generated = 2;
+      deduped = 0;
+      pruned_cut = 0;
+      pruned_viability = 0;
+      pruned_bound = 0;
+      max_open = 1;
+      elapsed = x;
+      timeline =
+        [
+          { Search.Stats.t = y; open_states = 1; solutions_found = 0 };
+          { Search.Stats.t = x; open_states = 0; solutions_found = 1 };
+        ];
+      levels = [];
+    }
+  in
+  let json = Json.to_string (Search.Stats.to_json stats) in
+  let v =
+    match Json.parse json with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "stats JSON malformed: %s\n%s" e json
+  in
+  let float_at path j =
+    match
+      List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
+    with
+    | Some f -> (
+        match Json.to_float f with
+        | Ok f -> f
+        | Error e -> Alcotest.fail e)
+    | None -> Alcotest.failf "missing %s in %s" (String.concat "." path) json
+  in
+  let same what expect got =
+    Alcotest.(check int64) what (Int64.bits_of_float expect)
+      (Int64.bits_of_float got)
+  in
+  same "elapsed_s" x (float_at [ "counters"; "elapsed_s" ] v);
+  match Json.member "timeline" v with
+  | Some (Json.Arr [ p0; p1 ]) ->
+      same "timeline[0].t" y (float_at [ "t" ] p0);
+      same "timeline[1].t" x (float_at [ "t" ] p1)
+  | _ -> Alcotest.failf "timeline not a 2-element array: %s" json
+
 let test_validate_json_rejects_garbage () =
   let bad s =
-    match Search.Stats.validate_json s with
-    | Ok () -> Alcotest.failf "accepted invalid JSON: %s" s
+    match Json.parse s with
+    | Ok _ -> Alcotest.failf "accepted invalid JSON: %s" s
     | Error _ -> ()
   in
   bad "";
@@ -239,8 +288,8 @@ let test_validate_json_rejects_garbage () =
   bad "1.2.3";
   bad {|{"a":1} trailing|};
   let good s =
-    match Search.Stats.validate_json s with
-    | Ok () -> ()
+    match Json.parse s with
+    | Ok _ -> ()
     | Error e -> Alcotest.failf "rejected valid JSON %s: %s" s e
   in
   good "{}";
@@ -300,6 +349,8 @@ let () =
             test_prune_attribution_identity;
           Alcotest.test_case "JSON validator rejects garbage" `Quick
             test_validate_json_rejects_garbage;
+          Alcotest.test_case "stats JSON floats round-trip" `Quick
+            test_stats_json_floats_roundtrip;
           Alcotest.test_case "trace collection" `Quick test_trace_collection;
           Alcotest.test_case "bound too small" `Quick
             test_bound_too_small_returns_none;
