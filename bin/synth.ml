@@ -16,7 +16,6 @@
      synth client --server S.sock -n 3   one request against the daemon
      synth batch jobs.json --server S.sock   batch through the daemon
      synth registry list|verify|gc    inspect / re-certify / sweep the store
-     synth registry migrate           shard a flat v1 store in place
      synth lint kernel.txt            static lints; exit 1 on ERROR findings
      synth analyze kernel.txt         full report: dataflow, abstract
                                       certification, proof-carrying DCE
@@ -93,17 +92,23 @@ let setup_faults spec =
       Printf.eprintf "synth: fault plan: %s\n" msg;
       exit 1
 
+(* Every file the CLI writes goes through here: an unwritable path is a
+   one-line diagnostic and exit 1, never an uncaught exception. *)
+let write_file path s =
+  match
+    let oc = open_out_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () -> output_string oc s; close_out oc)
+  with
+  | () -> ()
+  | exception Sys_error msg ->
+      Printf.eprintf "synth: cannot write %s\n" msg;
+      exit 1
+
 let write_json path json =
   let json = Registry.Json.to_string json ^ "\n" in
-  if path = "-" then print_string json
-  else
-    match open_out path with
-    | oc ->
-        output_string oc json;
-        close_out oc
-    | exception Sys_error msg ->
-        Printf.eprintf "synth: cannot write stats JSON: %s\n" msg;
-        exit 1
+  if path = "-" then print_string json else write_file path json
 
 let read_file_res path =
   match open_in_bin path with
@@ -116,15 +121,6 @@ let read_file_res path =
 let resolve_root = function
   | Some dir -> dir
   | None -> Registry.Store.default_root ()
-
-(* Verification must survive release builds (asserts do not): print a
-   diagnostic and exit nonzero instead. *)
-let certify_or_die cfg p =
-  match Machine.Exec.certify cfg p with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "synth: VERIFICATION FAILED: %s\n" msg;
-      exit 1
 
 let zero_stats =
   {
@@ -325,17 +321,18 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
         | _ -> (
             match r.Search.programs with
             | [] -> Printf.printf "no kernel found\n"
-            | p0 :: rest ->
-                certify_or_die cfg p0;
-                (* Post-synthesis polish: every pipeline rewrite is
-                   certified bit-identical on all n! permutations, so the
-                   printed/stored kernel still carries the proof above. *)
-                let p, r, provenance =
-                  if not optimize then (p0, r, None)
-                  else begin
-                    let rep = Opt.Pipeline.run cfg p0 in
+            | p0 :: _ ->
+                (* A kernel that fails certification is never printed. *)
+                let pol =
+                  match Registry.Scheduler.polish ~optimize key r with
+                  | Ok pol -> pol
+                  | Error msg ->
+                      Printf.eprintf "synth: VERIFICATION FAILED: %s\n" msg;
+                      exit 1
+                in
+                Option.iter
+                  (fun (rep : Opt.Pipeline.report) ->
                     note_opt rep p0;
-                    let p = rep.Opt.Pipeline.optimized in
                     List.iter
                       (fun (d : Opt.Pipeline.delta) ->
                         Printf.printf
@@ -349,24 +346,10 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
                       (fun (f : Opt.Pipeline.refusal) ->
                         Printf.eprintf "synth: opt: refused %s: %s\n"
                           f.Opt.Pipeline.pass f.Opt.Pipeline.reason)
-                      rep.Opt.Pipeline.refusals;
-                    if Isa.Program.equal p p0 then (p0, r, None)
-                    else
-                      ( p,
-                        { r with Search.programs = p :: rest },
-                        Some
-                          {
-                            Registry.Store.optimized_from =
-                              Digest.to_hex
-                                (Digest.string (Isa.Program.to_string cfg p0));
-                            passes =
-                              List.map
-                                (fun (d : Opt.Pipeline.delta) ->
-                                  d.Opt.Pipeline.pass)
-                                rep.Opt.Pipeline.deltas;
-                          } )
-                  end
-                in
+                      rep.Opt.Pipeline.refusals)
+                  pol.Registry.Scheduler.report;
+                let p = pol.Registry.Scheduler.kernel
+                and r = pol.Registry.Scheduler.search in
                 note_analysis p;
                 Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
                   (Array.length p) r.Search.solution_count
@@ -375,8 +358,8 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
                   (if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p);
                 if cacheable then
                   match
-                    Registry.Store.insert ~counters ~degraded ?provenance ~root
-                      key r
+                    Registry.Store.insert ~counters ~degraded
+                      ?provenance:pol.Registry.Scheduler.provenance ~root key r
                   with
                   | Ok _ ->
                       Printf.printf "# registry store %s\n" (Registry.Key.hash key)
@@ -1340,11 +1323,6 @@ let certify_cmd =
 (* optimize / equiv: the proof-carrying optimizer and the translation- *)
 (* validation equivalence engine over kernel files.                    *)
 
-let write_text path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
 (* The 0-1 shortcut is sound only once the kernel is {e syntactically} a
    comparator network (paper §2.3) — hence extraction first, and the
    2^n binary check only on the extracted network. *)
@@ -1509,7 +1487,7 @@ let run_optimize file n m json out x86 fault_plan =
       end;
       (match out with
       | Some path ->
-          write_text path rendered;
+          write_file path rendered;
           if not json then Printf.printf "# wrote %s\n" path
       | None -> ());
       `Ok ()
@@ -1642,7 +1620,7 @@ let registry_list cache_dir count =
   if count then begin
     Printf.printf "# layout: %d sharded, %d flat (v1), %d shard dir(s), %d \
                    torn temp dir(s)\n"
-      (List.length s.Registry.Store.hashes - List.length s.Registry.Store.flat)
+      (List.length s.Registry.Store.hashes)
       (List.length s.Registry.Store.flat)
       s.Registry.Store.shards
       (List.length s.Registry.Store.tmp);
@@ -1664,20 +1642,6 @@ let registry_list cache_dir count =
     `Ok ()
   end
 
-let registry_migrate cache_dir =
-  let root = resolve_root cache_dir in
-  let m = Registry.Store.migrate ~root () in
-  Printf.printf "# migrated: %d moved into shards, %d already sharded, %d \
-                 conflict(s) left in place\n"
-    m.Registry.Store.moved m.Registry.Store.already_sharded
-    m.Registry.Store.conflicts;
-  if m.Registry.Store.conflicts > 0 then
-    Printf.eprintf
-      "synth: registry: %d flat entries have a sharded twin that wins every \
-       lookup; inspect and remove the flat copies manually\n"
-      m.Registry.Store.conflicts;
-  `Ok ()
-
 let registry_verify cache_dir lint stats_json =
   let root = resolve_root cache_dir in
   let counters = Registry.Store.fresh_counters () in
@@ -1685,6 +1649,9 @@ let registry_verify cache_dir lint stats_json =
   if rcv.Registry.Store.rolled_back > 0 then
     Printf.printf "# recovered: %d torn insert(s) rolled back\n"
       rcv.Registry.Store.rolled_back;
+  if rcv.Registry.Store.migrated > 0 then
+    Printf.printf "# recovered: %d flat v1 entries moved into shards\n"
+      rcv.Registry.Store.migrated;
   if rcv.Registry.Store.requarantined > 0 then
     Printf.printf "# recovered: %d half-written entries re-quarantined\n"
       rcv.Registry.Store.requarantined;
@@ -1756,17 +1723,6 @@ let registry_cmd =
       (Cmd.info "list" ~doc:"List stored entries (no verification).")
       Term.(ret (const registry_list $ cache_dir $ count_flag))
   in
-  let migrate_cmd =
-    Cmd.v
-      (Cmd.info "migrate"
-         ~doc:
-           "Rename every flat v1 entry (store/<hash>) into its shard \
-            directory (store/<hh>/<hash>). Each move is one atomic rename; \
-            interrupting and re-running is safe, and both layouts stay \
-            readable throughout. Flat entries whose sharded twin already \
-            exists are reported and left in place.")
-      Term.(ret (const registry_migrate $ cache_dir))
-  in
   let lint_flag =
     Arg.(
       value & flag
@@ -1805,7 +1761,7 @@ let registry_cmd =
   in
   Cmd.group
     (Cmd.info "registry" ~doc:"Inspect and maintain the on-disk kernel registry.")
-    [ list_cmd; verify_cmd; gc_cmd; migrate_cmd ]
+    [ list_cmd; verify_cmd; gc_cmd ]
 
 (* ------------------------------------------------------------------ *)
 (* serve / client: the long-lived synthesis daemon and its thin client. *)

@@ -20,6 +20,7 @@ type job_result = {
   rung : int;
   attempt_log : attempt list;
   opt_passes : string list;
+  provenance : Store.provenance option;
 }
 
 type batch = { results : job_result list; counters : Store.counters }
@@ -138,6 +139,52 @@ let backoff_delay ~base ~key ~attempt =
   let jitter = 0.5 +. (float_of_int (h land 0xFFFF) /. 65536.) in
   capped *. jitter
 
+(* ------------------------------------------------------------------ *)
+(* Publish rule.                                                       *)
+
+type polished = {
+  kernel : Isa.Program.t;
+  search : Search.result;
+  report : Opt.Pipeline.report option;
+  provenance : Store.provenance option;
+}
+
+let pass_names (rep : Opt.Pipeline.report) =
+  List.map (fun (d : Opt.Pipeline.delta) -> d.Opt.Pipeline.pass) rep.Opt.Pipeline.deltas
+
+let polish ~optimize key (r : Search.result) =
+  match r.Search.programs with
+  | [] -> Error "no kernel found within the bound"
+  | p :: rest -> (
+      let cfg = Key.config key in
+      match Machine.Exec.certify cfg p with
+      | Error msg -> Error ("certification failed: " ^ msg)
+      | Ok () when not optimize ->
+          Ok { kernel = p; search = r; report = None; provenance = None }
+      | Ok () ->
+          (* Every rewrite the pipeline applies is certified bit-identical,
+             and a refused pass leaves the kernel alone — so this can only
+             reorder/shrink, never invalidate, the certified program. *)
+          let rep = Opt.Pipeline.run cfg p in
+          let kernel = rep.Opt.Pipeline.optimized in
+          let provenance =
+            if Isa.Program.equal kernel p then None
+            else
+              Some
+                {
+                  Store.optimized_from =
+                    Digest.to_hex (Digest.string (Isa.Program.to_string cfg p));
+                  passes = pass_names rep;
+                }
+          in
+          Ok
+            {
+              kernel;
+              search = { r with Search.programs = kernel :: rest };
+              report = Some rep;
+              provenance;
+            })
+
 (* One job, run to completion inside a worker domain: up to
    [1 + retries] attempts, each against its own deadline, with backoff
    between attempts. Exceptions must not escape (they would kill the
@@ -155,44 +202,28 @@ let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
         run_key ?deadline ?budget key
       with
       | o -> (
-          match o.result.Search.programs with
-          | p :: _ -> (
-              match Machine.Exec.certify (Key.config key) p with
-              | Ok () ->
-                  if optimize then begin
-                    (* Post-synthesis polish: every rewrite the pipeline
-                       applies is certified bit-identical, and a refused
-                       pass leaves the kernel alone — so this can only
-                       reorder/shrink, never invalidate, the certified
-                       program above. *)
-                    let rep = Opt.Pipeline.run (Key.config key) p in
-                    let passes =
-                      List.map
-                        (fun (d : Opt.Pipeline.delta) -> d.Opt.Pipeline.pass)
-                        rep.Opt.Pipeline.deltas
-                    in
-                    `Done (Synthesized, Some rep.Opt.Pipeline.optimized, Some o, passes)
-                  end
-                  else `Done (Synthesized, Some p, Some o, [])
-              | Error msg -> `Retry (Failed ("certification failed: " ^ msg)))
-          | [] -> `Retry (Failed "no kernel found within the bound"))
+          match polish ~optimize key o.result with
+          | Ok pol -> `Done (pol, o)
+          | Error msg -> `Retry (Failed msg))
       | exception Search.Timeout -> `Retry Timed_out
       | exception Search.Resource_exhausted { live; budget } ->
           `Retry (Exhausted { live; budget })
       | exception e -> `Retry (Failed (Printexc.to_string e))
     in
     match outcome with
-    | `Done (status, p, o, passes) -> (status, p, o, passes, k)
+    | `Done (pol, o) -> (Synthesized, Some (pol, o), k)
     | `Retry status when k > retries ->
         log := { n = k; failure = failure_string status; backoff = 0. } :: !log;
-        (status, None, None, [], k)
+        (status, None, k)
     | `Retry status ->
         let d = backoff_delay ~base:backoff ~key ~attempt:k in
         log := { n = k; failure = failure_string status; backoff = d } :: !log;
         Fault.Clock.sleep_for d;
         attempt (k + 1)
   in
-  let status, program, outcome, opt_passes, attempts = attempt 1 in
+  let status, outcome, attempts = attempt 1 in
+  let pol = Option.map fst outcome in
+  let program = Option.map (fun p -> p.kernel) pol in
   {
     key;
     status;
@@ -200,11 +231,15 @@ let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
     length = Option.map Isa.Program.length program;
     attempts;
     elapsed = Fault.Clock.now () -. start;
-    search = Option.map (fun o -> o.result) outcome;
-    degraded = (match outcome with Some o -> o.degraded | None -> false);
-    rung = (match outcome with Some o -> o.rung | None -> 0);
+    search = Option.map (fun p -> p.search) pol;
+    degraded = (match outcome with Some (_, o) -> o.degraded | None -> false);
+    rung = (match outcome with Some (_, o) -> o.rung | None -> 0);
     attempt_log = List.rev !log;
-    opt_passes;
+    opt_passes =
+      (match Option.bind pol (fun p -> p.report) with
+      | Some rep -> pass_names rep
+      | None -> []);
+    provenance = Option.bind pol (fun p -> p.provenance);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -223,6 +258,7 @@ let crashed_placeholder key =
     rung = 0;
     attempt_log = [ { n = 1; failure = "worker domain crashed"; backoff = 0. } ];
     opt_passes = [];
+    provenance = None;
   }
 
 let run_batch ?root ?(workers = 2) ?timeout ?(retries = 1) ?(backoff = 0.05)
@@ -256,6 +292,7 @@ let run_batch ?root ?(workers = 2) ?timeout ?(retries = 1) ?(backoff = 0.05)
               rung = 0;
               attempt_log = [];
               opt_passes = [];
+              provenance = None;
             }
       in
       match root with
@@ -305,32 +342,9 @@ let run_batch ?root ?(workers = 2) ?timeout ?(retries = 1) ?(backoff = 0.05)
            | Some r ->
                (match (root, r.status, r.search) with
                | Some root, Synthesized, Some search ->
-                   (* When the optimizer rewrote the kernel, store the
-                      rewrite and record where it came from; the search's
-                      raw program is recoverable via the digest. *)
-                   let provenance, search =
-                     match (r.program, search.Search.programs) with
-                     | Some p, orig :: rest
-                       when r.opt_passes <> []
-                            && not (Isa.Program.equal p orig) ->
-                         let cfg = Key.config keys.(i) in
-                         ( Some
-                             {
-                               Store.optimized_from =
-                                 Digest.to_hex
-                                   (Digest.string
-                                      (Isa.Program.to_string cfg orig));
-                               passes = r.opt_passes;
-                             },
-                           { search with Search.programs = p :: rest } )
-                     | _ -> (None, search)
-                   in
-                   (match
-                      Store.insert ~counters ~degraded:r.degraded ?provenance
-                        ~root keys.(i) search
-                    with
-                   | Ok _ -> ()
-                   | Error _ -> ())
+                   ignore
+                     (Store.insert ~counters ~degraded:r.degraded
+                        ?provenance:r.provenance ~root keys.(i) search)
                | _ -> ());
                r)
          results)

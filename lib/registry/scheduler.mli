@@ -49,7 +49,9 @@ type job_result = {
   length : int option;
   attempts : int;  (** Search attempts; [0] for cache hits. *)
   elapsed : float;  (** Seconds spent on this job (all attempts). *)
-  search : Search.result option;  (** Present iff a search completed. *)
+  search : Search.result option;
+      (** Present iff a search completed; its head program is [program],
+          the kernel to store (see {!polish}). *)
   degraded : bool;
       (** The kernel came from a non-optimality-preserving ladder rung;
           it is correct (still certified on all [n!] permutations) but
@@ -61,9 +63,10 @@ type job_result = {
   opt_passes : string list;
       (** Certified optimizer passes applied after synthesis (in
           application order, {!Opt.Pipeline} delta names), when the batch
-          ran with [~optimize:true]; empty otherwise. When non-empty and
-          the kernel actually changed, the stored entry carries a
-          {!Store.provenance} record. *)
+          ran with [~optimize:true]; empty otherwise. *)
+  provenance : Store.provenance option;
+      (** {!polish}'s provenance: [Some] iff the optimizer changed the
+          kernel. Stored with the entry. *)
 }
 
 type batch = {
@@ -110,6 +113,28 @@ val run_key :
     absolute {!Fault.Clock.now} instant) spans all rungs — degrading does
     not extend a job's time box. *)
 
+type polished = {
+  kernel : Isa.Program.t;  (** The kernel to print and store. *)
+  search : Search.result;
+      (** The search result with [programs = kernel :: rest]. *)
+  report : Opt.Pipeline.report option;
+      (** The optimizer pipeline's report, when asked for. *)
+  provenance : Store.provenance option;
+      (** [Some] iff the optimizer's rewrite differs from the search's
+          kernel: the MD5 of the original text and the applied passes. *)
+}
+
+val polish :
+  optimize:bool -> Key.t -> Search.result -> (polished, string) result
+(** The one rule that turns a search result into a stored entry.
+    Certifies the head program (the one exact [n!] check, once); with
+    [~optimize:true] runs {!Opt.Pipeline.run} on it (every rewrite
+    certified, refused passes leave the kernel alone); returns what to
+    print and what to hand to {!Store.insert}. [Error] when the result
+    has no program or the head does not certify. {!run_one}, and so
+    {!run_batch} and the daemon, reach the store through this; so does
+    the CLI's default command. *)
+
 val run_one :
   ?optimize:bool ->
   timeout:float option ->
@@ -121,8 +146,8 @@ val run_one :
 (** One job run to completion in the calling domain: up to [1 + retries]
     attempts through {!run_key}'s degradation ladder, each against its
     own deadline of [timeout] seconds, exponential backoff between
-    attempts, post-search certification (and optional optimizer polish)
-    — exactly what a batch worker does per job. Never raises; every
+    attempts, then {!polish} — exactly what a batch worker does per
+    job. Never raises; every
     failure funnels into the [status] and the [attempt_log]. The
     resident serving pool ([lib/serve]) reuses this so daemon requests
     get the same ladder, backoff, and deadline plumbing as batches. *)
@@ -156,10 +181,9 @@ val run_batch :
     worker yields a [Crashed] result for the job it held and the batch
     still returns a result per job, in input order.
 
-    With [~optimize:true] every freshly synthesized (and certified)
-    kernel is additionally run through the proof-carrying optimizer
-    pipeline ({!Opt.Pipeline.run}) inside the worker; the stored program
-    is the optimized one, with the applied pass list in [opt_passes] and
+    With [~optimize:true] every freshly synthesized kernel goes through
+    {!polish}'s optimizer step inside the worker; the stored program is
+    the optimized one, with the applied pass list in [opt_passes] and
     the original's digest recorded as {!Store.provenance}. Cache hits are
     served as stored. *)
 

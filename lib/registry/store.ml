@@ -66,12 +66,11 @@ let readdir_calls () = Atomic.get readdir_counter
 (* ------------------------------------------------------------------ *)
 (* Sharded layout.
 
-   v2 fans the MD5 keyspace across 256 two-hex-digit prefix directories
+   The MD5 keyspace fans out across 256 two-hex-digit prefix directories
    (store/ab/<hash>/...), so maintenance scans touch 1/256th of the
    entries per readdir instead of one directory with every entry in it.
-   The flat v1 layout (store/<hash>/...) stays readable: [locate] checks
-   the shard first, then the flat position, and [migrate] renames flat
-   entries into their shards. New inserts always land sharded. *)
+   This is the only layout the store reads; [recover] moves entries of
+   the old flat layout into their shards at open. *)
 
 let is_hex_string s =
   String.for_all
@@ -81,22 +80,7 @@ let is_hex_string s =
 let is_shard_name name = String.length name = 2 && is_hex_string name
 let shard_of_hash hash = String.sub hash 0 2
 let sharded_path ~root hash = store_dir root / shard_of_hash hash / hash
-let flat_path ~root hash = store_dir root / hash
-
-(* The directory the entry actually lives in: shard first (v2), then the
-   flat v1 position. Two stats, no readdir. *)
-let locate ~root hash =
-  let sharded = sharded_path ~root hash in
-  if Sys.file_exists sharded then Some sharded
-  else
-    let flat = flat_path ~root hash in
-    if Sys.file_exists flat then Some flat else None
-
-let entry_dir ~root key =
-  let hash = Key.hash key in
-  match locate ~root hash with
-  | Some dir -> dir
-  | None -> sharded_path ~root hash
+let entry_dir ~root key = sharded_path ~root (Key.hash key)
 
 let mkdir_p dir =
   let rec go dir =
@@ -148,13 +132,13 @@ let rec remove_tree path =
    [list]/[verify]/[gc]/[recover] used to make separate readdir passes
    over the same tree (entries, then quarantine, then temp dirs). [scan]
    walks the store root exactly once — descending into shard directories,
-   classifying flat entries and torn [.tmp-*] staging dirs on the way —
-   plus one readdir of the quarantine area, and everything downstream
-   reuses the result. *)
+   classifying flat entries awaiting migration and torn [.tmp-*] staging
+   dirs on the way — plus one readdir of the quarantine area, and
+   everything downstream reuses the result. *)
 
 type scan = {
-  hashes : string list;  (** All entry hashes, both layouts, sorted. *)
-  flat : string list;  (** The subset still in the flat v1 position. *)
+  hashes : string list;  (** Sharded entry hashes, sorted. *)
+  flat : string list;  (** Names awaiting migration out of store/. *)
   tmp : string list;  (** Torn [.tmp-*] staging dirs (full paths). *)
   shards : int;  (** Shard directories present. *)
   quarantined : int;  (** Directories in the quarantine area. *)
@@ -177,10 +161,8 @@ let scan ~root =
                 hashes := sub :: !hashes)
             (readdir (dir / name))
         end
-        else if not (String.starts_with ~prefix:"." name) then begin
-          hashes := name :: !hashes;
-          flat := name :: !flat
-        end)
+        else if not (String.starts_with ~prefix:"." name) then
+          flat := name :: !flat)
       (readdir dir);
   let q = quarantine_dir root in
   let quarantined = if Sys.file_exists q then Array.length (readdir q) else 0 in
@@ -285,12 +267,7 @@ let parse_meta src =
 (* ------------------------------------------------------------------ *)
 (* Quarantine.                                                         *)
 
-let quarantine ~root ~hash ~reason =
-  let src =
-    match locate ~root hash with
-    | Some dir -> dir
-    | None -> flat_path ~root hash
-  in
+let quarantine ~root ~hash ~reason src =
   let qdir = quarantine_dir root in
   mkdir_p qdir;
   let rec dest k =
@@ -314,9 +291,8 @@ let quarantine_count ~root =
 (* ------------------------------------------------------------------ *)
 (* Load / lookup.                                                      *)
 
-(* Validate the entry at an explicit directory — recovery must check the
-   copy it found, not whatever [locate] would prefer. *)
-let load_at ~dir hash =
+let load ~root hash =
+  let dir = sharded_path ~root hash in
   let* meta_src =
     try Ok (read_file (dir / "meta.json"))
     with Sys_error m -> Error (Printf.sprintf "unreadable meta.json: %s" m)
@@ -352,12 +328,7 @@ let load_at ~dir hash =
           provenance;
         }
 
-let load ~root hash =
-  match locate ~root hash with
-  | Some dir -> load_at ~dir hash
-  | None -> Error "no such entry"
-
-let load_unverified ~root hash = load ~root hash
+let load_unverified = load
 
 let certified ~root hash =
   let* e = load ~root hash in
@@ -367,28 +338,27 @@ let certified ~root hash =
 let lookup ?counters ~root key =
   let bump f = Option.iter f counters in
   let hash = Key.hash key in
-  if locate ~root hash = None then begin
+  let dir = sharded_path ~root hash in
+  if not (Sys.file_exists dir) then begin
     bump (fun c -> c.misses <- c.misses + 1);
     Miss
   end
   else
+    let reject reason =
+      quarantine ~root ~hash ~reason dir;
+      bump (fun (c : counters) -> c.quarantined <- c.quarantined + 1);
+      Quarantined reason
+    in
     match certified ~root hash with
     | Ok e when Key.equal e.key key ->
         bump (fun c -> c.hits <- c.hits + 1);
         Hit e
     | Ok e ->
         (* MD5 collision or a hand-edited entry: never serve it. *)
-        let reason =
-          Printf.sprintf "entry key %S does not match request %S"
-            (Key.canonical e.key) (Key.canonical key)
-        in
-        quarantine ~root ~hash ~reason;
-        bump (fun (c : counters) -> c.quarantined <- c.quarantined + 1);
-        Quarantined reason
-    | Error reason ->
-        quarantine ~root ~hash ~reason;
-        bump (fun (c : counters) -> c.quarantined <- c.quarantined + 1);
-        Quarantined reason
+        reject
+          (Printf.sprintf "entry key %S does not match request %S"
+             (Key.canonical e.key) (Key.canonical key))
+    | Error reason -> reject reason
 
 (* ------------------------------------------------------------------ *)
 (* Insert.                                                             *)
@@ -447,10 +417,6 @@ let insert ?counters ?(degraded = false) ?provenance ~root key
           fsync_path tmp;
           crash_if Fault.Registry_rename;
           if Sys.file_exists final then remove_tree final;
-          (* A flat v1 twin would shadow-fight the sharded copy in
-             [locate]; publishing supersedes it. *)
-          let flat = flat_path ~root hash in
-          if Sys.file_exists flat then remove_tree flat;
           Sys.rename tmp final;
           fsync_path shard
         with
@@ -471,7 +437,38 @@ let insert ?counters ?(degraded = false) ?provenance ~root key
 (* ------------------------------------------------------------------ *)
 (* Crash recovery.                                                     *)
 
-type recovery = { rolled_back : int; requarantined : int }
+type recovery = { rolled_back : int; migrated : int; requarantined : int }
+
+(* Move one entry of the old flat layout (store/<hash>/) into its shard:
+   a single rename, so a crash leaves it in exactly one of the two
+   places and the next open finishes the job. The caller fsyncs store/.
+   A name that cannot be an entry is quarantined as [`Broken]. *)
+let migrate_flat ~root name =
+  let src = store_dir root / name in
+  let quarantine_flat reason =
+    (* A flat copy that vanished meanwhile was handled by another
+       process; that is not an error. *)
+    try quarantine ~root ~hash:name ~reason src
+    with Sys_error _ when not (Sys.file_exists src) -> ()
+  in
+  if not (String.length name = 32 && is_hex_string name) then begin
+    quarantine_flat "recovery: not a store entry name";
+    `Broken
+  end
+  else begin
+    let dst = sharded_path ~root name in
+    mkdir_p (Filename.dirname dst);
+    match Unix.rename src dst with
+    | () ->
+        fsync_path (Filename.dirname dst);
+        `Moved
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> `Not_moved
+    | exception Unix.Unix_error ((Unix.EEXIST | Unix.ENOTEMPTY), _, _) ->
+        (* The sharded twin is what lookups serve; keep the old bytes
+           aside rather than deleting them. *)
+        quarantine_flat "superseded by sharded entry";
+        `Not_moved
+  end
 
 let recover ?counters ~root () =
   let s = scan ~root in
@@ -483,60 +480,38 @@ let recover ?counters ~root () =
       remove_tree tmp;
       incr rolled_back)
     s.tmp;
+  let migrated =
+    List.filter
+      (fun name ->
+        match migrate_flat ~root name with
+        | `Moved -> true
+        | `Not_moved -> false
+        | `Broken ->
+            incr requarantined;
+            false)
+      s.flat
+  in
+  (* Each move fsynced its shard; the moves are durable once store/,
+     the directory they left, is on disk too. *)
+  if migrated <> [] then fsync_path (store_dir root);
   List.iter
     (fun hash ->
-      (* Validate the copy where it actually sits; a flat twin shadowed
-         by a sharded one is stale and swept aside like any broken dir. *)
-      let dir =
-        match locate ~root hash with
-        | Some dir -> dir
-        | None -> flat_path ~root hash
-      in
-      match load_at ~dir hash with
+      match load ~root hash with
       | Ok _ -> ()
       | Error reason ->
-          quarantine ~root ~hash ~reason:("recovery: " ^ reason);
+          quarantine ~root ~hash ~reason:("recovery: " ^ reason)
+            (sharded_path ~root hash);
           incr requarantined)
-    s.hashes;
+    (List.merge compare s.hashes migrated);
   Option.iter
     (fun (c : counters) ->
       c.recovered <- c.recovered + !rolled_back;
       c.quarantined <- c.quarantined + !requarantined)
     counters;
-  { rolled_back = !rolled_back; requarantined = !requarantined }
-
-(* ------------------------------------------------------------------ *)
-(* Migration: flat v1 -> sharded v2.                                   *)
-
-type migration = { moved : int; already_sharded : int; conflicts : int }
-
-let migrate ~root () =
-  let s = scan ~root in
-  let moved = ref 0 and conflicts = ref 0 in
-  let touched = Hashtbl.create 16 in
-  List.iter
-    (fun hash ->
-      let src = flat_path ~root hash in
-      let dst = sharded_path ~root hash in
-      if Sys.file_exists dst then
-        (* A sharded twin already exists (an interleaved insert overwrote
-           the key since the scan). The sharded copy is newer; leave the
-           flat one for the caller to inspect rather than deleting data. *)
-        incr conflicts
-      else begin
-        mkdir_p (Filename.dirname dst);
-        Sys.rename src dst;
-        Hashtbl.replace touched (Filename.dirname dst) ();
-        incr moved
-      end)
-    s.flat;
-  (* One rename per entry is atomic; the fsyncs make the batch durable. *)
-  Hashtbl.iter (fun shard () -> fsync_path shard) touched;
-  if !moved > 0 then fsync_path (store_dir root);
   {
-    moved = !moved;
-    already_sharded = List.length s.hashes - List.length s.flat;
-    conflicts = !conflicts;
+    rolled_back = !rolled_back;
+    migrated = List.length migrated;
+    requarantined = !requarantined;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -651,7 +626,7 @@ let verify_all ?counters ?(lint = false) ~root () =
       match vetted with
       | Ok e -> (hash, Ok e)
       | Error reason ->
-          quarantine ~root ~hash ~reason;
+          quarantine ~root ~hash ~reason (sharded_path ~root hash);
           Option.iter
             (fun (c : counters) -> c.quarantined <- c.quarantined + 1)
             counters;
@@ -671,14 +646,6 @@ let rec tree_size path =
       (fun acc f -> acc + tree_size (path / f))
       0 (readdir path)
   else (Unix.stat path).Unix.st_size
-
-(* Root-relative display path of a store entry, whichever layout it is
-   in: ["store/ab/<hash>"] or the v1 ["store/<hash>"]. *)
-let relative_entry ~root hash =
-  match locate ~root hash with
-  | Some dir when dir = sharded_path ~root hash ->
-      "store" / shard_of_hash hash / hash
-  | _ -> "store" / hash
 
 let gc ?(dry_run = false) ~root () =
   let q = quarantine_dir root in
@@ -701,17 +668,12 @@ let gc ?(dry_run = false) ~root () =
       else []
     in
     let victims =
-      List.map (fun h -> relative_entry ~root h) failing
+      List.map (fun h -> "store" / shard_of_hash h / h) failing
       @ List.map (fun h -> "quarantine/" ^ h) quarantined
     in
     let reclaimed_bytes =
       List.fold_left
-        (fun acc h ->
-          acc
-          + tree_size
-              (match locate ~root h with
-              | Some dir -> dir
-              | None -> flat_path ~root h))
+        (fun acc h -> acc + tree_size (sharded_path ~root h))
         0 failing
       + List.fold_left
           (fun acc h -> acc + tree_size (q / h))

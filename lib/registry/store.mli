@@ -1,6 +1,6 @@
 (** Content-addressed, verified on-disk kernel store.
 
-    Layout under a root directory (v2, {e sharded}):
+    Layout under a root directory:
     {v
     <root>/store/<hh>/<hash>/kernel.txt   Isa.Program.to_string form
     <root>/store/<hh>/<hash>/meta.json    key + length + stats digest + cost
@@ -9,11 +9,10 @@
     where [<hash>] is {!Key.hash} of the request and [<hh>] its first two
     hex digits — the MD5 keyspace fans out across up to 256 prefix
     directories, so maintenance scans readdir 1/256th of the store at a
-    time instead of one directory holding every entry. The flat v1 layout
-    ([<root>/store/<hash>/]) remains fully readable: every load checks
-    the shard position first and falls back to the flat one, and
-    {!migrate} renames flat entries into their shards ([synth registry
-    migrate]). New inserts always publish sharded.
+    time instead of one directory holding every entry. This is the only
+    layout lookups read. Entries of the older flat layout
+    ([<root>/store/<hash>/]) are moved into their shards by {!recover},
+    the open step every serving caller runs first.
 
     Inserts are crash-safe:
     staged in a temp directory, fsynced file-by-file (and the directory
@@ -94,8 +93,8 @@ val default_root : unit -> string
     in the working directory. *)
 
 val entry_dir : root:string -> Key.t -> string
-(** The directory the key's entry lives in (sharded position first, then
-    the flat v1 one); the would-be sharded position when absent. *)
+(** The directory the key's entry lives (or would live) in:
+    [<root>/store/<hh>/<hash>]. *)
 
 val readdir_calls : unit -> int
 (** Directory scans this process has performed inside the store layer,
@@ -128,55 +127,51 @@ val insert :
 
 type recovery = {
   rolled_back : int;  (** Torn [.tmp-*] staging directories removed. *)
+  migrated : int;
+      (** Flat-layout entries ([store/<hash>/]) renamed into their
+          shard. *)
   requarantined : int;
       (** Structurally broken entries (missing or unparsable files,
           hash/key mismatch, a [degraded] flag) moved to quarantine. *)
 }
 
 val recover : ?counters:counters -> root:string -> unit -> recovery
-(** The open-time crash-recovery scan. Rolls back every torn temp
-    directory a crashed insert left in the store, and quarantines entries
-    that fail the {e structural} checks (readable, parsable, hash/key
-    consistent — the full [n!] certification still happens on every
-    serving load). Idempotent; cheap on a healthy store (one metadata
-    parse per entry, no certification). Callers that open a registry for
-    serving — the CLI's [--cache] path, [run_batch], the registry
-    maintenance commands — run this first. *)
+(** The open-time scan. Rolls back every torn temp directory a crashed
+    insert left in the store; renames every flat-layout entry into its
+    shard (one rename each, then the shard directories and [store/] are
+    fsynced; a flat entry that vanished meanwhile was moved by another
+    process); and quarantines entries that fail the {e structural}
+    checks (readable, parsable, hash/key consistent — the full [n!]
+    certification still happens on every serving load). A flat entry
+    whose sharded twin already exists is quarantined with the reason
+    ["superseded by sharded entry"], keeping its bytes; it is not real
+    corruption, so it does not count in [requarantined]. Idempotent;
+    cheap on a healthy store (one metadata parse per entry, no
+    certification). Callers that open a registry for serving — the CLI's
+    [--cache] path, [run_batch], the daemon, the registry maintenance
+    commands — run this first. *)
 
 type scan = {
-  hashes : string list;  (** All entry hashes, both layouts, sorted. *)
-  flat : string list;  (** The subset still in the flat v1 position. *)
+  hashes : string list;  (** Sharded entry hashes, sorted. *)
+  flat : string list;
+      (** Names still in the flat [store/<hash>/] position, sorted: what
+          the next {!recover} will migrate. Never read as entries. *)
   tmp : string list;  (** Torn [.tmp-*] staging dirs (full paths). *)
   shards : int;  (** Shard directories present. *)
   quarantined : int;  (** Directories in the quarantine area. *)
 }
 (** Everything one walk of the store tree can tell without opening a
-    single file: entry names by layout, torn staging directories, and the
-    quarantine population. The single source for [registry list]'s
-    counts, {!verify_all}, {!gc}, and {!recover} — none of them makes a
-    second readdir pass over the same directories, and counting requires
-    no [meta.json] reads at all. *)
+    single file: entry names, entries awaiting migration, torn staging
+    directories, and the quarantine population. The single source for
+    [registry list]'s counts, {!verify_all}, {!gc}, and {!recover} — none
+    of them makes a second readdir pass over the same directories, and
+    counting requires no [meta.json] reads at all. *)
 
 val scan : root:string -> scan
 
 val list_hashes : root:string -> string list
-(** Sorted entry hashes currently in the store (no verification); both
-    layouts. [(scan ~root).hashes]. *)
-
-type migration = {
-  moved : int;  (** Flat entries renamed into their shard. *)
-  already_sharded : int;  (** Entries that were already in v2 position. *)
-  conflicts : int;
-      (** Flat entries left untouched because a sharded twin appeared
-          (an interleaved insert); the sharded copy is newer and wins
-          every lookup, the flat one is reported, not deleted. *)
-}
-
-val migrate : root:string -> unit -> migration
-(** Rename every flat v1 entry into its shard directory. Each move is a
-    single same-filesystem rename (atomic — a crash mid-migration leaves
-    every entry in exactly one of its two positions, and both positions
-    are always readable), followed by directory fsyncs. Idempotent. *)
+(** Sorted entry hashes currently in the store (no verification).
+    [(scan ~root).hashes]. *)
 
 val load_unverified : root:string -> string -> (entry, string) result
 (** Read an entry by hash without certification or quarantine — for
@@ -222,9 +217,8 @@ type gc_report = {
   victims : string list;
       (** What was (or would be) removed, root-relative
           (["quarantine/<hash>"]; dry runs also list the
-          ["store/<hh>/<hash>"] — or flat ["store/<hash>"] — entries
-          that would fail certification and be swept). Sorted within
-          each area. *)
+          ["store/<hh>/<hash>"] entries that would fail certification and
+          be swept). Sorted within each area. *)
 }
 
 val gc : ?dry_run:bool -> root:string -> unit -> gc_report

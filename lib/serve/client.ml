@@ -37,20 +37,28 @@ let connect ~socket =
 let close c = close_out_noerr c.oc
 
 let request c req =
+  let receive () =
+    match input_line c.ic with
+    | exception End_of_file ->
+        Error "connection closed mid-response (torn or server gone)"
+    | exception Sys_error msg -> Error (Printf.sprintf "receive failed: %s" msg)
+    | line -> (
+        match Protocol.parse_response line with
+        | Ok resp -> Ok resp
+        | Error msg -> Error (Printf.sprintf "protocol error: %s" msg))
+  in
   match
     output_string c.oc (Protocol.request_line req);
     flush c.oc
   with
-  | exception Sys_error msg -> Error (Printf.sprintf "send failed: %s" msg)
-  | () -> (
-      match input_line c.ic with
-      | exception End_of_file ->
-          Error "connection closed mid-response (torn or server gone)"
-      | exception Sys_error msg -> Error (Printf.sprintf "receive failed: %s" msg)
-      | line -> (
-          match Protocol.parse_response line with
-          | Ok resp -> Ok resp
-          | Error msg -> Error (Printf.sprintf "protocol error: %s" msg)))
+  | () -> receive ()
+  | exception Sys_error msg -> (
+      (* A shed connection: the server may have written its typed answer
+         and closed before our request went out. That answer is still in
+         our socket buffer; it beats reporting the send error. *)
+      match receive () with
+      | Ok _ as answer -> answer
+      | Error _ -> Error (Printf.sprintf "send failed: %s" msg))
 
 let roundtrip ~socket req =
   match connect ~socket with

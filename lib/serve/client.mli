@@ -12,7 +12,11 @@ val connect : socket:string -> (connection, string) result
 
 val request : connection -> Protocol.request -> (Protocol.response, string) result
 (** Send one request line, block for one response line. The connection
-    stays usable for further requests on success. *)
+    stays usable for further requests on success. When the send fails
+    (a server over its connection budget answers and hangs up before the
+    request goes out), the response already waiting on the socket is
+    still read and returned; the send error is reported only when there
+    is none. *)
 
 val close : connection -> unit
 

@@ -363,29 +363,12 @@ let synth_leader t key (p : Protocol.synth_params) =
             else Breaker.success t.breaker canonical;
             (match (r.Scheduler.status, r.Scheduler.search) with
             | Scheduler.Synthesized, Some search ->
-                (* Same provenance rule as run_batch's merge pass: when the
-                   optimizer rewrote the kernel, store the rewrite and
-                   record the original's digest. *)
-                let provenance, search =
-                  match (r.Scheduler.program, search.Search.programs) with
-                  | Some prog, orig :: rest
-                    when r.Scheduler.opt_passes <> []
-                         && not (Isa.Program.equal prog orig) ->
-                      ( Some
-                          {
-                            Store.optimized_from =
-                              Digest.to_hex
-                                (Digest.string (kernel_text key orig));
-                            passes = r.Scheduler.opt_passes;
-                          },
-                        { search with Search.programs = prog :: rest } )
-                  | _ -> (None, search)
-                in
                 locked t.store_mutex (fun () ->
                     match
                       Store.insert ~counters:t.store_counters
-                        ~degraded:r.Scheduler.degraded ?provenance ~root:t.cfg.root
-                        key search
+                        ~degraded:r.Scheduler.degraded
+                        ?provenance:r.Scheduler.provenance ~root:t.cfg.root key
+                        search
                     with
                     | Ok entry -> Lru.add t.lru canonical entry
                     | Error _ -> ())

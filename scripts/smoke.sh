@@ -135,6 +135,16 @@ set -e
 [ "$code" -eq 1 ] || { echo "equiv on differing kernels exited $code, want 1" >&2; exit 1; }
 echo "$differs" | grep -q "counterexample input" \
   || { echo "equiv did not print a counterexample" >&2; exit 1; }
+# An unwritable -o path is a one-line diagnostic and exit 1, not an
+# uncaught exception.
+set +e
+dune exec bin/synth.exe -- optimize examples/kernels/sort2.txt \
+    -o "$optdir/missing/dir/out.txt" > /dev/null 2> "$optdir/write.err"
+code=$?
+set -e
+[ "$code" -eq 1 ] || { echo "optimize -o to an unwritable path exited $code, want 1" >&2; exit 1; }
+grep -q "^synth: cannot write " "$optdir/write.err" \
+  || { echo "optimize -o to an unwritable path did not say why" >&2; exit 1; }
 rm -rf "$optdir"
 
 fi # SMOKE_ONLY=opt guard
@@ -286,24 +296,39 @@ set +e
 code=$?
 set -e
 [ "$code" -eq 5 ] || { echo "unreachable server exited $code, want 5" >&2; exit 1; }
-# registry migrate round trip: flatten the sharded store back to the v1
-# layout by hand, migrate it, and demand an identical inventory.
+# Migrate-at-open round trip: flatten the sharded store back to the v1
+# layout by hand; the next open (here `registry verify`) moves every
+# entry home, and the inventory must be identical.
+flatten() {
+  for d in "$1"/store/??; do
+    [ -d "$d" ] || continue
+    mv "$d"/* "$1/store/" 2> /dev/null || true
+    rmdir "$d"
+  done
+}
 "$synth" registry list --cache-dir "$reg" > "$servedir/sharded.list"
-for d in "$reg"/store/??; do
-  [ -d "$d" ] || continue
-  mv "$d"/* "$reg/store/" 2> /dev/null || true
-  rmdir "$d"
-done
+flatten "$reg"
 "$synth" registry list --count --cache-dir "$reg" | grep -q "0 sharded" \
   || { echo "flattening the store for the migrate test failed" >&2; exit 1; }
-"$synth" registry migrate --cache-dir "$reg" > /dev/null
+"$synth" registry verify --cache-dir "$reg" > "$servedir/migrate-verify.log" \
+  || { echo "registry verify failed on a flat store" >&2; exit 1; }
+grep -q "flat v1 entries moved into shards" "$servedir/migrate-verify.log" \
+  || { echo "registry verify did not report the migration" >&2; exit 1; }
 "$synth" registry list --count --cache-dir "$reg" | grep -q "0 flat" \
-  || { echo "migrate left flat entries behind" >&2; exit 1; }
+  || { echo "opening the store left flat entries behind" >&2; exit 1; }
 "$synth" registry list --cache-dir "$reg" > "$servedir/migrated.list"
 cmp -s "$servedir/sharded.list" "$servedir/migrated.list" \
   || { echo "registry listing changed across the migrate round trip" >&2; exit 1; }
 "$synth" registry verify --cache-dir "$reg" > /dev/null \
   || { echo "registry verify failed after migrate" >&2; exit 1; }
+# The CLI's --cache open step migrates too: a kernel stored sharded, then
+# flattened, is still a registry hit.
+cp -R "$reg" "$servedir/cli-registry"
+"$synth" -n 3 --cache --cache-dir "$servedir/cli-registry" > /dev/null
+flatten "$servedir/cli-registry"
+"$synth" -n 3 --cache --cache-dir "$servedir/cli-registry" \
+  | grep -q "# registry hit" \
+  || { echo "synth --cache missed on a flattened store" >&2; exit 1; }
 
 echo "== daemon overload: typed shed, exit 6, never a hang =="
 # With the admission gate forced shut by the fault plan, every synth

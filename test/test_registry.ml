@@ -139,6 +139,84 @@ let test_store_roundtrip () =
   let other = Registry.Key.make ~heuristic:Search.No_heuristic 3 in
   assert (Registry.Store.lookup ~root other = Registry.Store.Miss)
 
+(* The publish rule: the optimizer's rewrite is what gets stored, and the
+   entry records the digest of the original kernel text plus the passes. *)
+let test_polish_provenance () =
+  let cfg = Registry.Key.config key3 in
+  let unopt =
+    let rel = "examples/kernels/sort3_unopt.txt" in
+    let path = if Sys.file_exists rel then rel else Filename.concat ".." rel in
+    let ic = open_in_bin path in
+    let src = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    match Isa.Program.of_string cfg src with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  check Alcotest.int "example is the 13-instruction kernel" 13
+    (Isa.Program.length unopt);
+  let r = { (synth_result key3) with Search.programs = [ unopt ] } in
+  let pol =
+    match Registry.Scheduler.polish ~optimize:true key3 r with
+    | Ok pol -> pol
+    | Error m -> Alcotest.fail m
+  in
+  let kernel = pol.Registry.Scheduler.kernel in
+  check Alcotest.int "redundant cmp dropped" 12 (Isa.Program.length kernel);
+  check (program_testable cfg) "search head is the kernel" kernel
+    (List.hd pol.Registry.Scheduler.search.Search.programs);
+  let passes =
+    match pol.Registry.Scheduler.report with
+    | Some rep ->
+        List.map
+          (fun (d : Opt.Pipeline.delta) -> d.Opt.Pipeline.pass)
+          rep.Opt.Pipeline.deltas
+    | None -> Alcotest.fail "no optimizer report"
+  in
+  check Alcotest.bool "some pass applied" true (passes <> []);
+  let digest = Digest.to_hex (Digest.string (Isa.Program.to_string cfg unopt)) in
+  let prov =
+    match pol.Registry.Scheduler.provenance with
+    | Some p -> p
+    | None -> Alcotest.fail "no provenance for a rewritten kernel"
+  in
+  check Alcotest.string "optimized_from" digest prov.Registry.Store.optimized_from;
+  check Alcotest.(list string) "passes" passes prov.Registry.Store.passes;
+  let root = fresh_root () in
+  (match
+     Registry.Store.insert ?provenance:pol.Registry.Scheduler.provenance ~root
+       key3 pol.Registry.Scheduler.search
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let meta =
+    let ic =
+      open_in_bin
+        (Filename.concat (Registry.Store.entry_dir ~root key3) "meta.json")
+    in
+    let src = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    match Registry.Json.parse src with Ok j -> j | Error m -> Alcotest.fail m
+  in
+  check Alcotest.bool "meta.json optimized_from" true
+    (Registry.Json.member "optimized_from" meta = Some (Registry.Json.Str digest));
+  check Alcotest.bool "meta.json opt_passes" true
+    (Registry.Json.member "opt_passes" meta
+    = Some (Registry.Json.Arr (List.map (fun s -> Registry.Json.Str s) passes)));
+  (match Registry.Store.lookup ~root key3 with
+  | Registry.Store.Hit e ->
+      check (program_testable cfg) "stored kernel" kernel e.Registry.Store.program;
+      check Alcotest.bool "lookup provenance" true
+        (e.Registry.Store.provenance = Some prov)
+  | _ -> Alcotest.fail "expected hit");
+  match Registry.Scheduler.polish ~optimize:false key3 r with
+  | Ok pol ->
+      check Alcotest.bool "no provenance unoptimized" true
+        (pol.Registry.Scheduler.provenance = None);
+      check (program_testable cfg) "kernel unchanged" unopt
+        pol.Registry.Scheduler.kernel
+  | Error m -> Alcotest.fail m
+
 let corrupt_kernel ~root key text =
   let dir = Registry.Store.entry_dir ~root key in
   let oc = open_out (Filename.concat dir "kernel.txt") in
@@ -402,5 +480,6 @@ let () =
           Alcotest.test_case "timeout + failure" `Quick
             test_batch_timeout_and_failure;
           Alcotest.test_case "parse jobs" `Quick test_parse_jobs;
+          Alcotest.test_case "polish provenance" `Quick test_polish_provenance;
         ] );
     ]

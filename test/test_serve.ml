@@ -959,11 +959,10 @@ let with_running_server config f =
   Mutex.unlock ready_m;
   Fun.protect
     ~finally:(fun () ->
-      (* Belt and braces: make sure the daemon dies even on test failure. *)
-      (if not (Serve.Server.stopped srv) then
-         ignore
-           (Serve.Client.roundtrip ~socket:config.Serve.Server.socket_path
-              Serve.Protocol.Shutdown));
+      (* Make sure the daemon stops even on test failure. Drain, not a
+         Shutdown request: a server that sheds connections would shed
+         that request too, and the join would never return. *)
+      Serve.Server.drain srv;
       Thread.join th)
     (fun () -> f srv)
 
@@ -1025,50 +1024,133 @@ let test_connection_budget_sheds () =
   (* Stop the daemon directly — a shed connection can't carry Shutdown. *)
   Serve.Server.drain srv
 
-(* ------------------------------------------------------------------ *)
-(* Sharded store migration round-trip.                                 *)
-
-let test_migrate_roundtrip () =
+(* The server sheds a connection by writing its typed answer and hanging
+   up, which can happen before the client has sent anything: the send
+   then fails with EPIPE, but the answer is already in the client's
+   socket buffer and must be what the client reports. *)
+let test_shed_before_send_stays_typed () =
   let root = fresh_root () in
-  List.iter
-    (fun k -> ignore (make_entry root k))
-    [ key2; key3; Registry.Key.make ~engine:Registry.Key.Level 3 ];
-  let before = Registry.Store.scan ~root in
-  check Alcotest.int "inserts land sharded" 0 (List.length before.Registry.Store.flat);
-  (* Fabricate a flat v1 store by undoing the shard renames. *)
+  let socket = Filename.concat (fresh_root ()) "synthd.sock" in
+  let config = { (default_config root socket) with max_conns = 0 } in
+  with_running_server config @@ fun _ ->
+  match Serve.Client.connect ~socket with
+  | Error msg -> Alcotest.fail msg
+  | Ok c -> (
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      Thread.delay 0.2;
+      match Serve.Client.request c (Serve.Protocol.Lookup key2) with
+      | Ok (Serve.Protocol.Overloaded r) ->
+          check Alcotest.bool "retry hint" true (r > 0.)
+      | Ok _ -> Alcotest.fail "over-budget connection was not shed"
+      | Error msg -> Alcotest.fail msg)
+
+(* ------------------------------------------------------------------ *)
+(* Flat-layout migration at open.                                      *)
+
+(* Undo the shard renames of [hashes]: the old flat store/<hash>/ layout. *)
+let flatten root hashes =
   let store = Filename.concat root "store" in
   List.iter
     (fun h ->
       let shard = Filename.concat store (String.sub h 0 2) in
       Sys.rename (Filename.concat shard h) (Filename.concat store h);
       if Sys.readdir shard = [||] then Sys.rmdir shard)
-    before.Registry.Store.hashes;
+    hashes
+
+let test_migrate_roundtrip () =
+  let root = fresh_root () in
+  let keys = [ key2; key3; Registry.Key.make ~engine:Registry.Key.Level 3 ] in
+  List.iter (fun k -> ignore (make_entry root k)) keys;
+  let before = Registry.Store.scan ~root in
+  check Alcotest.int "inserts land sharded" 0 (List.length before.Registry.Store.flat);
+  flatten root before.Registry.Store.hashes;
   let flat = Registry.Store.scan ~root in
   check Alcotest.int "all flat now" 3 (List.length flat.Registry.Store.flat);
-  check
-    Alcotest.(list string)
-    "same entries" before.Registry.Store.hashes flat.Registry.Store.hashes;
-  (* Flat v1 stays fully servable (read-compat)... *)
-  (match Registry.Store.lookup ~root key2 with
-  | Registry.Store.Hit _ -> ()
-  | _ -> Alcotest.fail "flat entry not served");
-  (* ...and migrate brings every entry home, idempotently. *)
-  let m = Registry.Store.migrate ~root () in
-  check Alcotest.int "moved" 3 m.Registry.Store.moved;
-  check Alcotest.int "no conflicts" 0 m.Registry.Store.conflicts;
+  check Alcotest.(list string) "flat entries are not entries" []
+    flat.Registry.Store.hashes;
+  (* The open step brings every entry home... *)
+  let rcv = Registry.Store.recover ~root () in
+  check Alcotest.int "migrated" 3 rcv.Registry.Store.migrated;
+  check Alcotest.int "nothing requarantined" 0 rcv.Registry.Store.requarantined;
   let after = Registry.Store.scan ~root in
-  check Alcotest.int "nothing flat" 0 (List.length after.Registry.Store.flat);
+  check Alcotest.(list string) "nothing flat" [] after.Registry.Store.flat;
   check
     Alcotest.(list string)
     "identical inventory" before.Registry.Store.hashes after.Registry.Store.hashes;
-  let m2 = Registry.Store.migrate ~root () in
-  check Alcotest.int "idempotent" 0 m2.Registry.Store.moved;
+  List.iter
+    (fun k ->
+      match Registry.Store.lookup ~root k with
+      | Registry.Store.Hit _ -> ()
+      | _ -> Alcotest.fail ("no hit after migration: " ^ Registry.Key.canonical k))
+    keys;
+  (* ...idempotently... *)
+  check Alcotest.int "second open migrates nothing" 0
+    (Registry.Store.recover ~root ()).Registry.Store.migrated;
+  (* ...and a half-migrated store (a crash mid-way) converges. *)
+  flatten root [ List.hd before.Registry.Store.hashes ];
+  let rcv = Registry.Store.recover ~root () in
+  check Alcotest.int "rest migrated" 1 rcv.Registry.Store.migrated;
+  let after = Registry.Store.scan ~root in
+  check Alcotest.(list string) "converged, nothing flat" [] after.Registry.Store.flat;
+  check
+    Alcotest.(list string)
+    "converged inventory" before.Registry.Store.hashes after.Registry.Store.hashes;
   List.iter
     (fun (h, r) ->
       match r with
       | Ok _ -> ()
-      | Error msg -> Alcotest.fail (Printf.sprintf "%s after migrate: %s" h msg))
-    (Registry.Store.verify_all ~root ())
+      | Error msg -> Alcotest.fail (Printf.sprintf "%s after migration: %s" h msg))
+    (Registry.Store.verify_all ~root ());
+  (* A name in store/ that cannot be an entry is corruption, not an entry
+     to migrate: quarantined, never moved into a shard. *)
+  Unix.mkdir (Filename.concat (Filename.concat root "store") "junk") 0o755;
+  let rcv = Registry.Store.recover ~root () in
+  check Alcotest.int "junk not migrated" 0 rcv.Registry.Store.migrated;
+  check Alcotest.int "junk quarantined" 1 rcv.Registry.Store.requarantined;
+  check
+    Alcotest.(list string)
+    "inventory untouched" before.Registry.Store.hashes
+    (Registry.Store.scan ~root).Registry.Store.hashes
+
+(* A flat copy next to its sharded twin: the sharded one is what lookups
+   serve; the flat one is kept in quarantine, and it is not corruption. *)
+let test_migrate_superseded_twin () =
+  let root = fresh_root () in
+  let _ = make_entry root key2 in
+  let hash = Registry.Key.hash key2 in
+  let sharded = Registry.Store.entry_dir ~root key2 in
+  let flat = Filename.concat (Filename.concat root "store") hash in
+  Unix.mkdir flat 0o755;
+  List.iter
+    (fun f ->
+      let ic = open_in_bin (Filename.concat sharded f) in
+      let body = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_bin (Filename.concat flat f) in
+      output_string oc body;
+      close_out oc)
+    [ "kernel.txt"; "meta.json" ];
+  let rcv = Registry.Store.recover ~root () in
+  check Alcotest.int "nothing migrated" 0 rcv.Registry.Store.migrated;
+  check Alcotest.int "not counted as corruption" 0
+    rcv.Registry.Store.requarantined;
+  check Alcotest.bool "flat copy gone" false (Sys.file_exists flat);
+  let reason =
+    let ic =
+      open_in (Filename.concat (Filename.concat (Filename.concat root "quarantine") hash) "reason.txt")
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+  in
+  check Alcotest.string "quarantine reason" "superseded by sharded entry" reason;
+  List.iter
+    (fun (h, r) ->
+      match r with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail (Printf.sprintf "%s not clean: %s" h msg))
+    (Registry.Store.verify_all ~root ());
+  match Registry.Store.lookup ~root key2 with
+  | Registry.Store.Hit _ -> ()
+  | _ -> Alcotest.fail "sharded twin not served"
 
 let () =
   Alcotest.run "serve"
@@ -1136,7 +1218,13 @@ let () =
             test_breaker_probe_shed_then_recovers;
           Alcotest.test_case "connection budget sheds" `Slow
             test_connection_budget_sheds;
+          Alcotest.test_case "shed before send stays typed" `Slow
+            test_shed_before_send_stays_typed;
         ] );
       ( "migrate",
-        [ Alcotest.test_case "roundtrip" `Quick test_migrate_roundtrip ] );
+        [
+          Alcotest.test_case "roundtrip" `Quick test_migrate_roundtrip;
+          Alcotest.test_case "superseded twin" `Quick
+            test_migrate_superseded_twin;
+        ] );
     ]
