@@ -53,6 +53,40 @@ let apply _cfg i c =
       else c
   [@@inline]
 
+let map_sub _cfg i src soff dst doff len =
+  if
+    len < 0 || soff < 0 || doff < 0
+    || soff + len > Array.length src
+    || doff + len > Array.length dst
+  then invalid_arg "Assign.map_sub";
+  (* One opcode dispatch per call; each arm is a tight loop over the codes.
+     Element [k] is read before it is written, so [src == dst] is fine
+     when [soff = doff]. *)
+  let open Isa.Instr in
+  let sd = reg_shift i.dst and ss = reg_shift i.src in
+  let clear = lnot (7 lsl sd) in
+  match i.op with
+  | Mov ->
+      for k = 0 to len - 1 do
+        let c = src.(soff + k) in
+        dst.(doff + k) <- c land clear lor (((c lsr ss) land 7) lsl sd)
+      done
+  | Cmp ->
+      for k = 0 to len - 1 do
+        let c = src.(soff + k) in
+        let a = (c lsr sd) land 7 and b = (c lsr ss) land 7 in
+        let f = if a < b then flag_lt else if a > b then flag_gt else flag_none in
+        dst.(doff + k) <- c land lnot 3 lor f
+      done
+  | Cmovl | Cmovg ->
+      let flag = if i.op = Cmovl then flag_lt else flag_gt in
+      for k = 0 to len - 1 do
+        let c = src.(soff + k) in
+        dst.(doff + k) <-
+          (if c land 3 = flag then c land clear lor (((c lsr ss) land 7) lsl sd)
+           else c)
+      done
+
 let run cfg p c = Array.fold_left (fun c i -> apply cfg i c) c p
 
 let is_sorted cfg c =

@@ -49,6 +49,16 @@ val perm_key : Isa.Config.t -> code -> int
 val apply : Isa.Config.t -> Isa.Instr.t -> code -> code
 (** Execute one instruction. *)
 
+val map_sub :
+  Isa.Config.t -> Isa.Instr.t -> code array -> int -> code array -> int -> int -> unit
+(** [map_sub cfg i src soff dst doff len] stores [apply cfg i src.(soff + k)]
+    into [dst.(doff + k)] for every [k] in [0 .. len - 1] — the whole-array
+    form of {!apply}, used to execute one instruction on every assignment
+    of a synthesis state. It branches on the opcode once per call instead
+    of once per code and allocates nothing. [src] and [dst] may be the same
+    array when [soff = doff]. Raises [Invalid_argument] if either range is
+    out of bounds. *)
+
 val run : Isa.Config.t -> Isa.Program.t -> code -> code
 (** Execute a whole program. *)
 

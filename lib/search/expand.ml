@@ -105,11 +105,22 @@ let actions env state =
       | None -> env.instrs
       | Some d ->
           let marks = Distance.optimal_actions d env.instrs state in
-          let acc = ref [] in
-          for i = Array.length env.instrs - 1 downto 0 do
-            if marks.(i) then acc := env.instrs.(i) :: !acc
-          done;
-          Array.of_list !acc)
+          let kept =
+            Array.fold_left (fun k b -> if b then k + 1 else k) 0 marks
+          in
+          if kept = 0 then [||]
+          else begin
+            let out = Array.make kept env.instrs.(0) in
+            let k = ref 0 in
+            Array.iteri
+              (fun i b ->
+                if b then begin
+                  out.(!k) <- env.instrs.(i);
+                  incr k
+                end)
+              marks;
+            out
+          end)
 
 (* Successor vetting for non-final successors. The checks run in a fixed
    order — erasure, distance viability, length bound, cut — and exactly one

@@ -140,9 +140,7 @@ let fold f acc t =
 
 let apply cfg instr t =
   let a = Array.make t.len 0 in
-  for i = 0 to t.len - 1 do
-    a.(i) <- Machine.Assign.apply cfg instr t.buf.(t.off + i)
-  done;
+  Machine.Assign.map_sub cfg instr t.buf t.off a 0 t.len;
   of_owned_prefix a t.len
 
 (* Packed key of the value registers: [is_final] iff every code's key is
@@ -296,14 +294,12 @@ module Arena = struct
     let len = s.len in
     if Array.length a.map_buf < len then a.map_buf <- Array.make (2 * len) 0;
     let buf = a.map_buf in
-    let cfg = a.cfg in
+    Machine.Assign.map_sub a.cfg instr s.buf s.off buf 0 len;
     let same = ref true and nondecr = ref true in
     let prev = ref min_int in
     for i = 0 to len - 1 do
-      let c = s.buf.(s.off + i) in
-      let c' = Machine.Assign.apply cfg instr c in
-      buf.(i) <- c';
-      if c' <> c then same := false;
+      let c' = buf.(i) in
+      if c' <> s.buf.(s.off + i) then same := false;
       if c' < !prev then nondecr := false;
       prev := c'
     done;

@@ -151,9 +151,9 @@ let prop_packed_equals_reference =
    (pc / final / viable) match the recomputed facts. *)
 let prop_arena_probe_matches_apply =
   QCheck.Test.make ~name:"arena probe/commit equals apply" ~count:200
-    QCheck.(pair (int_range 2 5) (int_bound 1000000))
-    (fun (n, seed) ->
-      let cfgn = Isa.Config.default n in
+    QCheck.(triple (int_range 2 5) (int_range 0 2) (int_bound 1000000))
+    (fun (n, m, seed) ->
+      let cfgn = Isa.Config.make ~n ~m in
       let st = Random.State.make [| seed |] in
       let arena = Sstate.Arena.create cfgn in
       let instrs = Isa.Instr.all cfgn in
@@ -188,6 +188,30 @@ let prop_arena_probe_matches_apply =
         s := via_apply
       done;
       !ok)
+
+(* The whole-array instruction map agrees with the per-code [apply] for
+   every opcode, on codes with random flags and repeated values (so [cmp]
+   also meets equal operands), and writes only the requested range. *)
+let prop_map_sub_matches_apply =
+  QCheck.Test.make ~name:"Assign.map_sub equals Array.map apply" ~count:300
+    QCheck.(triple (int_range 2 5) (int_range 0 2) (int_bound 1000000))
+    (fun (n, m, seed) ->
+      let cfgn = Isa.Config.make ~n ~m in
+      let st = Random.State.make [| seed |] in
+      let codes =
+        Array.map
+          (fun c -> c lor Random.State.int st 3)
+          (random_codes cfgn st)
+      in
+      let len = Array.length codes in
+      Array.for_all
+        (fun i ->
+          let dst = Array.make (len + 2) (-1) in
+          Machine.Assign.map_sub cfgn i codes 0 dst 1 len;
+          dst.(0) = -1
+          && dst.(len + 1) = -1
+          && Array.sub dst 1 len = Array.map (Machine.Assign.apply cfgn i) codes)
+        (Isa.Instr.all cfgn))
 
 let prop_canonical_idempotent =
   QCheck.Test.make ~name:"canonicalization idempotent" ~count:300
@@ -225,5 +249,6 @@ let () =
           qtest prop_canonical_idempotent;
           qtest prop_packed_equals_reference;
           qtest prop_arena_probe_matches_apply;
+          qtest prop_map_sub_matches_apply;
         ] );
     ]
