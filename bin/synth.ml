@@ -25,10 +25,11 @@
      synth equiv a.txt b.txt          exact equivalence on all n! inputs;
                                       exit 1 + counterexample on mismatch
 
-   Exit codes:
+   Exit codes (every subcommand documents the same [exits] list):
      0  success
      1  lint / verification / synthesis failure (or mixed batch failures;
-        for equiv: the kernels differ)
+        for equiv: the kernels differ), an unparsable input file, or a
+        request the server refused
      2  the search deadline passed (every retry timed out)
      3  the live-state budget was exhausted even at the final
         degradation rung
@@ -38,9 +39,13 @@
         (client / batch --server modes)
      6  the server shed the request: overloaded (connection budget or
         request queue full, or draining) or circuit_open (the key's
-        breaker is tripped); retry after the server's retry_after hint *)
+        breaker is tripped); retry after the server's retry_after hint
+   124  a bad flag value, including -n/-m out of range (cmdliner) *)
 
 open Cmdliner
+module Json = Registry.Json
+module Key = Registry.Key
+module P = Serve.Protocol
 
 let exit_timeout = 2
 let exit_exhausted = 3
@@ -49,7 +54,11 @@ let exit_unreachable = 5
 let exit_overloaded = 6
 
 let exits =
-  Cmd.Exit.info ~doc:"on lint, verification, or synthesis failure." 1
+  Cmd.Exit.info
+    ~doc:
+      "on lint, verification, or synthesis failure, an unparsable input \
+       file, or a request the server refused."
+    1
   :: Cmd.Exit.info ~doc:"when the search deadline passed (every retry timed out)."
        exit_timeout
   :: Cmd.Exit.info
@@ -74,6 +83,37 @@ let exits =
        exit_overloaded
   :: Cmd.Exit.defaults
 
+(* The outcome table: one row per wire status ({!Serve.Protocol.served}
+   [status]), giving the label its '#' job line carries and the exit code
+   it maps to. The default command, the client and both batch paths all
+   exit through here. *)
+let outcomes =
+  [
+    ("cached", ("cached", 0));
+    ("synthesized", ("synthesized", 0));
+    ("miss", ("MISS", 1));
+    ("timed_out", ("TIMED OUT", exit_timeout));
+    ("exhausted", ("EXHAUSTED", exit_exhausted));
+    ("crashed", ("CRASHED", 1));
+    ("failed", ("FAILED", 1));
+    ("overloaded", ("OVERLOADED", exit_overloaded));
+    ("circuit_open", ("CIRCUIT OPEN", exit_overloaded));
+  ]
+
+let outcome status =
+  Option.value (List.assoc_opt status outcomes)
+    ~default:(String.uppercase_ascii status, 1)
+
+let exit_code status = snd (outcome status)
+
+(* A one-line diagnostic on stderr, then exit [code]. *)
+let fail ?(who = "synth") code fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s: %s\n" who msg;
+      exit code)
+    fmt
+
 (* [--fault-plan] accepts the same forms as $SORTSYNTH_FAULT_PLAN: an
    inline spec when it contains '=' (specs always do — at least [seed=] or
    a [site=trigger] clause), a plan-file path otherwise. *)
@@ -86,11 +126,7 @@ let setup_faults spec =
           (if String.contains s '=' then Fault.plan_of_string s
            else Fault.load_file s)
   in
-  match r with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "synth: fault plan: %s\n" msg;
-      exit 1
+  Result.iter_error (fail 1 "fault plan: %s") r
 
 (* Every file the CLI writes goes through here: an unwritable path is a
    one-line diagnostic and exit 1, never an uncaught exception. *)
@@ -102,12 +138,10 @@ let write_file path s =
       (fun () -> output_string oc s; close_out oc)
   with
   | () -> ()
-  | exception Sys_error msg ->
-      Printf.eprintf "synth: cannot write %s\n" msg;
-      exit 1
+  | exception Sys_error msg -> fail 1 "cannot write %s" msg
 
 let write_json path json =
-  let json = Registry.Json.to_string json ^ "\n" in
+  let json = Json.to_string json ^ "\n" in
   if path = "-" then print_string json else write_file path json
 
 let read_file_res path =
@@ -121,6 +155,37 @@ let read_file_res path =
 let resolve_root = function
   | Some dir -> dir
   | None -> Registry.Store.default_root ()
+
+(* The one report of a {!Registry.Store.recover} sweep: a line per
+   nonzero count. *)
+let print_recovery oc prefix (r : Registry.Store.recovery) =
+  List.iter
+    (fun (count, what) ->
+      if count > 0 then Printf.fprintf oc "%srecovered: %d %s\n" prefix count what)
+    [
+      (r.Registry.Store.rolled_back, "torn insert(s) rolled back");
+      (r.Registry.Store.migrated, "flat v1 entries moved into shards");
+      (r.Registry.Store.requarantined, "half-written entries re-quarantined");
+    ]
+
+(* [--rules]: a stable rule table, one row of (field, value) pairs per
+   rule. JSON prints every field; text prints the first three, the first
+   two padded to [w1] and [w2]. *)
+let print_rules ~json (w1, w2) rows =
+  if json then
+    print_endline
+      (Json.to_string
+         (Json.Arr
+            (List.map
+               (fun row -> Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) row))
+               rows)))
+  else
+    List.iter
+      (function
+        | (_, a) :: (_, b) :: (_, c) :: _ ->
+            Printf.printf "%-*s %-*s %s\n" w1 a w2 b c
+        | _ -> ())
+      rows
 
 let zero_stats =
   {
@@ -137,259 +202,42 @@ let zero_stats =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Default command: synthesize one kernel.                             *)
+(* Shared flags.                                                       *)
 
-let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
-    scratch cache cache_dir stats_json fault_plan timeout budget optimize =
-  setup_faults fault_plan;
-  let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
-  let cfg = Isa.Config.make ~n ~m:scratch in
-  if pddl then begin
-    print_string (Planning.Pddl.domain cfg);
-    print_newline ();
-    print_string (Planning.Pddl.problem cfg);
-    `Ok ()
-  end
-  else if minmax then begin
-    let opts = { Minmax.default with Minmax.all_solutions = all; max_len } in
-    let r = Minmax.synthesize ~opts n in
-    match r.Minmax.programs with
-    | [] ->
-        Printf.printf "no min/max kernel found\n";
-        `Ok ()
-    | p :: _ ->
-        Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
-          (Array.length p) r.Minmax.solution_count r.Minmax.elapsed
-          r.Minmax.expanded;
-        print_endline
-          (if x86 then Minmax.Vexec.to_x86 cfg p else Minmax.Vexec.to_string cfg p);
-        `Ok ()
-  end
-  else begin
-    let key =
-      Registry.Key.make ~m:scratch ~engine ~heuristic
-        ~cut:(Registry.Key.cut_of_factor cut) ?max_len n
-    in
-    let mode =
-      match prove_none with
-      | Some l -> Search.Prove_none l
-      | None -> if all then Search.All_optimal else Search.Find_first
-    in
-    let label =
-      Printf.sprintf "synth n=%d engine=%s" n (Registry.Key.engine_to_string engine)
-    in
-    let root = resolve_root cache_dir in
-    let counters = Registry.Store.fresh_counters () in
-    (* Only plain find-first requests are cacheable: the store holds one
-       kernel per key, not solution enumerations or non-existence proofs. *)
-    let cacheable = cache && mode = Search.Find_first in
-    (* Every kernel we are about to print gets a static-analysis pass; the
-       verdict rides along in the stats snapshot and any ERROR finding —
-       impossible for a synthesized-optimal kernel — is shouted. *)
-    let analysis_note = ref None in
-    let degraded_note = ref None in
-    let opt_note = ref None in
-    let note_opt (rep : Opt.Pipeline.report) before =
-      let p = rep.Opt.Pipeline.optimized in
-      opt_note :=
-        Some
-          Registry.Json.(
-            Obj
-              [
-                ( "passes",
-                  Arr
-                    (List.map
-                       (fun (d : Opt.Pipeline.delta) -> Str d.Opt.Pipeline.pass)
-                       rep.Opt.Pipeline.deltas) );
-                ("refused", Int (List.length rep.Opt.Pipeline.refusals));
-                ("rounds", Int rep.Opt.Pipeline.rounds);
-                ("instructions_before", Int (Array.length before));
-                ("instructions_after", Int (Array.length p));
-                ("cycles_before", Int (Perf.Cost.simulated_cycles cfg before));
-                ("cycles_after", Int (Perf.Cost.simulated_cycles cfg p));
-              ])
-    in
-    let note_analysis p =
-      let fs = Analysis.Lint.check_all cfg p in
-      let errs = List.length (Analysis.Lint.errors fs) in
-      let d = Analysis.Dce.run cfg p in
-      analysis_note :=
-        Some
-          Registry.Json.(
-            Obj
-              [
-                ("findings", Int (List.length fs));
-                ("errors", Int errs);
-                ("eliminated", Int (List.length d.Analysis.Dce.removed));
-              ]);
-      if errs > 0 then
-        Printf.eprintf "synth: lint: %s on the produced kernel\n"
-          (Analysis.Lint.summary fs)
-    in
-    let extra () =
-      match
-        (if cache then
-           [ ("registry", Registry.Store.counters_json counters) ]
-         else [])
-        @ (match !analysis_note with
-          | Some j -> [ ("analysis", j) ]
-          | None -> [])
-        @ (match !degraded_note with
-          | Some j -> [ ("degraded", j) ]
-          | None -> [])
-        @ (match !opt_note with Some j -> [ ("opt", j) ] | None -> [])
-        @ [
-            ( "certifications",
-              Registry.Json.Int (Machine.Exec.certifications ()) );
-          ]
-      with
-      | [] -> None
-      | l -> Some l
-    in
-    let dump_stats stats =
-      match stats_json with
-      | None -> ()
-      | Some path -> write_json path (Search.Stats.to_json ~label ?extra:(extra ()) stats)
-    in
-    let hit =
-      if cacheable then begin
-        (* Crash recovery before the first lookup: a predecessor that died
-           mid-insert leaves a torn temp dir or a half-written entry. *)
-        let rcv = Registry.Store.recover ~counters ~root () in
-        if rcv.Registry.Store.rolled_back > 0 || rcv.Registry.Store.requarantined > 0
-        then
-          Printf.eprintf
-            "synth: registry: recovered: %d torn insert(s) rolled back, %d \
-             entries re-quarantined\n"
-            rcv.Registry.Store.rolled_back rcv.Registry.Store.requarantined;
-        match Registry.Store.lookup ~counters ~root key with
-        | Registry.Store.Hit e -> Some e
-        | Registry.Store.Quarantined reason ->
-            Printf.eprintf "synth: registry: quarantined bad entry: %s\n" reason;
-            None
-        | Registry.Store.Miss -> None
-      end
-      else None
-    in
-    match hit with
-    | Some e ->
-        Printf.printf "# registry hit %s: %d instructions, verified on load\n"
-          (Registry.Key.hash key) e.Registry.Store.length;
-        print_endline
-          (if x86 then Isa.Program.to_x86 cfg e.Registry.Store.program
-           else Isa.Program.to_string cfg e.Registry.Store.program);
-        note_analysis e.Registry.Store.program;
-        dump_stats zero_stats;
-        `Ok ()
-    | None ->
-        let outcome =
-          match
-            Registry.Scheduler.run_key ?deadline ~domains:jobs ~mode ?budget key
-          with
-          | o -> o
-          | exception Search.Timeout ->
-              Printf.eprintf "synth: search timed out%s\n"
-                (match timeout with
-                | Some t -> Printf.sprintf " (deadline %.3f s)" t
-                | None -> "");
-              exit exit_timeout
-          | exception Search.Resource_exhausted { live; budget } ->
-              Printf.eprintf
-                "synth: state budget exhausted: %d live states%s (even at \
-                 the final degradation rung)\n"
-                live
-                (match budget with
-                | Some b -> Printf.sprintf " over budget %d" b
-                | None -> ", no budget configured");
-              exit exit_exhausted
-        in
-        let r = outcome.Registry.Scheduler.result in
-        let degraded = outcome.Registry.Scheduler.degraded in
-        degraded_note := Some (Registry.Json.Bool degraded);
-        if degraded then
-          Printf.eprintf
-            "synth: degraded result (ladder rung %d): the kernel is verified \
-             correct but not guaranteed shortest; it will not be cached\n"
-            outcome.Registry.Scheduler.rung;
-        (match mode with
-        | Search.Prove_none l ->
-            Printf.printf
-              (match r.Search.optimal_length with
-              | None -> format_of_string "no kernel of length <= %d exists (%d states explored)\n"
-              | Some _ -> format_of_string "a kernel of length <= %d exists! (%d states)\n")
-              l r.Search.stats.Search.expanded
-        | _ -> (
-            match r.Search.programs with
-            | [] -> Printf.printf "no kernel found\n"
-            | p0 :: _ ->
-                (* A kernel that fails certification is never printed. *)
-                let pol =
-                  match Registry.Scheduler.polish ~optimize key r with
-                  | Ok pol -> pol
-                  | Error msg ->
-                      Printf.eprintf "synth: VERIFICATION FAILED: %s\n" msg;
-                      exit 1
-                in
-                Option.iter
-                  (fun (rep : Opt.Pipeline.report) ->
-                    note_opt rep p0;
-                    List.iter
-                      (fun (d : Opt.Pipeline.delta) ->
-                        Printf.printf
-                          "# opt %s: %d -> %d instructions, %d -> %d \
-                           simulated cycles\n"
-                          d.Opt.Pipeline.pass d.Opt.Pipeline.instructions_before
-                          d.Opt.Pipeline.instructions_after
-                          d.Opt.Pipeline.cycles_before d.Opt.Pipeline.cycles_after)
-                      rep.Opt.Pipeline.deltas;
-                    List.iter
-                      (fun (f : Opt.Pipeline.refusal) ->
-                        Printf.eprintf "synth: opt: refused %s: %s\n"
-                          f.Opt.Pipeline.pass f.Opt.Pipeline.reason)
-                      rep.Opt.Pipeline.refusals)
-                  pol.Registry.Scheduler.report;
-                let p = pol.Registry.Scheduler.kernel
-                and r = pol.Registry.Scheduler.search in
-                note_analysis p;
-                Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
-                  (Array.length p) r.Search.solution_count
-                  r.Search.stats.Search.elapsed r.Search.stats.Search.expanded;
-                print_endline
-                  (if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p);
-                if cacheable then
-                  match
-                    Registry.Store.insert ~counters ~degraded
-                      ?provenance:pol.Registry.Scheduler.provenance ~root key r
-                  with
-                  | Ok _ ->
-                      Printf.printf "# registry store %s\n" (Registry.Key.hash key)
-                  | Error msg ->
-                      Printf.eprintf "synth: registry: cannot store kernel: %s\n" msg));
-        dump_stats r.Search.stats;
-        `Ok ()
-  end
+(* An int flag bounded to [lo..hi]: a value out of range is a usage
+   error (exit 124), like a value that is not a number. *)
+let bounded lo hi =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok v when v < lo || v > hi ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected an integer in %d..%d"
+               s lo hi))
+    | r -> r
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
 
 let n =
-  Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Array length to sort (1-6).")
+  Arg.(
+    value
+    & opt (bounded 1 6) 3
+    & info [ "n" ] ~docv:"N" ~doc:"Array length to sort (1-6).")
 
-let minmax = Arg.(value & flag & info [ "minmax" ] ~doc:"Use the min/max vector ISA.")
+let scratch =
+  Arg.(
+    value
+    & opt (bounded 0 3) 1
+    & info [ "scratch"; "m" ] ~doc:"Scratch registers (default 1).")
 
 let engine =
   Arg.(
     value
-    & opt (enum Registry.Key.engine_assoc) Registry.Key.Astar
+    & opt (enum Key.engine_assoc) Key.Astar
     & info [ "engine" ]
         ~doc:
           "Search engine: astar (fast), level (certified minimal), or \
            parallel (level search over --jobs worker domains).")
-
-let jobs =
-  Arg.(
-    value & opt int 2
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for --engine parallel and for batch mode.")
-
-let all = Arg.(value & flag & info [ "all" ] ~doc:"Enumerate all optimal kernels.")
 
 let cut =
   Arg.(
@@ -400,7 +248,7 @@ let cut =
 let heuristic =
   Arg.(
     value
-    & opt (enum Registry.Key.heuristic_assoc) Search.Perm_count
+    & opt (enum Key.heuristic_assoc) Search.Perm_count
     & info [ "heuristic" ] ~doc:"A* heuristic: none, perm, assign, or dist.")
 
 let max_len =
@@ -409,28 +257,23 @@ let max_len =
     & opt (some int) None
     & info [ "max-len" ] ~docv:"L" ~doc:"Length bound for the search.")
 
-let x86 = Arg.(value & flag & info [ "x86" ] ~doc:"Print x86-64 assembly.")
+(* The one kernel request: the register file the kernel sorts in and the
+   search configuration (§5.2). The default command and [client] read
+   their request from here. *)
+let key =
+  let make n m engine heuristic cut max_len =
+    Key.make ~m ~engine ~heuristic ~cut:(Key.cut_of_factor cut) ?max_len n
+  in
+  Term.(const make $ n $ scratch $ engine $ heuristic $ cut $ max_len)
 
-let prove_none =
+let jobs =
   Arg.(
-    value
-    & opt (some int) None
-    & info [ "prove-none" ] ~docv:"L"
-        ~doc:"Exhaustively show that no kernel of length <= L exists.")
+    value & opt int 2
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:"Worker domains for --engine parallel and for batch mode.")
 
-let pddl =
-  Arg.(value & flag & info [ "pddl" ] ~doc:"Emit the PDDL domain and problem.")
-
-let scratch =
-  Arg.(value & opt int 1 & info [ "scratch"; "m" ] ~doc:"Scratch registers (default 1).")
-
-let cache =
-  Arg.(
-    value & flag
-    & info [ "cache" ]
-        ~doc:
-          "Consult the kernel registry before searching and store the \
-           synthesized kernel after. Entries are re-verified on every load.")
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+let x86 = flag "x86" "Print x86-64 assembly."
 
 let cache_dir =
   Arg.(
@@ -465,7 +308,7 @@ let fault_plan =
            scheduler worker crashes, search budgets and deadlines — fail \
            on cue, deterministically in the seed.")
 
-let timeout_arg =
+let timeout =
   Arg.(
     value
     & opt (some float) None
@@ -485,49 +328,311 @@ let state_budget =
            non-optimality-preserving cuts, results flagged degraded and \
            never cached); exhaustion at the final rung exits with code 3.")
 
-let optimize_flag =
-  Arg.(
-    value & flag
-    & info [ "optimize" ]
-        ~doc:
-          "Run the proof-carrying optimizer over the synthesized kernel \
-           before printing/storing it. Every rewrite is certified \
-           bit-identical on all n! permutations; refused passes are \
-           reported and leave the kernel unchanged.")
+let optimize =
+  flag "optimize"
+    "Run the proof-carrying optimizer over each freshly synthesized kernel \
+     before printing and storing it. Every rewrite is certified \
+     bit-identical on all n! permutations; refused passes are reported and \
+     leave the kernel unchanged. A stored entry records the original \
+     kernel's digest and the applied passes as provenance."
 
-let default_term =
-  Term.(
-    ret
-      (const run $ n $ minmax $ engine $ jobs $ all $ cut $ heuristic $ max_len
-      $ x86 $ prove_none $ pddl $ scratch $ cache $ cache_dir $ stats_json
-      $ fault_plan $ timeout_arg $ state_budget $ optimize_flag))
+(* [--server]: optional for [batch], required for [client]. *)
+let server =
+  Arg.(
+    opt (some string) None
+    & info [ "server" ] ~docv:"SOCK"
+        ~doc:
+          "Unix socket of a running $(b,synth serve) daemon. For \
+           $(b,batch), the jobs run through the daemon — its in-memory \
+           cache, request coalescing and worker pool — instead of locally, \
+           and the kernel text printed is byte-identical to a local run. \
+           Exit code 5 when the server is unreachable or the response is \
+           cut off.")
+
+let json_flag = flag "json" "Emit a machine-readable JSON report on stdout."
 
 (* ------------------------------------------------------------------ *)
-(* batch: run a JSON job list through the registry + scheduler.        *)
+(* Default command: synthesize one kernel.                             *)
 
-(* A homogeneous failure class keeps its dedicated exit code, so scripts
-   can tell "give it more time" (2) from "give it more memory" (3) from
-   "retry later" (6); mixed or other failures collapse to 1. *)
-let exit_on_batch_failures ~jobs ~timeouts ~exhausted ~shed ~other =
-  let failures = timeouts + exhausted + shed + other in
-  if failures > 0 then begin
-    Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
-      failures jobs;
-    exit
-      (match (timeouts, exhausted, shed, other) with
-      | _, 0, 0, 0 -> exit_timeout
-      | 0, _, 0, 0 -> exit_exhausted
-      | 0, 0, _, 0 -> exit_overloaded
-      | _ -> 1)
+let run key minmax jobs all x86 prove_none pddl cache cache_dir stats_json
+    fault_plan timeout budget optimize =
+  setup_faults fault_plan;
+  let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
+  let cfg = Key.config key and n = key.Key.n in
+  if pddl then begin
+    print_string (Planning.Pddl.domain cfg);
+    print_newline ();
+    print_string (Planning.Pddl.problem cfg)
+  end
+  else if minmax then begin
+    let opts =
+      { Minmax.default with Minmax.all_solutions = all; max_len = key.Key.max_len }
+    in
+    let r = Minmax.synthesize ~opts n in
+    match r.Minmax.programs with
+    | [] -> Printf.printf "no min/max kernel found\n"
+    | p :: _ ->
+        Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
+          (Array.length p) r.Minmax.solution_count r.Minmax.elapsed
+          r.Minmax.expanded;
+        print_endline
+          (if x86 then Minmax.Vexec.to_x86 cfg p else Minmax.Vexec.to_string cfg p)
+  end
+  else begin
+    let mode =
+      match prove_none with
+      | Some l -> Search.Prove_none l
+      | None -> if all then Search.All_optimal else Search.Find_first
+    in
+    let label =
+      Printf.sprintf "synth n=%d engine=%s" n (Key.engine_to_string key.Key.engine)
+    in
+    let root = resolve_root cache_dir in
+    let counters = Registry.Store.fresh_counters () in
+    (* Only plain find-first requests are cacheable: the store holds one
+       kernel per key, not solution enumerations or non-existence proofs. *)
+    let cacheable = cache && mode = Search.Find_first in
+    (* Every kernel we are about to print gets a static-analysis pass; the
+       verdict rides along in the stats snapshot and any ERROR finding —
+       impossible for a synthesized-optimal kernel — is shouted. *)
+    let analysis_note = ref None in
+    let degraded_note = ref None in
+    let opt_note = ref None in
+    let note_opt (rep : Opt.Pipeline.report) before =
+      let p = rep.Opt.Pipeline.optimized in
+      opt_note :=
+        Some
+          Json.(
+            Obj
+              [
+                ( "passes",
+                  Arr
+                    (List.map
+                       (fun (d : Opt.Pipeline.delta) -> Str d.Opt.Pipeline.pass)
+                       rep.Opt.Pipeline.deltas) );
+                ("refused", Int (List.length rep.Opt.Pipeline.refusals));
+                ("rounds", Int rep.Opt.Pipeline.rounds);
+                ("instructions_before", Int (Array.length before));
+                ("instructions_after", Int (Array.length p));
+                ("cycles_before", Int (Perf.Cost.simulated_cycles cfg before));
+                ("cycles_after", Int (Perf.Cost.simulated_cycles cfg p));
+              ])
+    in
+    let note_analysis p =
+      let fs = Analysis.Lint.check_all cfg p in
+      let errs = List.length (Analysis.Lint.errors fs) in
+      let d = Analysis.Dce.run cfg p in
+      analysis_note :=
+        Some
+          Json.(
+            Obj
+              [
+                ("findings", Int (List.length fs));
+                ("errors", Int errs);
+                ("eliminated", Int (List.length d.Analysis.Dce.removed));
+              ]);
+      if errs > 0 then
+        Printf.eprintf "synth: lint: %s on the produced kernel\n"
+          (Analysis.Lint.summary fs)
+    in
+    let extra () =
+      match
+        (if cache then
+           [ ("registry", Registry.Store.counters_json counters) ]
+         else [])
+        @ (match !analysis_note with
+          | Some j -> [ ("analysis", j) ]
+          | None -> [])
+        @ (match !degraded_note with
+          | Some j -> [ ("degraded", j) ]
+          | None -> [])
+        @ (match !opt_note with Some j -> [ ("opt", j) ] | None -> [])
+        @ [ ("certifications", Json.Int (Machine.Exec.certifications ())) ]
+      with
+      | [] -> None
+      | l -> Some l
+    in
+    let dump_stats stats =
+      match stats_json with
+      | None -> ()
+      | Some path -> write_json path (Search.Stats.to_json ~label ?extra:(extra ()) stats)
+    in
+    let hit =
+      if cacheable then begin
+        (* Crash recovery before the first lookup: a predecessor that died
+           mid-insert leaves a torn temp dir or a half-written entry. *)
+        print_recovery stderr "synth: registry: "
+          (Registry.Store.recover ~counters ~root ());
+        match Registry.Store.lookup ~counters ~root key with
+        | Registry.Store.Hit e -> Some e
+        | Registry.Store.Quarantined reason ->
+            Printf.eprintf "synth: registry: quarantined bad entry: %s\n" reason;
+            None
+        | Registry.Store.Miss -> None
+      end
+      else None
+    in
+    match hit with
+    | Some e ->
+        Printf.printf "# registry hit %s: %d instructions, verified on load\n"
+          (Key.hash key) e.Registry.Store.length;
+        print_endline
+          (if x86 then Isa.Program.to_x86 cfg e.Registry.Store.program
+           else Isa.Program.to_string cfg e.Registry.Store.program);
+        note_analysis e.Registry.Store.program;
+        dump_stats zero_stats
+    | None ->
+        let outcome =
+          match
+            Registry.Scheduler.run_key ?deadline ~domains:jobs ~mode ?budget key
+          with
+          | o -> o
+          | exception Search.Timeout ->
+              fail (exit_code "timed_out") "search timed out%s"
+                (match timeout with
+                | Some t -> Printf.sprintf " (deadline %.3f s)" t
+                | None -> "")
+          | exception Search.Resource_exhausted { live; budget } ->
+              fail (exit_code "exhausted")
+                "state budget exhausted: %d live states%s (even at the final \
+                 degradation rung)"
+                live
+                (match budget with
+                | Some b -> Printf.sprintf " over budget %d" b
+                | None -> ", no budget configured")
+        in
+        let r = outcome.Registry.Scheduler.result in
+        let degraded = outcome.Registry.Scheduler.degraded in
+        degraded_note := Some (Json.Bool degraded);
+        if degraded then
+          Printf.eprintf
+            "synth: degraded result (ladder rung %d): the kernel is verified \
+             correct but not guaranteed shortest; it will not be cached\n"
+            outcome.Registry.Scheduler.rung;
+        (match mode with
+        | Search.Prove_none l ->
+            Printf.printf
+              (match r.Search.optimal_length with
+              | None -> format_of_string "no kernel of length <= %d exists (%d states explored)\n"
+              | Some _ -> format_of_string "a kernel of length <= %d exists! (%d states)\n")
+              l r.Search.stats.Search.expanded
+        | _ -> (
+            match r.Search.programs with
+            | [] -> Printf.printf "no kernel found\n"
+            | p0 :: _ ->
+                (* A kernel that fails certification is never printed. *)
+                let pol =
+                  match Registry.Scheduler.polish ~optimize key r with
+                  | Ok pol -> pol
+                  | Error msg -> fail 1 "VERIFICATION FAILED: %s" msg
+                in
+                Option.iter
+                  (fun (rep : Opt.Pipeline.report) ->
+                    note_opt rep p0;
+                    List.iter
+                      (fun (d : Opt.Pipeline.delta) ->
+                        Printf.printf
+                          "# opt %s: %d -> %d instructions, %d -> %d \
+                           simulated cycles\n"
+                          d.Opt.Pipeline.pass d.Opt.Pipeline.instructions_before
+                          d.Opt.Pipeline.instructions_after
+                          d.Opt.Pipeline.cycles_before d.Opt.Pipeline.cycles_after)
+                      rep.Opt.Pipeline.deltas;
+                    List.iter
+                      (fun (f : Opt.Pipeline.refusal) ->
+                        Printf.eprintf "synth: opt: refused %s: %s\n"
+                          f.Opt.Pipeline.pass f.Opt.Pipeline.reason)
+                      rep.Opt.Pipeline.refusals)
+                  pol.Registry.Scheduler.report;
+                let p = pol.Registry.Scheduler.kernel
+                and r = pol.Registry.Scheduler.search in
+                note_analysis p;
+                Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
+                  (Array.length p) r.Search.solution_count
+                  r.Search.stats.Search.elapsed r.Search.stats.Search.expanded;
+                print_endline
+                  (if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p);
+                if cacheable then
+                  match
+                    Registry.Store.insert ~counters ~degraded
+                      ?provenance:pol.Registry.Scheduler.provenance ~root key r
+                  with
+                  | Ok _ -> Printf.printf "# registry store %s\n" (Key.hash key)
+                  | Error msg ->
+                      Printf.eprintf "synth: registry: cannot store kernel: %s\n" msg));
+        dump_stats r.Search.stats
   end
 
+let default_term =
+  let prove_none =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "prove-none" ] ~docv:"L"
+          ~doc:"Exhaustively show that no kernel of length <= L exists.")
+  in
+  Term.(
+    const run $ key
+    $ flag "minmax" "Use the min/max vector ISA."
+    $ jobs
+    $ flag "all" "Enumerate all optimal kernels."
+    $ x86 $ prove_none
+    $ flag "pddl" "Emit the PDDL domain and problem."
+    $ flag "cache"
+        "Consult the kernel registry before searching and store the \
+         synthesized kernel after. Entries are re-verified on every load."
+    $ cache_dir $ stats_json $ fault_plan $ timeout $ state_budget $ optimize)
+
+(* ------------------------------------------------------------------ *)
+(* The daemon round trip, and batch: a JSON job list run locally through *)
+(* the registry + scheduler, or through the daemon.                    *)
+
+(* One request to the daemon, as [client] and [batch --server] make it:
+   an unreachable server or a torn answer exits 5, a refusal 1, a
+   connection-level shed 6. Any other response is returned. *)
+let roundtrip who socket req =
+  match Serve.Client.roundtrip ~socket req with
+  | Error msg -> fail ~who exit_unreachable "%s" msg
+  | Ok (P.Refused msg) -> fail ~who 1 "server refused: %s" msg
+  | Ok (P.Overloaded retry_after) ->
+      fail ~who (exit_code "overloaded")
+        "server overloaded (connection budget); retry in %.1f s" retry_after
+  | Ok resp -> resp
+
+(* One '#' line per job — its outcome label and a note — then its kernel.
+   Local and remote batches both print through here. *)
+let print_job i key (s : P.served) =
+  let label = fst (outcome s.P.status) in
+  let err = match s.P.error with Some e -> ": " ^ e | None -> "" in
+  let label, note =
+    match s.P.status with
+    | "cached" ->
+        (label, if s.P.source = Some "memory" then " (served from memory)" else "")
+    | "synthesized" when s.P.degraded ->
+        ( Printf.sprintf "%s DEGRADED (rung %d)" label s.P.rung,
+          Printf.sprintf
+            " in %.3f s — correct but not guaranteed shortest; not cached"
+            s.P.elapsed )
+    | "synthesized" -> (label, Printf.sprintf " in %.3f s" s.P.elapsed)
+    | "timed_out" -> (label, Printf.sprintf " after %d attempts" s.P.attempts)
+    | "exhausted" -> (label, Printf.sprintf "%s after %d attempts" err s.P.attempts)
+    | "crashed" -> (label, err ^ "; job isolated")
+    | _ ->
+        ( label,
+          err
+          ^
+          match s.P.retry_after with
+          | Some r -> Printf.sprintf "; retry in %.1f s" r
+          | None -> "" )
+  in
+  Printf.printf "# job %d [%s] %s: %s%s\n" i
+    (String.sub (Key.hash key) 0 12)
+    (Key.describe key) label note;
+  Option.iter print_endline s.P.kernel
+
 (* The thin-client path of [batch --server]: ship the parsed job list to
-   the daemon and print its answers in the local format. The kernel text
-   is byte-identical to a local run — both ends print
-   [Isa.Program.to_string] of the same certified program — only the
-   timing commentary in the '#' lines differs. *)
-let run_batch_remote sock keys timeout retries backoff budget optimize
-    stats_json =
+   the daemon and return its answers. *)
+let batch_remote socket keys timeout retries backoff budget optimize =
   (* Propagate an absolute deadline covering every attempt the server may
      make on our behalf, plus a second of queue/transport slack — so a
      request that would blow past our patience is shed in the server's
@@ -543,194 +648,81 @@ let run_batch_remote sock keys timeout retries backoff budget optimize
         Fault.Clock.now () +. (t *. float_of_int (1 + retries) *. jobs) +. 1.0)
       timeout
   in
-  let params =
-    { Serve.Protocol.timeout; budget; retries; backoff; optimize; deadline }
-  in
-  match Serve.Client.roundtrip ~socket:sock (Serve.Protocol.Batch (keys, params)) with
-  | Error msg ->
-      Printf.eprintf "synth batch: %s\n" msg;
-      exit exit_unreachable
-  | Ok (Serve.Protocol.Refused msg) ->
-      `Error (false, Printf.sprintf "server refused the batch: %s" msg)
-  | Ok (Serve.Protocol.Overloaded retry_after) ->
-      Printf.eprintf
-        "synth batch: server overloaded (connection budget); retry in %.1f s\n"
-        retry_after;
-      exit exit_overloaded
-  | Ok (Serve.Protocol.Served _ | Serve.Protocol.Snapshot _ | Serve.Protocol.Goodbye) ->
-      Printf.eprintf "synth batch: protocol error: unexpected response type\n";
-      exit exit_unreachable
-  | Ok (Serve.Protocol.Jobs served) ->
-      if List.length served <> List.length keys then begin
-        Printf.eprintf
-          "synth batch: protocol error: %d jobs sent, %d answers received\n"
-          (List.length keys) (List.length served);
-        exit exit_unreachable
-      end;
-      let timeouts = ref 0
-      and exhausted = ref 0
-      and shed = ref 0
-      and other = ref 0 in
-      List.iteri
-        (fun i (key, (s : Serve.Protocol.served)) ->
-          let tag, note =
-            match s.Serve.Protocol.status with
-            | "cached" ->
-                ( "cached",
-                  match s.Serve.Protocol.source with
-                  | Some "memory" -> " (served from memory)"
-                  | _ -> "" )
-            | "synthesized" when s.Serve.Protocol.degraded ->
-                ( Printf.sprintf "synthesized DEGRADED (rung %d)"
-                    s.Serve.Protocol.rung,
-                  Printf.sprintf " in %.3f s — correct but not guaranteed \
-                                  shortest; not cached"
-                    s.Serve.Protocol.elapsed )
-            | "synthesized" ->
-                ("synthesized", Printf.sprintf " in %.3f s" s.Serve.Protocol.elapsed)
-            | "timed_out" ->
-                incr timeouts;
-                ( "TIMED OUT",
-                  Printf.sprintf " after %d attempts" s.Serve.Protocol.attempts )
-            | "exhausted" ->
-                incr exhausted;
-                ( "EXHAUSTED",
-                  match s.Serve.Protocol.error with
-                  | Some e -> ": " ^ e
-                  | None -> "" )
-            | "crashed" ->
-                incr other;
-                ("CRASHED", ": worker died mid-request; job isolated")
-            | "overloaded" ->
-                incr shed;
-                ( "OVERLOADED",
-                  Printf.sprintf ": %s%s"
-                    (Option.value ~default:"request shed"
-                       s.Serve.Protocol.error)
-                    (match s.Serve.Protocol.retry_after with
-                    | Some r -> Printf.sprintf "; retry in %.1f s" r
-                    | None -> "") )
-            | "circuit_open" ->
-                incr shed;
-                ( "CIRCUIT OPEN",
-                  Printf.sprintf ": %s%s"
-                    (Option.value ~default:"breaker tripped for this key"
-                       s.Serve.Protocol.error)
-                    (match s.Serve.Protocol.retry_after with
-                    | Some r -> Printf.sprintf "; retry in %.1f s" r
-                    | None -> "") )
-            | st ->
-                incr other;
-                ( String.uppercase_ascii st,
-                  match s.Serve.Protocol.error with
-                  | Some e -> ": " ^ e
-                  | None -> "" )
-          in
-          Printf.printf "# job %d [%s] %s: %s%s\n" i
-            (String.sub (Registry.Key.hash key) 0 12)
-            (Registry.Key.describe key) tag note;
-          match s.Serve.Protocol.kernel with
-          | Some k -> print_endline k
-          | None -> ())
-        (List.combine keys served);
-      (match stats_json with
-      | Some path ->
-          write_json path
-            (Serve.Protocol.response_to_json (Serve.Protocol.Jobs served))
-      | None -> ());
-      exit_on_batch_failures ~jobs:(List.length keys) ~timeouts:!timeouts
-        ~exhausted:!exhausted ~shed:!shed ~other:!other;
-      `Ok ()
+  let params = { P.timeout; budget; retries; backoff; optimize; deadline } in
+  let who = "synth batch" in
+  match roundtrip who socket (P.Batch (keys, params)) with
+  | P.Jobs served when List.length served = List.length keys -> served
+  | P.Jobs served ->
+      fail ~who exit_unreachable "protocol error: %d jobs sent, %d answers received"
+        (List.length keys) (List.length served)
+  | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
 
 let run_batch jobs_file server workers timeout retries backoff budget no_cache
     cache_dir x86 stats_json fault_plan optimize =
   setup_faults fault_plan;
-  match Result.bind (read_file_res jobs_file) Registry.Scheduler.parse_jobs with
-  | Error msg -> `Error (false, Printf.sprintf "cannot read jobs: %s" msg)
-  | Ok keys when server <> None ->
-      run_batch_remote (Option.get server) keys timeout retries backoff budget
-        optimize stats_json
-  | Ok keys ->
-      let root = if no_cache then None else Some (resolve_root cache_dir) in
-      let b =
-        Registry.Scheduler.run_batch ?root ~workers ?timeout ~retries ~backoff
-          ?budget ~optimize keys
-      in
-      let timeouts = ref 0 and exhausted = ref 0 and other = ref 0 in
-      List.iteri
-        (fun i r ->
-          let open Registry.Scheduler in
-          let tag, note =
-            match r.status with
-            | Cached -> ("cached", "")
-            | Synthesized when r.degraded ->
-                ( Printf.sprintf "synthesized DEGRADED (rung %d)" r.rung,
-                  Printf.sprintf " in %.3f s — correct but not guaranteed \
-                                  shortest; not cached"
-                    r.elapsed )
-            | Synthesized ->
-                ( "synthesized",
-                  Printf.sprintf " in %.3f s%s" r.elapsed
-                    (if r.opt_passes = [] then ""
-                     else
-                       Printf.sprintf " (optimized: %s)"
-                         (String.concat ", " r.opt_passes)) )
-            | Timed_out ->
-                incr timeouts;
-                ("TIMED OUT", Printf.sprintf " after %d attempts" r.attempts)
-            | Exhausted { live; budget } ->
-                incr exhausted;
-                ( "EXHAUSTED",
-                  Printf.sprintf ": %d live states%s after %d attempts" live
-                    (match budget with
-                    | Some b -> Printf.sprintf " over budget %d" b
-                    | None -> " (no budget configured)")
-                    r.attempts )
-            | Crashed ->
-                incr other;
-                ("CRASHED", ": worker domain died; job isolated")
-            | Failed msg ->
-                incr other;
-                ("FAILED", ": " ^ msg)
-          in
-          Printf.printf "# job %d [%s] %s: %s%s\n" i
-            (String.sub (Registry.Key.hash r.key) 0 12)
-            (Registry.Key.describe r.key) tag note;
-          match r.program with
-          | Some p ->
-              let cfg = Registry.Key.config r.key in
-              print_endline
-                (if x86 then Isa.Program.to_x86 cfg p
-                 else Isa.Program.to_string cfg p)
-          | None -> ())
-        b.Registry.Scheduler.results;
-      let c = b.Registry.Scheduler.counters in
-      Printf.printf
-        "# registry: %d hits, %d misses, %d quarantined, %d inserted, %d \
-         recovered\n"
-        c.Registry.Store.hits c.Registry.Store.misses
-        c.Registry.Store.quarantined c.Registry.Store.inserted
-        c.Registry.Store.recovered;
-      (match stats_json with
-      | Some path -> write_json path (Registry.Scheduler.batch_json b)
-      | None -> ());
-      exit_on_batch_failures ~jobs:(List.length keys) ~timeouts:!timeouts
-        ~exhausted:!exhausted ~shed:0 ~other:!other;
-      `Ok ()
+  let keys =
+    match Result.bind (read_file_res jobs_file) Registry.Scheduler.parse_jobs with
+    | Ok keys -> keys
+    | Error msg -> fail 1 "cannot read jobs: %s" msg
+  in
+  (* Both paths end in the wire form: the kernel text is byte-identical —
+     both ends print [Isa.Program.to_string] of the same certified program
+     — only the timing in the '#' lines differs. *)
+  let served, summary, stats =
+    match server with
+    | Some socket ->
+        let served =
+          batch_remote socket keys timeout retries backoff budget optimize
+        in
+        (served, None, P.response_to_json (P.Jobs served))
+    | None ->
+        let root = if no_cache then None else Some (resolve_root cache_dir) in
+        let b =
+          Registry.Scheduler.run_batch ?root ~workers ?timeout ~retries ~backoff
+            ?budget ~optimize keys
+        in
+        let served_x86 (r : Registry.Scheduler.job_result) =
+          let s = P.served_of_job r in
+          if not x86 then s
+          else
+            let cfg = Key.config r.Registry.Scheduler.key in
+            {
+              s with
+              P.kernel =
+                Option.map (Isa.Program.to_x86 cfg) r.Registry.Scheduler.program;
+            }
+        in
+        let c = b.Registry.Scheduler.counters in
+        ( List.map served_x86 b.Registry.Scheduler.results,
+          Some
+            (Printf.sprintf
+               "# registry: %d hits, %d misses, %d quarantined, %d inserted, \
+                %d recovered\n"
+               c.Registry.Store.hits c.Registry.Store.misses
+               c.Registry.Store.quarantined c.Registry.Store.inserted
+               c.Registry.Store.recovered),
+          Registry.Scheduler.batch_json b )
+  in
+  List.iteri (fun i (key, s) -> print_job i key s) (List.combine keys served);
+  Option.iter print_string summary;
+  Option.iter (fun path -> write_json path stats) stats_json;
+  (* A homogeneous failure class keeps its own exit code, so scripts can
+     tell "give it more time" (2) from "give it more memory" (3) from
+     "retry later" (6); mixed or other failures collapse to 1. *)
+  match List.filter (( <> ) 0) (List.map (fun s -> exit_code s.P.status) served) with
+  | [] -> ()
+  | codes ->
+      Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
+        (List.length codes) (List.length served);
+      exit (match List.sort_uniq compare codes with [ c ] -> c | _ -> 1)
 
-let batch_cmd =
+let batch_term =
   let jobs_file =
     Arg.(
       required
       & pos 0 (some file) None
       & info [] ~docv:"JOBS.json"
           ~doc:"JSON array of requests, e.g. [{\"n\":3},{\"n\":4,\"engine\":\"level\"}].")
-  in
-  let timeout =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-attempt search deadline.")
   in
   let retries =
     Arg.(
@@ -749,50 +741,16 @@ let batch_cmd =
              $(docv) * 2^(k-1) seconds (capped at 2), scaled by a \
              deterministic per-key jitter. 0 disables the sleep.")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Synthesize every job; skip the registry.")
-  in
-  let batch_optimize =
-    Arg.(
-      value & flag
-      & info [ "optimize" ]
-          ~doc:
-            "Run the proof-carrying optimizer over each freshly synthesized \
-             kernel before storing it; the registry entry records the \
-             original kernel's digest and the applied passes as provenance.")
-  in
-  let server =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "server" ] ~docv:"SOCK"
-          ~doc:
-            "Run the batch through the synthesis daemon listening on the \
-             Unix socket $(docv) instead of locally: the daemon's in-memory \
-             cache, request coalescing, and worker pool serve the jobs. The \
-             kernel text printed is byte-identical to a local run. Exit \
-             code 5 when the server is unreachable or the response is cut \
-             off.")
-  in
-  Cmd.v
-    (Cmd.info "batch" ~exits
-       ~doc:
-         "Run a list of synthesis jobs: registry hits are served verified, \
-          misses run across worker domains, results merge deterministically. \
-          Never aborts mid-batch: a timed-out, exhausted, or crashed job is \
-          reported in place and the rest of the batch completes. When all \
-          failures are timeouts the exit code is 2; all budget exhaustions, \
-          3; anything else, 1.")
-    Term.(
-      ret
-        (const run_batch $ jobs_file $ server $ jobs $ timeout $ retries
-        $ backoff $ state_budget $ no_cache $ cache_dir $ x86 $ stats_json
-        $ fault_plan $ batch_optimize))
+  Term.(
+    const run_batch $ jobs_file $ Arg.value server $ jobs $ timeout $ retries
+    $ backoff $ state_budget
+    $ flag "no-cache" "Synthesize every job; skip the registry."
+    $ cache_dir $ x86 $ stats_json
+    $ fault_plan $ optimize)
 
 (* ------------------------------------------------------------------ *)
-(* lint / analyze: the static analyzer over kernel files.              *)
+(* Kernel files: the one loader behind lint, analyze, certify,         *)
+(* optimize and equiv.                                                 *)
 
 (* Kernel files carry no register-file header; unless -n/-m are given,
    infer the smallest configuration covering the registers the kernel
@@ -828,219 +786,39 @@ let parse_kernel ~n ~m src =
       Ok (cfg, Array.map fst numbered, Array.map snd numbered)
   | exception Invalid_argument msg -> Error msg
 
-let print_findings file lines findings =
-  List.iter
-    (fun f ->
-      let loc =
-        match f.Analysis.Lint.index with
-        | Some i when i < Array.length lines ->
-            Printf.sprintf "%s:%d" file lines.(i)
-        | _ -> file
-      in
-      Printf.printf "%s: %s[%s] %s\n" loc
-        (Analysis.Lint.severity_to_string f.Analysis.Lint.severity)
-        (Analysis.Lint.rule_id f.Analysis.Lint.rule)
-        f.Analysis.Lint.message)
-    findings
+(* Read and parse a kernel file under [dims] (-n/-m, each inferred when
+   absent): the register file, the program, and each instruction's
+   source line. *)
+let load_kernel (n, m) file =
+  Result.bind (read_file_res file) (fun src -> parse_kernel ~n ~m src)
 
-(* [lint --rules]: the stable rule-id table, one row per rule in
-   declaration order. The ids, severities, and descriptions are pinned to
-   the README rule table by a test. *)
-let print_rules json =
-  if json then begin
-    let open Registry.Json in
-    print_endline
-      (to_string
-         (Arr
-            (List.map
-               (fun r ->
-                 Obj
-                   [
-                     ("id", Str (Analysis.Lint.rule_id r));
-                     ( "severity",
-                       Str
-                         (Analysis.Lint.severity_to_string
-                            (Analysis.Lint.severity_of_rule r)) );
-                     ("description", Str (Analysis.Lint.describe r));
-                   ])
-               Analysis.Lint.rules)))
-  end
-  else
-    List.iter
-      (fun r ->
-        Printf.printf "%-20s %-8s %s\n" (Analysis.Lint.rule_id r)
-          (Analysis.Lint.severity_to_string (Analysis.Lint.severity_of_rule r))
-          (Analysis.Lint.describe r))
-      Analysis.Lint.rules
+let parse_error file msg = Printf.sprintf "%s: parse error: %s" file msg
 
-let run_lint files n m json rules =
-  if rules then begin
-    print_rules json;
-    `Ok ()
-  end
-  else if files = [] then
-    `Error (true, "no kernel files given (or pass --rules for the rule table)")
-  else begin
-  let reports =
-    List.map
-      (fun file ->
-        let r =
-          Result.bind (read_file_res file) (fun src -> parse_kernel ~n ~m src)
-        in
-        (file, r))
-      files
+(* Single-file commands: a file that does not load is a failure (exit 1),
+   reported as lint and certify report it. *)
+let load_kernel_or_exit dims file =
+  match load_kernel dims file with
+  | Ok k -> k
+  | Error msg -> fail 1 "%s" (parse_error file msg)
+
+let dims =
+  let n =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "n" ] ~docv:"N"
+          ~doc:
+            "Value registers (default: inferred from the highest register the \
+             kernel names).")
   in
-  let errors = ref 0 in
-  let analyzed =
-    List.map
-      (fun (file, r) ->
-        match r with
-        | Error msg ->
-            incr errors;
-            (file, Error msg)
-        | Ok (cfg, prog, lines) ->
-            let findings = Analysis.Lint.check_all cfg prog in
-            errors := !errors + List.length (Analysis.Lint.errors findings);
-            (file, Ok (cfg, findings, lines)))
-      reports
+  let m =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "scratch"; "m" ] ~docv:"M"
+          ~doc:"Scratch registers (default: inferred, see $(b,--n)).")
   in
-  if json then begin
-    let open Registry.Json in
-    print_endline
-      (to_string
-         (Arr
-            (List.map
-               (fun (file, r) ->
-                 match r with
-                 | Error msg -> Obj [ ("file", Str file); ("error", Str msg) ]
-                 | Ok (_, findings, lines) ->
-                     Analysis.Lint.report_json ~file ~lines findings)
-               analyzed)))
-  end
-  else begin
-    List.iter
-      (fun (file, r) ->
-        match r with
-        | Error msg -> Printf.printf "%s: parse error: %s\n" file msg
-        | Ok (cfg, findings, lines) ->
-            if findings = [] then
-              Printf.printf "%s: clean (n=%d m=%d, %d instructions)\n" file
-                cfg.Isa.Config.n cfg.Isa.Config.m (Array.length lines)
-            else print_findings file lines findings)
-      analyzed;
-    let total =
-      List.fold_left
-        (fun acc (_, r) ->
-          match r with Ok (_, fs, _) -> acc + List.length fs | Error _ -> acc)
-        0 analyzed
-    in
-    Printf.printf "# %d file(s), %d finding(s), %d error(s)\n"
-      (List.length files) total !errors
-  end;
-  if !errors > 0 then exit 1;
-  `Ok ()
-  end
-
-let run_analyze file n m json =
-  match Result.bind (read_file_res file) (fun src -> parse_kernel ~n ~m src) with
-  | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg)
-  | Ok (cfg, prog, lines) ->
-      let findings = Analysis.Lint.check_all cfg prog in
-      let sizes = Analysis.Absint.set_sizes cfg prog in
-      let cert = Machine.Exec.certify cfg prog in
-      let d = Analysis.Dce.run cfg prog in
-      let removed = d.Analysis.Dce.removed in
-      if json then begin
-        let open Registry.Json in
-        (* Reuse the lint report as the base object and graft the abstract-
-           interpretation and DCE sections on. *)
-        let base =
-          match Analysis.Lint.report_json ~file ~lines findings with
-          | Obj kvs -> kvs
-          | _ -> []
-        in
-        let dce =
-          Obj
-            [
-              ("removed", Int (List.length removed));
-              ( "indices",
-                Arr (List.map (fun r -> Int r.Analysis.Dce.index) removed) );
-              ( "rules",
-                Arr
-                  (List.map
-                     (fun r -> Str (Analysis.Lint.rule_id r.Analysis.Dce.rule))
-                     removed) );
-              ("passes", Int d.Analysis.Dce.passes);
-              ("refused", Bool d.Analysis.Dce.refused);
-              ("certified", Bool d.Analysis.Dce.certified);
-              ("length", Int (Array.length d.Analysis.Dce.optimized));
-              ( "program",
-                Str (Isa.Program.to_string cfg d.Analysis.Dce.optimized) );
-            ]
-        in
-        print_endline
-          (to_string
-             (Obj
-                (base
-                @ [
-                    ("n", Int cfg.Isa.Config.n);
-                    ("m", Int cfg.Isa.Config.m);
-                    ("length", Int (Array.length prog));
-                    ( "reachable",
-                      Arr (Array.to_list (Array.map (fun s -> Int s) sizes)) );
-                    ("certified", Bool (Result.is_ok cert));
-                    ("dce", dce);
-                  ])))
-      end
-      else begin
-        Printf.printf "# %s: n=%d m=%d, %d instructions\n" file
-          cfg.Isa.Config.n cfg.Isa.Config.m (Array.length prog);
-        let df = Analysis.Dataflow.analyze cfg prog in
-        Array.iteri
-          (fun i x ->
-            Printf.printf "%3d  line %-3d  %-14s %s%s\n" i lines.(i)
-              (Isa.Instr.to_string cfg x)
-              (match Analysis.Dataflow.reaching_cmp df i with
-              | Some j -> Printf.sprintf "flags=cmp@%d" j
-              | None -> "flags=initial")
-              (if Analysis.Dataflow.is_effective df i then "" else "  [dead]"))
-          prog;
-        Printf.printf "# reachable assignments per point: %s\n"
-          (String.concat " "
-             (Array.to_list (Array.map string_of_int sizes)));
-        (match cert with
-        | Ok () ->
-            Printf.printf
-              "# certification: OK — all %d reachable final assignments \
-               sorted (proves correctness on all %d! inputs)\n"
-              sizes.(Array.length prog) cfg.Isa.Config.n
-        | Error msg -> Printf.printf "# certification: FAILED — %s\n" msg);
-        if findings = [] then Printf.printf "# findings: none\n"
-        else begin
-          Printf.printf "# findings: %s\n" (Analysis.Lint.summary findings);
-          print_findings file lines findings
-        end;
-        if removed = [] then
-          Printf.printf "# dce: nothing to remove (%d passes)\n"
-            d.Analysis.Dce.passes
-        else begin
-          Printf.printf "# dce: removed %d instruction(s) in %d passes: %s\n"
-            (List.length removed) d.Analysis.Dce.passes
-            (String.concat ", "
-               (List.map
-                  (fun r ->
-                    Printf.sprintf "%d[%s]" r.Analysis.Dce.index
-                      (Analysis.Lint.rule_id r.Analysis.Dce.rule))
-                  removed));
-          Printf.printf "# dce: %d instructions remain, re-certification %s\n"
-            (Array.length d.Analysis.Dce.optimized)
-            (if d.Analysis.Dce.refused then "REFUSED THE REWRITE"
-             else if d.Analysis.Dce.certified then "OK"
-             else "n/a (input does not sort)");
-          print_endline (Isa.Program.to_string cfg d.Analysis.Dce.optimized)
-        end
-      end;
-      `Ok ()
+  Term.(const (fun n m -> (n, m)) $ n $ m)
 
 let files_arg =
   Arg.(
@@ -1056,58 +834,181 @@ let file_arg =
     & info [] ~docv:"KERNEL.txt"
         ~doc:"Kernel file in Isa.Program.to_string form.")
 
-let opt_n =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "n" ] ~docv:"N"
-        ~doc:
-          "Value registers (default: inferred from the highest register the \
-           kernel names).")
+(* ------------------------------------------------------------------ *)
+(* lint / analyze: the static analyzer over kernel files.              *)
 
-let opt_m =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "scratch"; "m" ] ~docv:"M"
-        ~doc:"Scratch registers (default: inferred, see $(b,--n)).")
+let print_findings file lines findings =
+  List.iter
+    (fun f ->
+      let loc =
+        match f.Analysis.Lint.index with
+        | Some i when i < Array.length lines ->
+            Printf.sprintf "%s:%d" file lines.(i)
+        | _ -> file
+      in
+      Printf.printf "%s: %s[%s] %s\n" loc
+        (Analysis.Lint.severity_to_string f.Analysis.Lint.severity)
+        (Analysis.Lint.rule_id f.Analysis.Lint.rule)
+        f.Analysis.Lint.message)
+    findings
 
-let json_flag =
-  Arg.(
-    value & flag
-    & info [ "json" ] ~doc:"Emit a machine-readable JSON report on stdout.")
+(* lint and certify: load and check each file in turn, then print one
+   JSON array or one text block per file. [check] returns a file's
+   failure count, its JSON object and its text printer; a file that does
+   not load is one failure. Returns the total failure count. *)
+let report_files ~json dims files check =
+  let reports =
+    List.map
+      (fun file ->
+        match load_kernel dims file with
+        | Ok k -> check file k
+        | Error msg ->
+            ( 1,
+              Json.Obj [ ("file", Json.Str file); ("error", Json.Str msg) ],
+              fun () -> print_endline (parse_error file msg) ))
+      files
+  in
+  if json then
+    print_endline (Json.to_string (Json.Arr (List.map (fun (_, j, _) -> j) reports)))
+  else List.iter (fun (_, _, print) -> print ()) reports;
+  List.fold_left (fun acc (failures, _, _) -> acc + failures) 0 reports
 
-let rules_flag =
-  Arg.(
-    value & flag
-    & info [ "rules" ]
-        ~doc:
-          "Print the stable rule-id table (id, severity, one-line \
-           description) and exit; no kernel files are read.")
+let run_lint files dims json rules =
+  if rules then begin
+    (* The stable rule-id table, in declaration order; pinned to the
+       README rule table by a test. *)
+    print_rules ~json (20, 8)
+      (List.map
+         (fun r ->
+           [
+             ("id", Analysis.Lint.rule_id r);
+             ( "severity",
+               Analysis.Lint.severity_to_string (Analysis.Lint.severity_of_rule r) );
+             ("description", Analysis.Lint.describe r);
+           ])
+         Analysis.Lint.rules);
+    `Ok ()
+  end
+  else if files = [] then
+    `Error (true, "no kernel files given (or pass --rules for the rule table)")
+  else begin
+    let total = ref 0 in
+    let errors =
+      report_files ~json dims files (fun file (cfg, prog, lines) ->
+          let findings = Analysis.Lint.check_all cfg prog in
+          total := !total + List.length findings;
+          ( List.length (Analysis.Lint.errors findings),
+            Analysis.Lint.report_json ~file ~lines findings,
+            fun () ->
+              if findings = [] then
+                Printf.printf "%s: clean (n=%d m=%d, %d instructions)\n" file
+                  cfg.Isa.Config.n cfg.Isa.Config.m (Array.length lines)
+              else print_findings file lines findings ))
+    in
+    if not json then
+      Printf.printf "# %d file(s), %d finding(s), %d error(s)\n"
+        (List.length files) !total errors;
+    if errors > 0 then exit 1;
+    `Ok ()
+  end
 
-let lint_cmd =
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the static analyzer over kernel files: dataflow lints (dead \
-          writes, unconsumed cmps, orphan cmovs, uninitialized scratch \
-          reads, trailing code) plus the permutation-set abstract \
-          interpreter (semantic no-ops, sortedness certification). Exits 1 \
-          on any ERROR finding. With $(b,--rules), prints the stable \
-          rule-id table (id, severity, description) instead.")
-    Term.(
-      ret (const run_lint $ files_arg $ opt_n $ opt_m $ json_flag $ rules_flag))
-
-let analyze_cmd =
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Full static-analysis report for one kernel: per-instruction \
-          dataflow facts, reachable-assignment counts per program point, \
-          the exact n! correctness verdict, lint findings, and the \
-          proof-carrying DCE result (with the shrunk kernel when anything \
-          was removable).")
-    Term.(ret (const run_analyze $ file_arg $ opt_n $ opt_m $ json_flag))
+let run_analyze file dims json =
+  let cfg, prog, lines = load_kernel_or_exit dims file in
+  let findings = Analysis.Lint.check_all cfg prog in
+  let sizes = Analysis.Absint.set_sizes cfg prog in
+  let cert = Machine.Exec.certify cfg prog in
+  let d = Analysis.Dce.run cfg prog in
+  let removed = d.Analysis.Dce.removed in
+  if json then begin
+    let open Registry.Json in
+    (* Reuse the lint report as the base object and graft the abstract-
+       interpretation and DCE sections on. *)
+    let base =
+      match Analysis.Lint.report_json ~file ~lines findings with
+      | Obj kvs -> kvs
+      | _ -> []
+    in
+    let dce =
+      Obj
+        [
+          ("removed", Int (List.length removed));
+          ( "indices",
+            Arr (List.map (fun r -> Int r.Analysis.Dce.index) removed) );
+          ( "rules",
+            Arr
+              (List.map
+                 (fun r -> Str (Analysis.Lint.rule_id r.Analysis.Dce.rule))
+                 removed) );
+          ("passes", Int d.Analysis.Dce.passes);
+          ("refused", Bool d.Analysis.Dce.refused);
+          ("certified", Bool d.Analysis.Dce.certified);
+          ("length", Int (Array.length d.Analysis.Dce.optimized));
+          ( "program",
+            Str (Isa.Program.to_string cfg d.Analysis.Dce.optimized) );
+        ]
+    in
+    print_endline
+      (to_string
+         (Obj
+            (base
+            @ [
+                ("n", Int cfg.Isa.Config.n);
+                ("m", Int cfg.Isa.Config.m);
+                ("length", Int (Array.length prog));
+                ( "reachable",
+                  Arr (Array.to_list (Array.map (fun s -> Int s) sizes)) );
+                ("certified", Bool (Result.is_ok cert));
+                ("dce", dce);
+              ])))
+  end
+  else begin
+    Printf.printf "# %s: n=%d m=%d, %d instructions\n" file
+      cfg.Isa.Config.n cfg.Isa.Config.m (Array.length prog);
+    let df = Analysis.Dataflow.analyze cfg prog in
+    Array.iteri
+      (fun i x ->
+        Printf.printf "%3d  line %-3d  %-14s %s%s\n" i lines.(i)
+          (Isa.Instr.to_string cfg x)
+          (match Analysis.Dataflow.reaching_cmp df i with
+          | Some j -> Printf.sprintf "flags=cmp@%d" j
+          | None -> "flags=initial")
+          (if Analysis.Dataflow.is_effective df i then "" else "  [dead]"))
+      prog;
+    Printf.printf "# reachable assignments per point: %s\n"
+      (String.concat " "
+         (Array.to_list (Array.map string_of_int sizes)));
+    (match cert with
+    | Ok () ->
+        Printf.printf
+          "# certification: OK — all %d reachable final assignments \
+           sorted (proves correctness on all %d! inputs)\n"
+          sizes.(Array.length prog) cfg.Isa.Config.n
+    | Error msg -> Printf.printf "# certification: FAILED — %s\n" msg);
+    if findings = [] then Printf.printf "# findings: none\n"
+    else begin
+      Printf.printf "# findings: %s\n" (Analysis.Lint.summary findings);
+      print_findings file lines findings
+    end;
+    if removed = [] then
+      Printf.printf "# dce: nothing to remove (%d passes)\n"
+        d.Analysis.Dce.passes
+    else begin
+      Printf.printf "# dce: removed %d instruction(s) in %d passes: %s\n"
+        (List.length removed) d.Analysis.Dce.passes
+        (String.concat ", "
+           (List.map
+              (fun r ->
+                Printf.sprintf "%d[%s]" r.Analysis.Dce.index
+                  (Analysis.Lint.rule_id r.Analysis.Dce.rule))
+              removed));
+      Printf.printf "# dce: %d instructions remain, re-certification %s\n"
+        (Array.length d.Analysis.Dce.optimized)
+        (if d.Analysis.Dce.refused then "REFUSED THE REWRITE"
+         else if d.Analysis.Dce.certified then "OK"
+         else "n/a (input does not sort)");
+      print_endline (Isa.Program.to_string cfg d.Analysis.Dce.optimized)
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* devlint: the self-hosted concurrency-and-discipline linter over this
@@ -1116,34 +1017,20 @@ let analyze_cmd =
    unwaived findings (or parse errors) exit 1, which is the CI gate.   *)
 
 let run_devlint paths json rules waivers_path =
-  if rules then begin
-    if json then begin
-      let open Registry.Json in
-      print_endline
-        (to_string
-           (Arr
-              (List.map
-                 (fun r ->
-                   Obj
-                     [
-                       ("id", Str (Devlint.Rule.id r));
-                       ("title", Str (Devlint.Rule.title r));
-                       ("description", Str (Devlint.Rule.describe r));
-                       ("hint", Str (Devlint.Rule.hint r));
-                     ])
-                 Devlint.Rule.all)))
-    end
-    else
-      List.iter
-        (fun r ->
-          Printf.printf "%-7s %-22s %s\n" (Devlint.Rule.id r)
-            (Devlint.Rule.title r) (Devlint.Rule.describe r))
-        Devlint.Rule.all;
-    `Ok ()
-  end
+  if rules then
+    print_rules ~json (7, 22)
+      (List.map
+         (fun r ->
+           [
+             ("id", Devlint.Rule.id r);
+             ("title", Devlint.Rule.title r);
+             ("description", Devlint.Rule.describe r);
+             ("hint", Devlint.Rule.hint r);
+           ])
+         Devlint.Rule.all)
   else
     match Devlint.Waivers.load waivers_path with
-    | Error e -> `Error (false, e)
+    | Error e -> fail 1 "%s" e
     | Ok waivers ->
         let files = Devlint.Lint.files_under paths in
         let errors = ref [] in
@@ -1155,8 +1042,7 @@ let run_devlint paths json rules waivers_path =
             | Ok fs -> findings := fs :: !findings)
           files;
         let all =
-          List.sort Devlint.Lint.compare_finding
-            (List.concat (List.rev !findings))
+          List.sort Devlint.Lint.compare_finding (List.concat (List.rev !findings))
         in
         let unwaived, waived, unused = Devlint.Waivers.split waivers all in
         let run =
@@ -1169,155 +1055,88 @@ let run_devlint paths json rules waivers_path =
           }
         in
         print_string
-          (if json then Registry.Json.to_string (Devlint.Report.json run) ^ "\n"
+          (if json then Json.to_string (Devlint.Report.json run) ^ "\n"
            else Devlint.Report.text run);
-        if Devlint.Report.exit_code run <> 0 then exit 1;
-        `Ok ()
+        if Devlint.Report.exit_code run <> 0 then exit 1
 
-let devlint_paths =
-  Arg.(
-    value
-    & pos_all string [ "lib"; "bin" ]
-    & info [] ~docv:"PATH"
-        ~doc:
-          "Files or directories to scan ($(b,.ml) files, recursively; \
-           default: $(b,lib bin)).")
-
-let devlint_waivers_arg =
-  Arg.(
-    value
-    & opt string "devlint.waivers"
-    & info [ "waivers" ] ~docv:"FILE"
-        ~doc:
-          "Waiver file: one $(b,'DLxxx path justification') per line, \
-           justification mandatory. The only way to silence a finding.")
-
-let devlint_rules_flag =
-  Arg.(
-    value & flag
-    & info [ "rules" ]
-        ~doc:
-          "Print the stable devlint rule table (id, title, one-line \
-           description) and exit; nothing is scanned.")
-
-let devlint_cmd =
-  Cmd.v
-    (Cmd.info "devlint"
-       ~doc:
-         "Lint this repository's own source for Domain-parallel and \
-          durability discipline: mutable state shared into Domain.spawn \
-          without Atomic/Mutex, raw wall-clock reads and unwarped sleeps \
-          outside lib/fault, Sys.rename without fsync, double-closed \
-          descriptors, and catch-all exception swallows in daemon paths. \
-          Findings are silenced only via the committed waiver file; any \
-          unwaived finding exits 1. With $(b,--rules), prints the stable \
-          rule-id table instead.")
-    Term.(
-      ret
-        (const run_devlint $ devlint_paths $ json_flag $ devlint_rules_flag
-        $ devlint_waivers_arg))
+let devlint_term =
+  let paths =
+    Arg.(
+      value
+      & pos_all string [ "lib"; "bin" ]
+      & info [] ~docv:"PATH"
+          ~doc:
+            "Files or directories to scan ($(b,.ml) files, recursively; \
+             default: $(b,lib bin)).")
+  in
+  let waivers =
+    Arg.(
+      value
+      & opt string "devlint.waivers"
+      & info [ "waivers" ] ~docv:"FILE"
+          ~doc:
+            "Waiver file: one $(b,'DLxxx path justification') per line, \
+             justification mandatory. The only way to silence a finding.")
+  in
+  Term.(
+    const run_devlint $ paths $ json_flag
+    $ flag "rules"
+        "Print the stable devlint rule table (id, title, one-line \
+         description) and exit; nothing is scanned."
+    $ waivers)
 
 (* ------------------------------------------------------------------ *)
 (* certify: the symbolic sortedness certifier as an analysis, with the
    exact n! check as the fallback on Unknown. No trust boundary runs
    the symbolic certifier; this command is where it is exposed.        *)
 
-let run_certify files n m json =
+let run_certify files dims json =
   if files = [] then `Error (true, "no kernel files given")
   else begin
-    let failures = ref 0 in
-    let reports =
-      List.map
-        (fun file ->
-          match
-            Result.bind (read_file_res file) (fun src ->
-                parse_kernel ~n ~m src)
-          with
-          | Error msg ->
-              incr failures;
-              (file, Error msg)
-          | Ok (cfg, prog, _lines) ->
-              let verdict = Analysis.Symcert.certify cfg prog in
-              (* Soundness contract: Unknown MUST fall back to the exact
-                 n! check; Proved/Refuted are final (Refuted is already
-                 execution-confirmed). *)
-              let certified, method_, detail =
-                match verdict with
-                | Analysis.Symcert.Proved ->
-                    (true, "symbolic", Analysis.Symcert.explain verdict)
-                | Analysis.Symcert.Refuted _ ->
-                    (false, "symbolic", Analysis.Symcert.explain verdict)
-                | Analysis.Symcert.Unknown reason -> (
-                    match Registry.Verify.fallback cfg prog with
-                    | Ok () ->
-                        ( true,
-                          "exact",
-                          Printf.sprintf
-                            "unknown symbolically (%s); proved by the \
-                             exhaustive n! check"
-                            reason )
-                    | Error msg -> (false, "exact", msg))
-              in
-              if not certified then incr failures;
-              ( file,
-                Ok
-                  ( cfg,
-                    Analysis.Symcert.verdict_name verdict,
-                    certified,
-                    method_,
-                    detail ) ))
-        files
-    in
-    if json then begin
-      let open Registry.Json in
-      print_endline
-        (to_string
-           (Arr
-              (List.map
-                 (fun (file, r) ->
-                   match r with
-                   | Error msg -> Obj [ ("file", Str file); ("error", Str msg) ]
-                   | Ok (cfg, verdict, certified, method_, detail) ->
-                       Obj
-                         [
-                           ("file", Str file);
-                           ("n", Int cfg.Isa.Config.n);
-                           ("m", Int cfg.Isa.Config.m);
-                           ("verdict", Str verdict);
-                           ("certified", Bool certified);
-                           ("method", Str method_);
-                           ("detail", Str detail);
-                         ])
-                 reports)))
-    end
-    else
-      List.iter
-        (fun (file, r) ->
-          match r with
-          | Error msg -> Printf.printf "%s: parse error: %s\n" file msg
-          | Ok (_, verdict, certified, method_, detail) ->
-              Printf.printf "%s: %s%s (%s): %s\n" file
+    let failures =
+      report_files ~json dims files (fun file (cfg, prog, _lines) ->
+          let verdict = Analysis.Symcert.certify cfg prog in
+          (* Soundness contract: Unknown MUST fall back to the exact n!
+             check; Proved/Refuted are final (Refuted is already
+             execution-confirmed). *)
+          let certified, method_, detail =
+            match verdict with
+            | Analysis.Symcert.Proved ->
+                (true, "symbolic", Analysis.Symcert.explain verdict)
+            | Analysis.Symcert.Refuted _ ->
+                (false, "symbolic", Analysis.Symcert.explain verdict)
+            | Analysis.Symcert.Unknown reason -> (
+                match Registry.Verify.fallback cfg prog with
+                | Ok () ->
+                    ( true,
+                      "exact",
+                      Printf.sprintf
+                        "unknown symbolically (%s); proved by the exhaustive \
+                         n! check"
+                        reason )
+                | Error msg -> (false, "exact", msg))
+          in
+          let verdict = Analysis.Symcert.verdict_name verdict in
+          ( (if certified then 0 else 1),
+            Json.(
+              Obj
+                [
+                  ("file", Str file);
+                  ("n", Int cfg.Isa.Config.n);
+                  ("m", Int cfg.Isa.Config.m);
+                  ("verdict", Str verdict);
+                  ("certified", Bool certified);
+                  ("method", Str method_);
+                  ("detail", Str detail);
+                ]),
+            fun () ->
+              Printf.printf "%s: %s [%s] (%s): %s\n" file
                 (if certified then "certified" else "NOT CERTIFIED")
-                (Printf.sprintf " [%s]" verdict)
-                method_ detail)
-        reports;
-    if !failures > 0 then exit 1;
+                verdict method_ detail ))
+    in
+    if failures > 0 then exit 1;
     `Ok ()
   end
-
-let certify_cmd =
-  Cmd.v
-    (Cmd.info "certify" ~exits
-       ~doc:
-         "Certify kernel files as sorting kernels: the symbolic \
-          order-poset certifier first (polynomial, no n! enumeration), \
-          the paper's exhaustive permutation check only on an \
-          $(i,unknown) verdict. A $(i,refuted) verdict always carries an \
-          execution-confirmed counterexample. Exits 1 when any file \
-          fails to certify (or to parse).")
-    Term.(
-      ret
-        (const run_certify $ files_arg $ opt_n $ opt_m $ json_flag))
 
 (* ------------------------------------------------------------------ *)
 (* optimize / equiv: the proof-carrying optimizer and the translation- *)
@@ -1337,273 +1156,205 @@ let network_verdict cfg p =
       in
       Ok (net, Sortnet.sorts_all_binary net, optimal_size)
 
-let run_optimize file n m json out x86 fault_plan =
+let run_optimize file dims json out x86 fault_plan =
   setup_faults fault_plan;
-  match Result.bind (read_file_res file) (fun src -> parse_kernel ~n ~m src) with
-  | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg)
-  | Ok (cfg, prog, _lines) ->
-      let rep = Opt.Pipeline.run cfg prog in
-      let p = rep.Opt.Pipeline.optimized in
-      let before = Perf.Cost.analyze cfg prog
-      and after = Perf.Cost.analyze cfg p in
-      let cyc_before = Perf.Cost.simulated_cycles cfg prog
-      and cyc_after = Perf.Cost.simulated_cycles cfg p in
-      let rendered =
-        if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p
-      in
-      let net = network_verdict cfg p in
-      if json then begin
-        let open Registry.Json in
-        let delta_obj (d : Opt.Pipeline.delta) =
-          Obj
-            [
-              ("pass", Str d.Opt.Pipeline.pass);
-              ("round", Int d.Opt.Pipeline.round);
-              ("instructions_before", Int d.Opt.Pipeline.instructions_before);
-              ("instructions_after", Int d.Opt.Pipeline.instructions_after);
-              ("cycles_before", Int d.Opt.Pipeline.cycles_before);
-              ("cycles_after", Int d.Opt.Pipeline.cycles_after);
-              ("critical_before", Int d.Opt.Pipeline.critical_before);
-              ("critical_after", Int d.Opt.Pipeline.critical_after);
-            ]
-        in
-        let refusal_obj (f : Opt.Pipeline.refusal) =
-          Obj
-            [
-              ("pass", Str f.Opt.Pipeline.pass);
-              ("round", Int f.Opt.Pipeline.round);
-              ("reason", Str f.Opt.Pipeline.reason);
-            ]
-        in
-        (* "passes" is the deduplicated applied-pass set in sorted order
-           (byte-stable); "deltas" keeps application order, which is
-           deterministic for a given input. *)
-        let passes =
-          List.sort_uniq compare
-            (List.map
-               (fun (d : Opt.Pipeline.delta) -> d.Opt.Pipeline.pass)
-               rep.Opt.Pipeline.deltas)
-        in
-        let network =
-          match net with
-          | Error (index, reason) ->
-              Obj
-                [
-                  ("extracted", Bool false);
-                  ("index", Int index);
-                  ("reason", Str reason);
-                ]
-          | Ok (net, zero_one, optimal_size) ->
-              Obj
-                ([
-                   ("extracted", Bool true);
-                   ( "comparators",
-                     Arr
-                       (List.map
-                          (fun (i, j) -> Arr [ Int i; Int j ])
-                          net.Sortnet.comparators) );
-                   ("size", Int (Sortnet.size net));
-                   ("zero_one_certified", Bool zero_one);
-                 ]
-                @
-                match optimal_size with
-                | Some s -> [ ("optimal_size", Int s) ]
-                | None -> [])
-        in
-        print_endline
-          (to_string
-             (Obj
-                [
-                  ("file", Str file);
-                  ("n", Int cfg.Isa.Config.n);
-                  ("m", Int cfg.Isa.Config.m);
-                  ("instructions_before", Int before.Perf.Cost.instructions);
-                  ("instructions_after", Int after.Perf.Cost.instructions);
-                  ("cycles_before", Int cyc_before);
-                  ("cycles_after", Int cyc_after);
-                  ("critical_before", Int before.Perf.Cost.critical_path);
-                  ("critical_after", Int after.Perf.Cost.critical_path);
-                  ("rounds", Int rep.Opt.Pipeline.rounds);
-                  ("certified", Bool rep.Opt.Pipeline.certified);
-                  ("passes", Arr (List.map (fun s -> Str s) passes));
-                  ("deltas", Arr (List.map delta_obj rep.Opt.Pipeline.deltas));
-                  ( "refusals",
-                    Arr (List.map refusal_obj rep.Opt.Pipeline.refusals) );
-                  ("network", network);
-                  ("program", Str rendered);
-                ]))
-      end
-      else begin
-        Printf.printf "# %s: n=%d m=%d\n" file cfg.Isa.Config.n
-          cfg.Isa.Config.m;
-        List.iter
-          (fun (d : Opt.Pipeline.delta) ->
-            Printf.printf
-              "# round %d %s: %d -> %d instructions, %d -> %d simulated \
-               cycles, %d -> %d critical path\n"
-              d.Opt.Pipeline.round d.Opt.Pipeline.pass
-              d.Opt.Pipeline.instructions_before
-              d.Opt.Pipeline.instructions_after d.Opt.Pipeline.cycles_before
-              d.Opt.Pipeline.cycles_after d.Opt.Pipeline.critical_before
-              d.Opt.Pipeline.critical_after)
-          rep.Opt.Pipeline.deltas;
-        List.iter
-          (fun (f : Opt.Pipeline.refusal) ->
-            Printf.printf "# round %d %s: REFUSED — %s\n" f.Opt.Pipeline.round
-              f.Opt.Pipeline.pass f.Opt.Pipeline.reason)
-          rep.Opt.Pipeline.refusals;
-        Printf.printf
-          "# total: %d -> %d instructions, %d -> %d simulated cycles, %d -> \
-           %d critical path (%d round(s))\n"
-          before.Perf.Cost.instructions after.Perf.Cost.instructions cyc_before
-          cyc_after before.Perf.Cost.critical_path after.Perf.Cost.critical_path
-          rep.Opt.Pipeline.rounds;
-        Printf.printf "# certified: %s\n"
-          (if rep.Opt.Pipeline.certified then
-             Printf.sprintf "OK — sorts all %d! permutations"
-               cfg.Isa.Config.n
-           else "NO (input does not certify)");
-        (match net with
-        | Ok (net, zero_one, optimal_size) ->
-            Printf.printf
-              "# network: extracted %d comparator(s) [%s], 0-1 certified: %s%s\n"
-              (Sortnet.size net)
-              (String.concat " "
-                 (List.map
-                    (fun (i, j) -> Printf.sprintf "(%d,%d)" i j)
-                    net.Sortnet.comparators))
-              (if zero_one then "yes" else "NO")
-              (match optimal_size with
-              | Some s when Sortnet.size net = s -> " — size-optimal"
-              | Some s ->
-                  Printf.sprintf " — known optimal is %d comparator(s)" s
-              | None -> "")
-        | Error (index, reason) ->
-            Printf.printf "# network: not extractable at instruction %d: %s\n"
-              index reason);
-        match out with
-        | None -> print_string rendered
-        | Some _ -> ()
-      end;
-      (match out with
-      | Some path ->
-          write_file path rendered;
-          if not json then Printf.printf "# wrote %s\n" path
-      | None -> ());
-      `Ok ()
-
-let run_equiv file_a file_b n m json =
-  let ( let* ) = Result.bind in
-  let parsed =
-    let* src_a = read_file_res file_a in
-    let* src_b = read_file_res file_b in
-    (* Both kernels must run in one register file: unless -n/-m pin it,
-       take the widest configuration either file needs. *)
-    let* n, m =
-      match (n, m) with
-      | Some n, Some m -> Ok (n, m)
-      | _ ->
-          let* na, ma = infer_dims src_a in
-          let* nb, mb = infer_dims src_b in
-          Ok
-            ( Option.value n ~default:(max na nb),
-              Option.value m ~default:(max ma mb) )
+  let cfg, prog, _lines = load_kernel_or_exit dims file in
+  let rep = Opt.Pipeline.run cfg prog in
+  let p = rep.Opt.Pipeline.optimized in
+  let before = Perf.Cost.analyze cfg prog
+  and after = Perf.Cost.analyze cfg p in
+  let cyc_before = Perf.Cost.simulated_cycles cfg prog
+  and cyc_after = Perf.Cost.simulated_cycles cfg p in
+  let rendered =
+    if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p
+  in
+  let net = network_verdict cfg p in
+  if json then begin
+    let open Registry.Json in
+    let delta_obj (d : Opt.Pipeline.delta) =
+      Obj
+        [
+          ("pass", Str d.Opt.Pipeline.pass);
+          ("round", Int d.Opt.Pipeline.round);
+          ("instructions_before", Int d.Opt.Pipeline.instructions_before);
+          ("instructions_after", Int d.Opt.Pipeline.instructions_after);
+          ("cycles_before", Int d.Opt.Pipeline.cycles_before);
+          ("cycles_after", Int d.Opt.Pipeline.cycles_after);
+          ("critical_before", Int d.Opt.Pipeline.critical_before);
+          ("critical_after", Int d.Opt.Pipeline.critical_after);
+        ]
     in
-    let* cfg, pa, _ = parse_kernel ~n:(Some n) ~m:(Some m) src_a in
-    let* _, pb, _ = parse_kernel ~n:(Some n) ~m:(Some m) src_b in
-    Ok (cfg, pa, pb)
-  in
-  match parsed with
-  | Error msg -> `Error (false, msg)
-  | Ok (cfg, pa, pb) -> (
-      let ints a = Registry.Json.Arr (List.map (fun v -> Registry.Json.Int v) (Array.to_list a)) in
-      match Machine.Exec.equiv cfg pa pb with
-      | Machine.Exec.Equivalent ->
-          if json then
-            print_endline
-              (Registry.Json.to_string
-                 (Registry.Json.Obj
-                    [
-                      ("a", Registry.Json.Str file_a);
-                      ("b", Registry.Json.Str file_b);
-                      ("n", Registry.Json.Int cfg.Isa.Config.n);
-                      ("m", Registry.Json.Int cfg.Isa.Config.m);
-                      ("equivalent", Registry.Json.Bool true);
-                    ]))
-          else
-            Printf.printf
-              "%s and %s are equivalent: bit-identical value registers on \
-               all %d! permutations\n"
-              file_a file_b cfg.Isa.Config.n;
-          `Ok ()
-      | Machine.Exec.Differs { input; out_a; out_b } ->
-          if json then
-            print_endline
-              (Registry.Json.to_string
-                 (Registry.Json.Obj
-                    [
-                      ("a", Registry.Json.Str file_a);
-                      ("b", Registry.Json.Str file_b);
-                      ("n", Registry.Json.Int cfg.Isa.Config.n);
-                      ("m", Registry.Json.Int cfg.Isa.Config.m);
-                      ("equivalent", Registry.Json.Bool false);
-                      ("input", ints input);
-                      ("output_a", ints out_a);
-                      ("output_b", ints out_b);
-                    ]))
-          else begin
-            let arr a =
-              String.concat " " (List.map string_of_int (Array.to_list a))
-            in
-            Printf.printf "%s and %s DIFFER\n" file_a file_b;
-            Printf.printf "counterexample input: %s\n" (arr input);
-            Printf.printf "%s output:            %s\n" file_a (arr out_a);
-            Printf.printf "%s output:            %s\n" file_b (arr out_b)
-          end;
-          exit 1)
+    let refusal_obj (f : Opt.Pipeline.refusal) =
+      Obj
+        [
+          ("pass", Str f.Opt.Pipeline.pass);
+          ("round", Int f.Opt.Pipeline.round);
+          ("reason", Str f.Opt.Pipeline.reason);
+        ]
+    in
+    (* "passes" is the deduplicated applied-pass set in sorted order
+       (byte-stable); "deltas" keeps application order, which is
+       deterministic for a given input. *)
+    let passes =
+      List.sort_uniq compare
+        (List.map
+           (fun (d : Opt.Pipeline.delta) -> d.Opt.Pipeline.pass)
+           rep.Opt.Pipeline.deltas)
+    in
+    let network =
+      match net with
+      | Error (index, reason) ->
+          Obj
+            [
+              ("extracted", Bool false);
+              ("index", Int index);
+              ("reason", Str reason);
+            ]
+      | Ok (net, zero_one, optimal_size) ->
+          Obj
+            ([
+               ("extracted", Bool true);
+               ( "comparators",
+                 Arr
+                   (List.map
+                      (fun (i, j) -> Arr [ Int i; Int j ])
+                      net.Sortnet.comparators) );
+               ("size", Int (Sortnet.size net));
+               ("zero_one_certified", Bool zero_one);
+             ]
+            @
+            match optimal_size with
+            | Some s -> [ ("optimal_size", Int s) ]
+            | None -> [])
+    in
+    print_endline
+      (to_string
+         (Obj
+            [
+              ("file", Str file);
+              ("n", Int cfg.Isa.Config.n);
+              ("m", Int cfg.Isa.Config.m);
+              ("instructions_before", Int before.Perf.Cost.instructions);
+              ("instructions_after", Int after.Perf.Cost.instructions);
+              ("cycles_before", Int cyc_before);
+              ("cycles_after", Int cyc_after);
+              ("critical_before", Int before.Perf.Cost.critical_path);
+              ("critical_after", Int after.Perf.Cost.critical_path);
+              ("rounds", Int rep.Opt.Pipeline.rounds);
+              ("certified", Bool rep.Opt.Pipeline.certified);
+              ("passes", Arr (List.map (fun s -> Str s) passes));
+              ("deltas", Arr (List.map delta_obj rep.Opt.Pipeline.deltas));
+              ( "refusals",
+                Arr (List.map refusal_obj rep.Opt.Pipeline.refusals) );
+              ("network", network);
+              ("program", Str rendered);
+            ]))
+  end
+  else begin
+    Printf.printf "# %s: n=%d m=%d\n" file cfg.Isa.Config.n
+      cfg.Isa.Config.m;
+    List.iter
+      (fun (d : Opt.Pipeline.delta) ->
+        Printf.printf
+          "# round %d %s: %d -> %d instructions, %d -> %d simulated \
+           cycles, %d -> %d critical path\n"
+          d.Opt.Pipeline.round d.Opt.Pipeline.pass
+          d.Opt.Pipeline.instructions_before
+          d.Opt.Pipeline.instructions_after d.Opt.Pipeline.cycles_before
+          d.Opt.Pipeline.cycles_after d.Opt.Pipeline.critical_before
+          d.Opt.Pipeline.critical_after)
+      rep.Opt.Pipeline.deltas;
+    List.iter
+      (fun (f : Opt.Pipeline.refusal) ->
+        Printf.printf "# round %d %s: REFUSED — %s\n" f.Opt.Pipeline.round
+          f.Opt.Pipeline.pass f.Opt.Pipeline.reason)
+      rep.Opt.Pipeline.refusals;
+    Printf.printf
+      "# total: %d -> %d instructions, %d -> %d simulated cycles, %d -> \
+       %d critical path (%d round(s))\n"
+      before.Perf.Cost.instructions after.Perf.Cost.instructions cyc_before
+      cyc_after before.Perf.Cost.critical_path after.Perf.Cost.critical_path
+      rep.Opt.Pipeline.rounds;
+    Printf.printf "# certified: %s\n"
+      (if rep.Opt.Pipeline.certified then
+         Printf.sprintf "OK — sorts all %d! permutations"
+           cfg.Isa.Config.n
+       else "NO (input does not certify)");
+    (match net with
+    | Ok (net, zero_one, optimal_size) ->
+        Printf.printf
+          "# network: extracted %d comparator(s) [%s], 0-1 certified: %s%s\n"
+          (Sortnet.size net)
+          (String.concat " "
+             (List.map
+                (fun (i, j) -> Printf.sprintf "(%d,%d)" i j)
+                net.Sortnet.comparators))
+          (if zero_one then "yes" else "NO")
+          (match optimal_size with
+          | Some s when Sortnet.size net = s -> " — size-optimal"
+          | Some s ->
+              Printf.sprintf " — known optimal is %d comparator(s)" s
+          | None -> "")
+    | Error (index, reason) ->
+        Printf.printf "# network: not extractable at instruction %d: %s\n"
+          index reason);
+    match out with
+    | None -> print_string rendered
+    | Some _ -> ()
+  end;
+  (match out with
+  | Some path ->
+      write_file path rendered;
+      if not json then Printf.printf "# wrote %s\n" path
+  | None -> ())
 
-let optimize_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the optimized kernel to $(docv) instead of stdout.")
+let run_equiv file_a file_b dims json =
+  (* Both kernels must run in one register file: unless -n/-m pin it,
+     take the widest configuration either file needs. *)
+  let ca, _, _ = load_kernel_or_exit dims file_a in
+  let cb, _, _ = load_kernel_or_exit dims file_b in
+  let wide =
+    ( Some (max ca.Isa.Config.n cb.Isa.Config.n),
+      Some (max ca.Isa.Config.m cb.Isa.Config.m) )
   in
-  Cmd.v
-    (Cmd.info "optimize" ~exits
-       ~doc:
-         "Run the proof-carrying pass pipeline (copy propagation, redundant-\
-          cmp elimination, cmov coalescing, DCE, canonical renaming, list \
-          scheduling) to fixpoint over a kernel file. Every rewrite is \
-          accepted only with a certificate — bit-identical value registers \
-          on all n! permutations, then re-certified by the exact check — \
-          and refused otherwise, leaving the kernel unchanged. Also reports \
-          whether the result is syntactically a comparator network (then \
-          0-1 certified and compared against the known-optimal size).")
-    Term.(
-      ret
-        (const run_optimize $ file_arg $ opt_n $ opt_m $ json_flag $ out_arg
-        $ x86 $ fault_plan))
-
-let equiv_cmd =
-  let file_b =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"B.txt" ~doc:"Second kernel file.")
-  in
-  Cmd.v
-    (Cmd.info "equiv" ~exits
-       ~doc:
-         "Decide whether two kernel files compute identical value-register \
-          outputs on every input, by exact comparison over all n! \
-          permutations (translation validation, not the 0-1 shortcut — \
-          sound for arbitrary cmov kernels, not just networks). Exits 0 \
-          when equivalent; exits 1 with a concrete counterexample \
-          permutation and both outputs when they differ.")
-    Term.(
-      ret (const run_equiv $ file_arg $ file_b $ opt_n $ opt_m $ json_flag))
+  let cfg, pa, _ = load_kernel_or_exit wide file_a in
+  let _, pb, _ = load_kernel_or_exit wide file_b in
+  let verdict = Machine.Exec.equiv cfg pa pb in
+  (if json then
+     let ints a = Json.Arr (List.map (fun v -> Json.Int v) (Array.to_list a)) in
+     print_endline
+       (Json.to_string
+          (Json.Obj
+             ([
+                ("a", Json.Str file_a);
+                ("b", Json.Str file_b);
+                ("n", Json.Int cfg.Isa.Config.n);
+                ("m", Json.Int cfg.Isa.Config.m);
+              ]
+             @
+             match verdict with
+             | Machine.Exec.Equivalent -> [ ("equivalent", Json.Bool true) ]
+             | Machine.Exec.Differs { input; out_a; out_b } ->
+                 [
+                   ("equivalent", Json.Bool false);
+                   ("input", ints input);
+                   ("output_a", ints out_a);
+                   ("output_b", ints out_b);
+                 ])))
+   else
+     match verdict with
+     | Machine.Exec.Equivalent ->
+         Printf.printf
+           "%s and %s are equivalent: bit-identical value registers on all %d! \
+            permutations\n"
+           file_a file_b cfg.Isa.Config.n
+     | Machine.Exec.Differs { input; out_a; out_b } ->
+         let arr a = String.concat " " (List.map string_of_int (Array.to_list a)) in
+         Printf.printf "%s and %s DIFFER\n" file_a file_b;
+         Printf.printf "counterexample input: %s\n" (arr input);
+         Printf.printf "%s output:            %s\n" file_a (arr out_a);
+         Printf.printf "%s output:            %s\n" file_b (arr out_b));
+  if verdict <> Machine.Exec.Equivalent then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* registry list | verify | gc                                         *)
@@ -1617,44 +1368,31 @@ let registry_list cache_dir count =
   Printf.printf "# %d entries in %s (%d quarantined)\n"
     (List.length s.Registry.Store.hashes)
     root s.Registry.Store.quarantined;
-  if count then begin
-    Printf.printf "# layout: %d sharded, %d flat (v1), %d shard dir(s), %d \
-                   torn temp dir(s)\n"
+  if count then
+    Printf.printf
+      "# layout: %d sharded, %d flat (v1), %d shard dir(s), %d torn temp dir(s)\n"
       (List.length s.Registry.Store.hashes)
       (List.length s.Registry.Store.flat)
       s.Registry.Store.shards
-      (List.length s.Registry.Store.tmp);
-    `Ok ()
-  end
-  else begin
+      (List.length s.Registry.Store.tmp)
+  else
     List.iter
       (fun h ->
         match Registry.Store.load_unverified ~root h with
         | Ok e ->
             Printf.printf "%s  %s  len=%d cost=%.2f expanded=%d\n"
               (String.sub h 0 12)
-              (Registry.Key.describe e.Registry.Store.key)
+              (Key.describe e.Registry.Store.key)
               e.Registry.Store.length e.Registry.Store.predicted_cost
               e.Registry.Store.expanded
-        | Error msg ->
-            Printf.printf "%s  <unreadable: %s>\n" (String.sub h 0 12) msg)
-      s.Registry.Store.hashes;
-    `Ok ()
-  end
+        | Error msg -> Printf.printf "%s  <unreadable: %s>\n" (String.sub h 0 12) msg)
+      s.Registry.Store.hashes
 
 let registry_verify cache_dir lint stats_json =
   let root = resolve_root cache_dir in
   let counters = Registry.Store.fresh_counters () in
   let rcv = Registry.Store.recover ~counters ~root () in
-  if rcv.Registry.Store.rolled_back > 0 then
-    Printf.printf "# recovered: %d torn insert(s) rolled back\n"
-      rcv.Registry.Store.rolled_back;
-  if rcv.Registry.Store.migrated > 0 then
-    Printf.printf "# recovered: %d flat v1 entries moved into shards\n"
-      rcv.Registry.Store.migrated;
-  if rcv.Registry.Store.requarantined > 0 then
-    Printf.printf "# recovered: %d half-written entries re-quarantined\n"
-      rcv.Registry.Store.requarantined;
+  print_recovery stdout "# " rcv;
   let checked = Registry.Store.verify_all ~counters ~lint ~root () in
   let bad = ref 0 in
   List.iter
@@ -1672,7 +1410,7 @@ let registry_verify cache_dir lint stats_json =
   | None -> ()
   | Some path ->
       write_json path
-        Registry.Json.(
+        Json.(
           Obj
             [
               ("label", Str "registry verify");
@@ -1684,84 +1422,22 @@ let registry_verify cache_dir lint stats_json =
             ]));
   (* Any corrupted entry — found by the recovery scan or the certify
      sweep — is the documented "registry corruption" exit code. *)
-  if !bad + rcv.Registry.Store.requarantined > 0 then exit exit_corrupt;
-  `Ok ()
+  if !bad + rcv.Registry.Store.requarantined > 0 then exit exit_corrupt
 
 let registry_gc cache_dir dry_run =
   let root = resolve_root cache_dir in
   (* Recovery mutates the store (rollback / re-quarantine), so a dry run
      must skip it: --dry-run touches nothing on disk. *)
-  if not dry_run then begin
-    let rcv = Registry.Store.recover ~root () in
-    if rcv.Registry.Store.rolled_back > 0 then
-      Printf.printf "# recovered: %d torn insert(s) rolled back\n"
-        rcv.Registry.Store.rolled_back
-  end;
+  if not dry_run then print_recovery stdout "# " (Registry.Store.recover ~root ());
   let report = Registry.Store.gc ~dry_run ~root () in
   List.iter
-    (fun v ->
-      Printf.printf "%s %s\n" (if dry_run then "would purge" else "purged") v)
+    (fun v -> Printf.printf "%s %s\n" (if dry_run then "would purge" else "purged") v)
     report.Registry.Store.victims;
   Printf.printf "# %d entries kept, %d purged%s, %d bytes %s\n"
     report.Registry.Store.kept report.Registry.Store.purged
     (if dry_run then " (dry run: nothing removed)" else "")
     report.Registry.Store.reclaimed_bytes
-    (if dry_run then "would be reclaimed" else "reclaimed");
-  `Ok ()
-
-let registry_cmd =
-  let count_flag =
-    Arg.(
-      value & flag
-      & info [ "count" ]
-          ~doc:
-            "Print only the counts (entries, layout split, quarantine) from \
-             a single directory walk — no per-entry metadata is read.")
-  in
-  let list_cmd =
-    Cmd.v
-      (Cmd.info "list" ~doc:"List stored entries (no verification).")
-      Term.(ret (const registry_list $ cache_dir $ count_flag))
-  in
-  let lint_flag =
-    Arg.(
-      value & flag
-      & info [ "lint" ]
-          ~doc:
-            "Also run the static analyzer over every entry that certifies; \
-             quarantine entries with ERROR-level findings (a provably \
-             removable instruction in a supposedly optimal kernel).")
-  in
-  let verify_cmd =
-    Cmd.v
-      (Cmd.info "verify" ~exits
-         ~doc:
-           "Run the crash-recovery scan, then re-certify every entry; \
-            quarantine and report failures (exit 4 if any entry was \
-            corrupted). With $(b,--lint), entries must also be lint-clean.")
-      Term.(ret (const registry_verify $ cache_dir $ lint_flag $ stats_json))
-  in
-  let dry_run_flag =
-    Arg.(
-      value & flag
-      & info [ "dry-run" ]
-          ~doc:
-            "Report what gc would remove (victims, entry count, reclaimable \
-             bytes) without touching the store — no recovery, no \
-             quarantining, no deletion.")
-  in
-  let gc_cmd =
-    Cmd.v
-      (Cmd.info "gc"
-         ~doc:
-           "Re-certify every entry, quarantine failures, then delete the \
-            quarantine area, reporting the reclaimed entries and bytes. \
-            With $(b,--dry-run), only report what would be removed.")
-      Term.(ret (const registry_gc $ cache_dir $ dry_run_flag))
-  in
-  Cmd.group
-    (Cmd.info "registry" ~doc:"Inspect and maintain the on-disk kernel registry.")
-    [ list_cmd; verify_cmd; gc_cmd ]
+    (if dry_run then "would be reclaimed" else "reclaimed")
 
 (* ------------------------------------------------------------------ *)
 (* serve / client: the long-lived synthesis daemon and its thin client. *)
@@ -1787,13 +1463,12 @@ let run_serve socket cache_dir capacity workers max_conns max_queue
   Serve.Server.run
     ~on_ready:(fun () -> Printf.printf "# serve: listening on %s\n%!" socket)
     ~handle_signals:true t;
-  (match stats_json with
+  match stats_json with
   | Some path ->
       write_json path (Serve.Server.snapshot t)
-  | None -> ());
-  `Ok ()
+  | None -> ()
 
-let serve_cmd =
+let serve_term =
   let socket =
     Arg.(
       required
@@ -1862,114 +1537,53 @@ let serve_cmd =
              in-flight jobs, then persists the LRU warm set for the next \
              start.")
   in
-  Cmd.v
-    (Cmd.info "serve" ~exits
-       ~doc:
-         "Run the long-lived synthesis daemon: newline-delimited JSON over \
-          a Unix domain socket (ops: lookup, synth, batch, stats, \
-          shutdown). Three serving layers — a bounded in-memory LRU over \
-          certified entries, the sharded on-disk registry (crash recovery \
-          at open and after any quarantine), and a persistent worker pool \
-          running the scheduler's degradation ladder. Identical concurrent \
-          requests coalesce onto one search. Admission control sheds \
-          excess load with typed responses ($(b,--max-conns), \
-          $(b,--max-queue)), a per-key circuit breaker fast-fails poison \
-          keys, and SIGTERM/SIGINT drain gracefully — finishing in-flight \
-          work and persisting the warm set, restored (re-certified) on \
-          restart. Runs until a shutdown request or signal arrives; with \
-          $(b,--stats-json), writes the final counter snapshot on exit.")
-    Term.(
-      ret
-        (const run_serve $ socket $ cache_dir $ capacity $ workers $ max_conns
-        $ max_queue $ breaker_threshold $ breaker_cooldown $ drain_grace
-        $ stats_json $ fault_plan))
+  Term.(
+    const run_serve $ socket $ cache_dir $ capacity $ workers $ max_conns
+    $ max_queue $ breaker_threshold $ breaker_cooldown $ drain_grace
+    $ stats_json $ fault_plan)
 
-let print_served (s : Serve.Protocol.served) =
-  Printf.printf "# %s%s%s: %s (%.3f s server-side)\n" s.Serve.Protocol.status
-    (match s.Serve.Protocol.source with Some src -> " from " ^ src | None -> "")
-    (if s.Serve.Protocol.coalesced then ", coalesced" else "")
-    s.Serve.Protocol.canonical s.Serve.Protocol.elapsed;
-  (match s.Serve.Protocol.error with
-  | Some e -> Printf.eprintf "synth client: server: %s\n" e
-  | None -> ());
-  (match s.Serve.Protocol.kernel with Some k -> print_endline k | None -> ());
-  match s.Serve.Protocol.status with
-  | "cached" | "synthesized" -> `Ok ()
-  | "timed_out" -> exit exit_timeout
-  | "exhausted" -> exit exit_exhausted
-  | "overloaded" | "circuit_open" ->
-      (match s.Serve.Protocol.retry_after with
-      | Some r -> Printf.eprintf "synth client: retry in %.1f s\n" r
-      | None -> ());
-      exit exit_overloaded
-  | _ -> exit 1
+let print_served (s : P.served) =
+  Printf.printf "# %s%s%s: %s (%.3f s server-side)\n" s.P.status
+    (match s.P.source with Some src -> " from " ^ src | None -> "")
+    (if s.P.coalesced then ", coalesced" else "")
+    s.P.canonical s.P.elapsed;
+  Option.iter (Printf.eprintf "synth client: server: %s\n") s.P.error;
+  Option.iter print_endline s.P.kernel;
+  let code = exit_code s.P.status in
+  if code = exit_overloaded then
+    Option.iter (Printf.eprintf "synth client: retry in %.1f s\n") s.P.retry_after;
+  if code <> 0 then exit code
 
-let run_client server op n scratch engine heuristic cut max_len timeout budget
-    deadline optimize stats_json fault_plan =
+let run_client server op key timeout budget deadline optimize stats_json
+    fault_plan =
   setup_faults fault_plan;
   (* The absolute deadline propagated with the request: --deadline wins,
      else it is derived from --timeout (per-attempt budget for the
      server's default 1+1 attempts, plus a second of slack). *)
-  let abs_deadline =
+  let deadline =
     match deadline with
     | Some d -> Some (Fault.Clock.now () +. d)
-    | None ->
-        Option.map (fun t -> Fault.Clock.now () +. (t *. 2.0) +. 1.0) timeout
+    | None -> Option.map (fun t -> Fault.Clock.now () +. (t *. 2.0) +. 1.0) timeout
   in
   let req =
     match op with
-    | `Stats -> Serve.Protocol.Stats
-    | `Shutdown -> Serve.Protocol.Shutdown
-    | (`Lookup | `Synth) as op ->
-        let key =
-          Registry.Key.make ~m:scratch ~engine ~heuristic
-            ~cut:(Registry.Key.cut_of_factor cut) ?max_len n
-        in
-        if op = `Lookup then Serve.Protocol.Lookup key
-        else
-          Serve.Protocol.Synth
-            ( key,
-              {
-                Serve.Protocol.default_params with
-                timeout;
-                budget;
-                optimize;
-                deadline = abs_deadline;
-              } )
+    | `Stats -> P.Stats
+    | `Shutdown -> P.Shutdown
+    | `Lookup -> P.Lookup key
+    | `Synth ->
+        P.Synth (key, { P.default_params with timeout; budget; optimize; deadline })
   in
-  match Serve.Client.roundtrip ~socket:server req with
-  | Error msg ->
-      Printf.eprintf "synth client: %s\n" msg;
-      exit exit_unreachable
-  | Ok (Serve.Protocol.Refused msg) ->
-      Printf.eprintf "synth client: server refused: %s\n" msg;
-      exit 1
-  | Ok (Serve.Protocol.Overloaded retry_after) ->
-      Printf.eprintf
-        "synth client: server overloaded (connection budget); retry in %.1f s\n"
-        retry_after;
-      exit exit_overloaded
-  | Ok Serve.Protocol.Goodbye ->
-      Printf.printf "# server shutting down\n";
-      `Ok ()
-  | Ok (Serve.Protocol.Snapshot j) ->
-      (match stats_json with
+  let who = "synth client" in
+  match roundtrip who server req with
+  | P.Goodbye -> Printf.printf "# server shutting down\n"
+  | P.Snapshot j -> (
+      match stats_json with
       | Some path -> write_json path j
-      | None -> print_endline (Registry.Json.to_string j));
-      `Ok ()
-  | Ok (Serve.Protocol.Served s) -> print_served s
-  | Ok (Serve.Protocol.Jobs _) ->
-      Printf.eprintf "synth client: protocol error: unexpected jobs response\n";
-      exit exit_unreachable
+      | None -> print_endline (Json.to_string j))
+  | P.Served s -> print_served s
+  | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
 
-let client_cmd =
-  let server =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "server" ] ~docv:"SOCK"
-          ~doc:"Unix socket of a running $(b,synth serve) daemon.")
-  in
+let client_term =
   let op =
     Arg.(
       value
@@ -2000,39 +1614,160 @@ let client_cmd =
              worker. Defaults to a deadline derived from $(b,--timeout) \
              when that is set.")
   in
-  Cmd.v
-    (Cmd.info "client" ~exits
-       ~doc:
-         "One request against a running synthesis daemon. Key flags (-n, \
-          --engine, ...) mirror the default command; the response kernel \
-          prints exactly as a local synthesis would print it. Exit code 5 \
-          when the daemon is unreachable or the response is torn or \
-          unparsable; otherwise the served status maps to the usual codes \
-          (cached/synthesized 0, timed out 2, exhausted 3, shed by the \
-          server — overloaded or circuit_open — 6, failed 1).")
-    Term.(
-      ret
-        (const run_client $ server $ op $ n $ scratch $ engine $ heuristic
-        $ cut $ max_len $ timeout_arg $ state_budget $ deadline
-        $ optimize_flag $ stats_json $ fault_plan))
+  Term.(
+    const run_client $ Arg.required server $ op $ key $ timeout $ state_budget
+    $ deadline $ optimize $ stats_json $ fault_plan)
 
 (* ------------------------------------------------------------------ *)
+(* The subcommand table: (name, doc, term), every row documenting the  *)
+(* one [exits] list.                                                   *)
 
-let cmd =
-  Cmd.group ~default:default_term
-    (Cmd.info "synth" ~exits
-       ~doc:"Synthesize branchless sorting kernels (CGO'25 reproduction)")
-    [
-      batch_cmd;
-      registry_cmd;
-      serve_cmd;
-      client_cmd;
-      lint_cmd;
-      analyze_cmd;
-      devlint_cmd;
-      certify_cmd;
-      optimize_cmd;
-      equiv_cmd;
-    ]
+let registry_commands =
+  [
+    ( "list",
+      "List stored entries (no verification).",
+      Term.(
+        const registry_list $ cache_dir
+        $ flag "count"
+            "Print only the counts (entries, layout split, quarantine) from \
+             a single directory walk — no per-entry metadata is read.") );
+    ( "verify",
+      "Run the crash-recovery scan, then re-certify every entry; quarantine \
+       and report failures (exit 4 if any entry was corrupted). With \
+       $(b,--lint), entries must also be lint-clean.",
+      Term.(
+        const registry_verify $ cache_dir
+        $ flag "lint"
+            "Also run the static analyzer over every entry that certifies; \
+             quarantine entries with ERROR-level findings (a provably \
+             removable instruction in a supposedly optimal kernel)."
+        $ stats_json) );
+    ( "gc",
+      "Re-certify every entry, quarantine failures, then delete the \
+       quarantine area, reporting the reclaimed entries and bytes. With \
+       $(b,--dry-run), only report what would be removed.",
+      Term.(
+        const registry_gc $ cache_dir
+        $ flag "dry-run"
+            "Report what gc would remove (victims, entry count, reclaimable \
+             bytes) without touching the store — no recovery, no \
+             quarantining, no deletion.") );
+  ]
 
-let () = exit (Cmd.eval cmd)
+let commands =
+  [
+    ( "batch",
+      "Run a list of synthesis jobs: registry hits are served verified, \
+       misses run across worker domains, results merge deterministically. \
+       Never aborts mid-batch: a timed-out, exhausted, or crashed job is \
+       reported in place and the rest of the batch completes. When all \
+       failures are timeouts the exit code is 2; all budget exhaustions, 3; \
+       anything else, 1.",
+      batch_term );
+    ( "serve",
+      "Run the long-lived synthesis daemon: newline-delimited JSON over a \
+       Unix domain socket (ops: lookup, synth, batch, stats, shutdown). \
+       Three serving layers — a bounded in-memory LRU over certified \
+       entries, the sharded on-disk registry (crash recovery at open and \
+       after any quarantine), and a persistent worker pool running the \
+       scheduler's degradation ladder. Identical concurrent requests \
+       coalesce onto one search. Admission control sheds excess load with \
+       typed responses ($(b,--max-conns), $(b,--max-queue)), a per-key \
+       circuit breaker fast-fails poison keys, and SIGTERM/SIGINT drain \
+       gracefully — finishing in-flight work and persisting the warm set, \
+       restored (re-certified) on restart. Runs until a shutdown request or \
+       signal arrives; with $(b,--stats-json), writes the final counter \
+       snapshot on exit.",
+      serve_term );
+    ( "client",
+      "One request against a running synthesis daemon. Key flags (-n, \
+       --engine, ...) mirror the default command; the response kernel \
+       prints exactly as a local synthesis would print it. Exit code 5 when \
+       the daemon is unreachable or the response is torn or unparsable; \
+       otherwise the served status maps to the usual codes \
+       (cached/synthesized 0, timed out 2, exhausted 3, shed by the server \
+       — overloaded or circuit_open — 6, failed 1).",
+      client_term );
+    ( "lint",
+      "Run the static analyzer over kernel files: dataflow lints (dead \
+       writes, unconsumed cmps, orphan cmovs, uninitialized scratch reads, \
+       trailing code) plus the permutation-set abstract interpreter \
+       (semantic no-ops, sortedness certification). Exits 1 on any ERROR \
+       finding. With $(b,--rules), prints the stable rule-id table (id, \
+       severity, description) instead.",
+      Term.(
+        ret
+          (const run_lint $ files_arg $ dims $ json_flag
+          $ flag "rules"
+              "Print the stable rule-id table (id, severity, one-line \
+               description) and exit; no kernel files are read.")) );
+    ( "analyze",
+      "Full static-analysis report for one kernel: per-instruction dataflow \
+       facts, reachable-assignment counts per program point, the exact n! \
+       correctness verdict, lint findings, and the proof-carrying DCE \
+       result (with the shrunk kernel when anything was removable).",
+      Term.(const run_analyze $ file_arg $ dims $ json_flag) );
+    ( "devlint",
+      "Lint this repository's own source for Domain-parallel and durability \
+       discipline: mutable state shared into Domain.spawn without \
+       Atomic/Mutex, raw wall-clock reads and unwarped sleeps outside \
+       lib/fault, Sys.rename without fsync, double-closed descriptors, and \
+       catch-all exception swallows in daemon paths. Findings are silenced \
+       only via the committed waiver file; any unwaived finding exits 1. \
+       With $(b,--rules), prints the stable rule-id table instead.",
+      devlint_term );
+    ( "certify",
+      "Certify kernel files as sorting kernels: the symbolic order-poset \
+       certifier first (polynomial, no n! enumeration), the paper's \
+       exhaustive permutation check only on an $(i,unknown) verdict. A \
+       $(i,refuted) verdict always carries an execution-confirmed \
+       counterexample. Exits 1 when any file fails to certify (or to \
+       parse).",
+      Term.(ret (const run_certify $ files_arg $ dims $ json_flag)) );
+    ( "optimize",
+      "Run the proof-carrying pass pipeline (copy propagation, redundant-cmp \
+       elimination, cmov coalescing, DCE, canonical renaming, list \
+       scheduling) to fixpoint over a kernel file. Every rewrite is accepted \
+       only with a certificate — bit-identical value registers on all n! \
+       permutations, then re-certified by the exact check — and refused \
+       otherwise, leaving the kernel unchanged. Also reports whether the \
+       result is syntactically a comparator network (then 0-1 certified \
+       and compared against the known-optimal size).",
+      Term.(
+        const run_optimize $ file_arg $ dims $ json_flag
+        $ Arg.(
+            value
+            & opt (some string) None
+            & info [ "o"; "output" ] ~docv:"FILE"
+                ~doc:"Write the optimized kernel to $(docv) instead of stdout.")
+        $ x86 $ fault_plan) );
+    ( "equiv",
+      "Decide whether two kernel files compute identical value-register \
+       outputs on every input, by exact comparison over all n! permutations \
+       (translation validation, not the 0-1 shortcut — sound for arbitrary \
+       cmov kernels, not just networks). Exits 0 when equivalent; exits 1 \
+       with a concrete counterexample permutation and both outputs when \
+       they differ.",
+      Term.(
+        const run_equiv $ file_arg
+        $ Arg.(
+            required
+            & pos 1 (some file) None
+            & info [] ~docv:"B.txt" ~doc:"Second kernel file.")
+        $ dims $ json_flag) );
+  ]
+
+let () =
+  let command (name, doc, term) = Cmd.v (Cmd.info name ~exits ~doc) term in
+  let registry =
+    Cmd.group
+      (Cmd.info "registry" ~exits
+         ~doc:"Inspect and maintain the on-disk kernel registry.")
+      (List.map command registry_commands)
+  in
+  exit
+    (Cmd.eval
+       (Cmd.group ~default:default_term
+          (Cmd.info "synth" ~exits
+             ~doc:"Synthesize branchless sorting kernels (CGO'25 reproduction)")
+          (registry :: List.map command commands)))

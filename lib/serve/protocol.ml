@@ -65,6 +65,37 @@ type response =
          (or draining) and refuses the whole connection — typed, never a
          silent close. Carries the retry_after hint in seconds. *)
 
+(* ---------- served records from scheduler results ---------- *)
+
+let job_error (r : Registry.Scheduler.job_result) =
+  match r.Registry.Scheduler.status with
+  | Registry.Scheduler.Failed msg -> Some msg
+  | Registry.Scheduler.Exhausted { live; budget } ->
+      Some
+        (match budget with
+        | Some b -> Printf.sprintf "state budget exhausted (%d live, budget %d)" live b
+        | None -> Printf.sprintf "state budget exhausted (%d live)" live)
+  | Registry.Scheduler.Timed_out -> Some "every attempt hit the deadline"
+  | Registry.Scheduler.Crashed -> Some "worker died mid-request"
+  | Registry.Scheduler.Cached | Registry.Scheduler.Synthesized -> None
+
+let served_of_job (r : Registry.Scheduler.job_result) : served =
+  let open Registry.Scheduler in
+  {
+    status = status_string r.status;
+    source = (match r.status with Synthesized -> Some "search" | _ -> None);
+    canonical = Key.canonical r.key;
+    kernel = Option.map (Isa.Program.to_string (Key.config r.key)) r.program;
+    length = r.length;
+    degraded = r.degraded;
+    rung = r.rung;
+    attempts = r.attempts;
+    elapsed = r.elapsed;
+    coalesced = false;
+    error = job_error r;
+    retry_after = None;
+  }
+
 (* ---------- requests ---------- *)
 
 let params_fields p =

@@ -87,6 +87,14 @@ type response =
           and refuses the whole connection — typed, never a silent
           close. Carries the retry_after hint in seconds. *)
 
+val served_of_job : Registry.Scheduler.job_result -> served
+(** The wire form of a scheduler result: the status tag, the kernel as
+    {!Isa.Program.to_string} text, and for failures an [error] saying
+    why (the state budget and live count for ["exhausted"], the
+    message for ["failed"], and so on). A ["synthesized"] result has
+    source ["search"]. The daemon answers with this, and the CLI's
+    local batch prints through it. *)
+
 val request_to_json : request -> Registry.Json.t
 val request_of_json : Registry.Json.t -> (request, string) result
 val parse_request : string -> (request, string) result

@@ -158,14 +158,12 @@ let draining t = Atomic.get t.draining
 
 (* ---------- building served records ---------- *)
 
-let kernel_text key p = Isa.Program.to_string (Key.config key) p
-
 let served_of_entry ~source ~elapsed key (e : Store.entry) =
   {
     Protocol.status = "cached";
     source = Some source;
     canonical = Key.canonical key;
-    kernel = Some (kernel_text e.Store.key e.Store.program);
+    kernel = Some (Isa.Program.to_string (Key.config e.Store.key) e.Store.program);
     length = Some e.Store.length;
     degraded = false;
     rung = 0;
@@ -212,37 +210,6 @@ let deadline_expired ~elapsed ~where key =
   {
     (miss ~elapsed ~error:(Printf.sprintf "deadline expired %s" where) key) with
     Protocol.status = "timed_out";
-  }
-
-let job_error (r : Scheduler.job_result) =
-  match r.Scheduler.status with
-  | Scheduler.Failed msg -> Some msg
-  | Scheduler.Exhausted { live; budget } ->
-      Some
-        (match budget with
-        | Some b -> Printf.sprintf "state budget exhausted (%d live, budget %d)" live b
-        | None -> Printf.sprintf "state budget exhausted (%d live)" live)
-  | Scheduler.Timed_out -> Some "every attempt hit the deadline"
-  | Scheduler.Crashed -> Some "worker died mid-request"
-  | Scheduler.Cached | Scheduler.Synthesized -> None
-
-let served_of_job (r : Scheduler.job_result) =
-  {
-    Protocol.status = Scheduler.status_string r.Scheduler.status;
-    source =
-      (match r.Scheduler.status with
-      | Scheduler.Synthesized -> Some "search"
-      | _ -> None);
-    canonical = Key.canonical r.Scheduler.key;
-    kernel = Option.map (kernel_text r.Scheduler.key) r.Scheduler.program;
-    length = r.Scheduler.length;
-    degraded = r.Scheduler.degraded;
-    rung = r.Scheduler.rung;
-    attempts = r.Scheduler.attempts;
-    elapsed = r.Scheduler.elapsed;
-    coalesced = false;
-    error = job_error r;
-    retry_after = None;
   }
 
 (* ---------- request handling ---------- *)
@@ -373,7 +340,7 @@ let synth_leader t key (p : Protocol.synth_params) =
                     | Ok entry -> Lru.add t.lru canonical entry
                     | Error _ -> ())
             | _ -> ());
-            served_of_job r)
+            Protocol.served_of_job r)
 
 let synth_one t key p =
   let canonical = Key.canonical key in

@@ -15,6 +15,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# One build of the CLI; every section runs this binary.
+dune build bin/synth.exe
+synth="./_build/default/bin/synth.exe"
+
 if [ "${SMOKE_ONLY:-all}" = "all" ]; then
 
 echo "== dune build =="
@@ -40,8 +44,8 @@ rm -rf "$reg"
 # First run populates the store; the repeated request must be served from
 # the registry (verified on load) without running the search, and the
 # stats snapshot must show the hit.
-dune exec bin/synth.exe -- -n 4 --cache --cache-dir "$reg" > /dev/null
-second="$(dune exec bin/synth.exe -- -n 4 --cache --cache-dir "$reg" --stats-json -)"
+"$synth" -n 4 --cache --cache-dir "$reg" > /dev/null
+second="$("$synth" -n 4 --cache --cache-dir "$reg" --stats-json -)"
 echo "$second" | grep -q "registry hit" \
   || { echo "second --cache run did not hit the registry" >&2; exit 1; }
 echo "$second" | grep -q '"registry":{"hits":1' \
@@ -50,12 +54,12 @@ echo "$second" | grep -q '"registry":{"hits":1' \
 echo "== batch scheduler =="
 jobs="${TMPDIR:-/tmp}/sortsynth-jobs-smoke.json"
 printf '[{"n":2},{"n":3},{"n":3,"engine":"level"},{"n":3,"engine":"parallel"}]\n' > "$jobs"
-dune exec bin/synth.exe -- batch "$jobs" -j 2 --cache-dir "$reg" > /dev/null
+"$synth" batch "$jobs" -j 2 --cache-dir "$reg" > /dev/null
 # Every batch job repeats a stored request: all four must be cache hits.
-dune exec bin/synth.exe -- batch "$jobs" -j 2 --cache-dir "$reg" \
+"$synth" batch "$jobs" -j 2 --cache-dir "$reg" \
   | grep -q "# registry: 4 hits, 0 misses" \
   || { echo "repeated batch was not fully served from the registry" >&2; exit 1; }
-dune exec bin/synth.exe -- registry verify --lint --cache-dir "$reg" > /dev/null \
+"$synth" registry verify --lint --cache-dir "$reg" > /dev/null \
   || { echo "registry verify --lint failed" >&2; exit 1; }
 rm -rf "$reg" "$jobs"
 
@@ -64,10 +68,10 @@ echo "== static analyzer lint gate =="
 # — except sort3_unopt.txt, the deliberately naive compilation that
 # exists to trip the redundant-cmp rule and feed the optimizer smoke.
 clean_examples="$(ls examples/kernels/*.txt | grep -v sort3_unopt)"
-dune exec bin/synth.exe -- lint $clean_examples \
+"$synth" lint $clean_examples \
   || { echo "example kernels are not lint-clean" >&2; exit 1; }
 unopt_lint="${TMPDIR:-/tmp}/sortsynth-unopt-lint.out"
-if dune exec bin/synth.exe -- lint examples/kernels/sort3_unopt.txt \
+if "$synth" lint examples/kernels/sort3_unopt.txt \
     > "$unopt_lint" 2>&1; then
   echo "lint accepted the deliberately redundant kernel" >&2; exit 1
 fi
@@ -77,11 +81,11 @@ rm -f "$unopt_lint"
 # A deliberately padded kernel must trip the gate (exit 1) ...
 padded="${TMPDIR:-/tmp}/sortsynth-padded-smoke.txt"
 { cat examples/kernels/sort3.txt; printf 'mov s1 r1\ncmp r1 r2\n'; } > "$padded"
-if dune exec bin/synth.exe -- lint "$padded" > /dev/null 2>&1; then
+if "$synth" lint "$padded" > /dev/null 2>&1; then
   echo "lint accepted a padded kernel" >&2; exit 1
 fi
 # ... and the proof-carrying DCE must strip the padding and re-certify.
-analysis="$(dune exec bin/synth.exe -- analyze "$padded" --json)"
+analysis="$("$synth" analyze "$padded" --json)"
 echo "$analysis" | grep -q '"removed":2' \
   || { echo "DCE did not remove the 2 padding instructions" >&2; exit 1; }
 echo "$analysis" | grep -q '"certified":true' \
@@ -93,17 +97,16 @@ fi # SMOKE_ONLY guard
 if [ "${SMOKE_ONLY:-all}" = "all" ] || [ "${SMOKE_ONLY:-all}" = "opt" ]; then
 
 echo "== proof-carrying optimizer: certify, equiv, refuse sabotage =="
-dune build bin/synth.exe
 optdir="${TMPDIR:-/tmp}/sortsynth-opt-smoke"
 rm -rf "$optdir"; mkdir -p "$optdir"
 for k in examples/kernels/*.txt; do
   base="$(basename "$k")"
-  dune exec bin/synth.exe -- optimize "$k" -o "$optdir/$base" > /dev/null
+  "$synth" optimize "$k" -o "$optdir/$base" > /dev/null
   # The optimized kernel must be lint-clean ...
-  dune exec bin/synth.exe -- lint "$optdir/$base" > /dev/null \
+  "$synth" lint "$optdir/$base" > /dev/null \
     || { echo "optimized $base is not lint-clean" >&2; exit 1; }
   # ... equivalent to its input on all n! permutations (equiv exit 0) ...
-  dune exec bin/synth.exe -- equiv "$k" "$optdir/$base" > /dev/null \
+  "$synth" equiv "$k" "$optdir/$base" > /dev/null \
     || { echo "optimized $base is not equivalent to its input" >&2; exit 1; }
   # ... and no longer than the input.
   in_len="$(grep -c . "$k")"
@@ -119,16 +122,16 @@ out_len="$(grep -c . "$optdir/sort3_unopt.txt")"
 # A sabotaged pass is refused, never silently applied: under the
 # opt.break_pass fault every proposal fails certification, so no delta
 # is recorded and the kernel survives byte-identical.
-dune exec bin/synth.exe -- optimize examples/kernels/sort2.txt \
+"$synth" optimize examples/kernels/sort2.txt \
     --fault-plan 'seed=1;opt.break_pass=always' --json \
   | grep -q '"deltas":\[\]' \
   || { echo "sabotaged pass was not refused" >&2; exit 1; }
 # Typed equiv exit codes: 0 equivalent, 1 differ with a counterexample.
-dune exec bin/synth.exe -- equiv examples/kernels/sort3.txt \
+"$synth" equiv examples/kernels/sort3.txt \
     "$optdir/sort3_unopt.txt" > /dev/null \
   || { echo "equiv rejected two equivalent sort3 kernels" >&2; exit 1; }
 set +e
-differs="$(dune exec bin/synth.exe -- equiv examples/kernels/sort2.txt \
+differs="$("$synth" equiv examples/kernels/sort2.txt \
     examples/kernels/sort3.txt 2> /dev/null)"
 code=$?
 set -e
@@ -138,7 +141,7 @@ echo "$differs" | grep -q "counterexample input" \
 # An unwritable -o path is a one-line diagnostic and exit 1, not an
 # uncaught exception.
 set +e
-dune exec bin/synth.exe -- optimize examples/kernels/sort2.txt \
+"$synth" optimize examples/kernels/sort2.txt \
     -o "$optdir/missing/dir/out.txt" > /dev/null 2> "$optdir/write.err"
 code=$?
 set -e
@@ -152,7 +155,6 @@ fi # SMOKE_ONLY=opt guard
 if [ "${SMOKE_ONLY:-all}" = "all" ] || [ "${SMOKE_ONLY:-all}" = "chaos" ]; then
 
 echo "== chaos: torn insert, recovery, typed exit codes =="
-dune build bin/synth.exe
 reg="${TMPDIR:-/tmp}/sortsynth-chaos-smoke"
 jobs="${TMPDIR:-/tmp}/sortsynth-chaos-jobs.json"
 rm -rf "$reg"
@@ -160,7 +162,7 @@ printf '[{"n":3}]\n' > "$jobs"
 # A batch whose one store insert crashes at the publishing rename: the
 # job still synthesizes (the search succeeded), but nothing lands in the
 # store except the torn staging directory a real crash would leave.
-dune exec bin/synth.exe -- batch "$jobs" --cache-dir "$reg" \
+"$synth" batch "$jobs" --cache-dir "$reg" \
     --fault-plan 'seed=42;registry.rename=nth:1' \
   | grep -q "0 inserted" \
   || { echo "faulted batch unexpectedly published its entry" >&2; exit 1; }
@@ -170,30 +172,30 @@ find "$reg/store" -maxdepth 2 -name '.tmp-*' | grep -q . \
   || { echo "injected rename crash left no torn staging dir" >&2; exit 1; }
 # The next (un-faulted) batch must recover the torn dir at open, miss,
 # re-synthesize, and publish cleanly.
-dune exec bin/synth.exe -- batch "$jobs" --cache-dir "$reg" \
+"$synth" batch "$jobs" --cache-dir "$reg" \
   | grep -q "# registry: 0 hits, 1 misses, 0 quarantined, 1 inserted, 1 recovered" \
   || { echo "batch after the crash did not recover + reinsert" >&2; exit 1; }
 if find "$reg/store" -maxdepth 2 -name '.tmp-*' | grep -q .; then
   echo "torn staging dir survived recovery" >&2; exit 1
 fi
 # The recovered store is fully servable and certifies end to end.
-dune exec bin/synth.exe -- registry verify --cache-dir "$reg" > /dev/null \
+"$synth" registry verify --cache-dir "$reg" > /dev/null \
   || { echo "registry verify failed after recovery" >&2; exit 1; }
 # Typed exit codes: 2 = deadline, 3 = budget exhausted at the final rung.
 set +e
-dune exec bin/synth.exe -- -n 4 --engine level --timeout 0.05 > /dev/null 2>&1
+"$synth" -n 4 --engine level --timeout 0.05 > /dev/null 2>&1
 code=$?
 set -e
 [ "$code" -eq 2 ] || { echo "timeout exited $code, want 2" >&2; exit 1; }
 set +e
-dune exec bin/synth.exe -- -n 4 --engine level --state-budget 10 > /dev/null 2>&1
+"$synth" -n 4 --engine level --state-budget 10 > /dev/null 2>&1
 code=$?
 set -e
 [ "$code" -eq 3 ] || { echo "exhaustion exited $code, want 3" >&2; exit 1; }
 # A crashed worker domain fails its job, not the batch: the run completes,
 # reports the crash in place, and exits 1 (mixed/other failure class).
 set +e
-crash_out="$(dune exec bin/synth.exe -- batch "$jobs" --no-cache \
+crash_out="$("$synth" batch "$jobs" --no-cache \
     --fault-plan 'seed=7;scheduler.worker_crash=always' 2> /dev/null)"
 code=$?
 set -e
@@ -207,8 +209,6 @@ fi # SMOKE_ONLY=chaos guard
 if [ "${SMOKE_ONLY:-all}" = "all" ] || [ "${SMOKE_ONLY:-all}" = "serve" ]; then
 
 echo "== synthesis daemon: LRU, coalescing, sharded registry =="
-dune build bin/synth.exe
-synth="_build/default/bin/synth.exe"
 servedir="${TMPDIR:-/tmp}/sortsynth-serve-smoke"
 rm -rf "$servedir"; mkdir -p "$servedir"
 sock="$servedir/synthd.sock"
@@ -423,8 +423,6 @@ fi # SMOKE_ONLY=serve guard
 if [ "${SMOKE_ONLY:-all}" = "all" ] || [ "${SMOKE_ONLY:-all}" = "certify" ]; then
 
 echo "== one certifier: symcert analysis, counted exact check =="
-dune build bin/synth.exe
-synth="_build/default/bin/synth.exe"
 certdir="${TMPDIR:-/tmp}/sortsynth-certify-smoke"
 rm -rf "$certdir"; mkdir -p "$certdir"
 counter() { grep -o "\"$2\":[0-9]*" "$1" | head -1 | cut -d: -f2; }
@@ -498,8 +496,6 @@ fi # SMOKE_ONLY=certify guard
 if [ "${SMOKE_ONLY:-all}" = "all" ] || [ "${SMOKE_ONLY:-all}" = "devlint" ]; then
 
 echo "== devlint: tree is clean =="
-dune build bin/synth.exe
-synth="./_build/default/bin/synth.exe"
 # The whole tree must scan clean (unwaived findings exit 1), and the JSON
 # report must agree.
 devout="${TMPDIR:-/tmp}/sortsynth-devlint-smoke.json"
