@@ -1,8 +1,7 @@
 #!/usr/bin/env sh
-# Tier-1 smoke: build everything, run the full test tree, and exercise the
-# search-stats JSON emitter end to end (bench/main.exe checks that the
-# snapshot parses back to what it rendered; a mismatch exits non-zero and
-# fails the smoke).
+# Tier-1 smoke: build everything, run the full test tree (which includes
+# the search-stats JSON round trip in test_search), then drive the CLI end
+# to end.
 #
 # SMOKE_ONLY=chaos runs only the fault-injection / crash-recovery
 # section; SMOKE_ONLY=opt runs only the proof-carrying-optimizer section;
@@ -26,17 +25,6 @@ dune build
 
 echo "== dune build @runtest =="
 dune build @runtest
-
-echo "== bench --stats-json =="
-out="${TMPDIR:-/tmp}/sortsynth-stats-smoke.json"
-dune exec bench/main.exe -- --stats-json "$out"
-# Belt and braces: the emitter already checked the round trip; check the
-# file landed non-empty and looks like a JSON array.
-[ -s "$out" ] || { echo "stats snapshot is empty" >&2; exit 1; }
-case "$(head -c 1 "$out")" in
-  "[") ;;
-  *) echo "stats snapshot does not start with '['" >&2; exit 1 ;;
-esac
 
 echo "== registry cache round trip =="
 reg="${TMPDIR:-/tmp}/sortsynth-registry-smoke"
@@ -530,14 +518,16 @@ echo "== search-throughput regression gate =="
 dune build bench/main.exe
 # Measure a fresh trajectory point into a scratch file (never the committed
 # baseline) and gate it against the last committed BENCH_search.json entry:
-# >20% states/sec regression on any workload fails the smoke. One repeat
-# keeps CI latency sane; the gate's tolerance absorbs runner noise.
+# >20% states/sec regression on any workload, or a `generated` or
+# `optimal_length` fingerprint that differs from its baseline row, fails the
+# smoke. One repeat keeps CI latency sane; the gate's tolerance absorbs
+# runner noise.
 benchout="${TMPDIR:-/tmp}/sortsynth-bench-smoke.json"
 rm -f "$benchout"
 BENCH_REPEATS="${BENCH_REPEATS:-1}" dune exec bench/main.exe -- \
     --bench-search "$benchout" --rev smoke \
     --check BENCH_search.json --tolerance 0.2 \
-  || { echo "search throughput regressed >20% vs BENCH_search.json" >&2; exit 1; }
+  || { echo "search throughput or fingerprint drifted vs BENCH_search.json" >&2; exit 1; }
 grep -q '"schema":"sortsynth-bench-search/v1"' "$benchout" \
   || { echo "bench snapshot is missing its schema tag" >&2; exit 1; }
 rm -f "$benchout"

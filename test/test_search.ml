@@ -131,10 +131,30 @@ let test_stats_sanity () =
 let test_stats_json_well_formed () =
   let cfg = Isa.Config.default 3 in
   let r = Search.run ~opts:{ Search.best with Search.trace_every = Some 50 } cfg in
+  (* Each representative engine run's snapshot must parse back to the
+     value it was rendered from: A* with a timeline, level-sync
+     enumeration, and the parallel engine. *)
+  let runs =
+    [
+      ("astar-best-n3", r);
+      ( "level-sync-all-optimal-n3",
+        Search.run_mode
+          ~opts:
+            { Search.best with Search.engine = Search.Level_sync; max_solutions = 5 }
+          ~mode:Search.All_optimal cfg );
+      ("parallel-best-n3", Search.run_parallel ~opts:Search.best ~domains:2 cfg);
+    ]
+  in
+  List.iter
+    (fun (label, (run : Search.result)) ->
+      let value = Search.Stats.to_json ~label run.Search.stats in
+      let rendered = Json.to_string value in
+      match Json.parse rendered with
+      | Ok v when v = value -> ()
+      | Ok _ -> Alcotest.failf "%s: stats JSON does not round-trip\n%s" label rendered
+      | Error e -> Alcotest.failf "%s: stats JSON malformed: %s\n%s" label e rendered)
+    runs;
   let json = Json.to_string (Search.Stats.to_json ~label:"test n=3" r.Search.stats) in
-  (match Json.parse json with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "stats JSON malformed: %s\n%s" e json);
   let contains needle =
     let nl = String.length needle and jl = String.length json in
     let rec go i = i + nl <= jl && (String.sub json i nl = needle || go (i + 1)) in

@@ -539,6 +539,48 @@ let test_overload_site_sheds () =
   check Alcotest.string "serves once disarmed" "synthesized"
     s2.Serve.Protocol.status
 
+(* Liveness under a real overload, no fault plan: a burst of distinct
+   searches (distinct cut factors, so nothing coalesces) against a
+   1-worker, 1-slot server. Admission does all the work, and every
+   request must resolve to a typed wire status — never a hang, an empty
+   slot or a protocol-level reply. *)
+let test_overload_burst_stays_typed () =
+  let root = fresh_root () in
+  let srv =
+    Serve.Server.create
+      { (default_config root "unused.sock") with workers = 1; max_queue = 1 }
+  in
+  Fun.protect ~finally:(fun () -> Serve.Server.destroy srv) @@ fun () ->
+  let burst = 12 in
+  let statuses = Array.make burst "" in
+  let threads =
+    List.init burst (fun i ->
+        let key =
+          Registry.Key.make
+            ~cut:(Registry.Key.cut_of_factor (1.0 +. (0.01 *. float_of_int i)))
+            3
+        in
+        Thread.create
+          (fun () ->
+            statuses.(i) <-
+              (match Serve.Server.handle srv (synth_req key) with
+              | Serve.Protocol.Served s -> s.Serve.Protocol.status
+              | _ -> "protocol_error"))
+          ())
+  in
+  List.iter Thread.join threads;
+  let typed =
+    [ "cached"; "synthesized"; "miss"; "timed_out"; "exhausted"; "crashed";
+      "failed"; "overloaded"; "circuit_open" ]
+  in
+  Array.iteri
+    (fun i s ->
+      if not (List.mem s typed) then
+        Alcotest.failf "burst request %d resolved to %S, not a typed status" i s)
+    statuses;
+  check Alcotest.bool "the worker served at least one request" true
+    (Array.mem "synthesized" statuses)
+
 (* A request whose propagated deadline has already passed is shed before
    dispatch: status "timed_out" (the client's timeout taxonomy), never a
    worker touched. A warm cache hit still serves — answering from memory
@@ -1188,6 +1230,8 @@ let () =
             test_serve_quarantine_resynthesizes;
           Alcotest.test_case "overload site sheds" `Quick
             test_overload_site_sheds;
+          Alcotest.test_case "overload burst stays typed" `Quick
+            test_overload_burst_stays_typed;
           Alcotest.test_case "deadline expired before dispatch" `Quick
             test_deadline_expired_before_dispatch;
           Alcotest.test_case "stats schema" `Quick test_stats_schema;
