@@ -305,7 +305,7 @@ let fault_plan =
           "Deterministic fault-injection plan (testing only): a plan file, \
            or an inline spec like 'seed=42;registry.rename=nth:1'. Makes \
            the named chokepoints — registry writes, renames, fsyncs, \
-           scheduler worker crashes, search budgets and deadlines — fail \
+           worker deaths, search budgets and deadlines — fail \
            on cue, deterministically in the seed.")
 
 let timeout =
@@ -630,81 +630,109 @@ let print_job i key (s : P.served) =
     (Key.describe key) label note;
   Option.iter print_endline s.P.kernel
 
-(* The thin-client path of [batch --server]: ship the parsed job list to
-   the daemon and return its answers. *)
-let batch_remote socket keys timeout retries backoff budget optimize =
-  (* Propagate an absolute deadline covering every attempt the server may
-     make on our behalf, plus a second of queue/transport slack — so a
-     request that would blow past our patience is shed in the server's
-     queue instead of burning a worker. The batch shares one deadline but
-     the server only fans out [workers + queue] jobs at a time, and we
-     don't know its width — so budget for the worst case, the whole batch
-     running serially. Tail jobs waiting their turn are still wanted;
-     the per-attempt timeout, not the batch deadline, bounds each job. *)
-  let deadline =
-    Option.map
-      (fun t ->
-        let jobs = float_of_int (max 1 (List.length keys)) in
-        Fault.Clock.now () +. (t *. float_of_int (1 + retries) *. jobs) +. 1.0)
-      timeout
+(* The local executor: the daemon without a socket. Constant settings,
+   not flags — no memory layer (every lookup goes to the store), a pool
+   and queue [-j] wide, and a breaker that never trips. It ends with
+   [destroy], never [drain], so no warm set lands in the registry. Under
+   [--no-cache] the registry is a throwaway root, removed afterwards.
+   Returns the answer and the registry counter block. *)
+let batch_local ~root ~workers req =
+  let throwaway = root = None in
+  let root =
+    match root with Some r -> r | None -> Filename.temp_dir "synth-batch" ""
   in
-  let params = { P.timeout; budget; retries; backoff; optimize; deadline } in
-  let who = "synth batch" in
-  match roundtrip who socket (P.Batch (keys, params)) with
-  | P.Jobs served when List.length served = List.length keys -> served
-  | P.Jobs served ->
-      fail ~who exit_unreachable "protocol error: %d jobs sent, %d answers received"
-        (List.length keys) (List.length served)
-  | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
+  let srv =
+    Serve.Server.create
+      {
+        Serve.Server.socket_path = "";
+        root;
+        capacity = 0;
+        workers;
+        max_conns = 1;
+        max_queue = workers;
+        breaker_threshold = max_int;
+        breaker_cooldown = 0.;
+        drain_grace = 0.;
+      }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.destroy srv;
+      if throwaway then Registry.Store.remove_tree root)
+    (fun () ->
+      let resp = Serve.Server.handle srv req in
+      (resp, Json.member "registry" (Serve.Server.snapshot srv)))
 
-let run_batch jobs_file server workers timeout retries backoff budget no_cache
+let run_jobs jobs_file server workers timeout retries backoff budget no_cache
     cache_dir x86 stats_json fault_plan optimize =
   setup_faults fault_plan;
+  let who = "synth batch" in
   let keys =
     match Result.bind (read_file_res jobs_file) Registry.Scheduler.parse_jobs with
     | Ok keys -> keys
     | Error msg -> fail 1 "cannot read jobs: %s" msg
   in
-  (* Both paths end in the wire form: the kernel text is byte-identical —
-     both ends print [Isa.Program.to_string] of the same certified program
-     — only the timing in the '#' lines differs. *)
-  let served, summary, stats =
+  (* Through a socket, propagate an absolute deadline covering every
+     attempt the server may make on our behalf, plus a second of
+     queue/transport slack — so a request that would blow past our
+     patience is shed in the server's queue instead of burning a worker.
+     The batch shares one deadline and we don't know the server's
+     fan-out width, so budget for the worst case, the whole batch running
+     serially; the per-attempt timeout, not the batch deadline, bounds
+     each job. A local batch has no patience but its own: no deadline. *)
+  let deadline =
+    match (server, timeout) with
+    | Some _, Some t ->
+        let attempts = float_of_int ((1 + retries) * List.length keys) in
+        Some (Fault.Clock.now () +. (t *. attempts) +. 1.0)
+    | _ -> None
+  in
+  let req = P.Batch (keys, { P.timeout; budget; retries; backoff; optimize; deadline }) in
+  let resp, registry =
     match server with
-    | Some socket ->
-        let served =
-          batch_remote socket keys timeout retries backoff budget optimize
-        in
-        (served, None, P.response_to_json (P.Jobs served))
+    | Some socket -> (roundtrip who socket req, None)
     | None ->
         let root = if no_cache then None else Some (resolve_root cache_dir) in
-        let b =
-          Registry.Scheduler.run_batch ?root ~workers ?timeout ~retries ~backoff
-            ?budget ~optimize keys
-        in
-        let served_x86 (r : Registry.Scheduler.job_result) =
-          let s = P.served_of_job r in
-          if not x86 then s
-          else
-            let cfg = Key.config r.Registry.Scheduler.key in
-            {
-              s with
-              P.kernel =
-                Option.map (Isa.Program.to_x86 cfg) r.Registry.Scheduler.program;
-            }
-        in
-        let c = b.Registry.Scheduler.counters in
-        ( List.map served_x86 b.Registry.Scheduler.results,
-          Some
-            (Printf.sprintf
-               "# registry: %d hits, %d misses, %d quarantined, %d inserted, \
-                %d recovered\n"
-               c.Registry.Store.hits c.Registry.Store.misses
-               c.Registry.Store.quarantined c.Registry.Store.inserted
-               c.Registry.Store.recovered),
-          Registry.Scheduler.batch_json b )
+        batch_local ~root ~workers req
   in
-  List.iteri (fun i (key, s) -> print_job i key s) (List.combine keys served);
-  Option.iter print_string summary;
+  let served =
+    match resp with
+    | P.Jobs served when List.length served = List.length keys -> served
+    | P.Jobs served ->
+        fail ~who exit_unreachable
+          "protocol error: %d jobs sent, %d answers received" (List.length keys)
+          (List.length served)
+    | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
+  in
+  (* Both executors answer with kernel text; --x86 re-renders it. *)
+  let render key text =
+    if not x86 then text
+    else
+      let cfg = Key.config key in
+      match Isa.Program.of_string cfg text with
+      | Ok p -> Isa.Program.to_x86 cfg p
+      | Error msg -> fail ~who exit_unreachable "protocol error: bad kernel: %s" msg
+  in
+  List.iteri
+    (fun i (key, s) ->
+      print_job i key { s with P.kernel = Option.map (render key) s.P.kernel })
+    (List.combine keys served);
+  Option.iter
+    (fun reg ->
+      let count name =
+        match Json.member name reg with Some (Json.Int n) -> n | _ -> 0
+      in
+      Printf.printf "# registry: %s\n"
+        (String.concat ", "
+           (List.map
+              (fun name -> Printf.sprintf "%d %s" (count name) name)
+              [ "hits"; "misses"; "quarantined"; "inserted"; "recovered" ])))
+    registry;
+  let stats =
+    match (registry, P.response_to_json resp) with
+    | Some reg, Json.Obj fields -> Json.Obj (fields @ [ ("registry", reg) ])
+    | _, j -> j
+  in
   Option.iter (fun path -> write_json path stats) stats_json;
   (* A homogeneous failure class keeps its own exit code, so scripts can
      tell "give it more time" (2) from "give it more memory" (3) from
@@ -712,7 +740,7 @@ let run_batch jobs_file server workers timeout retries backoff budget no_cache
   match List.filter (( <> ) 0) (List.map (fun s -> exit_code s.P.status) served) with
   | [] -> ()
   | codes ->
-      Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
+      Printf.eprintf "%s: %d of %d jobs did not produce a kernel\n" who
         (List.length codes) (List.length served);
       exit (match List.sort_uniq compare codes with [ c ] -> c | _ -> 1)
 
@@ -742,9 +770,11 @@ let batch_term =
              deterministic per-key jitter. 0 disables the sleep.")
   in
   Term.(
-    const run_batch $ jobs_file $ Arg.value server $ jobs $ timeout $ retries
+    const run_jobs $ jobs_file $ Arg.value server $ jobs $ timeout $ retries
     $ backoff $ state_budget
-    $ flag "no-cache" "Synthesize every job; skip the registry."
+    $ flag "no-cache"
+        "Leave the registry alone: run the batch against a throwaway one, \
+         removed afterwards."
     $ cache_dir $ x86 $ stats_json
     $ fault_plan $ optimize)
 

@@ -3,7 +3,6 @@ type site =
   | Registry_write_meta
   | Registry_rename
   | Registry_fsync
-  | Scheduler_worker_crash
   | Scheduler_job_exception
   | Search_alloc_budget
   | Search_deadline
@@ -22,7 +21,6 @@ let all_sites =
     Registry_write_meta;
     Registry_rename;
     Registry_fsync;
-    Scheduler_worker_crash;
     Scheduler_job_exception;
     Search_alloc_budget;
     Search_deadline;
@@ -41,7 +39,6 @@ let site_name = function
   | Registry_write_meta -> "registry.write_meta"
   | Registry_rename -> "registry.rename"
   | Registry_fsync -> "registry.fsync"
-  | Scheduler_worker_crash -> "scheduler.worker_crash"
   | Scheduler_job_exception -> "scheduler.job_exception"
   | Search_alloc_budget -> "search.alloc_budget"
   | Search_deadline -> "search.deadline"
@@ -59,18 +56,17 @@ let site_index = function
   | Registry_write_meta -> 1
   | Registry_rename -> 2
   | Registry_fsync -> 3
-  | Scheduler_worker_crash -> 4
-  | Scheduler_job_exception -> 5
-  | Search_alloc_budget -> 6
-  | Search_deadline -> 7
-  | Opt_break_pass -> 8
-  | Serve_torn_connection -> 9
-  | Serve_slow_client -> 10
-  | Serve_worker_death -> 11
-  | Serve_overload -> 12
-  | Serve_queue_stall -> 13
-  | Serve_snapshot_torn -> 14
-  | Serve_drain_hang -> 15
+  | Scheduler_job_exception -> 4
+  | Search_alloc_budget -> 5
+  | Search_deadline -> 6
+  | Opt_break_pass -> 7
+  | Serve_torn_connection -> 8
+  | Serve_slow_client -> 9
+  | Serve_worker_death -> 10
+  | Serve_overload -> 11
+  | Serve_queue_stall -> 12
+  | Serve_snapshot_torn -> 13
+  | Serve_drain_hang -> 14
 
 let n_sites = List.length all_sites
 

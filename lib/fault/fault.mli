@@ -10,8 +10,8 @@
     runs pay nothing.
 
     Chokepoints decide {e what} failing means locally: the registry leaves
-    a torn temp directory or writes corrupted bytes, the scheduler kills a
-    worker domain, the search raises its typed resource-exhaustion or
+    a torn temp directory or writes corrupted bytes, the serve pool kills
+    a job's worker, the search raises its typed resource-exhaustion or
     timeout exception. This module only answers "does the installed plan
     fire here, now?" ({!fire}) and provides the generic {!Injected} crash
     exception for sites that simulate dying mid-operation.
@@ -35,9 +35,6 @@ type site =
           the publishing rename: the torn temp dir stays on disk. *)
   | Registry_fsync
       (** [registry.fsync] — crash at the fsync barrier, temp dir stays. *)
-  | Scheduler_worker_crash
-      (** [scheduler.worker_crash] — a worker domain dies after claiming a
-          job and before completing it. *)
   | Scheduler_job_exception
       (** [scheduler.job_exception] — a spurious exception mid-job, inside
           the per-attempt funnel (exercises retry + backoff). *)

@@ -1,9 +1,7 @@
 type status =
-  | Cached
   | Synthesized
   | Timed_out
   | Exhausted of { live : int; budget : int option }
-  | Crashed
   | Failed of string
 
 type attempt = { n : int; failure : string; backoff : float }
@@ -19,11 +17,9 @@ type job_result = {
   degraded : bool;
   rung : int;
   attempt_log : attempt list;
-  opt_passes : string list;
   provenance : Store.provenance option;
 }
 
-type batch = { results : job_result list; counters : Store.counters }
 type run_outcome = { result : Search.result; degraded : bool; rung : int }
 
 (* ------------------------------------------------------------------ *)
@@ -124,9 +120,7 @@ let failure_string = function
             "resource exhausted: %d live states (no budget configured; \
              alloc-budget fault site fired)"
             live)
-  | Crashed -> "worker domain crashed"
   | Failed msg -> msg
-  | Cached -> "cached"
   | Synthesized -> "synthesized"
 
 (* Exponential backoff with deterministic jitter: the delay before retry
@@ -185,11 +179,11 @@ let polish ~optimize key (r : Search.result) =
               provenance;
             })
 
-(* One job, run to completion inside a worker domain: up to
-   [1 + retries] attempts, each against its own deadline, with backoff
-   between attempts. Exceptions must not escape (they would kill the
-   domain), so everything funnels into a [status]; each failed attempt
-   is recorded in the [attempt_log]. *)
+(* One job, run to completion on the calling domain (a serve pool
+   worker): up to [1 + retries] attempts, each against its own deadline,
+   with backoff between attempts. Exceptions must not escape, so
+   everything funnels into a [status]; each failed attempt is recorded
+   in the [attempt_log]. *)
 let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
   let start = Fault.Clock.now () in
   let log = ref [] in
@@ -235,183 +229,22 @@ let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
     degraded = (match outcome with Some (_, o) -> o.degraded | None -> false);
     rung = (match outcome with Some (_, o) -> o.rung | None -> 0);
     attempt_log = List.rev !log;
-    opt_passes =
-      (match Option.bind pol (fun p -> p.report) with
-      | Some rep -> pass_names rep
-      | None -> []);
     provenance = Option.bind pol (fun p -> p.provenance);
   }
 
 (* ------------------------------------------------------------------ *)
-(* The batch.                                                          *)
-
-let crashed_placeholder key =
-  {
-    key;
-    status = Crashed;
-    program = None;
-    length = None;
-    attempts = 1;
-    elapsed = 0.;
-    search = None;
-    degraded = false;
-    rung = 0;
-    attempt_log = [ { n = 1; failure = "worker domain crashed"; backoff = 0. } ];
-    opt_passes = [];
-    provenance = None;
-  }
-
-let run_batch ?root ?(workers = 2) ?timeout ?(retries = 1) ?(backoff = 0.05)
-    ?budget ?(optimize = false) keys =
-  let counters = Store.fresh_counters () in
-  (* Crash recovery before the first lookup: roll back torn temp
-     directories and re-quarantine structurally broken entries a crashed
-     predecessor left behind. *)
-  (match root with
-  | Some root -> ignore (Store.recover ~counters ~root ())
-  | None -> ());
-  let keys = Array.of_list keys in
-  let n = Array.length keys in
-  let results = Array.make n None in
-  (* Lookup pass (main domain): serve hits, queue the rest. *)
-  let pending = ref [] in
-  Array.iteri
-    (fun i key ->
-      let serve e =
-        results.(i) <-
-          Some
-            {
-              key;
-              status = Cached;
-              program = Some e.Store.program;
-              length = Some e.Store.length;
-              attempts = 0;
-              elapsed = 0.;
-              search = None;
-              degraded = false;
-              rung = 0;
-              attempt_log = [];
-              opt_passes = [];
-              provenance = None;
-            }
-      in
-      match root with
-      | None ->
-          counters.Store.misses <- counters.Store.misses + 1;
-          pending := i :: !pending
-      | Some root -> (
-          match Store.lookup ~counters ~root key with
-          | Store.Hit e -> serve e
-          | Store.Miss | Store.Quarantined _ -> pending := i :: !pending))
-    keys;
-  let pending = Array.of_list (List.rev !pending) in
-  (* Synthesis pass: workers drain the miss queue. Each [results] slot is
-     written by exactly one worker, so the array needs no lock. A worker
-     that dies — the [scheduler.worker_crash] fault site, or any escaped
-     exception — takes down only the job it had claimed: its slot stays
-     [None] and becomes a [Crashed] placeholder in the merge, while the
-     surviving workers keep draining the queue. *)
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let j = Atomic.fetch_and_add next 1 in
-      if j < Array.length pending then begin
-        let i = pending.(j) in
-        if Fault.fire Fault.Scheduler_worker_crash then
-          raise (Fault.Injected Fault.Scheduler_worker_crash);
-        results.(i) <-
-          Some (run_one ~optimize ~timeout ~retries ~backoff ~budget keys.(i));
-        loop ()
-      end
-    in
-    try loop () with _ -> ()
-  in
-  let nworkers = max 1 (min workers (Array.length pending)) in
-  let handles = List.init (nworkers - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter (fun h -> try Domain.join h with _ -> ()) handles;
-  (* Merge pass (main domain, input order): deterministic store updates.
-     [insert] itself refuses degraded results, so nothing the ladder
-     produced past rung 0 can reach the optimal store. *)
-  let results =
-    Array.to_list
-      (Array.mapi
-         (fun i r ->
-           match r with
-           | None -> crashed_placeholder keys.(i)
-           | Some r ->
-               (match (root, r.status, r.search) with
-               | Some root, Synthesized, Some search ->
-                   ignore
-                     (Store.insert ~counters ~degraded:r.degraded
-                        ?provenance:r.provenance ~root keys.(i) search)
-               | _ -> ());
-               r)
-         results)
-  in
-  { results; counters }
-
-(* ------------------------------------------------------------------ *)
-(* JSON.                                                               *)
+(* Status tags.                                                        *)
 
 let status_string = function
-  | Cached -> "cached"
   | Synthesized -> "synthesized"
   | Timed_out -> "timed_out"
   | Exhausted _ -> "exhausted"
-  | Crashed -> "crashed"
   | Failed _ -> "failed"
 
 (* Outcomes the serve-layer circuit breaker counts as poison evidence:
-   a key that crashes workers or exhausts its state budget will do so
-   again on the next attempt. Timeouts and transient failures do not
-   count — they say more about load than about the key. *)
+   a key that exhausts its state budget will do so again on the next
+   attempt. Timeouts and transient failures do not count — they say
+   more about load than about the key. *)
 let poison_status = function
-  | Crashed | Exhausted _ -> true
-  | Cached | Synthesized | Timed_out | Failed _ -> false
-
-let batch_json batch =
-  let job r =
-    let attempt a =
-      Json.Obj
-        [
-          ("n", Json.Int a.n);
-          ("failure", Json.Str a.failure);
-          ("backoff_s", Json.Float a.backoff);
-        ]
-    in
-    Json.Obj
-      ([
-         ("key", Json.Str (Key.canonical r.key));
-         ("hash", Json.Str (Key.hash r.key));
-         ("status", Json.Str (status_string r.status));
-         ( "length",
-           match r.length with Some l -> Json.Int l | None -> Json.Null );
-         ("attempts", Json.Int r.attempts);
-         ("elapsed_s", Json.Float r.elapsed);
-         ( "expanded",
-           match r.search with
-           | Some s -> Json.Int s.Search.stats.Search.expanded
-           | None -> Json.Null );
-         ("degraded", Json.Bool r.degraded);
-         ("rung", Json.Int r.rung);
-         ("attempt_log", Json.Arr (List.map attempt r.attempt_log));
-       ]
-      @ (match r.opt_passes with
-        | [] -> []
-        | passes ->
-            [
-              ( "opt_passes",
-                Json.Arr (List.map (fun s -> Json.Str s) passes) );
-            ])
-      @
-      match r.status with
-      | (Failed _ | Exhausted _ | Crashed) as s ->
-          [ ("error", Json.Str (failure_string s)) ]
-      | Cached | Synthesized | Timed_out -> [])
-  in
-  Json.Obj
-    [
-      ("jobs", Json.Arr (List.map job batch.results));
-      ("registry", Store.counters_json batch.counters);
-    ]
+  | Exhausted _ -> true
+  | Synthesized | Timed_out | Failed _ -> false

@@ -55,8 +55,8 @@ val counters_json : counters -> Json.t
     [{"hits":…,"misses":…,"quarantined":…,"inserted":…,"lint_errors":…,
     "recovered":…}]: the ["registry"] block of [--stats-json] snapshots
     (via {!Search.Stats.to_json}'s [extra]), of [registry verify
-    --stats-json], of {!Scheduler.batch_json} and of the serve [stats]
-    reply. *)
+    --stats-json], of a local [synth batch --stats-json] and of the
+    serve [stats] reply. *)
 
 type provenance = {
   optimized_from : string;
@@ -91,6 +91,9 @@ type lookup = Hit of entry | Miss | Quarantined of string
 val default_root : unit -> string
 (** [$SORTSYNTH_REGISTRY] if set and non-empty, else [".sortsynth-registry"]
     in the working directory. *)
+
+val remove_tree : string -> unit
+(** [rm -r]: delete a file, or a directory and everything under it. *)
 
 val entry_dir : root:string -> Key.t -> string
 (** The directory the key's entry lives (or would live) in:
@@ -148,8 +151,8 @@ val recover : ?counters:counters -> root:string -> unit -> recovery
     corruption, so it does not count in [requarantined]. Idempotent;
     cheap on a healthy store (one metadata parse per entry, no
     certification). Callers that open a registry for serving — the CLI's
-    [--cache] path, [run_batch], the daemon, the registry maintenance
-    commands — run this first. *)
+    [--cache] path, the serve daemon (and so every batch), the registry
+    maintenance commands — run this first. *)
 
 type scan = {
   hashes : string list;  (** Sharded entry hashes, sorted. *)

@@ -3,8 +3,8 @@
    A key whose synthesis reliably crashes a worker or exhausts its state
    budget would otherwise be retried forever by every client that wants
    it — each retry burning a pool worker for the full timeout. The
-   breaker tracks *consecutive* poison outcomes (Crashed / Exhausted /
-   worker death) per [Key.canonical]:
+   breaker tracks *consecutive* poison outcomes (Exhausted / worker
+   death) per [Key.canonical]:
 
        Closed ── K consecutive failures ──▶ Open
        Open ── cooldown elapses (warped clock) ──▶ Half_open

@@ -1,8 +1,8 @@
-(* Persistent Domain worker pool for the synthesis daemon.
+(* Persistent Domain worker pool for the synthesis daemon (and for a
+   local batch, which is the daemon without a socket).
 
-   Batch mode spawns domains per invocation and joins them at the end;
-   a long-lived service cannot afford that — domain spawn is milliseconds
-   and the pool exists for the life of the process. Workers block on a
+   Domains are spawned once, at create, and live as long as the server:
+   domain spawn is milliseconds, too dear per request. Workers block on a
    condition variable, claim closures off a queue, and never touch the
    store: jobs return values through a per-job cell, and all persistence
    happens on the submitting connection thread.

@@ -4,12 +4,12 @@
     spawned once at startup, while connection threads (cheap, blocking
     I/O) submit closures and sleep until their result is filled in. This
     reuses the scheduler's execution discipline — the closure a server
-    submits is {!Registry.Scheduler.run_one}, so a daemon request walks
-    the identical degradation ladder, backoff schedule, and per-attempt
-    deadline as a batch job — without the per-batch spawn/join cost.
+    submits is {!Registry.Scheduler.run_one}, so every request and batch
+    job walks the same degradation ladder, backoff schedule, and
+    per-attempt deadline.
 
     Workers never touch the store; persistence stays on the submitting
-    thread, exactly like [run_batch]'s main-domain merge pass.
+    thread.
 
     Overload safety is enforced at the two moments a job changes hands:
     submission fails fast against a full queue ({!Queue_full}), and a

@@ -76,8 +76,7 @@ let job_error (r : Registry.Scheduler.job_result) =
         | Some b -> Printf.sprintf "state budget exhausted (%d live, budget %d)" live b
         | None -> Printf.sprintf "state budget exhausted (%d live)" live)
   | Registry.Scheduler.Timed_out -> Some "every attempt hit the deadline"
-  | Registry.Scheduler.Crashed -> Some "worker died mid-request"
-  | Registry.Scheduler.Cached | Registry.Scheduler.Synthesized -> None
+  | Registry.Scheduler.Synthesized -> None
 
 let served_of_job (r : Registry.Scheduler.job_result) : served =
   let open Registry.Scheduler in

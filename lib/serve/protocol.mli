@@ -52,8 +52,9 @@ type request =
 type served = {
   status : string;
       (** ["cached"] for hits, else a {!Registry.Scheduler.status_string}
-          (["synthesized"], ["timed_out"], ...) or ["miss"] for a lookup
-          that found nothing. *)
+          (["synthesized"], ["timed_out"], ...), ["crashed"] when the
+          job's pool worker died, or ["miss"] for a lookup that found
+          nothing. *)
   source : string option;
       (** For hits: ["memory"] (LRU) or ["disk"] (store, re-certified on
           load); ["search"] for synthesized results. *)
@@ -92,8 +93,8 @@ val served_of_job : Registry.Scheduler.job_result -> served
     {!Isa.Program.to_string} text, and for failures an [error] saying
     why (the state budget and live count for ["exhausted"], the
     message for ["failed"], and so on). A ["synthesized"] result has
-    source ["search"]. The daemon answers with this, and the CLI's
-    local batch prints through it. *)
+    source ["search"]. Every synthesized daemon or batch answer is
+    built by this. *)
 
 val request_to_json : request -> Registry.Json.t
 val request_of_json : Registry.Json.t -> (request, string) result

@@ -5,11 +5,11 @@
    reads release the runtime lock, so hundreds can sleep on sockets),
    CPU-bound searches run on the persistent [Pool] of domains, and every
    store access — lookup, insert, recover — is serialized under one
-   mutex on the submitting thread, mirroring run_batch's rule that
-   workers never touch the disk. The LRU has its own lock; lock order is
-   always flights → store → lru, never the reverse (the breaker has its
-   own lock and never takes any other, so it may be called from inside
-   the flights critical section).
+   mutex on the submitting thread, so workers never touch the disk and
+   a worker death cannot tear a store write. The LRU has its own lock;
+   lock order is always flights → store → lru, never the reverse (the
+   breaker has its own lock and never takes any other, so it may be
+   called from inside the flights critical section).
 
    Overload model, in admission order:
 
@@ -414,18 +414,18 @@ let synth_one t key p =
       end
 
 (* Server-side batch fan-out: jobs spread across the worker pool under
-   the same admission/deadline/breaker gates as single requests. Fan-out
-   width is bounded by what the pool could possibly absorb (workers +
-   queue slots), so one huge batch cannot monopolize admission; each job
+   the same admission/deadline/breaker gates as single requests; each job
    keeps its own flight, its own shed decision, its own result slot —
-   per-job isolation, input order preserved. *)
+   per-job isolation, input order preserved. The fan-out is at most
+   [max_queue] threads wide and each thread has at most one job
+   outstanding, so when a thread submits, its siblings hold at most
+   [max_queue - 1] queue slots: a batch alone never sheds its own jobs
+   as overloaded, and one huge batch cannot monopolize admission. *)
 let batch_fanout t keys p =
   let keys = Array.of_list keys in
   let n = Array.length keys in
   let results = Array.make n None in
-  let width =
-    max 1 (min n (t.cfg.workers + max 1 t.cfg.max_queue))
-  in
+  let width = max 1 (min n t.cfg.max_queue) in
   let next = Atomic.make 0 in
   let runner () =
     let rec claim () =

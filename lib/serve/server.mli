@@ -10,11 +10,17 @@
       {!Machine.Exec.certifications}.
     - {b Disk}: the sharded {!Registry.Store}, every access serialized
       on the connection threads under one mutex (workers never touch
-      the disk, exactly like [run_batch]). {!Registry.Store.recover}
-      runs once at open and again after any quarantine event.
+      the disk). {!Registry.Store.recover} runs once at open and again
+      after any quarantine event.
     - {b Search}: a persistent {!Pool} of domains running
-      {!Registry.Scheduler.run_one}, so a daemon miss gets the same
-      degradation ladder, backoff, and deadline plumbing as a batch job.
+      {!Registry.Scheduler.run_one}: the degradation ladder, backoff,
+      and deadline plumbing for every miss.
+
+    It is also the one batch executor: [batch --server] sends a
+    [Batch] request over the socket, and a local [synth batch] builds a
+    server in process (no socket, no memory layer, a breaker that never
+    trips), answers the same request through {!handle}, and calls
+    {!destroy} without {!drain}.
 
     Identical concurrent misses are {e coalesced}: one search runs, the
     other requests park on the leader's flight and share its result

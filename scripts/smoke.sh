@@ -39,7 +39,7 @@ echo "$second" | grep -q "registry hit" \
 echo "$second" | grep -q '"registry":{"hits":1' \
   || { echo "stats snapshot does not report the registry hit" >&2; exit 1; }
 
-echo "== batch scheduler =="
+echo "== batch through the registry =="
 jobs="${TMPDIR:-/tmp}/sortsynth-jobs-smoke.json"
 printf '[{"n":2},{"n":3},{"n":3,"engine":"level"},{"n":3,"engine":"parallel"}]\n' > "$jobs"
 "$synth" batch "$jobs" -j 2 --cache-dir "$reg" > /dev/null
@@ -180,11 +180,11 @@ set +e
 code=$?
 set -e
 [ "$code" -eq 3 ] || { echo "exhaustion exited $code, want 3" >&2; exit 1; }
-# A crashed worker domain fails its job, not the batch: the run completes,
+# A dead pool worker fails its job, not the batch: the run completes,
 # reports the crash in place, and exits 1 (mixed/other failure class).
 set +e
 crash_out="$("$synth" batch "$jobs" --no-cache \
-    --fault-plan 'seed=7;scheduler.worker_crash=always' 2> /dev/null)"
+    --fault-plan 'seed=7;serve.worker_death=always' 2> /dev/null)"
 code=$?
 set -e
 [ "$code" -eq 1 ] || { echo "crashed batch exited $code, want 1" >&2; exit 1; }
@@ -260,15 +260,18 @@ done
 "$synth" client --server "$sock" --op stats > "$servedir/conc.json"
 [ "$(counter "$servedir/conc.json" cache_hits)" -ge 5 ] \
   || { echo "concurrent lookups did not all hit the cache" >&2; exit 1; }
-# batch --server prints byte-identical kernels to a local batch.
+# batch --server prints byte-identical kernels to a local batch, as
+# kernel text and as x86-64.
 jobs="$servedir/jobs.json"
 printf '[{"n":2},{"n":3},{"n":3,"engine":"level"}]\n' > "$jobs"
-"$synth" batch "$jobs" --cache-dir "$servedir/local-reg" \
-  | grep -v '^#' > "$servedir/local.kernels"
-"$synth" batch "$jobs" --server "$sock" \
-  | grep -v '^#' > "$servedir/remote.kernels"
-cmp -s "$servedir/local.kernels" "$servedir/remote.kernels" \
-  || { echo "batch --server kernels differ from the local batch" >&2; exit 1; }
+for fmt in "" --x86; do
+  "$synth" batch "$jobs" --cache-dir "$servedir/local-reg" $fmt \
+    | grep -v '^#' > "$servedir/local.kernels"
+  "$synth" batch "$jobs" --server "$sock" $fmt \
+    | grep -v '^#' > "$servedir/remote.kernels"
+  cmp -s "$servedir/local.kernels" "$servedir/remote.kernels" \
+    || { echo "batch --server $fmt kernels differ from the local batch" >&2; exit 1; }
+done
 # Clean shutdown on request; the daemon writes its final stats snapshot.
 "$synth" client --server "$sock" --op shutdown > /dev/null \
   || { echo "shutdown request failed" >&2; exit 1; }

@@ -24,11 +24,6 @@ let arm spec =
 let key3 = Registry.Key.make 3
 let synth3 () = (Registry.Scheduler.run_key key3).Registry.Scheduler.result
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 (* Replace the first occurrence of [needle] (which must be present). *)
 let replace_first ~needle ~by hay =
   let nl = String.length needle and hl = String.length hay in
@@ -52,12 +47,12 @@ let test_plan_parsing () =
   (* Clauses may be newline-separated, blank, or comments. *)
   (match
      Fault.plan_of_string
-       "# chaos\nseed=3\n\nscheduler.worker_crash=always\nclock.warp=-5.5"
+       "# chaos\nseed=3\n\nserve.worker_death=always\nclock.warp=-5.5"
    with
   | Ok p ->
       check Alcotest.int "seed" 3 p.Fault.seed;
       check (Alcotest.float 1e-9) "warp" (-5.5) p.Fault.warp;
-      assert (p.Fault.rules = [ (Fault.Scheduler_worker_crash, Fault.Always) ])
+      assert (p.Fault.rules = [ (Fault.Serve_worker_death, Fault.Always) ])
   | Error m -> Alcotest.fail m);
   (* Round trip through the canonical form. *)
   (match
@@ -379,7 +374,7 @@ let test_recovery_requarantines_halfwritten () =
     [ "registry.write_kernel"; "registry.write_meta" ]
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler chaos.                                                    *)
+(* Job and batch chaos.                                                *)
 
 let batch_keys () =
   [
@@ -388,80 +383,110 @@ let batch_keys () =
     Registry.Key.make ~heuristic:Search.No_heuristic 3;
   ]
 
+(* A batch as the CLI runs it locally: an in-process server with no
+   memory layer and a breaker that never trips, answering one [Batch]
+   request. Returns the answers and the server's stats snapshot. *)
+let local_batch ?(root = fresh_root ()) keys =
+  let srv =
+    Serve.Server.create
+      {
+        Serve.Server.socket_path = "unused.sock";
+        root;
+        capacity = 0;
+        workers = 2;
+        max_conns = 1;
+        max_queue = 2;
+        breaker_threshold = max_int;
+        breaker_cooldown = 0.;
+        drain_grace = 0.;
+      }
+  in
+  Fun.protect ~finally:(fun () -> Serve.Server.destroy srv) @@ fun () ->
+  match
+    Serve.Server.handle srv
+      (Serve.Protocol.Batch (keys, { Serve.Protocol.default_params with backoff = 0. }))
+  with
+  | Serve.Protocol.Jobs served -> (served, Serve.Server.snapshot srv)
+  | _ -> Alcotest.fail "expected a jobs response"
+
+let registry_counter snapshot name =
+  match
+    Option.bind (Registry.Json.member "registry" snapshot) (Registry.Json.member name)
+  with
+  | Some (Registry.Json.Int n) -> n
+  | _ -> Alcotest.fail ("stats: missing registry counter " ^ name)
+
 let test_worker_crash_isolated () =
   let keys = batch_keys () in
-  arm "seed=1;scheduler.worker_crash=nth:1";
-  let b = Registry.Scheduler.run_batch ~workers:2 ~backoff:0. keys in
+  arm "seed=1;serve.worker_death=nth:1";
+  let served, _ = local_batch keys in
   Fault.disarm ();
-  let results = b.Registry.Scheduler.results in
   check Alcotest.int "every job answered" (List.length keys)
-    (List.length results);
+    (List.length served);
   (* Input order is preserved even across the crash. *)
   List.iter2
-    (fun k r -> assert (Registry.Key.equal k r.Registry.Scheduler.key))
-    keys results;
+    (fun k (s : Serve.Protocol.served) ->
+      check Alcotest.string "input order" (Registry.Key.canonical k)
+        s.Serve.Protocol.canonical)
+    keys served;
   let crashed, rest =
     List.partition
-      (fun r -> r.Registry.Scheduler.status = Registry.Scheduler.Crashed)
-      results
+      (fun (s : Serve.Protocol.served) -> s.Serve.Protocol.status = "crashed")
+      served
   in
   check Alcotest.int "exactly one job crashed" 1 (List.length crashed);
   List.iter
-    (fun r ->
-      assert (r.Registry.Scheduler.status = Registry.Scheduler.Synthesized);
-      assert (r.Registry.Scheduler.program <> None))
+    (fun (s : Serve.Protocol.served) ->
+      check Alcotest.string "survivor synthesized" "synthesized"
+        s.Serve.Protocol.status;
+      assert (s.Serve.Protocol.kernel <> None))
     rest
 
 let test_all_workers_crash_still_returns () =
   let keys = batch_keys () in
-  arm "seed=1;scheduler.worker_crash=always";
-  let b = Registry.Scheduler.run_batch ~workers:2 ~backoff:0. keys in
+  arm "seed=1;serve.worker_death=always";
+  let served, snapshot = local_batch keys in
   Fault.disarm ();
   check Alcotest.int "every job answered" (List.length keys)
-    (List.length b.Registry.Scheduler.results);
+    (List.length served);
   List.iter
-    (fun r ->
-      assert (r.Registry.Scheduler.status = Registry.Scheduler.Crashed);
-      assert (r.Registry.Scheduler.attempt_log <> []))
-    b.Registry.Scheduler.results
+    (fun (s : Serve.Protocol.served) ->
+      check Alcotest.string "crashed" "crashed" s.Serve.Protocol.status;
+      assert (s.Serve.Protocol.error <> None))
+    served;
+  check Alcotest.int "nothing stored" 0 (registry_counter snapshot "inserted")
 
 let test_job_exception_retry_and_backoff () =
   (* One spurious exception: the retry succeeds and the failure is on
      record. *)
   arm "seed=1;scheduler.job_exception=nth:1";
-  let b =
-    Registry.Scheduler.run_batch ~workers:1 ~retries:1 ~backoff:0.001
-      [ Registry.Key.make 2 ]
+  let r =
+    Registry.Scheduler.run_one ~timeout:None ~retries:1 ~backoff:0.001
+      ~budget:None (Registry.Key.make 2)
   in
   Fault.disarm ();
-  (match b.Registry.Scheduler.results with
-  | [ r ] ->
-      assert (r.Registry.Scheduler.status = Registry.Scheduler.Synthesized);
-      check Alcotest.int "two attempts" 2 r.Registry.Scheduler.attempts;
-      (match r.Registry.Scheduler.attempt_log with
-      | [ a ] ->
-          check Alcotest.int "failed attempt number" 1 a.Registry.Scheduler.n;
-          assert (a.Registry.Scheduler.backoff > 0.)
-      | l -> Alcotest.fail (Printf.sprintf "%d log entries" (List.length l)))
-  | _ -> Alcotest.fail "wrong result count");
+  assert (r.Registry.Scheduler.status = Registry.Scheduler.Synthesized);
+  check Alcotest.int "two attempts" 2 r.Registry.Scheduler.attempts;
+  (match r.Registry.Scheduler.attempt_log with
+  | [ a ] ->
+      check Alcotest.int "failed attempt number" 1 a.Registry.Scheduler.n;
+      assert (a.Registry.Scheduler.backoff > 0.)
+  | l -> Alcotest.fail (Printf.sprintf "%d log entries" (List.length l)));
   (* Persistent failure: the backoff schedule is deterministic — two
      identical runs record identical delays. *)
   let schedule () =
     arm "seed=1;scheduler.job_exception=always";
-    let b =
-      Registry.Scheduler.run_batch ~workers:1 ~retries:2 ~backoff:0.001
-        [ Registry.Key.make 2 ]
+    let r =
+      Registry.Scheduler.run_one ~timeout:None ~retries:2 ~backoff:0.001
+        ~budget:None (Registry.Key.make 2)
     in
     Fault.disarm ();
-    match b.Registry.Scheduler.results with
-    | [ r ] ->
-        assert (
-          match r.Registry.Scheduler.status with
-          | Registry.Scheduler.Failed _ -> true
-          | _ -> false);
-        check Alcotest.int "three attempts" 3 r.Registry.Scheduler.attempts;
-        List.map (fun a -> a.Registry.Scheduler.backoff) r.Registry.Scheduler.attempt_log
-    | _ -> Alcotest.fail "wrong result count"
+    assert (
+      match r.Registry.Scheduler.status with
+      | Registry.Scheduler.Failed _ -> true
+      | _ -> false);
+    check Alcotest.int "three attempts" 3 r.Registry.Scheduler.attempts;
+    List.map (fun a -> a.Registry.Scheduler.backoff) r.Registry.Scheduler.attempt_log
   in
   let s1 = schedule () and s2 = schedule () in
   check Alcotest.int "log covers every attempt" 3 (List.length s1);
@@ -477,27 +502,23 @@ let test_job_exception_retry_and_backoff () =
 
 let test_batch_exhausted_status () =
   arm "seed=1;search.alloc_budget=always";
-  let b =
-    Registry.Scheduler.run_batch ~workers:1 ~retries:0 ~backoff:0.
-      [ key3 ]
+  let r =
+    Registry.Scheduler.run_one ~timeout:None ~retries:0 ~backoff:0. ~budget:None
+      key3
   in
   Fault.disarm ();
-  match b.Registry.Scheduler.results with
-  | [ r ] -> (
-      match r.Registry.Scheduler.status with
-      | Registry.Scheduler.Exhausted { live; budget } ->
-          (* The fault site fired with no state_budget configured: the
-             report must say so instead of leaking a sentinel budget. *)
-          assert (live >= 0);
-          check (Alcotest.option Alcotest.int) "no budget configured" None
-            budget;
-          assert (r.Registry.Scheduler.attempt_log <> [])
-      | s ->
-          Alcotest.fail
-            ("expected Exhausted, got " ^ Registry.Scheduler.status_string s))
-  | _ -> Alcotest.fail "wrong result count"
+  match r.Registry.Scheduler.status with
+  | Registry.Scheduler.Exhausted { live; budget } ->
+      (* The fault site fired with no state_budget configured: the
+         report must say so instead of leaking a sentinel budget. *)
+      assert (live >= 0);
+      check (Alcotest.option Alcotest.int) "no budget configured" None budget;
+      assert (r.Registry.Scheduler.attempt_log <> [])
+  | s ->
+      Alcotest.fail
+        ("expected Exhausted, got " ^ Registry.Scheduler.status_string s)
 
-let test_run_batch_recovers_at_open () =
+let test_batch_recovers_at_open () =
   let root = fresh_root () in
   let r = synth3 () in
   arm "seed=1;registry.rename=nth:1";
@@ -505,25 +526,13 @@ let test_run_batch_recovers_at_open () =
   | Ok _ -> Alcotest.fail "insert succeeded through an injected crash"
   | Error _ -> ());
   Fault.disarm ();
-  let b = Registry.Scheduler.run_batch ~root ~workers:1 ~backoff:0. [ key3 ] in
+  let served, snapshot = local_batch ~root [ key3 ] in
   check Alcotest.int "torn dir recovered at open" 1
-    b.Registry.Scheduler.counters.Registry.Store.recovered;
-  (match b.Registry.Scheduler.results with
-  | [ jr ] ->
-      assert (jr.Registry.Scheduler.status = Registry.Scheduler.Synthesized)
+    (registry_counter snapshot "recovered");
+  (match served with
+  | [ s ] -> check Alcotest.string "synthesized" "synthesized" s.Serve.Protocol.status
   | _ -> Alcotest.fail "wrong result count");
-  check Alcotest.int "reinserted" 1
-    b.Registry.Scheduler.counters.Registry.Store.inserted;
-  (* JSON snapshot carries the robustness fields and stays valid. *)
-  let json = Registry.Json.to_string (Registry.Scheduler.batch_json b) in
-  (match Registry.Json.parse json with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail ("batch json invalid: " ^ m));
-  List.iter
-    (fun needle ->
-      if not (contains ~needle json) then
-        Alcotest.fail ("batch json missing " ^ needle))
-    [ "\"degraded\""; "\"rung\""; "\"attempt_log\""; "\"recovered\":1" ]
+  check Alcotest.int "reinserted" 1 (registry_counter snapshot "inserted")
 
 let () =
   Alcotest.run "fault"
@@ -569,7 +578,7 @@ let () =
             (disarmed test_job_exception_retry_and_backoff);
           Alcotest.test_case "batch exhausted status" `Quick
             (disarmed test_batch_exhausted_status);
-          Alcotest.test_case "run_batch recovers at open" `Quick
-            (disarmed test_run_batch_recovers_at_open);
+          Alcotest.test_case "batch recovers at open" `Quick
+            (disarmed test_batch_recovers_at_open);
         ] );
     ]

@@ -354,7 +354,7 @@ let test_store_verify_gc () =
   check Alcotest.int "quarantine emptied" 0 (Registry.Store.quarantine_count ~root)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler.                                                          *)
+(* Scheduler and batch.                                                *)
 
 let mixed_jobs () =
   [
@@ -368,72 +368,95 @@ let mixed_jobs () =
     Registry.Key.make ~engine:Registry.Key.Parallel 2;
   ]
 
+(* A batch as the CLI runs it locally: an in-process server with no
+   memory layer and a breaker that never trips, answering one [Batch]
+   request. Returns the answers and the server's [registry] counters. *)
+let local_batch ~root ~workers keys =
+  let srv =
+    Serve.Server.create
+      {
+        Serve.Server.socket_path = "unused.sock";
+        root;
+        capacity = 0;
+        workers;
+        max_conns = 1;
+        max_queue = workers;
+        breaker_threshold = max_int;
+        breaker_cooldown = 0.;
+        drain_grace = 0.;
+      }
+  in
+  Fun.protect ~finally:(fun () -> Serve.Server.destroy srv) @@ fun () ->
+  match
+    Serve.Server.handle srv
+      (Serve.Protocol.Batch (keys, Serve.Protocol.default_params))
+  with
+  | Serve.Protocol.Jobs served ->
+      let registry =
+        Option.get (Registry.Json.member "registry" (Serve.Server.snapshot srv))
+      in
+      let count name =
+        match Registry.Json.member name registry with
+        | Some (Registry.Json.Int n) -> n
+        | _ -> Alcotest.fail ("missing registry counter " ^ name)
+      in
+      (served, count)
+  | _ -> Alcotest.fail "expected a jobs response"
+
 let test_batch_matches_sequential () =
   let jobs = mixed_jobs () in
   let root = fresh_root () in
-  let b = Registry.Scheduler.run_batch ~root ~workers:2 jobs in
-  check Alcotest.int "all jobs answered" (List.length jobs)
-    (List.length b.Registry.Scheduler.results);
+  let served, count = local_batch ~root ~workers:2 jobs in
+  check Alcotest.int "all jobs answered" (List.length jobs) (List.length served);
   List.iter2
-    (fun key r ->
+    (fun key (s : Serve.Protocol.served) ->
       let cfg = Registry.Key.config key in
-      assert (r.Registry.Scheduler.status = Registry.Scheduler.Synthesized);
+      check Alcotest.string "synthesized" "synthesized" s.Serve.Protocol.status;
       let sequential =
         List.hd
           (Registry.Scheduler.run_key key).Registry.Scheduler.result
             .Search.programs
       in
-      match r.Registry.Scheduler.program with
-      | Some p -> check (program_testable cfg) "parallel = sequential" sequential p
-      | None -> Alcotest.fail "batch job lost its program")
-    jobs b.Registry.Scheduler.results;
-  check Alcotest.int "all were misses" (List.length jobs)
-    b.Registry.Scheduler.counters.Registry.Store.misses;
-  check Alcotest.int "all inserted" (List.length jobs)
-    b.Registry.Scheduler.counters.Registry.Store.inserted;
+      check (Alcotest.option Alcotest.string) "batch = sequential"
+        (Some (Isa.Program.to_string cfg sequential))
+        s.Serve.Protocol.kernel)
+    jobs served;
+  check Alcotest.int "all were misses" (List.length jobs) (count "misses");
+  check Alcotest.int "all inserted" (List.length jobs) (count "inserted");
   (* Second run over the same registry: everything served from the store,
      with the same kernels. *)
-  let b2 = Registry.Scheduler.run_batch ~root ~workers:3 jobs in
+  let served2, count2 = local_batch ~root ~workers:3 jobs in
   List.iter2
-    (fun r1 r2 ->
-      assert (r2.Registry.Scheduler.status = Registry.Scheduler.Cached);
-      assert (
-        r1.Registry.Scheduler.program = r2.Registry.Scheduler.program))
-    b.Registry.Scheduler.results b2.Registry.Scheduler.results;
-  check Alcotest.int "all hits" (List.length jobs)
-    b2.Registry.Scheduler.counters.Registry.Store.hits;
-  match
-    Registry.Json.parse
-      (Registry.Json.to_string (Registry.Scheduler.batch_json b2))
-  with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail ("batch JSON invalid: " ^ m)
+    (fun (s1 : Serve.Protocol.served) (s2 : Serve.Protocol.served) ->
+      check Alcotest.string "cached" "cached" s2.Serve.Protocol.status;
+      check (Alcotest.option Alcotest.string) "from disk" (Some "disk")
+        s2.Serve.Protocol.source;
+      check (Alcotest.option Alcotest.string) "same kernel"
+        s1.Serve.Protocol.kernel s2.Serve.Protocol.kernel)
+    served served2;
+  check Alcotest.int "all hits" (List.length jobs) (count2 "hits")
 
 let test_batch_timeout_and_failure () =
   (* An n=4 certified-minimal search cannot finish in 2 ms: every attempt
      must hit the deadline, and the bounded retry must stop at 1 + retries
      attempts. *)
   let slow = Registry.Key.make ~engine:Registry.Key.Level 4 in
-  let b = Registry.Scheduler.run_batch ~workers:1 ~timeout:0.002 ~retries:2 [ slow ] in
-  (match b.Registry.Scheduler.results with
-  | [ r ] ->
-      assert (r.Registry.Scheduler.status = Registry.Scheduler.Timed_out);
-      check Alcotest.int "attempts" 3 r.Registry.Scheduler.attempts;
-      assert (r.Registry.Scheduler.program = None)
-  | _ -> Alcotest.fail "expected one result");
+  let r =
+    Registry.Scheduler.run_one ~timeout:(Some 0.002) ~retries:2 ~backoff:0.05
+      ~budget:None slow
+  in
+  assert (r.Registry.Scheduler.status = Registry.Scheduler.Timed_out);
+  check Alcotest.int "attempts" 3 r.Registry.Scheduler.attempts;
+  assert (r.Registry.Scheduler.program = None);
   (* n=2 with no scratch register has no kernel in this ISA: a clean
      failure, not a crash, and nothing gets stored. *)
   let root = fresh_root () in
   let impossible = Registry.Key.make ~m:0 2 in
-  let b = Registry.Scheduler.run_batch ~root ~workers:2 [ impossible ] in
-  (match b.Registry.Scheduler.results with
-  | [ r ] -> (
-      match r.Registry.Scheduler.status with
-      | Registry.Scheduler.Failed _ -> ()
-      | _ -> Alcotest.fail "expected failure")
+  let served, count = local_batch ~root ~workers:2 [ impossible ] in
+  (match served with
+  | [ s ] -> check Alcotest.string "failed" "failed" s.Serve.Protocol.status
   | _ -> Alcotest.fail "expected one result");
-  check Alcotest.int "nothing stored" 0
-    b.Registry.Scheduler.counters.Registry.Store.inserted
+  check Alcotest.int "nothing stored" 0 (count "inserted")
 
 let test_parse_jobs () =
   (match

@@ -974,6 +974,41 @@ let test_batch_fanout_isolates_worker_death () =
         (Option.value ~default:"?" s2.Serve.Protocol.source)
   | _ -> Alcotest.fail "expected two jobs back"
 
+(* A batch alone never sheds its own jobs: the fan-out is at most
+   [max_queue] threads wide with one job outstanding each, so a thread
+   whose job just finished always finds a free queue slot — even when it
+   resubmits before the single worker has claimed a sibling's job. Many
+   short n=2 jobs make that race frequent: a fan-out of workers + queue
+   slots lost it within a few dozen jobs, and a thread that met a full
+   queue then shed the rest of the batch. *)
+let test_batch_fanout_never_sheds_itself () =
+  let root = fresh_root () in
+  let srv =
+    Serve.Server.create
+      { (default_config root "unused.sock") with workers = 1; max_queue = 2 }
+  in
+  Fun.protect ~finally:(fun () -> Serve.Server.destroy srv) @@ fun () ->
+  (* Distinct cut factors: distinct searches, nothing coalesces. *)
+  let keys =
+    List.init 48 (fun i ->
+        Registry.Key.make
+          ~cut:(Registry.Key.cut_of_factor (1.0 +. (0.01 *. float_of_int i)))
+          2)
+  in
+  match
+    Serve.Server.handle srv
+      (Serve.Protocol.Batch (keys, Serve.Protocol.default_params))
+  with
+  | Serve.Protocol.Jobs served ->
+      List.iter
+        (fun (s : Serve.Protocol.served) ->
+          check Alcotest.string s.Serve.Protocol.canonical "synthesized"
+            s.Serve.Protocol.status)
+        served;
+      check Alcotest.int "no queue-full shed" 0
+        (serve_nested (Serve.Server.snapshot srv) [ "serve"; "shed"; "queue_full" ])
+  | _ -> Alcotest.fail "expected a jobs response"
+
 (* ------------------------------------------------------------------ *)
 (* Socket layer: torn connection chaos.                                *)
 
@@ -1238,6 +1273,8 @@ let () =
           Alcotest.test_case "stats registry block is counters_json" `Quick
             test_stats_registry_schema;
           Alcotest.test_case "batch fan-out" `Slow test_batch_fanout;
+          Alcotest.test_case "batch fan-out never sheds itself" `Quick
+            test_batch_fanout_never_sheds_itself;
           Alcotest.test_case "batch fan-out isolates worker death" `Quick
             test_batch_fanout_isolates_worker_death;
         ] );
