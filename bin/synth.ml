@@ -204,19 +204,28 @@ let zero_stats =
 (* ------------------------------------------------------------------ *)
 (* Shared flags.                                                       *)
 
-(* An int flag bounded to [lo..hi]: a value out of range is a usage
+(* A flag whose values must satisfy [ok]: any other value is a usage
    error (exit 124), like a value that is not a number. *)
-let bounded lo hi =
+let restricted conv ~expected ok =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok v when v < lo || v > hi ->
-        Error
-          (`Msg
-            (Printf.sprintf "invalid value '%s', expected an integer in %d..%d"
-               s lo hi))
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
     | r -> r
   in
-  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let bounded lo hi =
+  restricted Arg.int
+    ~expected:(Printf.sprintf "an integer in %d..%d" lo hi)
+    (fun v -> lo <= v && v <= hi)
+
+(* Seconds: --timeout, --deadline, --backoff, --breaker-cooldown and
+   --drain-grace. NaN would mean "no deadline" locally but an expired
+   one on the wire, so it is refused with the infinities. *)
+let duration =
+  restricted Arg.float ~expected:"a finite number of seconds >= 0" (fun v ->
+      Float.is_finite v && v >= 0.)
 
 let n =
   Arg.(
@@ -241,9 +250,12 @@ let engine =
 
 let cut =
   Arg.(
-    value & opt float 1.0
+    value
+    & opt (restricted Arg.float ~expected:"a finite number" Float.is_finite) 1.0
     & info [ "cut"; "k" ] ~docv:"K"
-        ~doc:"Perm-count cut factor (Section 3.5); 0 disables the cut.")
+        ~doc:
+          "Perm-count cut factor (Section 3.5), a finite number; 0 or less \
+           disables the cut.")
 
 let heuristic =
   Arg.(
@@ -311,11 +323,11 @@ let fault_plan =
 let timeout =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some duration) None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:
-          "Per-attempt search deadline on the monotonic clock; exit code 2 \
-           when it passes.")
+          "Per-attempt search deadline on the monotonic clock, a finite \
+           number >= 0; exit code 2 when it passes.")
 
 let state_budget =
   Arg.(
@@ -762,7 +774,7 @@ let batch_term =
   in
   let backoff =
     Arg.(
-      value & opt float 0.05
+      value & opt duration 0.05
       & info [ "backoff" ] ~docv:"SECONDS"
           ~doc:
             "Base of the exponential retry backoff: attempt k sleeps \
@@ -1551,7 +1563,7 @@ let serve_term =
   in
   let breaker_cooldown =
     Arg.(
-      value & opt float 5.0
+      value & opt duration 5.0
       & info [ "breaker-cooldown" ] ~docv:"SECONDS"
           ~doc:
             "Seconds a tripped breaker stays open before half-opening to \
@@ -1559,7 +1571,7 @@ let serve_term =
   in
   let drain_grace =
     Arg.(
-      value & opt float 5.0
+      value & opt duration 5.0
       & info [ "drain-grace" ] ~docv:"SECONDS"
           ~doc:
             "Graceful-drain deadline: on SIGTERM/SIGINT the daemon stops \
@@ -1635,7 +1647,7 @@ let client_term =
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some duration) None
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
             "Total patience for this request, propagated to the server as \

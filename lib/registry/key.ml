@@ -46,7 +46,7 @@ let cut_of_string s =
   if s = "none" then Ok Search.No_cut
   else if String.starts_with ~prefix:"mult:" s then
     match float_of_string_opt (num "mult:") with
-    | Some k when k > 0. -> Ok (Search.Mult k)
+    | Some k when Float.is_finite k && k > 0. -> Ok (Search.Mult k)
     | _ -> Error (Printf.sprintf "bad cut factor in %S" s)
   else if String.starts_with ~prefix:"add:" s then
     match int_of_string_opt (num "add:") with
@@ -60,6 +60,10 @@ let make ?(m = 1) ?(isa = "cmov") ?(engine = Astar) ?(heuristic = Search.Perm_co
     ?(cut = Search.Mult 1.0) ?max_len n =
   if isa <> "cmov" then
     invalid_arg (Printf.sprintf "Key.make: unknown ISA %S" isa);
+  (match cut with
+  | Search.Mult k when not (Float.is_finite k && k > 0.) ->
+      invalid_arg (Printf.sprintf "Key.make: cut factor %g is not a finite number > 0" k)
+  | _ -> ());
   (* Validate the register file up front so a key can always be executed. *)
   ignore (Isa.Config.make ~n ~m);
   { n; m; isa; engine; heuristic; cut; max_len }
@@ -140,7 +144,9 @@ let of_json j =
                canonical string form. *)
             match v with
             | Json.Int _ | Json.Float _ ->
-                Result.map cut_of_factor (Json.to_float v)
+                let* k = Json.to_float v in
+                if Float.is_finite k then Ok (cut_of_factor k)
+                else Error "cut: factor must be finite"
             | _ -> Result.bind (Json.to_str v) cut_of_string)
           (Search.Mult 1.0)
       in

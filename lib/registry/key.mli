@@ -40,7 +40,8 @@ val make :
 (** [make n] with the defaults of the paper's best configuration
     ({!Search.best}): [m = 1], ["cmov"], [Astar], [Perm_count],
     [Mult 1.0], no bound. Raises [Invalid_argument] on out-of-range
-    [n]/[m] (via {!Isa.Config.make}) or an unknown ISA string. *)
+    [n]/[m] (via {!Isa.Config.make}), an unknown ISA string, or a
+    [Mult] factor that is not a finite number [> 0]. *)
 
 val equal : t -> t -> bool
 
@@ -72,7 +73,8 @@ val heuristic_of_string : string -> (Search.heuristic, string) result
 val cut_to_string : Search.cut -> string
 val cut_of_string : string -> (Search.cut, string) result
 val cut_of_factor : float -> Search.cut
-(** The CLI's [--cut K] convention: [K <= 0] disables the cut. *)
+(** The CLI's [--cut K] convention: [K <= 0] disables the cut. {!make}
+    refuses the [Mult] of a NaN or infinite [K]. *)
 
 (** {2 JSON (metadata records and batch jobs)} *)
 

@@ -177,8 +177,6 @@ let drain t =
   Mutex.unlock t.mutex;
   List.iter (fun j -> j.abort Drained) backlog
 
-let draining t = Atomic.get t.draining
-
 let shutdown t =
   Mutex.lock t.mutex;
   if not t.stop then begin

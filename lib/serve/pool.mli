@@ -72,7 +72,5 @@ val drain : t -> unit
     on the calling thread — no worker involvement) and refuse new
     submissions; running jobs finish normally. *)
 
-val draining : t -> bool
-
 val shutdown : t -> unit
 (** Stop accepting jobs, drain the queue, join every worker. Idempotent. *)

@@ -65,36 +65,6 @@ type response =
          (or draining) and refuses the whole connection — typed, never a
          silent close. Carries the retry_after hint in seconds. *)
 
-(* ---------- served records from scheduler results ---------- *)
-
-let job_error (r : Registry.Scheduler.job_result) =
-  match r.Registry.Scheduler.status with
-  | Registry.Scheduler.Failed msg -> Some msg
-  | Registry.Scheduler.Exhausted { live; budget } ->
-      Some
-        (match budget with
-        | Some b -> Printf.sprintf "state budget exhausted (%d live, budget %d)" live b
-        | None -> Printf.sprintf "state budget exhausted (%d live)" live)
-  | Registry.Scheduler.Timed_out -> Some "every attempt hit the deadline"
-  | Registry.Scheduler.Synthesized -> None
-
-let served_of_job (r : Registry.Scheduler.job_result) : served =
-  let open Registry.Scheduler in
-  {
-    status = status_string r.status;
-    source = (match r.status with Synthesized -> Some "search" | _ -> None);
-    canonical = Key.canonical r.key;
-    kernel = Option.map (Isa.Program.to_string (Key.config r.key)) r.program;
-    length = r.length;
-    degraded = r.degraded;
-    rung = r.rung;
-    attempts = r.attempts;
-    elapsed = r.elapsed;
-    coalesced = false;
-    error = job_error r;
-    retry_after = None;
-  }
-
 (* ---------- requests ---------- *)
 
 let params_fields p =
@@ -124,6 +94,16 @@ let request_to_json = function
 
 let ( let* ) = Result.bind
 
+(* [f] over a JSON array's elements; the first error wins. *)
+let map_all f xs =
+  Result.map List.rev
+    (List.fold_left
+       (fun acc x ->
+         let* acc = acc in
+         let* y = f x in
+         Ok (y :: acc))
+       (Ok []) xs)
+
 let params_of_json j =
   let field name conv default =
     match Json.member name j with
@@ -144,8 +124,12 @@ let params_of_json j =
   let* deadline =
     field "deadline" (fun v -> Result.map Option.some (Json.to_float v)) None
   in
+  let absent_or ok = Option.fold ~none:true ~some:ok in
   if retries < 0 then Error "retries: must be >= 0"
   else if backoff < 0. then Error "backoff: must be >= 0"
+  else if not (absent_or (fun s -> Float.is_finite s && s >= 0.) timeout) then
+    Error "timeout: must be a finite number >= 0"
+  else if not (absent_or Float.is_finite deadline) then Error "deadline: must be finite"
   else Ok { timeout; budget; retries; backoff; optimize; deadline }
 
 let request_of_json j =
@@ -167,17 +151,9 @@ let request_of_json j =
           match Json.member "jobs" j with
           | None -> Error "batch: missing \"jobs\""
           | Some jobs ->
-              let* jobs = Json.to_list jobs in
-              let* keys =
-                List.fold_left
-                  (fun acc kj ->
-                    let* acc = acc in
-                    let* key = Key.of_json kj in
-                    Ok (key :: acc))
-                  (Ok []) jobs
-              in
+              let* keys = Result.bind (Json.to_list jobs) (map_all Key.of_json) in
               let* p = params_of_json j in
-              Ok (Batch (List.rev keys, p)))
+              Ok (Batch (keys, p)))
       | "stats" -> Ok Stats
       | "shutdown" -> Ok Shutdown
       | other -> Error (Printf.sprintf "request: unknown op %S" other))
@@ -231,6 +207,12 @@ let response_to_json = function
           ("retry_after_s", Json.Float retry_after);
         ]
 
+(* A numeric member, or [default] when absent or not a number. *)
+let num j name default =
+  match Json.member name j with
+  | Some v -> ( match Json.to_float v with Ok f -> f | Error _ -> default)
+  | None -> default
+
 let served_of_json j =
   let str name =
     match Json.member name j with
@@ -245,11 +227,6 @@ let served_of_json j =
   in
   let bool name =
     match Json.member name j with Some (Json.Bool b) -> b | _ -> false
-  in
-  let num name default =
-    match Json.member name j with
-    | Some v -> ( match Json.to_float v with Ok f -> f | Error _ -> default)
-    | None -> default
   in
   let onum name =
     match Json.member name j with
@@ -268,7 +245,7 @@ let served_of_json j =
       degraded = bool "degraded";
       rung = (match oint "rung" with Some r -> r | None -> 0);
       attempts = (match oint "attempts" with Some a -> a | None -> 0);
-      elapsed = num "elapsed_s" 0.;
+      elapsed = num j "elapsed_s" 0.;
       coalesced = bool "coalesced";
       error = ostr "error";
       retry_after = onum "retry_after_s";
@@ -278,13 +255,7 @@ let response_of_json j =
   match Json.member "ok" j with
   | Some (Json.Bool false) -> (
       match Json.member "type" j with
-      | Some (Json.Str "overloaded") ->
-          let retry_after =
-            match Json.member "retry_after_s" j with
-            | Some v -> ( match Json.to_float v with Ok f -> f | Error _ -> 0.1)
-            | None -> 0.1
-          in
-          Ok (Overloaded retry_after)
+      | Some (Json.Str "overloaded") -> Ok (Overloaded (num j "retry_after_s" 0.1))
       | _ -> (
           match Json.member "error" j with
           | Some (Json.Str msg) -> Ok (Refused msg)
@@ -295,15 +266,7 @@ let response_of_json j =
       | Some (Json.Str "jobs") -> (
           match Json.member "jobs" j with
           | Some (Json.Arr jobs) ->
-              let* served =
-                List.fold_left
-                  (fun acc sj ->
-                    let* acc = acc in
-                    let* s = served_of_json sj in
-                    Ok (s :: acc))
-                  (Ok []) jobs
-              in
-              Ok (Jobs (List.rev served))
+              Result.map (fun served -> Jobs served) (map_all served_of_json jobs)
           | _ -> Error "jobs response: missing \"jobs\" array")
       | Some (Json.Str "stats") -> (
           match Json.member "stats" j with

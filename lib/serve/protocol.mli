@@ -26,13 +26,13 @@
     [ok:false] response and the connection stays usable. *)
 
 type synth_params = {
-  timeout : float option;  (** Per-attempt deadline, seconds. *)
+  timeout : float option;  (** Per-attempt deadline, seconds (finite, [>= 0]). *)
   budget : int option;  (** Live-state budget handed to the search. *)
   retries : int;
   backoff : float;
   optimize : bool;  (** Run the certified optimizer pipeline on misses. *)
   deadline : float option;
-      (** Absolute instant (on the warped {!Fault.Clock}) after which
+      (** Finite absolute instant (on the warped {!Fault.Clock}) after which
           the client no longer wants the answer. The server sheds the
           request — before dispatch or at queue claim — once this
           passes, and caps the search timeout at whatever remains. *)
@@ -88,20 +88,10 @@ type response =
           and refuses the whole connection — typed, never a silent
           close. Carries the retry_after hint in seconds. *)
 
-val served_of_job : Registry.Scheduler.job_result -> served
-(** The wire form of a scheduler result: the status tag, the kernel as
-    {!Isa.Program.to_string} text, and for failures an [error] saying
-    why (the state budget and live count for ["exhausted"], the
-    message for ["failed"], and so on). A ["synthesized"] result has
-    source ["search"]. Every synthesized daemon or batch answer is
-    built by this. *)
-
 val request_to_json : request -> Registry.Json.t
-val request_of_json : Registry.Json.t -> (request, string) result
 val parse_request : string -> (request, string) result
 
 val response_to_json : response -> Registry.Json.t
-val response_of_json : Registry.Json.t -> (response, string) result
 val parse_response : string -> (response, string) result
 
 val request_line : request -> string

@@ -49,6 +49,12 @@ type flight = {
   mutable outcome : Protocol.served option;
 }
 
+(* The [serve.shed] counters, in snapshot order. *)
+let shed_counters =
+  [| "queue_full"; "deadline_expired"; "circuit_open"; "conn_budget"; "draining" |]
+
+let conn_budget_slot = 3
+
 type t = {
   cfg : config;
   lru : Lru.t;
@@ -66,11 +72,7 @@ type t = {
   torn_connections : int Atomic.t;
   connections : int Atomic.t;
   active_conns : int Atomic.t;
-  shed_queue_full : int Atomic.t;
-  shed_deadline : int Atomic.t;
-  shed_circuit : int Atomic.t;
-  shed_conn_budget : int Atomic.t;
-  shed_draining : int Atomic.t;
+  sheds : int Atomic.t array;  (* indexed like [shed_counters] *)
   snapshot_restored : int Atomic.t;
   snapshot_written : int Atomic.t;
   stop : bool Atomic.t;
@@ -88,6 +90,21 @@ let recover_locked t =
   ignore (Store.recover ~counters:t.store_counters ~root:t.cfg.root ());
   Atomic.incr t.recover_runs
 
+(* The one disk probe. A hit is admitted to the LRU — the load just
+   re-certified it, so admission is the certificate; a quarantine moved
+   the broken entry aside, so evict the key and sweep for siblings. *)
+let probe_disk t key =
+  let canonical = Key.canonical key in
+  locked t.store_mutex (fun () ->
+      let found = Store.lookup ~counters:t.store_counters ~root:t.cfg.root key in
+      (match found with
+      | Store.Hit e -> Lru.add t.lru canonical e
+      | Store.Quarantined _ ->
+          Lru.remove t.lru canonical;
+          recover_locked t
+      | Store.Miss -> ());
+      found)
+
 (* Warm restart: re-admit the snapshot's keys through the ordinary
    certified lookup path. The snapshot carries zero trust — a tampered
    or torn file can at worst name keys that miss or get quarantined. *)
@@ -100,12 +117,8 @@ let restore_warmset t =
          the round trip. *)
       List.iter
         (fun key ->
-          match
-            Store.lookup ~counters:t.store_counters ~root:t.cfg.root key
-          with
-          | Store.Hit e ->
-              Lru.add t.lru (Key.canonical key) e;
-              Atomic.incr t.snapshot_restored
+          match probe_disk t key with
+          | Store.Hit _ -> Atomic.incr t.snapshot_restored
           | Store.Miss | Store.Quarantined _ -> ())
         (List.rev keys)
 
@@ -132,11 +145,7 @@ let create cfg =
       torn_connections = Atomic.make 0;
       connections = Atomic.make 0;
       active_conns = Atomic.make 0;
-      shed_queue_full = Atomic.make 0;
-      shed_deadline = Atomic.make 0;
-      shed_circuit = Atomic.make 0;
-      shed_conn_budget = Atomic.make 0;
-      shed_draining = Atomic.make 0;
+      sheds = Array.map (fun _ -> Atomic.make 0) shed_counters;
       snapshot_restored = Atomic.make 0;
       snapshot_written = Atomic.make 0;
       stop = Atomic.make false;
@@ -147,131 +156,138 @@ let create cfg =
   in
   (* Crash recovery once at open, before the first request can load a
      torn entry; then the warm restart, through the same certified path. *)
-  locked t.store_mutex (fun () ->
-      recover_locked t;
-      restore_warmset t);
+  locked t.store_mutex (fun () -> recover_locked t);
+  restore_warmset t;
   t
 
 let destroy t = Pool.shutdown t.pool
-let stopped t = Atomic.get t.stop
 let draining t = Atomic.get t.draining
 
-(* ---------- building served records ---------- *)
+(* ---------- replies ---------- *)
 
-let served_of_entry ~source ~elapsed key (e : Store.entry) =
+(* The one builder of served records: hits, misses, sheds, crashes and
+   search results differ only in the fields they pass. *)
+let reply ?source ?program ?length ?(degraded = false) ?(rung = 0)
+    ?(attempts = 0) ?error ?retry_after ~elapsed status key =
   {
-    Protocol.status = "cached";
-    source = Some source;
+    Protocol.status;
+    source;
     canonical = Key.canonical key;
-    kernel = Some (Isa.Program.to_string (Key.config e.Store.key) e.Store.program);
-    length = Some e.Store.length;
-    degraded = false;
-    rung = 0;
-    attempts = 0;
-    elapsed;
-    coalesced = false;
-    error = None;
-    retry_after = None;
-  }
-
-let miss ~elapsed ?error key =
-  {
-    Protocol.status = "miss";
-    source = None;
-    canonical = Key.canonical key;
-    kernel = None;
-    length = None;
-    degraded = false;
-    rung = 0;
-    attempts = 0;
+    kernel = Option.map (Isa.Program.to_string (Key.config key)) program;
+    length;
+    degraded;
+    rung;
+    attempts;
     elapsed;
     coalesced = false;
     error;
-    retry_after = None;
+    retry_after;
   }
 
-(* Typed load-shedding responses. Each names its reason and hints how
-   long to back off; none of them ever reaches a worker. *)
-let shed ~status ~elapsed ~retry_after ~error key =
-  {
-    (miss ~elapsed ~error key) with
-    Protocol.status;
-    retry_after = Some retry_after;
-  }
+let hit ~source ~start key (e : Store.entry) =
+  reply ~source ~program:e.Store.program ~length:e.Store.length
+    ~elapsed:(Fault.Clock.now () -. start) "cached" key
 
-let overloaded ~elapsed ~retry_after ~error key =
-  shed ~status:"overloaded" ~elapsed ~retry_after ~error key
+let job_error (r : Scheduler.job_result) =
+  match r.Scheduler.status with
+  | Scheduler.Failed msg -> Some msg
+  | Scheduler.Exhausted { live; budget = Some b } ->
+      Some (Printf.sprintf "state budget exhausted (%d live, budget %d)" live b)
+  | Scheduler.Exhausted { live; budget = None } ->
+      Some (Printf.sprintf "state budget exhausted (%d live)" live)
+  | Scheduler.Timed_out -> Some "every attempt hit the deadline"
+  | Scheduler.Synthesized -> None
 
-let circuit_open ~elapsed ~retry_after key =
-  shed ~status:"circuit_open" ~elapsed ~retry_after
-    ~error:"circuit breaker open: recent attempts crashed or exhausted" key
+(* A scheduler result in wire form; a synthesized kernel has source
+   "search". *)
+let job_reply key (r : Scheduler.job_result) =
+  reply
+    ?source:(if r.Scheduler.status = Scheduler.Synthesized then Some "search" else None)
+    ?program:r.Scheduler.program ?length:r.Scheduler.length
+    ~degraded:r.Scheduler.degraded ~rung:r.Scheduler.rung
+    ~attempts:r.Scheduler.attempts ?error:(job_error r)
+    ~elapsed:r.Scheduler.elapsed
+    (Scheduler.status_string r.Scheduler.status)
+    key
 
-let deadline_expired ~elapsed ~where key =
-  {
-    (miss ~elapsed ~error:(Printf.sprintf "deadline expired %s" where) key) with
-    Protocol.status = "timed_out";
-  }
+(* ---------- load shedding ---------- *)
+
+type shed =
+  | Queue_full
+  | Injected_overload
+  | Expired_in_queue
+  | Expired_before_dispatch
+  | Draining
+  | Circuit_open of float  (* the breaker's retry_after hint *)
+
+(* The one shed table: each reason's [shed_counters] slot, reply
+   status, retry_after hint and error. No shed reply reaches a worker. *)
+let shed_row = function
+  | Queue_full -> (0, "overloaded", Some 0.1, "request queue full")
+  | Injected_overload -> (0, "overloaded", Some 0.1, "request queue full (injected)")
+  | Expired_in_queue -> (1, "timed_out", None, "deadline expired while queued")
+  | Expired_before_dispatch ->
+      (1, "timed_out", None, "deadline expired before dispatch")
+  | Circuit_open retry_after ->
+      ( 2,
+        "circuit_open",
+        Some retry_after,
+        "circuit breaker open: recent attempts crashed or exhausted" )
+  | Draining -> (4, "overloaded", Some 1.0, "server is draining")
+
+let shed t ~elapsed reason key =
+  let slot, status, retry_after, error = shed_row reason in
+  Atomic.incr t.sheds.(slot);
+  reply ~elapsed ?retry_after ~error status key
 
 (* ---------- request handling ---------- *)
 
+(* The one memory probe, shared by lookups and synth requests. *)
+let probe_memory t ~start key =
+  Option.map (hit ~source:"memory" ~start key) (Lru.find t.lru (Key.canonical key))
+
 let lookup_one t key =
   let start = Fault.Clock.now () in
-  let canonical = Key.canonical key in
-  match Lru.find t.lru canonical with
-  | Some e -> served_of_entry ~source:"memory" ~elapsed:(Fault.Clock.now () -. start) key e
-  | None ->
-      locked t.store_mutex (fun () ->
-          match Store.lookup ~counters:t.store_counters ~root:t.cfg.root key with
-          | Store.Hit e ->
-              (* The load above just re-certified: admission is the
-                 certificate. *)
-              Lru.add t.lru canonical e;
-              served_of_entry ~source:"disk" ~elapsed:(Fault.Clock.now () -. start) key e
-          | Store.Miss -> miss ~elapsed:(Fault.Clock.now () -. start) key
-          | Store.Quarantined reason ->
-              Lru.remove t.lru canonical;
-              recover_locked t;
-              miss ~elapsed:(Fault.Clock.now () -. start) ~error:reason key)
+  match probe_memory t ~start key with
+  | Some served -> served
+  | None -> (
+      match probe_disk t key with
+      | Store.Hit e -> hit ~source:"disk" ~start key e
+      | Store.Miss -> reply ~elapsed:(Fault.Clock.now () -. start) "miss" key
+      | Store.Quarantined reason ->
+          reply ~elapsed:(Fault.Clock.now () -. start) ~error:reason "miss" key)
+
+(* What a leader's exit tells the key's breaker: a hit or clean result,
+   a poison outcome, or nothing about the key (shed, expired, drained,
+   an unrelated error). *)
+type verdict = Success | Failure | Abort
+
+(* The one breaker settle site. Every leader exit passes through here
+   exactly once — an admitted half-open probe that vanished without a
+   verdict would otherwise leave the key rejecting forever. *)
+let settle t canonical = function
+  | Success -> Breaker.success t.breaker canonical
+  | Failure -> Breaker.failure t.breaker canonical
+  | Abort -> Breaker.abort t.breaker canonical
 
 (* The leader's path: disk, then a pool search, then persist + admit.
-   Breaker bookkeeping happens here, on the leader only — joiners share
-   the outcome without double-counting it. Every exit settles the
-   breaker exactly once: success on a hit or clean result, failure on a
-   poison outcome, and abort on everything else (shed, expired, drained,
-   unrelated error) — an admitted half-open probe that vanished without
-   a verdict would otherwise leave the key rejecting forever. *)
+   Returns the reply and the breaker verdict; the leader alone settles
+   the breaker, so joiners share the outcome without double-counting. *)
 let synth_leader t key (p : Protocol.synth_params) =
   let start = Fault.Clock.now () in
-  let canonical = Key.canonical key in
+  let elapsed () = Fault.Clock.now () -. start in
+  let shed_abort reason = (shed t ~elapsed:(elapsed ()) reason key, Abort) in
+  let error_reply status error verdict =
+    (reply ~elapsed:(elapsed ()) ~error status key, verdict)
+  in
   (* serve.overload: deterministic admission rejection, as if the queue
      were full — the chaos hook for exercising shed paths end to end. *)
-  if Fault.fire Fault.Serve_overload then begin
-    Atomic.incr t.shed_queue_full;
-    Breaker.abort t.breaker canonical;
-    overloaded
-      ~elapsed:(Fault.Clock.now () -. start)
-      ~retry_after:0.1 ~error:"request queue full (injected)" key
-  end
+  if Fault.fire Fault.Serve_overload then shed_abort Injected_overload
   else
-    let from_disk =
-      locked t.store_mutex (fun () ->
-          match Store.lookup ~counters:t.store_counters ~root:t.cfg.root key with
-          | Store.Hit e ->
-              Lru.add t.lru canonical e;
-              Some (served_of_entry ~source:"disk" ~elapsed:(Fault.Clock.now () -. start) key e)
-          | Store.Miss -> None
-          | Store.Quarantined _ ->
-              (* The broken entry is already aside; sweep for siblings and
-                 fall through to a fresh synthesis. *)
-              Lru.remove t.lru canonical;
-              recover_locked t;
-              None)
-    in
-    match from_disk with
-    | Some served ->
-        Breaker.success t.breaker canonical;
-        served
-    | None -> (
+    match probe_disk t key with
+    | Store.Hit e -> (hit ~source:"disk" ~start key e, Success)
+    | Store.Miss | Store.Quarantined _ -> (
+        (* A quarantined entry is already aside: synthesize afresh. *)
         Atomic.incr t.searches;
         let job () =
           (* Queue-wait comes out of the client's budget: the scheduler
@@ -293,41 +309,12 @@ let synth_leader t key (p : Protocol.synth_params) =
         in
         match Pool.run ?deadline:p.Protocol.deadline t.pool job with
         | Error Pool.Worker_died ->
-            Breaker.failure t.breaker canonical;
-            {
-              (miss ~elapsed:(Fault.Clock.now () -. start) ~error:"worker died mid-request" key)
-              with
-              Protocol.status = "crashed";
-            }
-        | Error Pool.Queue_full ->
-            Atomic.incr t.shed_queue_full;
-            Breaker.abort t.breaker canonical;
-            overloaded
-              ~elapsed:(Fault.Clock.now () -. start)
-              ~retry_after:0.1 ~error:"request queue full" key
-        | Error Pool.Expired_in_queue ->
-            Atomic.incr t.shed_deadline;
-            Breaker.abort t.breaker canonical;
-            deadline_expired
-              ~elapsed:(Fault.Clock.now () -. start)
-              ~where:"while queued" key
-        | Error Pool.Drained ->
-            Atomic.incr t.shed_draining;
-            Breaker.abort t.breaker canonical;
-            overloaded
-              ~elapsed:(Fault.Clock.now () -. start)
-              ~retry_after:1.0 ~error:"server is draining" key
-        | Error e ->
-            Breaker.abort t.breaker canonical;
-            {
-              (miss ~elapsed:(Fault.Clock.now () -. start) ~error:(Printexc.to_string e) key)
-              with
-              Protocol.status = "failed";
-            }
+            error_reply "crashed" "worker died mid-request" Failure
+        | Error Pool.Queue_full -> shed_abort Queue_full
+        | Error Pool.Expired_in_queue -> shed_abort Expired_in_queue
+        | Error Pool.Drained -> shed_abort Draining
+        | Error e -> error_reply "failed" (Printexc.to_string e) Abort
         | Ok r ->
-            if Scheduler.poison_status r.Scheduler.status then
-              Breaker.failure t.breaker canonical
-            else Breaker.success t.breaker canonical;
             (match (r.Scheduler.status, r.Scheduler.search) with
             | Scheduler.Synthesized, Some search ->
                 locked t.store_mutex (fun () ->
@@ -337,32 +324,29 @@ let synth_leader t key (p : Protocol.synth_params) =
                         ?provenance:r.Scheduler.provenance ~root:t.cfg.root key
                         search
                     with
-                    | Ok entry -> Lru.add t.lru canonical entry
+                    | Ok entry -> Lru.add t.lru (Key.canonical key) entry
                     | Error _ -> ())
             | _ -> ());
-            Protocol.served_of_job r)
+            ( job_reply key r,
+              if Scheduler.poison_status r.Scheduler.status then Failure else Success ))
+
+let failed key e = reply ~elapsed:0. ~error:(Printexc.to_string e) "failed" key
 
 let synth_one t key p =
   let canonical = Key.canonical key in
-  match Lru.find t.lru canonical with
-  | Some e ->
-      let start = Fault.Clock.now () in
-      served_of_entry ~source:"memory" ~elapsed:(Fault.Clock.now () -. start) key e
+  match probe_memory t ~start:(Fault.Clock.now ()) key with
+  | Some served -> served
   | None ->
-      if Atomic.get t.draining then begin
+      if Atomic.get t.draining then
         (* Warm hits above still serve during drain; new work does not. *)
-        Atomic.incr t.shed_draining;
-        overloaded ~elapsed:0. ~retry_after:1.0 ~error:"server is draining" key
-      end
+        shed t ~elapsed:0. Draining key
       else if
         match p.Protocol.deadline with
         | Some d -> Fault.Clock.now () > d
         | None -> false
-      then begin
+      then
         (* Nobody is waiting for this answer; don't even coalesce. *)
-        Atomic.incr t.shed_deadline;
-        deadline_expired ~elapsed:0. ~where:"before dispatch" key
-      end
+        shed t ~elapsed:0. Expired_before_dispatch key
       else begin
         let role =
           locked t.flight_mutex (fun () ->
@@ -384,9 +368,7 @@ let synth_one t key p =
                       `Lead fl))
         in
         match role with
-        | `Shed retry_after ->
-            Atomic.incr t.shed_circuit;
-            circuit_open ~elapsed:0. ~retry_after key
+        | `Shed retry_after -> shed t ~elapsed:0. (Circuit_open retry_after) key
         | `Join fl ->
             locked fl.fm (fun () ->
                 while fl.outcome = None do
@@ -394,18 +376,12 @@ let synth_one t key p =
                 done;
                 { (Option.get fl.outcome) with Protocol.coalesced = true })
         | `Lead fl ->
-            let served =
-              try synth_leader t key p
-              with e ->
-                (* The leader died without a verdict; if it was the
-                   half-open probe, release the key (no-op when the
-                   breaker was already settled before the raise). *)
-                Breaker.abort t.breaker canonical;
-                {
-                  (miss ~elapsed:0. ~error:(Printexc.to_string e) key) with
-                  Protocol.status = "failed";
-                }
+            (* A leader that raises has no verdict: abort releases the
+               key if it was the half-open probe. *)
+            let served, verdict =
+              try synth_leader t key p with e -> (failed key e, Abort)
             in
+            settle t canonical verdict;
             locked t.flight_mutex (fun () -> Hashtbl.remove t.flights canonical);
             locked fl.fm (fun () ->
                 fl.outcome <- Some served;
@@ -432,15 +408,7 @@ let batch_fanout t keys p =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         let key = keys.(i) in
-        let served =
-          try synth_one t key p
-          with e ->
-            {
-              (miss ~elapsed:0. ~error:(Printexc.to_string e) key) with
-              Protocol.status = "failed";
-            }
-        in
-        results.(i) <- Some served;
+        results.(i) <- Some (try synth_one t key p with e -> failed key e);
         claim ()
       end
     in
@@ -452,7 +420,8 @@ let batch_fanout t keys p =
   |> List.mapi (fun i r ->
          match r with
          | Some s -> s
-         | None -> miss ~elapsed:0. ~error:"batch job never ran" keys.(i))
+         | None -> reply ~elapsed:0. ~error:"batch job never ran" "miss" keys.(i))
+
 
 let snapshot t =
   let ls = Lru.stats t.lru in
@@ -484,13 +453,10 @@ let snapshot t =
   in
   let sheds =
     Json.Obj
-      [
-        ("queue_full", Json.Int (Atomic.get t.shed_queue_full));
-        ("deadline_expired", Json.Int (Atomic.get t.shed_deadline));
-        ("circuit_open", Json.Int (Atomic.get t.shed_circuit));
-        ("conn_budget", Json.Int (Atomic.get t.shed_conn_budget));
-        ("draining", Json.Int (Atomic.get t.shed_draining));
-      ]
+      (Array.to_list
+         (Array.map2
+            (fun name n -> (name, Json.Int (Atomic.get n)))
+            shed_counters t.sheds))
   in
   let snapshot_block =
     Json.Obj
@@ -652,7 +618,7 @@ let serve_connection t fd =
    and close — the client learns to back off; nothing is silently
    dropped. *)
 let shed_connection t fd =
-  Atomic.incr t.shed_conn_budget;
+  Atomic.incr t.sheds.(conn_budget_slot);
   let oc = Unix.out_channel_of_descr fd in
   (try
      output_string oc (Protocol.response_line (Protocol.Overloaded 0.5));

@@ -11,7 +11,7 @@
     - {b Disk}: the sharded {!Registry.Store}, every access serialized
       on the connection threads under one mutex (workers never touch
       the disk). {!Registry.Store.recover} runs once at open and again
-      after any quarantine event.
+      after any quarantine event, the warm-set restore's included.
     - {b Search}: a persistent {!Pool} of domains running
       {!Registry.Scheduler.run_one}: the degradation ladder, backoff,
       and deadline plumbing for every miss.
@@ -38,7 +38,8 @@
     - A request whose propagated [deadline] already passed (or passes
       while queued): ["timed_out"], never dispatched to a worker.
     - A key with [breaker_threshold] consecutive poison outcomes:
-      ["circuit_open"] ({!Breaker}), half-opening after the cooldown.
+      ["circuit_open"] ({!Breaker}), half-opening after the cooldown; a
+      probe that leaves without a verdict (shed, error) re-opens it.
     - A full worker queue ([max_queue] waiting jobs): ["overloaded"]
       with a retry_after hint.
 
@@ -80,8 +81,6 @@ val create : config -> t
 val handle : t -> Protocol.request -> Protocol.response
 (** Serve one request. Thread-safe; never raises. [Shutdown] flips the
     stop flag and answers [Goodbye]. *)
-
-val stopped : t -> bool
 
 val draining : t -> bool
 

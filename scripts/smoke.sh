@@ -18,6 +18,20 @@ cd "$(dirname "$0")/.."
 dune build bin/synth.exe
 synth="./_build/default/bin/synth.exe"
 
+# One integer counter from a stats snapshot, by its full jq path (e.g.
+# .process.readdir_calls). A missing counter fails the smoke: call it in
+# an assignment, or through [unchanged], never bare inside a test.
+counter() {
+  jq -e "$2 | numbers" "$1" \
+    || { echo "stats snapshot $1 has no counter $2" >&2; return 1; }
+}
+# Fail with message $4 unless counter $3 reads the same in snapshots $1
+# and $2.
+unchanged() {
+  a="$(counter "$1" "$3")" && b="$(counter "$2" "$3")" || exit 1
+  [ "$a" = "$b" ] || { echo "$4" >&2; exit 1; }
+}
+
 if [ "${SMOKE_ONLY:-all}" = "all" ]; then
 
 echo "== dune build =="
@@ -213,8 +227,6 @@ while [ ! -S "$sock" ]; do
   [ "$i" -le 100 ] || { echo "daemon never bound its socket" >&2; exit 1; }
   sleep 0.1
 done
-# Extract one integer counter from a stats snapshot.
-counter() { grep -o "\"$2\":[0-9]*" "$1" | head -1 | cut -d: -f2; }
 # Cold request: a real search, served and stored.
 cold_out="$servedir/cold.out"
 "$synth" client --server "$sock" -n 3 > "$cold_out" \
@@ -233,14 +245,12 @@ grep -q "# cached from memory" "$warm_out" \
 "$synth" client --server "$sock" --op stats > "$servedir/after.json"
 echo "cold: $(grep '^#' "$cold_out")"
 echo "warm: $(grep '^#' "$warm_out")"
-[ "$(counter "$servedir/before.json" readdir_calls)" = \
-  "$(counter "$servedir/after.json" readdir_calls)" ] \
-  || { echo "warm lookup performed a directory scan" >&2; exit 1; }
-[ "$(counter "$servedir/before.json" certifications)" = \
-  "$(counter "$servedir/after.json" certifications)" ] \
-  || { echo "warm lookup re-certified the kernel" >&2; exit 1; }
-hits_before="$(counter "$servedir/before.json" cache_hits)"
-hits_after="$(counter "$servedir/after.json" cache_hits)"
+unchanged "$servedir/before.json" "$servedir/after.json" \
+  .process.readdir_calls "warm lookup performed a directory scan"
+unchanged "$servedir/before.json" "$servedir/after.json" \
+  .process.certifications "warm lookup re-certified the kernel"
+hits_before="$(counter "$servedir/before.json" .serve.cache_hits)"
+hits_after="$(counter "$servedir/after.json" .serve.cache_hits)"
 [ "$hits_after" -gt "$hits_before" ] \
   || { echo "warm lookup did not count as a cache hit" >&2; exit 1; }
 # Concurrent clients on one warm key: every one is a memory hit.
@@ -258,7 +268,8 @@ for i in 1 2 3 4; do
     || { echo "concurrent lookup $i missed the memory cache" >&2; exit 1; }
 done
 "$synth" client --server "$sock" --op stats > "$servedir/conc.json"
-[ "$(counter "$servedir/conc.json" cache_hits)" -ge 5 ] \
+conc_hits="$(counter "$servedir/conc.json" .serve.cache_hits)"
+[ "$conc_hits" -ge 5 ] \
   || { echo "concurrent lookups did not all hit the cache" >&2; exit 1; }
 # batch --server prints byte-identical kernels to a local batch, as
 # kernel text and as x86-64.
@@ -393,16 +404,16 @@ while [ ! -S "$dr_sock" ]; do
   sleep 0.1
 done
 "$synth" client --server "$dr_sock" --op stats > "$servedir/dr-before.json"
-[ "$(counter "$servedir/dr-before.json" restored)" -ge 1 ] \
+restored="$(counter "$servedir/dr-before.json" .serve.snapshot.restored)"
+[ "$restored" -ge 1 ] \
   || { echo "restart did not restore the warm set" >&2; exit 1; }
 "$synth" client --server "$dr_sock" --op lookup -n 3 > "$servedir/dr-warm.out" \
   || { echo "restored lookup failed" >&2; exit 1; }
 grep -q "# cached from memory" "$servedir/dr-warm.out" \
   || { echo "restored key was not served from memory" >&2; exit 1; }
 "$synth" client --server "$dr_sock" --op stats > "$servedir/dr-after.json"
-[ "$(counter "$servedir/dr-before.json" certifications)" = \
-  "$(counter "$servedir/dr-after.json" certifications)" ] \
-  || { echo "warm restart re-certified on the serving path" >&2; exit 1; }
+unchanged "$servedir/dr-before.json" "$servedir/dr-after.json" \
+  .process.certifications "warm restart re-certified on the serving path"
 "$synth" client --server "$dr_sock" --op shutdown > /dev/null \
   || { echo "restarted daemon refused shutdown" >&2; exit 1; }
 wait "$dr2_pid" \
@@ -416,7 +427,6 @@ if [ "${SMOKE_ONLY:-all}" = "all" ] || [ "${SMOKE_ONLY:-all}" = "certify" ]; the
 echo "== one certifier: symcert analysis, counted exact check =="
 certdir="${TMPDIR:-/tmp}/sortsynth-certify-smoke"
 rm -rf "$certdir"; mkdir -p "$certdir"
-counter() { grep -o "\"$2\":[0-9]*" "$1" | head -1 | cut -d: -f2; }
 # `synth certify` keeps the symbolic certifier as an analysis: every
 # shipped example kernel proves SYMBOLICALLY, with no Unknown verdict
 # and no exact fallback.
@@ -447,7 +457,8 @@ grep -q '"certified":false' "$certdir/gap.json" \
 # check, and the stats snapshot reports it.
 "$synth" -n 3 --stats-json "$certdir/stats.json" > /dev/null \
   || { echo "fresh n=3 synthesis failed" >&2; exit 1; }
-[ "$(counter "$certdir/stats.json" certifications)" -gt 0 ] \
+certs="$(counter "$certdir/stats.json" .certifications)"
+[ "$certs" -gt 0 ] \
   || { echo "--stats-json reports no certification after -n 3" >&2; exit 1; }
 # Trust-boundary counters on the daemon: cold admission runs the exact
 # check (certifications moves), and a warm memory hit moves no counter.
@@ -465,8 +476,9 @@ done
 "$synth" client --server "$sock" -n 3 > /dev/null \
   || { echo "cold certify-smoke request failed" >&2; exit 1; }
 "$synth" client --server "$sock" --op stats > "$certdir/before.json"
-[ "$(counter "$certdir/before.json" certifications)" -gt \
-  "$(counter "$certdir/start.json" certifications)" ] \
+certs_start="$(counter "$certdir/start.json" .process.certifications)"
+certs_cold="$(counter "$certdir/before.json" .process.certifications)"
+[ "$certs_cold" -gt "$certs_start" ] \
   || { echo "cold admission ran no exact certification" >&2; exit 1; }
 "$synth" client --server "$sock" --op lookup -n 3 > "$certdir/warm.out" \
   || { echo "warm certify-smoke lookup failed" >&2; exit 1; }
@@ -474,9 +486,8 @@ grep -q "# cached from memory" "$certdir/warm.out" \
   || { echo "warm certify-smoke lookup missed the memory cache" >&2; exit 1; }
 "$synth" client --server "$sock" --op stats > "$certdir/after.json"
 for c in certifications readdir_calls; do
-  [ "$(counter "$certdir/before.json" $c)" = \
-    "$(counter "$certdir/after.json" $c)" ] \
-    || { echo "warm hit moved the $c counter" >&2; exit 1; }
+  unchanged "$certdir/before.json" "$certdir/after.json" \
+    ".process.$c" "warm hit moved the $c counter"
 done
 "$synth" client --server "$sock" --op shutdown > /dev/null 2>&1 || true
 wait "$serve_pid" 2>/dev/null || true

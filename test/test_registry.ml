@@ -58,6 +58,35 @@ let test_key_strings () =
   assert (Registry.Key.cut_of_factor 0. = Search.No_cut);
   assert (Registry.Key.cut_of_factor 2. = Search.Mult 2.)
 
+(* A cut factor that is not a finite number > 0 has no canonical string
+   that reads back, so no key may carry one. Finite keys keep their
+   canonical strings and hashes. *)
+let test_key_rejects_bad_cut () =
+  List.iter
+    (fun k ->
+      match Registry.Key.make ~cut:(Search.Mult k) 3 with
+      | _ -> Alcotest.failf "Key.make accepted cut factor %g" k
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -1. ];
+  List.iter
+    (fun s ->
+      match Registry.Key.cut_of_string s with
+      | Ok _ -> Alcotest.fail ("cut_of_string accepted " ^ s)
+      | Error _ -> ())
+    [ "mult:nan"; "mult:inf"; "mult:infinity"; "mult:-inf"; "mult:0" ];
+  List.iter
+    (fun job ->
+      match Result.bind (Registry.Json.parse job) Registry.Key.of_json with
+      | Ok _ -> Alcotest.fail ("of_json accepted " ^ job)
+      | Error _ -> ())
+    [ {|{"n":3,"cut":1e999}|}; {|{"n":3,"cut":-1e999}|}; {|{"n":3,"cut":"mult:nan"}|} ];
+  let k = Registry.Key.make ~cut:(Registry.Key.cut_of_factor 1e9) 3 in
+  check Alcotest.string "large finite factor"
+    "v1;isa=cmov;n=3;m=1;engine=astar;heuristic=perm;cut=mult:1000000000.000;len=-"
+    (Registry.Key.canonical k);
+  check Alcotest.string "default key hash" "d1f77cf64a9a2eacafdd16d8e60285e8"
+    (Registry.Key.hash (Registry.Key.make 3))
+
 let test_key_json () =
   let k =
     Registry.Key.make ~m:2 ~engine:Registry.Key.Level
@@ -486,6 +515,8 @@ let () =
         [
           Alcotest.test_case "canonical + hash" `Quick test_key_canonical;
           Alcotest.test_case "string conversions" `Quick test_key_strings;
+          Alcotest.test_case "rejects a non-finite cut" `Quick
+            test_key_rejects_bad_cut;
           Alcotest.test_case "json" `Quick test_key_json;
         ] );
       ("json", [ Alcotest.test_case "roundtrip" `Quick test_json_roundtrip ]);
