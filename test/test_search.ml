@@ -335,6 +335,47 @@ let test_all_optimal_programs_distinct_correct () =
   let distinct = List.sort_uniq compare ps in
   check Alcotest.int "programs distinct" (List.length ps) (List.length distinct)
 
+(* The benchmark searches' full counters. A change to the expansion hot
+   path (probe, canonicalization, dedup, the commit) must leave every one
+   of them where it is: generated / expanded / deduped / pruned_cut /
+   pruned_viability / max_open, and the kernel length. *)
+let test_benchmark_search_stats_pinned () =
+  let pin name ~n ~opts ~mode (gen, exp, dd, cut, via, mo, len) =
+    let r = Search.run_mode ~opts ~mode (Isa.Config.default n) in
+    let s = r.Search.stats in
+    let got =
+      ( s.Search.generated,
+        s.Search.expanded,
+        s.Search.deduped,
+        s.Search.pruned_cut,
+        s.Search.pruned_viability,
+        s.Search.max_open,
+        r.Search.optimal_length )
+    in
+    let t7 =
+      Alcotest.(
+        pair
+          (triple int int int)
+          (pair (triple int int int) (option int)))
+    in
+    let shape (a, b, c, d, e, f, g) = ((a, b, c), ((d, e, f), g)) in
+    check t7 name (shape (gen, exp, dd, cut, via, mo, len)) (shape got)
+  in
+  pin "n=3 best A*" ~n:3 ~opts:Search.best ~mode:Search.Find_first
+    (53_812, 4_205, 12_611, 24_734, 11_900, 1_745, Some 11);
+  pin "n=4 best A*" ~n:4 ~opts:Search.best ~mode:Search.Find_first
+    (985_710, 42_241, 127_642, 539_347, 258_731, 32_195, Some 25);
+  pin "n=5 level prove-none 4" ~n:5
+    ~opts:
+      {
+        Search.default with
+        Search.engine = Search.Level_sync;
+        dist_viability = false;
+        cut = Search.No_cut;
+      }
+    ~mode:(Search.Prove_none 4)
+    (301_560, 2_872, 68_274, 0, 197_425, 32_990, None)
+
 let prop_synthesized_kernels_sort_random_inputs =
   let cfg = Isa.Config.default 3 in
   let p =
@@ -374,6 +415,8 @@ let () =
           Alcotest.test_case "trace collection" `Quick test_trace_collection;
           Alcotest.test_case "bound too small" `Quick
             test_bound_too_small_returns_none;
+          Alcotest.test_case "benchmark search stats pinned" `Quick
+            test_benchmark_search_stats_pinned;
         ] );
       ( "enumeration",
         [
