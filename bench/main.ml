@@ -6,7 +6,8 @@
    if absent); `--check BASELINE` additionally compares the fresh
    measurement against the last committed entry and exits non-zero on a
    states/sec regression beyond the tolerance (default 20%), or when a
-   row's behavioural fingerprint (`generated`, `optimal_length`) differs
+   row's behavioural fingerprint (`generated`, `expanded`,
+   `optimal_length`) differs
    from the baseline row of the same name or has no baseline row. The
    n = 3 and n = 4 rows are the paper's best-config find-first synthesis
    (the optimality artifact is the kernel); the n = 5 row is a bounded
@@ -154,7 +155,7 @@ let check_row ~tolerance old b =
               Some
                 (Printf.sprintf "FINGERPRINT %s: %s %s -> %s" b.bench k
                    (show was) (show now)))
-          [ "generated"; "optimal_length" ]
+          [ "generated"; "expanded"; "optimal_length" ]
       in
       let throughput =
         match Option.map Json.to_float (Json.member "states_per_sec" row) with

@@ -156,6 +156,8 @@ let state_lower_bound t s =
     lb
   end
 
+let attach t arena = Sstate.Arena.attach_distance arena t.table ~infinity
+
 let reachable_count t = Array.length t.reachable
 let max_finite_dist t = t.max_finite
 

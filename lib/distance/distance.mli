@@ -51,6 +51,12 @@ val state_lower_bound : t -> Sstate.t -> int
     for the remaining program length. {!infinity} if any assignment is
     dead. *)
 
+val attach : t -> Sstate.Arena.arena -> unit
+(** [attach t arena] lets [arena]'s probes read this table (read-only), so
+    each probe computes {!state_lower_bound} of its successor as one table
+    load per code; see {!Sstate.Arena.probe_lower_bound}. The arena must be
+    built for [t]'s configuration. *)
+
 val reachable_count : t -> int
 (** Number of assignment codes reachable from the initial permutations. *)
 

@@ -287,6 +287,7 @@ type wjob = {
   j_nodes : node array;
   j_g : int;  (* successor depth g' *)
   j_threshold : int;
+  j_known : (Sstate.t -> bool) option;  (* reads [seen], frozen while draining *)
   j_cursor : int Atomic.t;  (* next unclaimed node index *)
   j_results : Expand.succ list array;  (* slot per node *)
   j_deltas : Expand.delta array;  (* slot 0 = main, slot w + 1 = worker w *)
@@ -311,7 +312,7 @@ let drain_job job arena delta =
     let i = Atomic.fetch_and_add job.j_cursor 1 in
     if i < n then begin
       job.j_results.(i) <-
-        Expand.expand job.j_env arena delta ~g':job.j_g
+        Expand.expand ?known:job.j_known job.j_env arena delta ~g':job.j_g
           ~threshold:job.j_threshold job.j_nodes.(i).state;
       go ()
     end
@@ -379,7 +380,7 @@ let shutdown_pool pool =
   Mutex.unlock pool.p_mutex;
   Array.iter Domain.join pool.p_workers
 
-let pool_run pool main_arena env nodes ~g' ~threshold =
+let pool_run pool main_arena env nodes ~g' ~threshold ~known =
   let nw = Array.length pool.p_workers in
   let job =
     {
@@ -387,6 +388,7 @@ let pool_run pool main_arena env nodes ~g' ~threshold =
       j_nodes = nodes;
       j_g = g';
       j_threshold = threshold;
+      j_known = known;
       j_cursor = Atomic.make 0;
       j_results = Array.make (Array.length nodes) [];
       j_deltas = Array.init (nw + 1) (fun _ -> Expand.zero_delta ());
@@ -448,58 +450,68 @@ let run_level ctx ~pool mode =
       in
       let threshold = Expand.cut_threshold opts ~min_pc in
       let next = Sstate.Tbl.create (1 lsl 12) in
+      let drop () =
+        ctx.deduped <- ctx.deduped + 1;
+        a.a_deduped <- a.a_deduped + 1
+      in
       (* Merge one vetted successor of [node] into the level structures. *)
-      let register node (s : Expand.succ) =
-        let state' = s.Expand.state in
-        if s.Expand.is_final then begin
-          ctx.solutions_found <- ctx.solutions_found + 1;
-          (match Sstate.Tbl.find_opt final_tbl state' with
-          | Some fn ->
-              fn.paths <- fn.paths + node.paths;
-              if track_all then
-                fn.parents <- fn.parents @ [ (node, s.Expand.instr) ]
-          | None ->
-              let fn =
-                {
-                  state = state';
-                  g = g';
-                  pc = 1;
-                  paths = node.paths;
-                  parents = [ (node, s.Expand.instr) ];
-                }
-              in
-              Sstate.Tbl.replace final_tbl state' fn;
-              final_order := fn :: !final_order);
-          if mode = Find_first then stop := true
-        end
-        else
-          let seen_before =
-            if opts.dedup then Sstate.Tbl.find_opt seen state' else None
-          in
-          match seen_before with
-          | Some l when l < g' ->
-              ctx.deduped <- ctx.deduped + 1;
-              a.a_deduped <- a.a_deduped + 1
-          | _ -> (
-              match Sstate.Tbl.find_opt next state' with
-              | Some n' ->
-                  ctx.deduped <- ctx.deduped + 1;
-                  a.a_deduped <- a.a_deduped + 1;
-                  n'.paths <- n'.paths + node.paths;
-                  if track_all then
-                    n'.parents <- n'.parents @ [ (node, s.Expand.instr) ]
-              | None ->
-                  let n' =
-                    {
-                      state = state';
-                      g = g';
-                      pc = s.Expand.pc;
-                      paths = node.paths;
-                      parents = [ (node, s.Expand.instr) ];
-                    }
-                  in
-                  if opts.dedup then Sstate.Tbl.replace seen state' g';
-                  Sstate.Tbl.replace next state' n')
+      let register node = function
+        | Expand.Known -> drop ()
+        | Expand.Final { instr; state = state' } ->
+            ctx.solutions_found <- ctx.solutions_found + 1;
+            (match Sstate.Tbl.find_opt final_tbl state' with
+            | Some fn ->
+                fn.paths <- fn.paths + node.paths;
+                if track_all then fn.parents <- fn.parents @ [ (node, instr) ]
+            | None ->
+                let fn =
+                  {
+                    state = state';
+                    g = g';
+                    pc = 1;
+                    paths = node.paths;
+                    parents = [ (node, instr) ];
+                  }
+                in
+                Sstate.Tbl.replace final_tbl state' fn;
+                final_order := fn :: !final_order);
+            if mode = Find_first then stop := true
+        | Expand.Open { instr; state = state'; pc } -> (
+            let seen_before =
+              if opts.dedup then Sstate.Tbl.find_opt seen state' else None
+            in
+            match seen_before with
+            | Some l when l < g' -> drop ()
+            | _ -> (
+                match Sstate.Tbl.find_opt next state' with
+                | Some n' ->
+                    drop ();
+                    n'.paths <- n'.paths + node.paths;
+                    if track_all then
+                      n'.parents <- n'.parents @ [ (node, instr) ]
+                | None ->
+                    let n' =
+                      {
+                        state = state';
+                        g = g';
+                        pc;
+                        paths = node.paths;
+                        parents = [ (node, instr) ];
+                      }
+                    in
+                    if opts.dedup then Sstate.Tbl.replace seen state' g';
+                    Sstate.Tbl.replace next state' n'))
+      in
+      (* Only states of earlier levels: [seen] gains none of those during
+         the level, so the answer cannot change before [register] runs. *)
+      let known =
+        if opts.dedup then
+          Some
+            (fun v ->
+              match Sstate.Tbl.find_opt seen v with
+              | Some l -> l < g'
+              | None -> false)
+        else None
       in
       (* Live states: the cross-level dedup table dominates memory when
          dedup is on; otherwise the frontier itself is all we hold. *)
@@ -520,11 +532,12 @@ let run_level ctx ~pool mode =
           List.iter
             (fun n ->
               if not !stop then
-                consume n (Expand.expand env arena a.d ~g' ~threshold n.state))
+                consume n
+                  (Expand.expand ?known env arena a.d ~g' ~threshold n.state))
             !current
       | Some pool ->
           let nodes = Array.of_list !current in
-          let job = pool_run pool arena env nodes ~g' ~threshold in
+          let job = pool_run pool arena env nodes ~g' ~threshold ~known in
           (* The whole level drained before this merge, so the counters
              are independent of the worker count and steal schedule; only
              [consume] (budget/deadline chokepoints, dedup, registration)
@@ -618,48 +631,60 @@ let run_astar ctx =
               Expand.cut_threshold opts ~min_pc:lm.(node.g)
             else max_int
           in
-          let succs = Expand.expand env arena a.d ~g' ~threshold node.state in
+          let drop () =
+            ctx.deduped <- ctx.deduped + 1;
+            a.a_deduped <- a.a_deduped + 1
+          in
+          (* [seen] only ever lowers a depth, so a state it holds at depth
+             <= g' now is still dropped when its turn comes below. *)
+          let known =
+            if opts.dedup then
+              Some
+                (fun v ->
+                  match Sstate.Tbl.find_opt seen v with
+                  | Some l -> l <= g'
+                  | None -> false)
+            else None
+          in
+          let succs =
+            Expand.expand ?known env arena a.d ~g' ~threshold node.state
+          in
           List.iter
-            (fun (s : Expand.succ) ->
-              if !continue then begin
-                if s.Expand.is_final then begin
+            (function
+              | _ when not !continue -> ()
+              | Expand.Known -> drop ()
+              | Expand.Final { instr; state } ->
                   ctx.solutions_found <- 1;
                   found :=
                     Some
                       {
-                        state = s.Expand.state;
+                        state;
                         g = g';
                         pc = 1;
                         paths = node.paths;
-                        parents = [ (node, s.Expand.instr) ];
+                        parents = [ (node, instr) ];
                       };
                   continue := false
-                end
-                else
+              | Expand.Open { instr; state; pc } -> (
                   match
-                    if opts.dedup then Sstate.Tbl.find_opt seen s.Expand.state
-                    else None
+                    if opts.dedup then Sstate.Tbl.find_opt seen state else None
                   with
-                  | Some l when l <= g' ->
-                      ctx.deduped <- ctx.deduped + 1;
-                      a.a_deduped <- a.a_deduped + 1
+                  | Some l when l <= g' -> drop ()
                   | _ ->
                       let n' =
                         {
-                          state = s.Expand.state;
+                          state;
                           g = g';
-                          pc = s.Expand.pc;
+                          pc;
                           paths = node.paths;
-                          parents = [ (node, s.Expand.instr) ];
+                          parents = [ (node, instr) ];
                         }
                       in
-                      note_level_pc g' s.Expand.pc;
-                      if opts.dedup then
-                        Sstate.Tbl.replace seen s.Expand.state g';
+                      note_level_pc g' pc;
+                      if opts.dedup then Sstate.Tbl.replace seen state g';
                       let ao = acc_at ctx g' in
                       ao.a_open <- ao.a_open + 1;
-                      Heap.push heap (g' + heuristic_value ctx n') n'
-              end)
+                      Heap.push heap (g' + heuristic_value ctx n') n'))
             succs
     done;
     match !found with

@@ -5,9 +5,11 @@
    array so the search can bump-allocate states into large chunks instead
    of one heap array per state. Derived facts that the engines query on
    every expansion — the FNV hash, the distinct-permutation count, finality
-   and viability — are computed once, in the same pass that canonicalizes
-   the codes, and cached in the record; [hash] in particular makes every
-   dedup-table operation O(1) instead of O(len).
+   and viability — are computed once and cached in the record; [hash] in
+   particular makes every dedup-table operation O(1) instead of O(len). On
+   the arena path the order-free facts (count, finality, viability, the
+   distance bound) come from one pass over the raw mapped codes, and only
+   successors that survive vetting are sorted, deduplicated and hashed.
 
    The cfg-dependent caches ([pc], [tags], [lb]) are filled lazily for
    states built without a config ({!of_codes}) and eagerly on the arena
@@ -85,10 +87,9 @@ let hash_range (a : int array) lo hi =
   done;
   !h land max_int
 
-(* Sort + dedup [a.[0..n)] in place; returns the deduplicated length. *)
-let canonicalize_prefix a n =
-  if n = 0 then invalid_arg "Sstate: empty state";
-  sort_range a 0 n;
+(* Dedup the sorted, non-empty [a.[0..n)] in place; returns the
+   deduplicated length. *)
+let dedup_sorted a n =
   let w = ref 1 in
   for i = 1 to n - 1 do
     if a.(i) <> a.(i - 1) then begin
@@ -100,7 +101,9 @@ let canonicalize_prefix a n =
 
 (* Build a state that owns [a] (callers must not retain [a]). *)
 let of_owned_prefix a n =
-  let len = canonicalize_prefix a n in
+  if n = 0 then invalid_arg "Sstate: empty state";
+  sort_range a 0 n;
+  let len = dedup_sorted a n in
   {
     buf = a;
     off = 0;
@@ -257,13 +260,20 @@ module Arena = struct
     mutable gen : int;
     mutable chunk : int array;  (* current bump chunk for commits *)
     mutable used : int;
+    mutable dist : int array;  (* attached distance table; [||] = none *)
+    mutable dist_inf : int;  (* its bound for a code that cannot be sorted *)
     (* Probe results, valid from [probe] returning [Changed] until the
-       next probe. *)
+       next probe. [map_buf.[0 .. p_len)] holds the raw mapped codes until
+       [canonicalize] sorts and dedups them in place ([p_canon]); [p_hash]
+       is meaningful only once they are canonical. *)
     mutable p_len : int;
+    mutable p_sorted : bool;  (* the raw codes came out non-decreasing *)
+    mutable p_canon : bool;
     mutable p_hash : int;
     mutable p_pc : int;
     mutable p_final : bool;
     mutable p_viable : bool;
+    mutable p_lb : int;  (* -1 when no table is attached *)
   }
 
   let chunk_words = 1 lsl 15
@@ -281,12 +291,21 @@ module Arena = struct
       gen = 0;
       chunk = Array.make chunk_words 0;
       used = 0;
+      dist = [||];
+      dist_inf = 0;
       p_len = 0;
+      p_sorted = false;
+      p_canon = false;
       p_hash = 0;
       p_pc = 0;
       p_final = false;
       p_viable = false;
+      p_lb = -1;
     }
+
+  let attach_distance a table ~infinity =
+    a.dist <- table;
+    a.dist_inf <- infinity
 
   type outcome = Unchanged | Changed
 
@@ -295,75 +314,105 @@ module Arena = struct
     if Array.length a.map_buf < len then a.map_buf <- Array.make (2 * len) 0;
     let buf = a.map_buf in
     Machine.Assign.map_sub a.cfg instr s.buf s.off buf 0 len;
-    let same = ref true and nondecr = ref true in
-    let prev = ref min_int in
+    a.gen <- a.gen + 1;
+    if a.gen = max_int then begin
+      Array.fill a.stamp 0 (Array.length a.stamp) 0;
+      a.gen <- 1
+    end;
+    let g = a.gen and stamp = a.stamp and dist = a.dist in
+    let has_dist = Array.length dist > 0 in
+    let same = ref true and nondecr = ref true and prev = ref min_int in
+    let pc = ref 0 and lb = ref (if has_dist then 0 else -1) in
+    let final = ref true and viable = ref true in
+    (* One pass over the mapped codes as they come. Besides spotting an
+       unchanged or still-sorted result, it computes every fact vetting
+       needs; duplicates and order change none of the distinct-permutation
+       count (via the stamp table: no per-probe allocation, no key sort),
+       finality, viability or the distance bound, so none of them waits
+       for the sort. A finite distance implies every value is still
+       present; only the codes the table calls dead (or every code,
+       without a table) need the register scan. *)
     for i = 0 to len - 1 do
-      let c' = buf.(i) in
-      if c' <> s.buf.(s.off + i) then same := false;
-      if c' < !prev then nondecr := false;
-      prev := c'
+      let c = buf.(i) in
+      if c <> s.buf.(s.off + i) then same := false;
+      if c < !prev then nondecr := false;
+      prev := c;
+      let key = (c lsr 2) land a.kmask in
+      if stamp.(key) <> g then begin
+        stamp.(key) <- g;
+        incr pc
+      end;
+      if !final && key <> a.skey then final := false;
+      let d = if has_dist then dist.(c) else -1 in
+      if d >= 0 then begin
+        if d > !lb then lb := d
+      end
+      else begin
+        if has_dist then begin
+          if d = -2 then invalid_arg "Sstate.Arena.probe: code not reachable";
+          lb := a.dist_inf
+        end;
+        if !viable then begin
+          let present = ref 0 in
+          for k = 0 to a.nregs - 1 do
+            present := !present lor (1 lsl ((c lsr (2 + (3 * k))) land 7))
+          done;
+          if !present land a.need <> a.need then viable := false
+        end
+      end
     done;
     if !same then Unchanged
     else begin
-      (* Instructions frequently preserve the order of an already-sorted
-         state; skip the sort whenever the map pass stayed monotone. *)
-      if not !nondecr then sort_range buf 0 len;
-      a.gen <- a.gen + 1;
-      if a.gen = max_int then begin
-        Array.fill a.stamp 0 (Array.length a.stamp) 0;
-        a.gen <- 1
-      end;
-      let g = a.gen and stamp = a.stamp in
-      let h = ref fnv_seed in
-      let w = ref 0 and pc = ref 0 in
-      let final = ref true and viable = ref true in
-      let prev = ref min_int in
-      (* Fused pass: dedup in place while computing the hash, the
-         distinct-permutation count (via the stamp table: no per-probe
-         allocation, no key sort), finality and viability. *)
-      for i = 0 to len - 1 do
-        let c = buf.(i) in
-        if c <> !prev then begin
-          prev := c;
-          buf.(!w) <- c;
-          incr w;
-          h := (!h lxor c) * fnv_prime;
-          let key = (c lsr 2) land a.kmask in
-          if stamp.(key) <> g then begin
-            stamp.(key) <- g;
-            incr pc
-          end;
-          if !final && key <> a.skey then final := false;
-          if !viable then begin
-            let present = ref 0 in
-            for k = 0 to a.nregs - 1 do
-              present := !present lor (1 lsl ((c lsr (2 + (3 * k))) land 7))
-            done;
-            if !present land a.need <> a.need then viable := false
-          end
-        end
-      done;
-      a.p_len <- !w;
-      a.p_hash <- !h land max_int;
+      a.p_len <- len;
+      a.p_sorted <- !nondecr;
+      a.p_canon <- false;
       a.p_pc <- !pc;
       a.p_final <- !final;
       a.p_viable <- !viable;
+      a.p_lb <- !lb;
       Changed
     end
 
-  let probe_size a = a.p_len
   let probe_distinct_perms a = a.p_pc
   let probe_is_final a = a.p_final
   let probe_all_viable a = a.p_viable
+  let probe_lower_bound a = a.p_lb
 
-  let probe_fold a f acc =
-    let r = ref acc in
-    for i = 0 to a.p_len - 1 do
-      r := f !r a.map_buf.(i)
-    done;
-    !r
+  (* Sort (unless the map pass stayed monotone), dedup and hash the staged
+     codes in place, once per probe. *)
+  let canonicalize a =
+    if not a.p_canon then begin
+      let buf = a.map_buf in
+      if not a.p_sorted then sort_range buf 0 a.p_len;
+      a.p_len <- dedup_sorted buf a.p_len;
+      a.p_hash <- hash_range buf 0 a.p_len;
+      a.p_canon <- true
+    end
+
+  let probe_size a =
+    canonicalize a;
+    a.p_len
+
+  let staged a buf off =
+    {
+      buf;
+      off;
+      len = a.p_len;
+      hash = a.p_hash;
+      pc = a.p_pc;
+      tags =
+        tag_final_known lor tag_viable_known
+        lor (if a.p_final then tag_final else 0)
+        lor (if a.p_viable then tag_viable else 0);
+      lb = a.p_lb;
+    }
+
+  let probe_view a =
+    canonicalize a;
+    staged a a.map_buf 0
 
   let commit a =
+    canonicalize a;
     let len = a.p_len in
     if a.used + len > Array.length a.chunk then begin
       (* The old chunk stays alive exactly as long as states committed
@@ -374,16 +423,5 @@ module Arena = struct
     let off = a.used in
     Array.blit a.map_buf 0 a.chunk off len;
     a.used <- off + len;
-    {
-      buf = a.chunk;
-      off;
-      len;
-      hash = a.p_hash;
-      pc = a.p_pc;
-      tags =
-        tag_final_known lor tag_viable_known
-        lor (if a.p_final then tag_final else 0)
-        lor (if a.p_viable then tag_viable else 0);
-      lb = -1;
-    }
+    staged a a.chunk off
 end

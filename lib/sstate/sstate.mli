@@ -13,8 +13,8 @@
     {!Arena}) carrying precomputed caches for the facts every engine asks
     of every state — hash, distinct-permutation count, finality and
     viability. The caches make {!hash}, and after first use
-    {!distinct_perms} / {!is_final} / {!all_viable}, O(1); they are filled
-    in the same pass that canonicalizes the codes on the {!Arena} path. *)
+    {!distinct_perms} / {!is_final} / {!all_viable}, O(1); on the {!Arena}
+    path they arrive filled from the probe. *)
 
 type t
 (** Canonical: strictly increasing sequence of assignment codes, never
@@ -89,13 +89,24 @@ module Tbl : Hashtbl.S with type key = t
     successor allocates nothing, and (2) the current bump chunk that
     {!Arena.commit} appends surviving states into. Pruned successors —
     the overwhelming majority under the paper's cuts — never touch the
-    heap. Arenas are single-domain: the parallel engine gives each worker
-    its own. Committed states remain valid for the arena's whole lifetime
-    and beyond (chunks are retired to the GC, never recycled). *)
+    heap, and neither do survivors the caller already knows (it looks
+    them up through {!Arena.probe_view} before deciding to commit).
+    Arenas are single-domain: the parallel engine gives each worker its
+    own. Committed states remain valid for the arena's whole lifetime and
+    beyond (chunks are retired to the GC, never recycled). *)
 module Arena : sig
   type arena
 
   val create : Isa.Config.t -> arena
+
+  val attach_distance : arena -> int array -> infinity:int -> unit
+  (** [attach_distance a table ~infinity] makes every later probe also
+      compute the distance lower bound ({!probe_lower_bound}). [table] is
+      indexed by assignment code: a distance [>= 0], [-1] for a code that
+      can never be sorted (reported as [infinity]), [-2] for a code not
+      reachable from any input (the probe raises [Invalid_argument]). The
+      arena reads the table and never writes it; it must be built for the
+      arena's configuration. [Distance.attach] is the intended caller. *)
 
   type outcome =
     | Unchanged
@@ -103,24 +114,39 @@ module Arena : sig
             state (same canonical form, caches included). Nothing was
             written to the arena. *)
     | Changed
-        (** The successor differs; its canonical codes and cached facts
-            are staged in the arena. Valid until the next [probe]. *)
+        (** The successor differs; its codes and order-free facts are
+            staged in the arena. Valid until the next [probe]. *)
 
   val probe : arena -> Isa.Instr.t -> t -> outcome
-  (** Apply [instr] to every code of the state into arena scratch,
-      canonicalize there, and compute hash / distinct-perm count /
-      finality / viability in one fused pass — without allocating. *)
+  (** Apply [instr] to every code of the state into arena scratch and, in
+      one pass over the mapped codes as they come (unsorted, duplicates
+      included), compute the distinct-permutation count, finality,
+      viability and, with a table attached, the distance lower bound —
+      without allocating. None of these depends on order or duplicates,
+      so the probe does not canonicalize: sorting, dedup and the hash are
+      deferred to the first {!probe_size}, {!probe_view} or {!commit}. *)
 
-  val probe_size : arena -> int
   val probe_distinct_perms : arena -> int
   val probe_is_final : arena -> bool
   val probe_all_viable : arena -> bool
 
-  val probe_fold : arena -> ('a -> int -> 'a) -> 'a -> 'a
-  (** Fold over the staged successor's canonical codes (e.g. for a
-      distance lower bound) before deciding to commit. *)
+  val probe_lower_bound : arena -> int
+  (** [max] of the attached table over the staged codes (as
+      [Distance.state_lower_bound] of the successor), or [-1] when no
+      table is attached. *)
+
+  val probe_size : arena -> int
+  (** Number of distinct codes of the staged successor. Canonicalizes. *)
+
+  val probe_view : arena -> t
+  (** The staged successor as a state whose codes are the arena's scratch
+      — for a dedup-table lookup before deciding to commit. Canonicalizes.
+      The view is transient: it is valid only until the next [probe] and
+      must never be stored (in a table, a node or a result); {!commit} is
+      the way to keep the successor. *)
 
   val commit : arena -> t
-  (** Materialize the staged successor into the arena's bump chunk. Only
-      call after [probe] returned [Changed]; call at most once per probe. *)
+  (** Materialize the staged successor into the arena's bump chunk,
+      canonicalizing it first if no earlier call did. Only call after
+      [probe] returned [Changed]; call at most once per probe. *)
 end

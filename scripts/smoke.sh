@@ -532,8 +532,8 @@ echo "== search-throughput regression gate =="
 dune build bench/main.exe
 # Measure a fresh trajectory point into a scratch file (never the committed
 # baseline) and gate it against the last committed BENCH_search.json entry:
-# >20% states/sec regression on any workload, or a `generated` or
-# `optimal_length` fingerprint that differs from its baseline row, fails the
+# >20% states/sec regression on any workload, or a `generated`, `expanded`
+# or `optimal_length` fingerprint that differs from its baseline row, fails the
 # smoke. One repeat keeps CI latency sane; the gate's tolerance absorbs
 # runner noise.
 benchout="${TMPDIR:-/tmp}/sortsynth-bench-smoke.json"

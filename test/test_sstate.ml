@@ -189,6 +189,62 @@ let prop_arena_probe_matches_apply =
       done;
       !ok)
 
+(* The probe answers every vetting question without canonicalizing: right
+   after [probe] returns [Changed], before any [probe_view], [probe_size]
+   or [commit], its count, finality, viability and distance bound are those
+   of the canonical successor ([apply]). Canonicalization then happens
+   once, lazily: the view and the committed state equal [apply] in codes
+   and hash. Runs with and without a distance table attached. *)
+let prop_probe_order_free_matches_canonical =
+  QCheck.Test.make ~name:"order-free probe answers equal the canonical state's"
+    ~count:200
+    QCheck.(
+      quad (int_range 3 4) (int_range 0 2) bool (int_bound 1000000))
+    (fun (n, m, with_table, seed) ->
+      let cfgn = Isa.Config.make ~n ~m in
+      let st = Random.State.make [| seed |] in
+      let arena = Sstate.Arena.create cfgn in
+      let dist = Distance.compute_cached cfgn in
+      if with_table then Distance.attach dist arena;
+      let instrs = Isa.Instr.all cfgn in
+      let s = ref (Sstate.initial cfgn) in
+      let ok = ref true in
+      for _ = 1 to 1 + Random.State.int st 12 do
+        let i = instrs.(Random.State.int st (Array.length instrs)) in
+        let via_apply = Sstate.apply cfgn i !s in
+        (match Sstate.Arena.probe arena i !s with
+        | Sstate.Arena.Unchanged ->
+            if not (Sstate.equal via_apply !s) then ok := false
+        | Sstate.Arena.Changed ->
+            let lb =
+              if with_table then Distance.state_lower_bound dist via_apply
+              else -1
+            in
+            if
+              Sstate.Arena.probe_distinct_perms arena
+              <> Sstate.distinct_perms cfgn via_apply
+              || Sstate.Arena.probe_is_final arena
+                 <> Sstate.is_final cfgn via_apply
+              || Sstate.Arena.probe_all_viable arena
+                 <> Sstate.all_viable cfgn via_apply
+              || Sstate.Arena.probe_lower_bound arena <> lb
+            then ok := false;
+            if Random.State.bool st then begin
+              let v = Sstate.Arena.probe_view arena in
+              if
+                Sstate.codes v <> Sstate.codes via_apply
+                || Sstate.hash v <> Sstate.hash via_apply
+              then ok := false
+            end;
+            let c = Sstate.Arena.commit arena in
+            if
+              Sstate.codes c <> Sstate.codes via_apply
+              || Sstate.hash c <> Sstate.hash via_apply
+            then ok := false);
+        s := via_apply
+      done;
+      !ok)
+
 (* The whole-array instruction map agrees with the per-code [apply] for
    every opcode, on codes with random flags and repeated values (so [cmp]
    also meets equal operands), and writes only the requested range. *)
@@ -249,6 +305,7 @@ let () =
           qtest prop_canonical_idempotent;
           qtest prop_packed_equals_reference;
           qtest prop_arena_probe_matches_apply;
+          qtest prop_probe_order_free_matches_canonical;
           qtest prop_map_sub_matches_apply;
         ] );
     ]
