@@ -340,8 +340,11 @@ let test_all_optimal_programs_distinct_correct () =
    of them where it is: generated / expanded / deduped / pruned_cut /
    pruned_viability / max_open, and the kernel length. *)
 let test_benchmark_search_stats_pinned () =
-  let pin name ~n ~opts ~mode (gen, exp, dd, cut, via, mo, len) =
+  let pin ?solutions name ~n ~opts ~mode (gen, exp, dd, cut, via, mo, len) =
     let r = Search.run_mode ~opts ~mode (Isa.Config.default n) in
+    Option.iter
+      (fun c -> check Alcotest.int (name ^ " solutions") c r.Search.solution_count)
+      solutions;
     let s = r.Search.stats in
     let got =
       ( s.Search.generated,
@@ -374,7 +377,37 @@ let test_benchmark_search_stats_pinned () =
         cut = Search.No_cut;
       }
     ~mode:(Search.Prove_none 4)
-    (301_560, 2_872, 68_274, 0, 197_425, 32_990, None)
+    (301_560, 2_872, 68_274, 0, 197_425, 32_990, None);
+  (* Three serve-cold-style n=3 keys ([Registry.Key.options]): the A*
+     length-bound path, a level-sync cut above 1, and the k=1.5 solution
+     enumeration of EXPERIMENTS e3/e13. *)
+  let key = { Search.best with Search.max_solutions = 50 } in
+  pin "n=3 A* dist-bound len<=12" ~n:3
+    ~opts:{ key with Search.heuristic = Search.Dist_bound; max_len = Some 12 }
+    ~mode:Search.Find_first
+    (50_910, 3_959, 10_844, 24_288, 11_461, 1_396, Some 11);
+  pin "n=3 level assign-count x1.1" ~n:3
+    ~opts:
+      {
+        key with
+        Search.engine = Search.Level_sync;
+        heuristic = Search.Assign_count;
+        cut = Search.Mult 1.1;
+      }
+    ~mode:Search.Find_first
+    (53_039, 4_138, 12_002, 24_682, 11_855, 1_623, Some 11);
+  let all15 =
+    {
+      Search.best with
+      Search.engine = Search.Level_sync;
+      action_filter = Search.All_actions;
+      cut = Search.Mult 1.5;
+      max_solutions = 4_000;
+    }
+  in
+  pin "n=3 all-optimal x1.5" ~n:3 ~opts:all15 ~mode:Search.All_optimal
+    ~solutions:3_682
+    (8_162_112, 194_336, 2_041_208, 1_191_214, 4_611_201, 124_128, Some 11)
 
 let prop_synthesized_kernels_sort_random_inputs =
   let cfg = Isa.Config.default 3 in
