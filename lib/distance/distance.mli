@@ -18,7 +18,15 @@
     record, for every code, a bitset of the data-moving instructions that
     take it one step closer to sorted ([ceil (data-moving instructions / 62)]
     words, one at [n = 4, m = 1]), which turns the action oracle into an OR
-    of table entries. *)
+    of table entries ({!mask_word}).
+
+    Invariant: a code's distance does not depend on its flag bits. A
+    sorting sequence rewritten to plain [mov]s for the flags it meets sorts
+    from any flags, so a [cmp], which rewrites only the flags, maps every
+    reachable code to a reachable code at the same distance. The search
+    relies on this to vet a [cmp] successor with its parent's bound
+    ([Search.Expand.expand]); [test_distance] checks it over every
+    reachable code for [n <= 5]. *)
 
 type t
 
@@ -69,6 +77,19 @@ val is_optimal_action : t -> Isa.Instr.t -> Machine.Assign.code -> bool
     closer to sorted, i.e. [i] begins some optimal sorting sequence for
     [c]. *)
 
+val action_bit : t -> Isa.Instr.t -> int * int
+(** [action_bit t i] is [(w, bit)], where [i]'s bit in the optimal-action
+    masks is [bit] (a single set bit) in word [w] of {!mask_word}. A [cmp]
+    gives [w = -1]: comparisons are always admitted (see
+    {!optimal_actions}). [i] is an optimal action for some code of [s] iff
+    [w < 0 || mask_word t s w land bit <> 0]. Compute it once per
+    instruction; the test then costs one [land]. *)
+
+val mask_word : t -> Sstate.t -> int -> int
+(** [mask_word t s w] is word [w] of the OR of the optimal-action masks of
+    [s]'s codes (dead and sorted codes contribute nothing). Allocates
+    nothing. Raises [Invalid_argument] if a code of [s] is not reachable. *)
+
 val optimal_actions : t -> Isa.Instr.t array -> Sstate.t -> bool array
 (** [optimal_actions t instrs s] marks, for each instruction, whether it is
     an optimal action for at least one assignment in [s] — the paper's
@@ -77,6 +98,7 @@ val optimal_actions : t -> Isa.Instr.t array -> Sstate.t -> bool array
     are known individually, so unconditional moves suffice), so the literal
     filter would eliminate all comparisons and no kernel could be found.
     A data-moving instruction is marked iff its bit is set in the OR of the
-    precomputed masks of [s]'s codes; [instrs] may be any selection of
-    {!Isa.Instr.all} in any order. Raises [Invalid_argument] if a code of
-    [s] is not reachable. *)
+    precomputed masks of [s]'s codes ({!action_bit} against {!mask_word});
+    [instrs] may be any selection of {!Isa.Instr.all} in any order. Raises
+    [Invalid_argument] if a code of [s] is not reachable. The search tests
+    the same bits in place, without building this array. *)

@@ -67,17 +67,20 @@ type env = {
   instrs : Isa.Instr.t array;
   dist : Distance.t option;
   bound : int;
+  filter : (int * int) array;
 }
 
 let make_env ?(bound = max_int) cfg opts =
-  {
-    cfg;
-    opts;
-    instrs = Isa.Instr.all cfg;
-    dist =
-      (if needs_distance opts then Some (Distance.compute_cached cfg) else None);
-    bound;
-  }
+  let instrs = Isa.Instr.all cfg in
+  let dist =
+    if needs_distance opts then Some (Distance.compute_cached cfg) else None
+  in
+  let filter =
+    match (opts.action_filter, dist) with
+    | Optimal_guided, Some d -> Array.map (Distance.action_bit d) instrs
+    | _ -> Array.make (Array.length instrs) (-1, 0)
+  in
+  { cfg; opts; instrs; dist; bound; filter }
 
 type succ =
   | Final of { instr : Isa.Instr.t; state : Sstate.t }
@@ -95,41 +98,16 @@ let cut_threshold opts ~min_pc =
       max min_pc (int_of_float (Float.round (k *. float_of_int min_pc)))
   | Add d -> min_pc + d
 
-let actions env state =
-  match env.opts.action_filter with
-  | All_actions -> env.instrs
-  | Optimal_guided -> (
-      match env.dist with
-      | None -> env.instrs
-      | Some d ->
-          let marks = Distance.optimal_actions d env.instrs state in
-          let kept =
-            Array.fold_left (fun k b -> if b then k + 1 else k) 0 marks
-          in
-          if kept = 0 then [||]
-          else begin
-            let out = Array.make kept env.instrs.(0) in
-            let k = ref 0 in
-            Array.iteri
-              (fun i b ->
-                if b then begin
-                  out.(!k) <- env.instrs.(i);
-                  incr k
-                end)
-              marks;
-            out
-          end)
-
 (* Successor vetting for non-final successors. The checks run in a fixed
    order — erasure, distance viability, length bound, cut — and exactly one
    counter is bumped per pruned successor, so the prune attribution is
    mutually exclusive by construction:
    [generated = kept + finals + pruned_cut + pruned_viability + pruned_bound]
    holds for every delta. [viable], [pc] and [lb] come from the arena's
-   order-free probe pass (or the parent's own caches); [lb] is read only
-   when distance viability is on. Returns [true] iff the successor
-   survives. *)
-let vet env delta ~g' ~threshold ~viable ~pc ~lb =
+   order-free probe pass, or from the parent's own caches for an unchanged
+   or [cmp] successor; [lb] is read only when distance viability is on.
+   Returns [true] iff the successor survives. *)
+let vet env delta ~g' ~(threshold : int) ~viable ~(pc : int) ~lb =
   if env.opts.erasure_check && not viable then begin
     delta.pruned_viability <- delta.pruned_viability + 1;
     false
@@ -165,55 +143,85 @@ let vet env delta ~g' ~threshold ~viable ~pc ~lb =
       true
     end
 
+let known_state known s = match known with Some k -> k s | None -> false
+
+(* A vetted successor that is the parent state itself. *)
+let unchanged known instr state ~pc =
+  if known_state known state then Known else Open { instr; state; pc }
+
+(* A vetted successor staged by the last probe. Ask before committing: a
+   survivor the engine already knows is never copied into the chunk. The
+   view dies with this call. *)
+let staged known arena instr ~pc =
+  if known_state known (Sstate.Arena.probe_view arena) then Known
+  else Open { instr; state = Sstate.Arena.commit arena; pc }
+
 let expand ?known env arena delta ~g' ~threshold state =
   let cfg = env.cfg in
-  Option.iter (fun d -> Distance.attach d arena) env.dist;
-  let acts = actions env state in
-  let is_known s = match known with Some k -> k s | None -> false in
+  (match env.dist with Some d -> Distance.attach d arena | None -> ());
+  (* The parent's facts. An unchanged successor is the parent itself (not
+     final: engines only expand non-final states), and a [cmp] successor
+     differs from it only in flag bits, which none of these facts reads
+     (the distance table is flag-independent, see [Distance]). *)
+  let pc = Sstate.distinct_perms cfg state in
+  let viable = Sstate.all_viable cfg state in
+  let lb =
+    match env.dist with
+    | Some d -> Distance.state_lower_bound d state
+    | None -> -1
+  in
+  (* The action filter's current mask word, computed on first use. *)
+  let word = ref 0 and word_at = ref (-1) in
   let out = ref [] in
-  Array.iter
-    (fun instr ->
+  for k = 0 to Array.length env.instrs - 1 do
+    let instr = env.instrs.(k) in
+    let w, bit = env.filter.(k) in
+    if
+      w < 0
+      ||
+      match env.dist with
+      | None -> true
+      | Some d ->
+          if w <> !word_at then begin
+            word := Distance.mask_word d state w;
+            word_at := w
+          end;
+          !word land bit <> 0
+    then begin
       delta.generated <- delta.generated + 1;
-      match Sstate.Arena.probe arena instr state with
-      | Sstate.Arena.Unchanged ->
-          (* The successor is the parent state itself (engines only expand
-             non-final states, so it is not final); all vetting queries hit
-             the parent's caches. It survives vetting exactly when the
-             parent would, and dedup (the [known] pre-filter, else the
-             engine's own table) then drops it. *)
-          let pc = Sstate.distinct_perms cfg state in
-          let lb =
-            match env.dist with
-            | Some d -> Distance.state_lower_bound d state
-            | None -> -1
-          in
-          if
-            vet env delta ~g' ~threshold
-              ~viable:(Sstate.all_viable cfg state)
-              ~pc ~lb
-          then
-            out :=
-              (if is_known state then Known else Open { instr; state; pc })
-              :: !out
-      | Sstate.Arena.Changed ->
-          if Sstate.Arena.probe_is_final arena then begin
-            delta.finals <- delta.finals + 1;
-            out := Final { instr; state = Sstate.Arena.commit arena } :: !out
-          end
-          else
-            let pc = Sstate.Arena.probe_distinct_perms arena in
-            if
-              vet env delta ~g' ~threshold
-                ~viable:(Sstate.Arena.probe_all_viable arena)
-                ~pc
-                ~lb:(Sstate.Arena.probe_lower_bound arena)
-            then
-              (* Ask before committing: a survivor the engine already
-                 knows is never copied into the chunk. The view dies
-                 with this branch. *)
-              out :=
-                (if is_known (Sstate.Arena.probe_view arena) then Known
-                 else Open { instr; state = Sstate.Arena.commit arena; pc })
-                :: !out)
-    acts;
+      if instr.Isa.Instr.op = Isa.Instr.Cmp then begin
+        (* Vetted before mapping a single code; only survivors are probed,
+           to find out whether they are new. *)
+        if vet env delta ~g' ~threshold ~viable ~pc ~lb then
+          out :=
+            (match Sstate.Arena.probe arena instr state with
+            | Sstate.Arena.Unchanged -> unchanged known instr state ~pc
+            | Sstate.Arena.Changed -> staged known arena instr ~pc)
+            :: !out
+      end
+      else
+        match Sstate.Arena.probe ~limit:threshold arena instr state with
+        | Sstate.Arena.Unchanged ->
+            (* It survives vetting exactly when the parent would, and
+               dedup (the [known] pre-filter, else the engine's own table)
+               then drops it. *)
+            if vet env delta ~g' ~threshold ~viable ~pc ~lb then
+              out := unchanged known instr state ~pc :: !out
+        | Sstate.Arena.Changed ->
+            if Sstate.Arena.probe_is_final arena then begin
+              delta.finals <- delta.finals + 1;
+              out := Final { instr; state = Sstate.Arena.commit arena } :: !out
+            end
+            else
+              let pc = Sstate.Arena.probe_distinct_perms arena in
+              (* A probe stopped at the limit reports a count above
+                 [threshold]; the cut (or an earlier check) prunes it. *)
+              if
+                vet env delta ~g' ~threshold
+                  ~viable:(Sstate.Arena.probe_all_viable arena)
+                  ~pc
+                  ~lb:(Sstate.Arena.probe_lower_bound arena)
+              then out := staged known arena instr ~pc :: !out
+    end
+  done;
   List.rev !out

@@ -15,7 +15,11 @@
     for finality and viability and bounded in one order-free pass) and
     only survivors are canonicalized. A survivor the engine already knows
     is dropped there too, so only new states are committed to the heap;
-    pruned successors allocate nothing.
+    pruned successors allocate nothing. Answers already known are not
+    recomputed: the action filter tests precomputed mask bits in place, a
+    [cmp] successor (only its flags differ from the parent) is vetted
+    with the parent's facts before any code is mapped, and the other
+    probes stop counting once the count passes the cut threshold.
 
     All pruning decisions are recorded in a {!delta} — a small mutable
     counter record private to the caller. Sequential engines pass one
@@ -94,6 +98,10 @@ type env = {
   instrs : Isa.Instr.t array;
   dist : Distance.t option;
   bound : int;  (** Current length bound; [max_int] when unbounded. *)
+  filter : (int * int) array;
+      (** The action filter, per instruction of [instrs]: its
+          {!Distance.action_bit}, or [(-1, 0)] (always tried) when the
+          options try every action. *)
 }
 (** Read-only expansion context, shareable across domains. *)
 
@@ -119,9 +127,6 @@ val cut_threshold : options -> min_pc:int -> int
     rounds [k * min_pc] to the nearest integer (never truncates) and is
     clamped to at least [min_pc], so ties with the intended threshold are
     kept. *)
-
-val actions : env -> Sstate.t -> Isa.Instr.t array
-(** The instructions to try from a state, after the action filter. *)
 
 val expand :
   ?known:(Sstate.t -> bool) ->

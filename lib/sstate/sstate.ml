@@ -9,7 +9,8 @@
    particular makes every dedup-table operation O(1) instead of O(len). On
    the arena path the order-free facts (count, finality, viability, the
    distance bound) come from one pass over the raw mapped codes, and only
-   successors that survive vetting are sorted, deduplicated and hashed.
+   successors that survive vetting are sorted, deduplicated and hashed. A
+   probe given the cut threshold stops counting once the cut is decided.
 
    The cfg-dependent caches ([pc], [tags], [lb]) are filled lazily for
    states built without a config ({!of_codes}) and eagerly on the arena
@@ -40,6 +41,11 @@ let fnv_prime = 0x100000001b3
    median-of-three quicksort above. The polymorphic [Array.sort compare]
    this replaces was the single hottest call of the old representation. *)
 
+let swap (a : int array) i j =
+  let t = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- t
+
 let rec sort_range (a : int array) lo hi =
   (* sorts a.[lo .. hi) *)
   if hi - lo <= 16 then
@@ -54,28 +60,23 @@ let rec sort_range (a : int array) lo hi =
     done
   else begin
     let mid = lo + ((hi - lo) / 2) in
-    let swap i j =
-      let t = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- t
-    in
     (* Median of first/middle/last as the pivot, parked at [lo]. *)
-    if a.(mid) < a.(lo) then swap mid lo;
-    if a.(hi - 1) < a.(lo) then swap (hi - 1) lo;
-    if a.(hi - 1) < a.(mid) then swap (hi - 1) mid;
-    swap lo mid;
+    if a.(mid) < a.(lo) then swap a mid lo;
+    if a.(hi - 1) < a.(lo) then swap a (hi - 1) lo;
+    if a.(hi - 1) < a.(mid) then swap a (hi - 1) mid;
+    swap a lo mid;
     let pivot = a.(lo) in
     let i = ref (lo + 1) and j = ref (hi - 1) in
     while !i <= !j do
       while !i <= !j && a.(!i) < pivot do incr i done;
       while a.(!j) > pivot do decr j done;
       if !i <= !j then begin
-        swap !i !j;
+        swap a !i !j;
         incr i;
         decr j
       end
     done;
-    swap lo !j;
+    swap a lo !j;
     sort_range a lo !j;
     sort_range a (!j + 1) hi
   end
@@ -89,7 +90,7 @@ let hash_range (a : int array) lo hi =
 
 (* Dedup the sorted, non-empty [a.[0..n)] in place; returns the
    deduplicated length. *)
-let dedup_sorted a n =
+let dedup_sorted (a : int array) n =
   let w = ref 1 in
   for i = 1 to n - 1 do
     if a.(i) <> a.(i - 1) then begin
@@ -266,6 +267,7 @@ module Arena = struct
        next probe. [map_buf.[0 .. p_len)] holds the raw mapped codes until
        [canonicalize] sorts and dedups them in place ([p_canon]); [p_hash]
        is meaningful only once they are canonical. *)
+    mutable p_over : bool;  (* the count passed the limit; partial facts *)
     mutable p_len : int;
     mutable p_sorted : bool;  (* the raw codes came out non-decreasing *)
     mutable p_canon : bool;
@@ -293,6 +295,7 @@ module Arena = struct
       used = 0;
       dist = [||];
       dist_inf = 0;
+      p_over = false;
       p_len = 0;
       p_sorted = false;
       p_canon = false;
@@ -309,7 +312,7 @@ module Arena = struct
 
   type outcome = Unchanged | Changed
 
-  let probe a instr (s : state) =
+  let probe ?(limit = max_int) a instr (s : state) =
     let len = s.len in
     if Array.length a.map_buf < len then a.map_buf <- Array.make (2 * len) 0;
     let buf = a.map_buf in
@@ -324,25 +327,34 @@ module Arena = struct
     let same = ref true and nondecr = ref true and prev = ref min_int in
     let pc = ref 0 and lb = ref (if has_dist then 0 else -1) in
     let final = ref true and viable = ref true in
+    (* The count at which the cut is decided: above [limit], and at least
+       2, so the successor cannot be final either. *)
+    let stop = if limit = max_int then max_int else max 2 (limit + 1) in
+    let counting = ref true in
     (* One pass over the mapped codes as they come. Besides spotting an
        unchanged or still-sorted result, it computes every fact vetting
        needs; duplicates and order change none of the distinct-permutation
        count (via the stamp table: no per-probe allocation, no key sort),
        finality, viability or the distance bound, so none of them waits
-       for the sort. A finite distance implies every value is still
-       present; only the codes the table calls dead (or every code,
-       without a table) need the register scan. *)
+       for the sort. Once the count reaches [stop] only the bound and
+       viability, which vetting reads before the cut, are still tracked.
+       A finite distance implies every value is still present; only the
+       codes the table calls dead (or every code, without a table) need
+       the register scan. *)
     for i = 0 to len - 1 do
       let c = buf.(i) in
-      if c <> s.buf.(s.off + i) then same := false;
-      if c < !prev then nondecr := false;
-      prev := c;
-      let key = (c lsr 2) land a.kmask in
-      if stamp.(key) <> g then begin
-        stamp.(key) <- g;
-        incr pc
+      if !counting then begin
+        if c <> s.buf.(s.off + i) then same := false;
+        if c < !prev then nondecr := false;
+        prev := c;
+        let key = (c lsr 2) land a.kmask in
+        if stamp.(key) <> g then begin
+          stamp.(key) <- g;
+          incr pc;
+          if !pc >= stop then counting := false
+        end;
+        if !final && key <> a.skey then final := false
       end;
-      if !final && key <> a.skey then final := false;
       let d = if has_dist then dist.(c) else -1 in
       if d >= 0 then begin
         if d > !lb then lb := d
@@ -361,8 +373,9 @@ module Arena = struct
         end
       end
     done;
-    if !same then Unchanged
+    if !same && !counting then Unchanged
     else begin
+      a.p_over <- not !counting;
       a.p_len <- len;
       a.p_sorted <- !nondecr;
       a.p_canon <- false;
@@ -381,6 +394,7 @@ module Arena = struct
   (* Sort (unless the map pass stayed monotone), dedup and hash the staged
      codes in place, once per probe. *)
   let canonicalize a =
+    if a.p_over then invalid_arg "Sstate.Arena: the probe stopped at its limit";
     if not a.p_canon then begin
       let buf = a.map_buf in
       if not a.p_sorted then sort_range buf 0 a.p_len;

@@ -117,14 +117,26 @@ module Arena : sig
         (** The successor differs; its codes and order-free facts are
             staged in the arena. Valid until the next [probe]. *)
 
-  val probe : arena -> Isa.Instr.t -> t -> outcome
+  val probe : ?limit:int -> arena -> Isa.Instr.t -> t -> outcome
   (** Apply [instr] to every code of the state into arena scratch and, in
       one pass over the mapped codes as they come (unsorted, duplicates
       included), compute the distinct-permutation count, finality,
       viability and, with a table attached, the distance lower bound —
       without allocating. None of these depends on order or duplicates,
       so the probe does not canonicalize: sorting, dedup and the hash are
-      deferred to the first {!probe_size}, {!probe_view} or {!commit}. *)
+      deferred to the first {!probe_size}, {!probe_view} or {!commit}.
+
+      [limit] (default [max_int]: none) is the caller's cut threshold.
+      Once the count exceeds it and is at least 2, the probe stops
+      counting and stops checking finality, order and whether anything
+      changed; it still reads every code's distance (raising on an
+      unreachable one) and viability. Such a probe returns [Changed]
+      even when no code moved, {!probe_distinct_perms} is then some count
+      above [limit] (not the exact one), finality is [false], and
+      viability and the lower bound are exact: every fact vetting reads
+      before the cut. Its successor is cut, so it cannot be sized, viewed
+      or committed ([Invalid_argument]). A count at or below [limit]
+      leaves the probe exactly as without one. *)
 
   val probe_distinct_perms : arena -> int
   val probe_is_final : arena -> bool

@@ -214,6 +214,48 @@ let test_matches_reference () =
         table)
     (Lazy.force oracle_tables)
 
+(* The invariant behind vetting a [cmp] successor with its parent's bound:
+   a [cmp] rewrites only the flags, and a code's distance does not depend
+   on them, so every [cmp] maps every reachable code to a reachable code at
+   the same distance. *)
+let check_cmp_keeps_distance (c, t) =
+  let name = Format.asprintf "%a" Isa.Config.pp c in
+  let cmps =
+    List.filter
+      (fun i -> i.Isa.Instr.op = Isa.Instr.Cmp)
+      (Array.to_list (Isa.Instr.all c))
+  in
+  for code = 0 to Machine.Assign.max_code c - 1 do
+    match Distance.dist t code with
+    | exception Invalid_argument _ -> ()
+    | d ->
+        List.iter
+          (fun i ->
+            let code' = Machine.Assign.apply c i code in
+            match Distance.dist t code' with
+            | d' when d' = d -> ()
+            | d' ->
+                Alcotest.failf "%s: %s moves code %d (dist %d) to dist %d" name
+                  (Isa.Instr.to_string c i) code d d'
+            | exception Invalid_argument _ ->
+                Alcotest.failf "%s: %s takes reachable code %d off the table"
+                  name (Isa.Instr.to_string c i) code)
+          cmps
+  done
+
+let test_cmp_keeps_distance () =
+  List.iter check_cmp_keeps_distance
+    (List.map
+       (fun m ->
+         let c = Isa.Config.make ~n:1 ~m in
+         (c, Distance.compute c))
+       [ 0; 1; 2 ]
+    @ Lazy.force oracle_tables)
+
+let test_cmp_keeps_distance_n5 () =
+  let c = Isa.Config.make ~n:5 ~m:1 in
+  check_cmp_keeps_distance (c, Distance.compute_cached c)
+
 let test_pinned_sizes () =
   List.iter
     (fun (n, reachable, radius) ->
@@ -280,6 +322,10 @@ let () =
           Alcotest.test_case "matches reference rounds" `Quick
             test_matches_reference;
           Alcotest.test_case "pinned n=4/n=5 sizes" `Quick test_pinned_sizes;
+          Alcotest.test_case "cmp keeps distance, n<=4" `Quick
+            test_cmp_keeps_distance;
+          Alcotest.test_case "cmp keeps distance, n=5" `Slow
+            test_cmp_keeps_distance_n5;
         ] );
       ( "properties",
         [

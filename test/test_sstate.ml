@@ -245,6 +245,65 @@ let prop_probe_order_free_matches_canonical =
       done;
       !ok)
 
+(* A probe with a limit keeps every fact vetting reads before the cut.
+   Along a random walk, each step probes one instruction twice — with a
+   random limit and without — in two arenas: they agree on viability, the
+   distance bound and finality (a stopped probe has counted two distinct
+   permutations), and on whether the count exceeds the limit; when it does
+   not, they agree on everything, committed state included. An unchanged
+   successor's facts are its parent's. *)
+let prop_probe_limit_keeps_vetting_facts =
+  QCheck.Test.make ~name:"limited probe keeps the vetting facts" ~count:300
+    QCheck.(
+      quad (int_range 3 4) (int_range 0 2) bool (int_bound 1000000))
+    (fun (n, m, with_table, seed) ->
+      let cfgn = Isa.Config.make ~n ~m in
+      let st = Random.State.make [| seed |] in
+      let dist = Distance.compute_cached cfgn in
+      let full = Sstate.Arena.create cfgn and lim = Sstate.Arena.create cfgn in
+      if with_table then begin
+        Distance.attach dist full;
+        Distance.attach dist lim
+      end;
+      let facts arena s = function
+        | Sstate.Arena.Unchanged ->
+            ( Sstate.distinct_perms cfgn s,
+              Sstate.is_final cfgn s,
+              Sstate.all_viable cfgn s,
+              if with_table then Distance.state_lower_bound dist s else -1 )
+        | Sstate.Arena.Changed ->
+            ( Sstate.Arena.probe_distinct_perms arena,
+              Sstate.Arena.probe_is_final arena,
+              Sstate.Arena.probe_all_viable arena,
+              Sstate.Arena.probe_lower_bound arena )
+      in
+      let instrs = Isa.Instr.all cfgn in
+      let s = ref (Sstate.initial cfgn) in
+      let ok = ref true in
+      for _ = 1 to 1 + Random.State.int st 12 do
+        let i = instrs.(Random.State.int st (Array.length instrs)) in
+        let limit = Random.State.int st (Perms.factorial n + 2) - 1 in
+        let o_full = Sstate.Arena.probe full i !s in
+        let o_lim = Sstate.Arena.probe ~limit lim i !s in
+        let ((pc, final, viable, lb) as f) = facts full !s o_full in
+        let ((pc', final', viable', lb') as f') = facts lim !s o_lim in
+        if
+          viable <> viable' || lb <> lb'
+          || pc > limit <> (pc' > limit)
+          || final <> final'
+        then ok := false;
+        if pc <= limit then begin
+          if o_full <> o_lim || f <> f' then ok := false
+          else if o_full = Sstate.Arena.Changed then begin
+            let a = Sstate.Arena.commit full and b = Sstate.Arena.commit lim in
+            if Sstate.codes a <> Sstate.codes b || Sstate.hash a <> Sstate.hash b
+            then ok := false
+          end
+        end;
+        s := Sstate.apply cfgn i !s
+      done;
+      !ok)
+
 (* The whole-array instruction map agrees with the per-code [apply] for
    every opcode, on codes with random flags and repeated values (so [cmp]
    also meets equal operands), and writes only the requested range. *)
@@ -306,6 +365,7 @@ let () =
           qtest prop_packed_equals_reference;
           qtest prop_arena_probe_matches_apply;
           qtest prop_probe_order_free_matches_canonical;
+          qtest prop_probe_limit_keeps_vetting_facts;
           qtest prop_map_sub_matches_apply;
         ] );
     ]
