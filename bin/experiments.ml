@@ -4,10 +4,10 @@
 
 open Cmdliner
 
-let run list_only full out registry ids =
+let run list_only full out ids =
   (match out with
   | Some dir ->
-      let files = Harness.Artifacts.write ?registry ~full dir in
+      let files = Harness.Artifacts.write ~full dir in
       Printf.printf "wrote %d artifact files to %s:\n" (List.length files) dir;
       List.iter (fun f -> Printf.printf "  %s\n" f) files
   | None -> ());
@@ -46,19 +46,10 @@ let out =
           "Also write artifact-style result files (solution dumps, tSNE \
            coordinates, PDDL and MiniZinc encodings) to $(docv).")
 
-let registry =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "registry" ] ~docv:"DIR"
-        ~doc:
-          "Serve single-kernel artifacts from (and populate) the kernel \
-           registry rooted at $(docv) instead of re-running the searches.")
-
 let cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Reproduce the tables and figures of 'Synthesis of Sorting Kernels' (CGO'25)")
-    Term.(ret (const run $ list_only $ full $ out $ registry $ ids))
+    Term.(ret (const run $ list_only $ full $ out $ ids))
 
 let () = exit (Cmd.eval cmd)

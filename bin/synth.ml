@@ -158,10 +158,9 @@ let resolve_root = function
 
 (* The one report of a {!Registry.Store.recover} sweep: a line per
    nonzero count. *)
-let print_recovery oc prefix (r : Registry.Store.recovery) =
+let print_recovery (r : Registry.Store.recovery) =
   List.iter
-    (fun (count, what) ->
-      if count > 0 then Printf.fprintf oc "%srecovered: %d %s\n" prefix count what)
+    (fun (count, what) -> if count > 0 then Printf.printf "# recovered: %d %s\n" count what)
     [
       (r.Registry.Store.rolled_back, "torn insert(s) rolled back");
       (r.Registry.Store.migrated, "flat v1 entries moved into shards");
@@ -186,20 +185,6 @@ let print_rules ~json (w1, w2) rows =
             Printf.printf "%-*s %-*s %s\n" w1 a w2 b c
         | _ -> ())
       rows
-
-let zero_stats =
-  {
-    Search.expanded = 0;
-    generated = 0;
-    deduped = 0;
-    pruned_cut = 0;
-    pruned_viability = 0;
-    pruned_bound = 0;
-    max_open = 0;
-    elapsed = 0.;
-    timeline = [];
-    levels = [];
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Shared flags.                                                       *)
@@ -338,7 +323,9 @@ let state_budget =
           "Cap on live search states. Exceeding it triggers the \
            degradation ladder (progressively aggressive \
            non-optimality-preserving cuts, results flagged degraded and \
-           never cached); exhaustion at the final rung exits with code 3.")
+           never cached); exhaustion at the final rung exits with code 3. \
+           A $(b,--prove-none) search never degrades: it exits with code 3 \
+           at the first exhaustion.")
 
 let optimize =
   flag "optimize"
@@ -364,12 +351,127 @@ let server =
 let json_flag = flag "json" "Emit a machine-readable JSON report on stdout."
 
 (* ------------------------------------------------------------------ *)
+(* The local executor, and the printers of a served answer. The       *)
+(* default command's --cache, batch and client all print through here. *)
+
+(* The daemon in process, without a socket. Constant settings, not flags
+   — no memory layer (every lookup goes to the store), a pool and queue
+   [workers] wide, and a breaker that never trips. It ends with
+   [destroy], never [drain], so no warm set lands in the registry. With
+   [root = None] the registry is a throwaway root, removed afterwards.
+   Returns the answer and the registry counter block. *)
+let serve_local ~root ~workers req =
+  let throwaway = root = None in
+  let root =
+    match root with Some r -> r | None -> Filename.temp_dir "synth-batch" ""
+  in
+  let srv =
+    Serve.Server.create
+      {
+        Serve.Server.socket_path = "";
+        root;
+        capacity = 0;
+        workers;
+        max_conns = 1;
+        max_queue = workers;
+        breaker_threshold = max_int;
+        breaker_cooldown = 0.;
+        drain_grace = 0.;
+      }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.destroy srv;
+      if throwaway then Registry.Store.remove_tree root)
+    (fun () ->
+      let resp = Serve.Server.handle srv req in
+      (resp, Json.member "registry" (Serve.Server.snapshot srv)))
+
+(* Every executor answers with kernel text; --x86 re-renders it. *)
+let render ~who ~x86 key text =
+  if not x86 then text
+  else
+    let cfg = Key.config key in
+    match Isa.Program.of_string cfg text with
+    | Ok p -> Isa.Program.to_x86 cfg p
+    | Error msg -> fail ~who exit_unreachable "protocol error: bad kernel: %s" msg
+
+(* One served answer: its status line, then its kernel; a server error
+   and a shed's retry hint go to stderr. Returns the status's exit
+   code. *)
+let print_served ?(who = "synth client") (s : P.served) =
+  Printf.printf "# %s%s%s%s: %s (%.3f s server-side)\n" s.P.status
+    (match s.P.source with Some src -> " from " ^ src | None -> "")
+    (if s.P.degraded then Printf.sprintf ", degraded (rung %d), not cached" s.P.rung
+     else "")
+    (if s.P.coalesced then ", coalesced" else "")
+    s.P.canonical s.P.elapsed;
+  Option.iter (Printf.eprintf "%s: server: %s\n" who) s.P.error;
+  Option.iter print_endline s.P.kernel;
+  let code = exit_code s.P.status in
+  if code = exit_overloaded then
+    Option.iter (Printf.eprintf "%s: retry in %.1f s\n" who) s.P.retry_after;
+  code
+
+(* After the answer: a local executor's [# registry:] counter line, then
+   [--stats-json], the wire answer plus that [registry] block. *)
+let finish_served stats_json resp registry =
+  Option.iter
+    (fun reg ->
+      let count name = match Json.member name reg with Some (Json.Int n) -> n | _ -> 0 in
+      Printf.printf "# registry: %s\n"
+        (String.concat ", "
+           (List.map
+              (fun name -> Printf.sprintf "%d %s" (count name) name)
+              [ "hits"; "misses"; "quarantined"; "inserted"; "recovered" ])))
+    registry;
+  let stats =
+    match (registry, P.response_to_json resp) with
+    | Some reg, Json.Obj fields -> Json.Obj (fields @ [ ("registry", reg) ])
+    | _, j -> j
+  in
+  Option.iter (fun path -> write_json path stats) stats_json
+
+(* ------------------------------------------------------------------ *)
 (* Default command: synthesize one kernel.                             *)
+
+(* Every kernel the default command prints gets a static-analysis pass;
+   any ERROR finding — impossible for a certified kernel — is shouted on
+   stderr. Returns the findings. *)
+let lint_printed cfg p =
+  let fs = Analysis.Lint.check_all cfg p in
+  if Analysis.Lint.errors fs <> [] then
+    Printf.eprintf "synth: lint: %s on the produced kernel\n"
+      (Analysis.Lint.summary fs);
+  fs
+
+(* [--cache]: one request to the local executor, answered as the daemon
+   answers it over a socket — a disk hit, or a search stored on success. *)
+let run_cached ~root ~x86 ~stats_json ~timeout ~budget ~optimize key =
+  let who = "synth" in
+  let req =
+    P.Synth (key, { P.default_params with P.timeout; budget; optimize; retries = 0 })
+  in
+  let resp, registry = serve_local ~root:(Some root) ~workers:1 req in
+  let s =
+    match resp with
+    | P.Served s -> s
+    | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
+  in
+  let cfg = Key.config key in
+  Option.iter
+    (fun text ->
+      Result.iter (fun p -> ignore (lint_printed cfg p)) (Isa.Program.of_string cfg text))
+    s.P.kernel;
+  let code =
+    print_served ~who { s with P.kernel = Option.map (render ~who ~x86 key) s.P.kernel }
+  in
+  finish_served stats_json resp registry;
+  if code <> 0 then exit code
 
 let run key minmax jobs all x86 prove_none pddl cache cache_dir stats_json
     fault_plan timeout budget optimize =
   setup_faults fault_plan;
-  let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
   let cfg = Key.config key and n = key.Key.n in
   if pddl then begin
     print_string (Planning.Pddl.domain cfg);
@@ -390,7 +492,13 @@ let run key minmax jobs all x86 prove_none pddl cache cache_dir stats_json
         print_endline
           (if x86 then Minmax.Vexec.to_x86 cfg p else Minmax.Vexec.to_string cfg p)
   end
+  else if cache && (not all) && prove_none = None then
+    (* The store holds one kernel per key, not solution enumerations or
+       non-existence claims: only find-first requests are cached. *)
+    run_cached ~root:(resolve_root cache_dir) ~x86 ~stats_json ~timeout ~budget
+      ~optimize key
   else begin
+    let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
     let mode =
       match prove_none with
       | Some l -> Search.Prove_none l
@@ -399,180 +507,119 @@ let run key minmax jobs all x86 prove_none pddl cache cache_dir stats_json
     let label =
       Printf.sprintf "synth n=%d engine=%s" n (Key.engine_to_string key.Key.engine)
     in
-    let root = resolve_root cache_dir in
-    let counters = Registry.Store.fresh_counters () in
-    (* Only plain find-first requests are cacheable: the store holds one
-       kernel per key, not solution enumerations or non-existence proofs. *)
-    let cacheable = cache && mode = Search.Find_first in
-    (* Every kernel we are about to print gets a static-analysis pass; the
-       verdict rides along in the stats snapshot and any ERROR finding —
-       impossible for a synthesized-optimal kernel — is shouted. *)
-    let analysis_note = ref None in
-    let degraded_note = ref None in
-    let opt_note = ref None in
-    let note_opt (rep : Opt.Pipeline.report) before =
-      let p = rep.Opt.Pipeline.optimized in
-      opt_note :=
-        Some
-          Json.(
-            Obj
-              [
-                ( "passes",
-                  Arr
-                    (List.map
-                       (fun (d : Opt.Pipeline.delta) -> Str d.Opt.Pipeline.pass)
-                       rep.Opt.Pipeline.deltas) );
-                ("refused", Int (List.length rep.Opt.Pipeline.refusals));
-                ("rounds", Int rep.Opt.Pipeline.rounds);
-                ("instructions_before", Int (Array.length before));
-                ("instructions_after", Int (Array.length p));
-                ("cycles_before", Int (Perf.Cost.simulated_cycles cfg before));
-                ("cycles_after", Int (Perf.Cost.simulated_cycles cfg p));
-              ])
+    let outcome =
+      match Registry.Scheduler.run_key ?deadline ~domains:jobs ~mode ?budget key with
+      | o -> o
+      | exception Search.Timeout ->
+          fail (exit_code "timed_out") "search timed out%s"
+            (match timeout with
+            | Some t -> Printf.sprintf " (deadline %.3f s)" t
+            | None -> "")
+      | exception Search.Resource_exhausted { live; budget } ->
+          fail (exit_code "exhausted") "state budget exhausted: %d live states%s (%s)"
+            live
+            (match budget with
+            | Some b -> Printf.sprintf " over budget %d" b
+            | None -> ", no budget configured")
+            (match mode with
+            | Search.Prove_none _ -> "--prove-none runs without the degradation ladder"
+            | Search.Find_first | Search.All_optimal ->
+                "even at the final degradation rung")
     in
-    let note_analysis p =
-      let fs = Analysis.Lint.check_all cfg p in
-      let errs = List.length (Analysis.Lint.errors fs) in
-      let d = Analysis.Dce.run cfg p in
-      analysis_note :=
-        Some
-          Json.(
-            Obj
-              [
-                ("findings", Int (List.length fs));
-                ("errors", Int errs);
-                ("eliminated", Int (List.length d.Analysis.Dce.removed));
-              ]);
-      if errs > 0 then
-        Printf.eprintf "synth: lint: %s on the produced kernel\n"
-          (Analysis.Lint.summary fs)
+    let r = outcome.Registry.Scheduler.result in
+    let degraded = outcome.Registry.Scheduler.degraded in
+    if degraded then
+      Printf.eprintf
+        "synth: degraded result (ladder rung %d): the kernel is verified \
+         correct but not guaranteed shortest; it will not be cached\n"
+        outcome.Registry.Scheduler.rung;
+    (* The printed kernel's analyzer and optimizer notes, which ride
+       along in the stats snapshot. *)
+    let analysis, opt =
+      match (mode, r.Search.programs) with
+      | Search.Prove_none l, _ ->
+          Printf.printf
+            (match r.Search.optimal_length with
+            | None -> format_of_string "no kernel of length <= %d exists (%d states explored)\n"
+            | Some _ -> format_of_string "a kernel of length <= %d exists! (%d states)\n")
+            l r.Search.stats.Search.expanded;
+          (None, None)
+      | _, [] ->
+          Printf.printf "no kernel found\n";
+          (None, None)
+      | _, p0 :: _ ->
+          (* A kernel that fails certification is never printed. *)
+          let pol =
+            match Registry.Scheduler.polish ~optimize key r with
+            | Ok pol -> pol
+            | Error msg -> fail 1 "VERIFICATION FAILED: %s" msg
+          in
+          let p = pol.Registry.Scheduler.kernel
+          and r = pol.Registry.Scheduler.search in
+          let opt (rep : Opt.Pipeline.report) =
+            List.iter
+              (fun (d : Opt.Pipeline.delta) ->
+                Printf.printf
+                  "# opt %s: %d -> %d instructions, %d -> %d simulated cycles\n"
+                  d.Opt.Pipeline.pass d.Opt.Pipeline.instructions_before
+                  d.Opt.Pipeline.instructions_after d.Opt.Pipeline.cycles_before
+                  d.Opt.Pipeline.cycles_after)
+              rep.Opt.Pipeline.deltas;
+            List.iter
+              (fun (f : Opt.Pipeline.refusal) ->
+                Printf.eprintf "synth: opt: refused %s: %s\n" f.Opt.Pipeline.pass
+                  f.Opt.Pipeline.reason)
+              rep.Opt.Pipeline.refusals;
+            Json.(
+              Obj
+                [
+                  ( "passes",
+                    Arr
+                      (List.map
+                         (fun (d : Opt.Pipeline.delta) -> Str d.Opt.Pipeline.pass)
+                         rep.Opt.Pipeline.deltas) );
+                  ("refused", Int (List.length rep.Opt.Pipeline.refusals));
+                  ("rounds", Int rep.Opt.Pipeline.rounds);
+                  ("instructions_before", Int (Array.length p0));
+                  ("instructions_after", Int (Array.length p));
+                  ("cycles_before", Int (Perf.Cost.simulated_cycles cfg p0));
+                  ("cycles_after", Int (Perf.Cost.simulated_cycles cfg p));
+                ])
+          in
+          let opt = Option.map opt pol.Registry.Scheduler.report in
+          let fs = lint_printed cfg p in
+          let analysis =
+            Json.(
+              Obj
+                [
+                  ("findings", Int (List.length fs));
+                  ("errors", Int (List.length (Analysis.Lint.errors fs)));
+                  ( "eliminated",
+                    Int (List.length (Analysis.Dce.run cfg p).Analysis.Dce.removed) );
+                ])
+          in
+          Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
+            (Array.length p) r.Search.solution_count r.Search.stats.Search.elapsed
+            r.Search.stats.Search.expanded;
+          print_endline
+            (if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p);
+          (Some analysis, opt)
     in
-    let extra () =
-      match
-        (if cache then
-           [ ("registry", Registry.Store.counters_json counters) ]
-         else [])
-        @ (match !analysis_note with
-          | Some j -> [ ("analysis", j) ]
-          | None -> [])
-        @ (match !degraded_note with
-          | Some j -> [ ("degraded", j) ]
-          | None -> [])
-        @ (match !opt_note with Some j -> [ ("opt", j) ] | None -> [])
-        @ [ ("certifications", Json.Int (Machine.Exec.certifications ())) ]
-      with
-      | [] -> None
-      | l -> Some l
-    in
-    let dump_stats stats =
-      match stats_json with
-      | None -> ()
-      | Some path -> write_json path (Search.Stats.to_json ~label ?extra:(extra ()) stats)
-    in
-    let hit =
-      if cacheable then begin
-        (* Crash recovery before the first lookup: a predecessor that died
-           mid-insert leaves a torn temp dir or a half-written entry. *)
-        print_recovery stderr "synth: registry: "
-          (Registry.Store.recover ~counters ~root ());
-        match Registry.Store.lookup ~counters ~root key with
-        | Registry.Store.Hit e -> Some e
-        | Registry.Store.Quarantined reason ->
-            Printf.eprintf "synth: registry: quarantined bad entry: %s\n" reason;
-            None
-        | Registry.Store.Miss -> None
-      end
-      else None
-    in
-    match hit with
-    | Some e ->
-        Printf.printf "# registry hit %s: %d instructions, verified on load\n"
-          (Key.hash key) e.Registry.Store.length;
-        print_endline
-          (if x86 then Isa.Program.to_x86 cfg e.Registry.Store.program
-           else Isa.Program.to_string cfg e.Registry.Store.program);
-        note_analysis e.Registry.Store.program;
-        dump_stats zero_stats
-    | None ->
-        let outcome =
-          match
-            Registry.Scheduler.run_key ?deadline ~domains:jobs ~mode ?budget key
-          with
-          | o -> o
-          | exception Search.Timeout ->
-              fail (exit_code "timed_out") "search timed out%s"
-                (match timeout with
-                | Some t -> Printf.sprintf " (deadline %.3f s)" t
-                | None -> "")
-          | exception Search.Resource_exhausted { live; budget } ->
-              fail (exit_code "exhausted")
-                "state budget exhausted: %d live states%s (even at the final \
-                 degradation rung)"
-                live
-                (match budget with
-                | Some b -> Printf.sprintf " over budget %d" b
-                | None -> ", no budget configured")
-        in
-        let r = outcome.Registry.Scheduler.result in
-        let degraded = outcome.Registry.Scheduler.degraded in
-        degraded_note := Some (Json.Bool degraded);
-        if degraded then
-          Printf.eprintf
-            "synth: degraded result (ladder rung %d): the kernel is verified \
-             correct but not guaranteed shortest; it will not be cached\n"
-            outcome.Registry.Scheduler.rung;
-        (match mode with
-        | Search.Prove_none l ->
-            Printf.printf
-              (match r.Search.optimal_length with
-              | None -> format_of_string "no kernel of length <= %d exists (%d states explored)\n"
-              | Some _ -> format_of_string "a kernel of length <= %d exists! (%d states)\n")
-              l r.Search.stats.Search.expanded
-        | _ -> (
-            match r.Search.programs with
-            | [] -> Printf.printf "no kernel found\n"
-            | p0 :: _ ->
-                (* A kernel that fails certification is never printed. *)
-                let pol =
-                  match Registry.Scheduler.polish ~optimize key r with
-                  | Ok pol -> pol
-                  | Error msg -> fail 1 "VERIFICATION FAILED: %s" msg
-                in
-                Option.iter
-                  (fun (rep : Opt.Pipeline.report) ->
-                    note_opt rep p0;
-                    List.iter
-                      (fun (d : Opt.Pipeline.delta) ->
-                        Printf.printf
-                          "# opt %s: %d -> %d instructions, %d -> %d \
-                           simulated cycles\n"
-                          d.Opt.Pipeline.pass d.Opt.Pipeline.instructions_before
-                          d.Opt.Pipeline.instructions_after
-                          d.Opt.Pipeline.cycles_before d.Opt.Pipeline.cycles_after)
-                      rep.Opt.Pipeline.deltas;
-                    List.iter
-                      (fun (f : Opt.Pipeline.refusal) ->
-                        Printf.eprintf "synth: opt: refused %s: %s\n"
-                          f.Opt.Pipeline.pass f.Opt.Pipeline.reason)
-                      rep.Opt.Pipeline.refusals)
-                  pol.Registry.Scheduler.report;
-                let p = pol.Registry.Scheduler.kernel
-                and r = pol.Registry.Scheduler.search in
-                note_analysis p;
-                Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
-                  (Array.length p) r.Search.solution_count
-                  r.Search.stats.Search.elapsed r.Search.stats.Search.expanded;
-                print_endline
-                  (if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p);
-                if cacheable then
-                  match
-                    Registry.Store.insert ~counters ~degraded
-                      ?provenance:pol.Registry.Scheduler.provenance ~root key r
-                  with
-                  | Ok _ -> Printf.printf "# registry store %s\n" (Key.hash key)
-                  | Error msg ->
-                      Printf.eprintf "synth: registry: cannot store kernel: %s\n" msg));
-        dump_stats r.Search.stats
+    let note name = Option.map (fun j -> (name, j)) in
+    Option.iter
+      (fun path ->
+        write_json path
+          (Search.Stats.to_json ~label
+             ~extra:
+               (List.filter_map Fun.id
+                  [
+                    note "analysis" analysis;
+                    Some ("degraded", Json.Bool degraded);
+                    note "opt" opt;
+                    Some ("certifications", Json.Int (Machine.Exec.certifications ()));
+                  ])
+             r.Search.stats))
+      stats_json
   end
 
 let default_term =
@@ -591,8 +638,11 @@ let default_term =
     $ x86 $ prove_none
     $ flag "pddl" "Emit the PDDL domain and problem."
     $ flag "cache"
-        "Consult the kernel registry before searching and store the \
-         synthesized kernel after. Entries are re-verified on every load."
+        "Answer through the kernel registry, as the daemon does but in \
+         process: a stored kernel is re-certified on load and served, a \
+         missing one is synthesized and stored. Only plain find-first \
+         requests are cached; with $(b,--all) or $(b,--prove-none) the \
+         search runs uncached."
     $ cache_dir $ stats_json $ fault_plan $ timeout $ state_budget $ optimize)
 
 (* ------------------------------------------------------------------ *)
@@ -642,39 +692,6 @@ let print_job i key (s : P.served) =
     (Key.describe key) label note;
   Option.iter print_endline s.P.kernel
 
-(* The local executor: the daemon without a socket. Constant settings,
-   not flags — no memory layer (every lookup goes to the store), a pool
-   and queue [-j] wide, and a breaker that never trips. It ends with
-   [destroy], never [drain], so no warm set lands in the registry. Under
-   [--no-cache] the registry is a throwaway root, removed afterwards.
-   Returns the answer and the registry counter block. *)
-let batch_local ~root ~workers req =
-  let throwaway = root = None in
-  let root =
-    match root with Some r -> r | None -> Filename.temp_dir "synth-batch" ""
-  in
-  let srv =
-    Serve.Server.create
-      {
-        Serve.Server.socket_path = "";
-        root;
-        capacity = 0;
-        workers;
-        max_conns = 1;
-        max_queue = workers;
-        breaker_threshold = max_int;
-        breaker_cooldown = 0.;
-        drain_grace = 0.;
-      }
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Serve.Server.destroy srv;
-      if throwaway then Registry.Store.remove_tree root)
-    (fun () ->
-      let resp = Serve.Server.handle srv req in
-      (resp, Json.member "registry" (Serve.Server.snapshot srv)))
-
 let run_jobs jobs_file server workers timeout retries backoff budget no_cache
     cache_dir x86 stats_json fault_plan optimize =
   setup_faults fault_plan;
@@ -705,7 +722,7 @@ let run_jobs jobs_file server workers timeout retries backoff budget no_cache
     | Some socket -> (roundtrip who socket req, None)
     | None ->
         let root = if no_cache then None else Some (resolve_root cache_dir) in
-        batch_local ~root ~workers req
+        serve_local ~root ~workers req
   in
   let served =
     match resp with
@@ -716,36 +733,11 @@ let run_jobs jobs_file server workers timeout retries backoff budget no_cache
           (List.length served)
     | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
   in
-  (* Both executors answer with kernel text; --x86 re-renders it. *)
-  let render key text =
-    if not x86 then text
-    else
-      let cfg = Key.config key in
-      match Isa.Program.of_string cfg text with
-      | Ok p -> Isa.Program.to_x86 cfg p
-      | Error msg -> fail ~who exit_unreachable "protocol error: bad kernel: %s" msg
-  in
   List.iteri
     (fun i (key, s) ->
-      print_job i key { s with P.kernel = Option.map (render key) s.P.kernel })
+      print_job i key { s with P.kernel = Option.map (render ~who ~x86 key) s.P.kernel })
     (List.combine keys served);
-  Option.iter
-    (fun reg ->
-      let count name =
-        match Json.member name reg with Some (Json.Int n) -> n | _ -> 0
-      in
-      Printf.printf "# registry: %s\n"
-        (String.concat ", "
-           (List.map
-              (fun name -> Printf.sprintf "%d %s" (count name) name)
-              [ "hits"; "misses"; "quarantined"; "inserted"; "recovered" ])))
-    registry;
-  let stats =
-    match (registry, P.response_to_json resp) with
-    | Some reg, Json.Obj fields -> Json.Obj (fields @ [ ("registry", reg) ])
-    | _, j -> j
-  in
-  Option.iter (fun path -> write_json path stats) stats_json;
+  finish_served stats_json resp registry;
   (* A homogeneous failure class keeps its own exit code, so scripts can
      tell "give it more time" (2) from "give it more memory" (3) from
      "retry later" (6); mixed or other failures collapse to 1. *)
@@ -1434,7 +1426,7 @@ let registry_verify cache_dir lint stats_json =
   let root = resolve_root cache_dir in
   let counters = Registry.Store.fresh_counters () in
   let rcv = Registry.Store.recover ~counters ~root () in
-  print_recovery stdout "# " rcv;
+  print_recovery rcv;
   let checked = Registry.Store.verify_all ~counters ~lint ~root () in
   let bad = ref 0 in
   List.iter
@@ -1470,7 +1462,7 @@ let registry_gc cache_dir dry_run =
   let root = resolve_root cache_dir in
   (* Recovery mutates the store (rollback / re-quarantine), so a dry run
      must skip it: --dry-run touches nothing on disk. *)
-  if not dry_run then print_recovery stdout "# " (Registry.Store.recover ~root ());
+  if not dry_run then print_recovery (Registry.Store.recover ~root ());
   let report = Registry.Store.gc ~dry_run ~root () in
   List.iter
     (fun v -> Printf.printf "%s %s\n" (if dry_run then "would purge" else "purged") v)
@@ -1584,18 +1576,6 @@ let serve_term =
     $ max_queue $ breaker_threshold $ breaker_cooldown $ drain_grace
     $ stats_json $ fault_plan)
 
-let print_served (s : P.served) =
-  Printf.printf "# %s%s%s: %s (%.3f s server-side)\n" s.P.status
-    (match s.P.source with Some src -> " from " ^ src | None -> "")
-    (if s.P.coalesced then ", coalesced" else "")
-    s.P.canonical s.P.elapsed;
-  Option.iter (Printf.eprintf "synth client: server: %s\n") s.P.error;
-  Option.iter print_endline s.P.kernel;
-  let code = exit_code s.P.status in
-  if code = exit_overloaded then
-    Option.iter (Printf.eprintf "synth client: retry in %.1f s\n") s.P.retry_after;
-  if code <> 0 then exit code
-
 let run_client server op key timeout budget deadline optimize stats_json
     fault_plan =
   setup_faults fault_plan;
@@ -1622,7 +1602,7 @@ let run_client server op key timeout budget deadline optimize stats_json
       match stats_json with
       | Some path -> write_json path j
       | None -> print_endline (Json.to_string j))
-  | P.Served s -> print_served s
+  | P.Served s -> ( match print_served s with 0 -> () | code -> exit code)
   | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
 
 let client_term =

@@ -16,49 +16,19 @@ let kernel_header cfg r =
   | p :: _ -> Isa.Program.to_string cfg p ^ "\n"
   | [] -> "# no solution\n"
 
-(* A registry-served kernel re-renders with the stats digest of the run
-   that originally produced it. *)
-let cached_header cfg (e : Registry.Store.entry) =
-  Printf.sprintf
-    "# served from registry (%s), originally %.3f s, %d states expanded, length %d\n%s\n"
-    (Registry.Key.hash e.Registry.Store.key)
-    e.Registry.Store.elapsed e.Registry.Store.expanded e.Registry.Store.length
-    (Isa.Program.to_string cfg e.Registry.Store.program)
-
-let write ?registry ~full dir =
+let write ~full dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let out = ref [] in
   let add name contents = out := write_file dir name contents :: !out in
-  (* sol<n>_h1.txt: first kernel with the best configuration, served from
-     the registry when one is given (and populated on miss). *)
+  (* sol<n>_h1.txt: first kernel with the best configuration. *)
   List.iter
     (fun n ->
-      let cfg = Isa.Config.default n in
       let engine = if n >= 4 then Registry.Key.Level else Registry.Key.Astar in
       let key = Registry.Key.make ~engine n in
-      let hit =
-        match registry with
-        | None -> None
-        | Some root -> (
-            match Registry.Store.lookup ~root key with
-            | Registry.Store.Hit e -> Some e
-            | Registry.Store.Miss | Registry.Store.Quarantined _ -> None)
-      in
-      let body =
-        match hit with
-        | Some e -> cached_header cfg e
-        | None ->
-            let o = Registry.Scheduler.run_key key in
-            let r = o.Registry.Scheduler.result in
-            Option.iter
-              (fun root ->
-                ignore
-                  (Registry.Store.insert
-                     ~degraded:o.Registry.Scheduler.degraded ~root key r))
-              registry;
-            kernel_header cfg r
-      in
-      add (Printf.sprintf "sol%d_h1.txt" n) body)
+      let o = Registry.Scheduler.run_key key in
+      add
+        (Printf.sprintf "sol%d_h1.txt" n)
+        (kernel_header (Isa.Config.default n) o.Registry.Scheduler.result))
     (if full then [ 2; 3; 4 ] else [ 2; 3 ]);
   (* All n=3 solutions under the given cut. *)
   let all3 k =

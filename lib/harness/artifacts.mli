@@ -6,10 +6,9 @@
     equivalent set from this reproduction so downstream users can diff runs
     and feed the encodings to external solvers. *)
 
-val write : ?registry:string -> full:bool -> string -> string list
+val write : full:bool -> string -> string list
 (** Returns the paths written (relative to [dir]). Creates [dir] if
-    needed. With [full], also enumerates all n=3 solutions at cut 2 (the
-    5602) into sol3_allsolutions.txt. With [registry] (a registry root
-    directory), the single-kernel artifacts (sol<n>_h1.txt) are served
-    from the store when present — verified on load — and inserted after
-    synthesis when missing, so repeated regenerations skip the searches. *)
+    needed. The single-kernel artifacts (sol<n>_h1.txt) each come from a
+    fresh {!Registry.Scheduler.run_key} search. With [full], also
+    enumerates all n=3 solutions at cut 2 (the 5602) into
+    sol3_allsolutions.txt. *)

@@ -67,14 +67,20 @@ let run_key ?deadline ?(domains = 2) ?(mode = Search.Find_first) ?budget key =
   in
   (* The distinct rungs for this base configuration (adjacent rungs can
      coincide, e.g. a [Mult 2.0] base makes rung 1 and rung 2 both
-     [Mult 1.0]); running the same options twice cannot help. *)
+     [Mult 1.0]); running the same options twice cannot help. A
+     non-existence claim holds only under the options it was searched
+     with, and every rung above 0 prunes harder, so a proof runs rung 0
+     alone. *)
   let rungs =
-    List.init (max_rung + 1) (fun r -> (r, degrade_opts base r))
-    |> List.fold_left
-         (fun acc (r, o) ->
-           match acc with (_, o') :: _ when o = o' -> acc | _ -> (r, o) :: acc)
-         []
-    |> List.rev
+    match mode with
+    | Search.Prove_none _ -> [ (0, base) ]
+    | Search.Find_first | Search.All_optimal ->
+        List.init (max_rung + 1) (fun r -> (r, degrade_opts base r))
+        |> List.fold_left
+             (fun acc (r, o) ->
+               match acc with (_, o') :: _ when o = o' -> acc | _ -> (r, o) :: acc)
+             []
+        |> List.rev
   in
   let rec go = function
     | [] -> assert false

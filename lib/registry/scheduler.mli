@@ -82,7 +82,10 @@ val run_key :
 (** Dispatch one request to the engine its key names: A*, sequential
     level-sync, or {!Search.run_parallel} over [domains] workers (default
     2, [Parallel] keys only). The single place that turns a key into a
-    running search — the CLI's default command uses it too.
+    running search. {!run_one} calls it for every daemon, batch and
+    [--cache] job; the only direct caller in the CLI is the default
+    command's uncached path (and [--all] / [--prove-none], which the
+    registry never serves).
 
     [budget] caps live search states ({!Search.options.state_budget}).
     When the search raises {!Search.Resource_exhausted}, [run_key] walks
@@ -90,9 +93,11 @@ val run_key :
     [No_cut] → [Mult 2.0], halving an existing factor), rung 2 forces
     [Mult 1.0], rung 3 adds the optimal-action filter and the perm-count
     heuristic. Rungs whose options coincide with the previous rung are
-    skipped; exhaustion at the final rung propagates. [deadline] (an
-    absolute {!Fault.Clock.now} instant) spans all rungs — degrading does
-    not extend a job's time box. *)
+    skipped; exhaustion at the final rung propagates. A [Prove_none]
+    search runs rung 0 only: a harder-pruned rung could report that no
+    kernel exists when one does, so its exhaustion propagates at once.
+    [deadline] (an absolute {!Fault.Clock.now} instant) spans all rungs —
+    degrading does not extend a job's time box. *)
 
 type polished = {
   kernel : Isa.Program.t;  (** The kernel to print and store. *)
@@ -113,8 +118,9 @@ val polish :
     certified, refused passes leave the kernel alone); returns what to
     print and what to hand to {!Store.insert}. [Error] when the result
     has no program or the head does not certify. {!run_one}, and so
-    every batch and daemon job, reaches the store through this; so does
-    the CLI's default command. *)
+    every daemon, batch and [--cache] job, reaches the store through
+    this. The only direct caller in the CLI is the default command's
+    uncached path, which prints the result and stores nothing. *)
 
 val run_one :
   ?optimize:bool ->

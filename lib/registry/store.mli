@@ -150,9 +150,9 @@ val recover : ?counters:counters -> root:string -> unit -> recovery
     ["superseded by sharded entry"], keeping its bytes; it is not real
     corruption, so it does not count in [requarantined]. Idempotent;
     cheap on a healthy store (one metadata parse per entry, no
-    certification). Callers that open a registry for serving — the CLI's
-    [--cache] path, the serve daemon (and so every batch), the registry
-    maintenance commands — run this first. *)
+    certification). Callers that open a registry for serving — the serve
+    daemon (and so every batch and the CLI's [--cache] path), the
+    registry maintenance commands — run this first. *)
 
 type scan = {
   hashes : string list;  (** Sharded entry hashes, sorted. *)

@@ -170,6 +170,8 @@ let expand ?known env arena delta ~g' ~threshold state =
     | Some d -> Distance.state_lower_bound d state
     | None -> -1
   in
+  (* Boxed once here, not on every non-[cmp] probe. *)
+  let limit = Some threshold in
   (* The action filter's current mask word, computed on first use. *)
   let word = ref 0 and word_at = ref (-1) in
   let out = ref [] in
@@ -200,7 +202,7 @@ let expand ?known env arena delta ~g' ~threshold state =
             :: !out
       end
       else
-        match Sstate.Arena.probe ~limit:threshold arena instr state with
+        match Sstate.Arena.probe ?limit arena instr state with
         | Sstate.Arena.Unchanged ->
             (* It survives vetting exactly when the parent would, and
                dedup (the [known] pre-filter, else the engine's own table)

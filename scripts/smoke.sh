@@ -48,7 +48,7 @@ rm -rf "$reg"
 # stats snapshot must show the hit.
 "$synth" -n 4 --cache --cache-dir "$reg" > /dev/null
 second="$("$synth" -n 4 --cache --cache-dir "$reg" --stats-json -)"
-echo "$second" | grep -q "registry hit" \
+echo "$second" | grep -q "# cached from disk" \
   || { echo "second --cache run did not hit the registry" >&2; exit 1; }
 echo "$second" | grep -q '"registry":{"hits":1' \
   || { echo "stats snapshot does not report the registry hit" >&2; exit 1; }
@@ -233,6 +233,18 @@ cold_out="$servedir/cold.out"
   || { echo "cold client request failed" >&2; exit 1; }
 grep -q "# synthesized from search" "$cold_out" \
   || { echo "cold request was not synthesized" >&2; exit 1; }
+# `synth --cache` is the same executor in process: on a fresh store it
+# keeps the entry the daemon's cold request kept, byte for byte but for
+# the search time.
+"$synth" -n 3 --cache --cache-dir "$servedir/cli-fresh" > /dev/null \
+  || { echo "synth --cache failed on a fresh store" >&2; exit 1; }
+served_entry="$(dirname "$(find "$reg/store" -name kernel.txt)")"
+cli_entry="$(dirname "$(find "$servedir/cli-fresh/store" -name kernel.txt)")"
+cmp -s "$served_entry/kernel.txt" "$cli_entry/kernel.txt" \
+  || { echo "synth --cache stored a different kernel.txt than the daemon" >&2; exit 1; }
+[ "$(jq -S 'del(.elapsed_s)' "$served_entry/meta.json")" \
+  = "$(jq -S 'del(.elapsed_s)' "$cli_entry/meta.json")" ] \
+  || { echo "synth --cache stored a different meta.json than the daemon" >&2; exit 1; }
 # Warm request: must be served from memory with ZERO directory scans and
 # ZERO n! re-certifications — proved by the process-wide monotone
 # counters not moving between the two stats snapshots around it.
@@ -329,7 +341,7 @@ cp -R "$reg" "$servedir/cli-registry"
 "$synth" -n 3 --cache --cache-dir "$servedir/cli-registry" > /dev/null
 flatten "$servedir/cli-registry"
 "$synth" -n 3 --cache --cache-dir "$servedir/cli-registry" \
-  | grep -q "# registry hit" \
+  | grep -q "# cached from disk" \
   || { echo "synth --cache missed on a flattened store" >&2; exit 1; }
 
 echo "== daemon overload: typed shed, exit 6, never a hang =="

@@ -204,6 +204,13 @@ let test_degradation_ladder () =
       | Ok () -> ()
       | Error m -> Alcotest.fail ("degraded kernel does not certify: " ^ m))
   | [] -> Alcotest.fail "ladder produced no kernel");
+  (* The same plan under a non-existence proof: a proof never degrades
+     (a harder-pruned rung could claim a bound that does not hold), so
+     the exhaustion propagates from rung 0. *)
+  arm "seed=1;search.alloc_budget=nth:1";
+  (match Registry.Scheduler.run_key ~mode:(Search.Prove_none 10) key with
+  | _ -> Alcotest.fail "exhausted proof walked the ladder"
+  | exception Search.Resource_exhausted _ -> ());
   Fault.disarm ();
   (* An undisturbed run is rung 0 and not degraded. *)
   let o = Registry.Scheduler.run_key key in
