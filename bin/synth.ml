@@ -479,16 +479,19 @@ let run key minmax jobs all x86 prove_none pddl cache cache_dir stats_json
     print_string (Planning.Pddl.problem cfg)
   end
   else if minmax then begin
-    let opts =
-      { Minmax.default with Minmax.all_solutions = all; max_len = key.Key.max_len }
-    in
-    let r = Minmax.synthesize ~opts n in
-    match r.Minmax.programs with
+    let mode = if all then Search.All_optimal else Search.Find_first in
+    let r = Minmax.synthesize ~opts:(Key.options key) ~mode n in
+    match r.Search.programs with
     | [] -> Printf.printf "no min/max kernel found\n"
     | p :: _ ->
+        (* Min/max kernels are synthesized with one scratch register. *)
+        let cfg = Isa.Config.default n in
+        (* As on the default path, a failing kernel is never printed. *)
+        if not (Minmax.Vexec.sorts_all_permutations cfg p) then
+          fail 1 "VERIFICATION FAILED: the min/max kernel does not sort every input";
         Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
-          (Array.length p) r.Minmax.solution_count r.Minmax.elapsed
-          r.Minmax.expanded;
+          (Array.length p) r.Search.solution_count r.Search.stats.Search.elapsed
+          r.Search.stats.Search.expanded;
         print_endline
           (if x86 then Minmax.Vexec.to_x86 cfg p else Minmax.Vexec.to_string cfg p)
   end
@@ -675,7 +678,7 @@ let print_job i key (s : P.served) =
           Printf.sprintf
             " in %.3f s — correct but not guaranteed shortest; not cached"
             s.P.elapsed )
-    | "synthesized" -> (label, Printf.sprintf " in %.3f s" s.P.elapsed)
+    | "synthesized" -> (label, Printf.sprintf " in %.3f s%s" s.P.elapsed err)
     | "timed_out" -> (label, Printf.sprintf " after %d attempts" s.P.attempts)
     | "exhausted" -> (label, Printf.sprintf "%s after %d attempts" err s.P.attempts)
     | "crashed" -> (label, err ^ "; job isolated")

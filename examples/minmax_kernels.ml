@@ -14,7 +14,7 @@ let () =
   List.iter
     (fun n ->
       let r = Minmax.synthesize n in
-      match r.Minmax.programs with
+      match r.Search.programs with
       | [] -> Printf.printf "n=%d: nothing found\n" n
       | p :: _ ->
           let cfg = Isa.Config.default n in
@@ -25,19 +25,20 @@ let () =
             "n=%d: synthesized %d instructions (%d movdqa, %d pmin, %d pmax) \
              vs %d for the network, in %.3f s over %d states\n"
             n (Array.length p) movs mins maxs (Array.length net)
-            r.Minmax.elapsed r.Minmax.expanded)
+            r.Search.stats.Search.elapsed r.Search.stats.Search.expanded)
     [ 2; 3; 4 ];
   (* Enumerate all optimal n=3 min/max kernels (paper artifact:
      sol3_minmax_allsolutions). *)
   let r =
     Minmax.synthesize
-      ~opts:{ Minmax.default with Minmax.all_solutions = true; cut = Some 2.0 }
+      ~mode:Search.All_optimal
+      ~opts:{ Minmax.default with Search.cut = Search.Mult 2.0 }
       3
   in
   Printf.printf "\nall optimal n=3 min/max kernels under cut 2: %d\n"
-    r.Minmax.solution_count;
+    r.Search.solution_count;
   (* Run one synthesized kernel against the cmov kernel on real data. *)
-  match (Minmax.synthesize 3).Minmax.programs with
+  match (Minmax.synthesize 3).Search.programs with
   | p :: _ ->
       let sorter = Minmax.to_sorter ~name:"minmax3" 3 p in
       let rows =

@@ -33,7 +33,7 @@ let synthesize = Search.synthesize
     or [None] if the bounded search fails. *)
 let synthesize_minmax n =
   let r = Minmax.synthesize n in
-  match r.Minmax.programs with
+  match r.Search.programs with
   | p :: _ when Minmax.Vexec.sorts_all_permutations (Isa.Config.default n) p ->
       Some p
   | _ -> None

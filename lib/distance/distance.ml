@@ -163,7 +163,6 @@ let compute_cached cfg =
           Hashtbl.replace cache key t;
           t)
 
-let config t = t.cfg
 
 let dist t c =
   match t.table.(c) with

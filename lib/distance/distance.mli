@@ -43,8 +43,6 @@ val compute_cached : Isa.Config.t -> t
     at once: the first caller for a configuration computes under a lock and
     every caller receives the same (physically equal) table. *)
 
-val config : t -> Isa.Config.t
-
 val infinity : int
 (** Distance reported for assignments that can never be sorted (a value of
     [1..n] was erased). A large sentinel, safe to add small integers to. *)

@@ -65,10 +65,10 @@ let write ~full dir =
     (fun n ->
       let r = Minmax.synthesize n in
       let body =
-        match r.Minmax.programs with
+        match r.Search.programs with
         | p :: _ ->
             Printf.sprintf "# %d instructions in %.3f s\n%s\n" (Array.length p)
-              r.Minmax.elapsed
+              r.Search.stats.Search.elapsed
               (Minmax.Vexec.to_string (Isa.Config.default n) p)
         | [] -> "# no solution\n"
       in

@@ -914,15 +914,15 @@ let e20 ~full =
     List.filter_map
       (fun n ->
         let r = Minmax.synthesize n in
-        match r.Minmax.programs with
-        | [] -> Some [ string_of_int n; "-"; tstr r.Minmax.elapsed; "none"; "-" ]
+        match r.Search.programs with
+        | [] -> Some [ string_of_int n; "-"; tstr r.Search.stats.Search.elapsed; "none"; "-" ]
         | p :: _ ->
             let net = Minmax.network_kernel n in
             Some
               [
                 string_of_int n;
                 string_of_int (Array.length p);
-                tstr r.Minmax.elapsed;
+                tstr r.Search.stats.Search.elapsed;
                 string_of_int (Array.length net);
                 string_of_bool
                   (Minmax.Vexec.sorts_all_permutations (Isa.Config.default n) p);
@@ -938,7 +938,7 @@ let e20 ~full =
   (* Runtime comparison minmax vs cmov vs network, as in the paper table. *)
   let bench n =
     let r = Minmax.synthesize n in
-    match r.Minmax.programs with
+    match r.Search.programs with
     | [] -> ()
     | p :: _ ->
         let cfg = Isa.Config.default n in
@@ -989,7 +989,7 @@ let e20 ~full =
   (* Hybrid kernels (Section 5.4): certify at n=2 that mixing the files
      never beats staying in one. *)
   let hy = Hybrid.synthesize 2 in
-  (match hy.Hybrid.programs with
+  (match hy.Search.programs with
   | p :: _ ->
       Printf.printf
         "\nhybrid search (both files + transfers), n=2: optimum %d with %d \

@@ -126,99 +126,16 @@ let transfer_count p =
     (fun a i -> match i with To_vec _ | To_gp _ -> a + 1 | Gp _ | Vec _ -> a)
     0 p
 
-type result = {
-  programs : program list;
-  optimal_length : int option;
-  expanded : int;
-  elapsed : float;
-}
-
-let distinct_perms cfg (s : Sstate.t) =
-  let keys = Array.map (perm_key cfg) (Sstate.codes s) in
-  Array.sort compare keys;
-  let d = ref 1 in
-  for i = 1 to Array.length keys - 1 do
-    if keys.(i) <> keys.(i - 1) then incr d
-  done;
-  !d
-
-let synthesize ?(cut = Some 1.0) ?(max_len = 24) n =
-  let start = Unix.gettimeofday () in
+let synthesize ?(cut = Search.Mult 1.0) ?(max_len = 24) n =
   let cfg = Isa.Config.default n in
-  let instrs = all_instrs cfg in
-  let init =
-    Perms.all n |> List.map (of_permutation cfg) |> Array.of_list
-    |> Sstate.of_codes
-  in
-  let final_state s = Array.for_all (is_sorted cfg) (Sstate.codes s) in
-  let all_viable s = Array.for_all (viable cfg) (Sstate.codes s) in
-  let seen = Sstate.Tbl.create (1 lsl 14) in
-  Sstate.Tbl.replace seen init 0;
-  let expanded = ref 0 in
-  let parents = Sstate.Tbl.create (1 lsl 14) in
-  let current = ref [ init ] in
-  let level = ref 0 in
-  let found = ref [] in
-  let stop = ref false in
-  while (not !stop) && !current <> [] && !level < max_len do
-    let g' = !level + 1 in
-    let min_pc =
-      List.fold_left (fun a s -> min a (distinct_perms cfg s)) max_int !current
-    in
-    let threshold =
-      match cut with
-      | None -> max_int
-      | Some k -> int_of_float (k *. float_of_int min_pc)
-    in
-    let next = Sstate.Tbl.create (1 lsl 10) in
-    List.iter
-      (fun s ->
-        if not !stop then begin
-          incr expanded;
-          Array.iter
-            (fun instr ->
-              if not !stop then begin
-                let s' =
-                  Sstate.of_codes (Array.map (apply cfg instr) (Sstate.codes s))
-                in
-                if final_state s' then begin
-                  if not (Sstate.Tbl.mem parents s') then
-                    Sstate.Tbl.replace parents s' (s, instr);
-                  found := s' :: !found;
-                  stop := true
-                end
-                else if
-                  all_viable s'
-                  && distinct_perms cfg s' <= threshold
-                  && not (Sstate.Tbl.mem seen s')
-                then begin
-                  Sstate.Tbl.replace seen s' g';
-                  Sstate.Tbl.replace parents s' (s, instr);
-                  Sstate.Tbl.replace next s' ()
-                end
-              end)
-            instrs
-        end)
-      !current;
-    if not !stop then begin
-      current := Sstate.Tbl.fold (fun k () acc -> k :: acc) next [];
-      level := g'
-    end
-  done;
-  let reconstruct final =
-    let rec walk acc s =
-      if Sstate.equal s init then acc
-      else
-        let p, i = Sstate.Tbl.find parents s in
-        walk (i :: acc) p
-    in
-    Array.of_list (walk [] final)
-  in
-  let programs = List.map reconstruct !found in
-  {
-    programs;
-    optimal_length =
-      (match programs with [] -> None | p :: _ -> Some (Array.length p));
-    expanded = !expanded;
-    elapsed = Unix.gettimeofday () -. start;
-  }
+  Search.run_isa
+    ~opts:{ Search.default with cut; max_len = Some max_len }
+    ~mode:Search.Find_first cfg
+    {
+      Search.Expand.instrs = all_instrs cfg;
+      input = of_permutation cfg;
+      apply = apply cfg;
+      is_sorted = is_sorted cfg;
+      viable = viable cfg;
+      perm_key = perm_key cfg;
+    }

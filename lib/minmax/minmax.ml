@@ -1,175 +1,19 @@
 module Vinstr = Vinstr
 module Vexec = Vexec
 
-type options = {
-  cut : float option;
-  max_len : int option;
-  all_solutions : bool;
-  max_solutions : int;
-}
+let default = { Search.default with cut = Search.Mult 1.0 }
 
-let default =
-  { cut = Some 1.0; max_len = None; all_solutions = false; max_solutions = 10_000 }
-
-type result = {
-  programs : Vexec.program list;
-  optimal_length : int option;
-  solution_count : int;
-  expanded : int;
-  elapsed : float;
-}
-
-type node = {
-  state : Sstate.t;
-  pc : int;
-  mutable paths : int;
-  mutable parents : (node * Vinstr.t) list;
-}
-
-let distinct_perms cfg (s : Sstate.t) =
-  let keys = Array.map (Vexec.perm_key cfg) (Sstate.codes s) in
-  Array.sort compare keys;
-  let d = ref 1 in
-  for i = 1 to Array.length keys - 1 do
-    if keys.(i) <> keys.(i - 1) then incr d
-  done;
-  !d
-
-let all_viable cfg (s : Sstate.t) =
-  Array.for_all (Vexec.viable cfg) (Sstate.codes s)
-
-let is_final cfg (s : Sstate.t) =
-  Array.for_all (Vexec.is_sorted cfg) (Sstate.codes s)
-
-let initial cfg =
-  Perms.all cfg.Isa.Config.n
-  |> List.map (Vexec.of_permutation cfg)
-  |> Array.of_list |> Sstate.of_codes
-
-let programs_of_final cap finals =
-  let out = ref [] and count = ref 0 in
-  let rec go suffix n =
-    if !count < cap then
-      match n.parents with
-      | [] ->
-          out := Array.of_list suffix :: !out;
-          incr count
-      | ps -> List.iter (fun (p, i) -> go (i :: suffix) p) ps
-  in
-  List.iter (fun n -> go [] n) finals;
-  List.rev !out
-
-let synthesize ?(opts = default) n =
+let synthesize ?(opts = default) ?(mode = Search.Find_first) n =
   let cfg = Isa.Config.default n in
-  let instrs = Vinstr.all cfg in
-  let start = Unix.gettimeofday () in
-  let expanded = ref 0 in
-  let init = initial cfg in
-  if is_final cfg init then
+  Search.run_isa ~opts ~mode cfg
     {
-      programs = [ [||] ];
-      optimal_length = Some 0;
-      solution_count = 1;
-      expanded = 0;
-      elapsed = 0.;
+      Search.Expand.instrs = Vinstr.all cfg;
+      input = Vexec.of_permutation cfg;
+      apply = Vexec.apply;
+      is_sorted = Vexec.is_sorted cfg;
+      viable = Vexec.viable cfg;
+      perm_key = Vexec.perm_key cfg;
     }
-  else begin
-    let seen = Sstate.Tbl.create (1 lsl 14) in
-    Sstate.Tbl.replace seen init 0;
-    let root = { state = init; pc = distinct_perms cfg init; paths = 1; parents = [] } in
-    let current = ref [ root ] in
-    let level = ref 0 in
-    let finals = ref [] in
-    let final_tbl = Sstate.Tbl.create 64 in
-    let bound = match opts.max_len with Some b -> b | None -> max_int in
-    let stop = ref false in
-    while (not !stop) && !current <> [] && !level < bound do
-      let g' = !level + 1 in
-      let min_pc = List.fold_left (fun a nd -> min a nd.pc) max_int !current in
-      let threshold =
-        match opts.cut with
-        | None -> max_int
-        | Some k -> int_of_float (k *. float_of_int min_pc)
-      in
-      let next = Sstate.Tbl.create (1 lsl 10) in
-      List.iter
-        (fun node ->
-          if not !stop then begin
-            incr expanded;
-            Array.iter
-              (fun instr ->
-                if not !stop then begin
-                  let codes' =
-                    Array.map (Vexec.apply instr) (Sstate.codes node.state)
-                  in
-                  let state' = Sstate.of_codes codes' in
-                  if is_final cfg state' then begin
-                    (match Sstate.Tbl.find_opt final_tbl state' with
-                    | Some fn ->
-                        fn.paths <- fn.paths + node.paths;
-                        if opts.all_solutions then
-                          fn.parents <- fn.parents @ [ (node, instr) ]
-                    | None ->
-                        let fn =
-                          { state = state'; pc = 1; paths = node.paths;
-                            parents = [ (node, instr) ] }
-                        in
-                        Sstate.Tbl.replace final_tbl state' fn;
-                        finals := fn :: !finals);
-                    if not opts.all_solutions then stop := true
-                  end
-                  else if all_viable cfg state' then begin
-                    let pc = distinct_perms cfg state' in
-                    if pc <= threshold then
-                      match Sstate.Tbl.find_opt seen state' with
-                      | Some l when l < g' -> ()
-                      | Some _ -> (
-                          match Sstate.Tbl.find_opt next state' with
-                          | Some n' ->
-                              n'.paths <- n'.paths + node.paths;
-                              if opts.all_solutions then
-                                n'.parents <- n'.parents @ [ (node, instr) ]
-                          | None -> ())
-                      | None ->
-                          Sstate.Tbl.replace seen state' g';
-                          Sstate.Tbl.replace next state'
-                            { state = state'; pc; paths = node.paths;
-                              parents = [ (node, instr) ] }
-                  end
-                end)
-              instrs
-          end)
-        !current;
-      if !finals <> [] then stop := true
-      else begin
-        current := Sstate.Tbl.fold (fun _ nd acc -> nd :: acc) next [];
-        level := g'
-      end
-    done;
-    let finals = List.rev !finals in
-    let solution_count = List.fold_left (fun a nd -> a + nd.paths) 0 finals in
-    let programs =
-      if opts.all_solutions then programs_of_final opts.max_solutions finals
-      else
-        match finals with
-        | [] -> []
-        | nd :: _ ->
-            let rec walk acc nd =
-              match nd.parents with
-              | [] -> acc
-              | (p, i) :: _ -> walk (i :: acc) p
-            in
-            [ Array.of_list (walk [] nd) ]
-    in
-    {
-      programs;
-      optimal_length =
-        (match finals with [] -> None | _ -> Some (!level + 1));
-      solution_count;
-      expanded = !expanded;
-      elapsed = Unix.gettimeofday () -. start;
-    }
-  end
 
 let network_kernel n =
   let cfg = Isa.Config.default n in

@@ -6,35 +6,24 @@ module Vexec : module type of Vexec
 
 (** Synthesis of min/max sorting kernels (paper, Section 5.4).
 
-    The same enumerative approach as the cmov search, specialized to the
-    three-instruction vector ISA: level-synchronous search over canonical
-    states (one packed assignment per input permutation), with state
-    deduplication, erasure viability, and the distinct-permutation cut. The
-    search space is small enough (optimal lengths 8, 15, 26 for n = 3..5)
-    that no distance table is needed. *)
+    The same enumerative approach as the cmov search, run by the same
+    level-synchronous loop ({!Search.run_isa}): this module only says how
+    a packed {!Vexec} code moves through one instruction and what sorted,
+    viable and the perm-count projection mean for that layout. The search
+    space is small enough (optimal lengths 8, 15, 26 for n = 3..5) that no
+    distance table is needed. *)
 
-type options = {
-  cut : float option;  (** Perm-count cut factor [k]; [None] disables. *)
-  max_len : int option;
-  all_solutions : bool;
-  max_solutions : int;
-}
+val default : Search.options
+(** {!Search.default} with the [Mult 1.0] cut and no bound. *)
 
-val default : options
-(** Cut 1.0, no bound, first solution only. *)
-
-type result = {
-  programs : Vexec.program list;
-  optimal_length : int option;
-  solution_count : int;
-  expanded : int;
-  elapsed : float;
-}
-
-val synthesize : ?opts:options -> int -> result
+val synthesize :
+  ?opts:Search.options -> ?mode:Search.mode -> int -> Vinstr.t Search.outcome
 (** [synthesize n] searches for minimal min/max kernels for width [n] with
-    one scratch register. With [all_solutions] set, enumerates every
-    solution surviving the cut at the optimal length. *)
+    one scratch register, by default the first one found; with
+    [~mode:All_optimal], every solution surviving the cut at the optimal
+    length. Which optimal kernel comes first depends on the order the
+    level loop walks a level in; the optimal length and an [All_optimal]
+    run's solution count do not. *)
 
 val network_kernel : int -> Vexec.program
 (** The optimal sorting network compiled to 3-instruction compare-and-swaps

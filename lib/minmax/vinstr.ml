@@ -42,6 +42,3 @@ let to_x86 cfg i =
     match i.op with Movdqa -> "movdqa" | Pmin -> "pminsd" | Pmax -> "pmaxsd"
   in
   Printf.sprintf "%s %s, %s" mnemonic (xmm cfg i.dst) (xmm cfg i.src)
-
-let compare = Stdlib.compare
-let equal a b = a = b

@@ -17,7 +17,6 @@ type t = { op : op; dst : int; src : int }
 val movdqa : int -> int -> t
 val pmin : int -> int -> t
 val pmax : int -> int -> t
-val op_name : op -> string
 
 val valid : Isa.Config.t -> t -> bool
 (** Operand ranges and [dst <> src] ([pmin x x] and [movdqa x x] are
@@ -31,6 +30,3 @@ val to_string : Isa.Config.t -> t -> string
 
 val to_x86 : Isa.Config.t -> t -> string
 (** x86 SSE4.1 rendering, e.g. ["pminsd xmm0, xmm7"]. *)
-
-val compare : t -> t -> int
-val equal : t -> t -> bool

@@ -505,7 +505,7 @@ let recover ?counters ~root () =
     (List.merge compare s.hashes migrated);
   Option.iter
     (fun (c : counters) ->
-      c.recovered <- c.recovered + !rolled_back;
+      c.recovered <- c.recovered + !rolled_back + List.length migrated;
       c.quarantined <- c.quarantined + !requarantined)
     counters;
   {

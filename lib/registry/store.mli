@@ -43,7 +43,9 @@ type counters = {
           findings during a [~lint:true] {!verify_all} sweep (a subset of
           [quarantined]). *)
   mutable recovered : int;
-      (** Torn temp directories rolled back by {!recover}. *)
+      (** Torn temp directories rolled back plus flat-layout entries
+          moved into their shard by {!recover} (its [rolled_back] plus
+          [migrated]); what it re-quarantines counts in [quarantined]. *)
 }
 (** Mutable tallies for one serving session. [hits], [misses], and
     [quarantined] are disjoint per lookup. *)

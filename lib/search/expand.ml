@@ -82,9 +82,9 @@ let make_env ?(bound = max_int) cfg opts =
   in
   { cfg; opts; instrs; dist; bound; filter }
 
-type succ =
-  | Final of { instr : Isa.Instr.t; state : Sstate.t }
-  | Open of { instr : Isa.Instr.t; state : Sstate.t; pc : int }
+type 'i succ =
+  | Final of { instr : 'i; state : Sstate.t }
+  | Open of { instr : 'i; state : Sstate.t; pc : int }
   | Known
 
 let cut_threshold opts ~min_pc =
@@ -227,3 +227,43 @@ let expand ?known env arena delta ~g' ~threshold state =
     end
   done;
   List.rev !out
+
+type 'i code_isa = {
+  instrs : 'i array;
+  input : int array -> int;
+  apply : 'i -> int -> int;
+  is_sorted : int -> bool;
+  viable : int -> bool;
+  perm_key : int -> int;
+}
+
+let code_perms isa codes =
+  Array.fold_left (fun keys c -> isa.perm_key c :: keys) [] codes
+  |> List.sort_uniq Int.compare |> List.length
+
+let code_root isa cfg =
+  let codes =
+    Perms.all cfg.Isa.Config.n |> List.map isa.input |> Array.of_list
+  in
+  (Sstate.of_codes codes, code_perms isa codes, Array.for_all isa.is_sorted codes)
+
+(* The same bookkeeping as [expand], without an arena: each successor's
+   codes are mapped into a fresh array, its facts read off that array,
+   and only survivors are canonicalized. *)
+let expand_codes ?known env isa delta ~g' ~threshold state =
+  let codes = Sstate.codes state in
+  Array.to_list isa.instrs
+  |> List.filter_map (fun instr ->
+         delta.generated <- delta.generated + 1;
+         let codes' = Array.map (isa.apply instr) codes in
+         if Array.for_all isa.is_sorted codes' then begin
+           delta.finals <- delta.finals + 1;
+           Some (Final { instr; state = Sstate.of_codes codes' })
+         end
+         else
+           let pc = code_perms isa codes' in
+           let viable = Array.for_all isa.viable codes' in
+           if not (vet env delta ~g' ~threshold ~viable ~pc ~lb:(-1)) then None
+           else
+             let state = Sstate.of_codes codes' in
+             Some (if known_state known state then Known else Open { instr; state; pc }))

@@ -68,9 +68,6 @@ val check_budget : options -> live:int -> unit
     when dedup is off) exceeds the configured budget. Zero-cost when no
     budget is set and no fault plan is installed. *)
 
-val needs_distance : options -> bool
-(** Whether the option set requires the precomputed distance table. *)
-
 type delta = {
   mutable generated : int;  (** Successor states built (finals included). *)
   mutable kept : int;
@@ -109,10 +106,10 @@ val make_env : ?bound:int -> Isa.Config.t -> options -> env
 (** Build an environment: instantiates the instruction set and, when the
     options need it, the (process-wide cached) distance table. *)
 
-type succ =
-  | Final of { instr : Isa.Instr.t; state : Sstate.t }
+type 'i succ =
+  | Final of { instr : 'i; state : Sstate.t }
       (** A sorted-everywhere successor (its count is [1]). *)
-  | Open of { instr : Isa.Instr.t; state : Sstate.t; pc : int }
+  | Open of { instr : 'i; state : Sstate.t; pc : int }
       (** A vetted non-final successor; [pc] is its distinct-permutation
           count. *)
   | Known
@@ -136,7 +133,7 @@ val expand :
   g':int ->
   threshold:int ->
   Sstate.t ->
-  succ list
+  Isa.Instr.t succ list
 (** [expand env arena delta ~g' ~threshold state] generates and vets every
     successor of [state] at depth [g']. Final states are always kept (they
     bypass vetting, like in every engine); non-final successors survive
@@ -156,3 +153,38 @@ val expand :
     answer [true] only for states the engine would drop as duplicates
     whatever else this expansion yields; duplicates within one expansion
     or one level are still the engine's to catch. *)
+
+(** {1 Other instruction sets}
+
+    The min/max and hybrid machines keep one packed code per input
+    permutation too, in their own layouts, described by a {!code_isa}.
+    Their states must never reach the cmov-specific {!Sstate} caches
+    ([Sstate.distinct_perms] and friends) or an {!Sstate.Arena}. *)
+
+type 'i code_isa = {
+  instrs : 'i array;  (** Every instruction, in expansion order. *)
+  input : int array -> int;
+      (** The code of one input permutation of [1..n]. *)
+  apply : 'i -> int -> int;  (** One code through one instruction. *)
+  is_sorted : int -> bool;  (** The value registers hold [1..n] in order. *)
+  viable : int -> bool;  (** No value of [1..n] has been erased. *)
+  perm_key : int -> int;
+      (** The value-register projection, counted by the perm-count cut. *)
+}
+
+val code_root : 'i code_isa -> Isa.Config.t -> Sstate.t * int * bool
+(** The initial state (one code per input permutation), its
+    distinct-permutation count, and whether it is already final. *)
+
+val expand_codes :
+  ?known:(Sstate.t -> bool) ->
+  env ->
+  'i code_isa ->
+  delta ->
+  g':int ->
+  threshold:int ->
+  Sstate.t ->
+  'i succ list
+(** {!expand} for a {!code_isa}, without an arena or a distance table:
+    every instruction is generated and vetted as there, so [delta] obeys
+    the same identity. [known] has {!expand}'s contract. *)

@@ -7,7 +7,6 @@ type 'a t = {
 }
 
 let create () = { data = [||]; len = 0; next_seq = 0 }
-let is_empty h = h.len = 0
 let size h = h.len
 
 let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)

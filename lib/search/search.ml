@@ -90,21 +90,34 @@ type stats = Stats.t = {
   levels : level_stat list;
 }
 
-type result = {
-  programs : Isa.Program.t list;
+type 'i outcome = {
+  programs : 'i array list;
   optimal_length : int option;
   solution_count : int;
   distinct_final_states : int;
   stats : stats;
 }
 
-type node = {
+type result = Isa.Instr.t outcome
+
+type 'i node = {
   state : Sstate.t;
   g : int;
   pc : int; (* distinct permutation count, used by cut and heuristic *)
   mutable paths : int;
-  mutable parents : (node * Isa.Instr.t) list; (* head = representative *)
+  mutable parents : ('i node * 'i) list; (* head = representative *)
 }
+
+(* One expansion step as the level loop sees it: the machine's own
+   successor function over a domain-private scratch, vetted by the
+   shared core into [delta]. *)
+type 'i expander =
+  Expand.delta ->
+  known:(Sstate.t -> bool) option ->
+  g':int ->
+  threshold:int ->
+  Sstate.t ->
+  'i Expand.succ list
 
 (* Per-depth stat accumulator: the expansion delta plus the merge-side
    counters only the engine knows. *)
@@ -274,31 +287,30 @@ let trivial_final ctx =
    between levels — no per-level [Domain.spawn]/[Domain.join] churn. Each
    level publishes one job: the frontier as a node array plus an atomic
    cursor. Workers (and the main domain, which participates) repeatedly
-   claim the next unclaimed node index and expand it through the shared
-   core into a results slot private to that node, with a per-domain delta
-   and a per-domain arena — so the drain order is load-balanced and
+   claim the next unclaimed node index and expand it with their own
+   expander (over a per-domain arena) into a results slot private to that
+   node, with a per-domain delta — so the drain order is load-balanced and
    nondeterministic, but the merge (performed by main, in node index
    order, after the whole level has drained) is exactly the sequential
    engine's merge. Delta sums are commutative, so the totals are
    independent of both the worker count and the steal schedule. *)
 
-type wjob = {
-  j_env : Expand.env;
-  j_nodes : node array;
+type 'i wjob = {
+  j_nodes : 'i node array;
   j_g : int;  (* successor depth g' *)
   j_threshold : int;
   j_known : (Sstate.t -> bool) option;  (* reads [seen], frozen while draining *)
   j_cursor : int Atomic.t;  (* next unclaimed node index *)
-  j_results : Expand.succ list array;  (* slot per node *)
+  j_results : 'i Expand.succ list array;  (* slot per node *)
   j_deltas : Expand.delta array;  (* slot 0 = main, slot w + 1 = worker w *)
 }
 
-type pool = {
-  p_arenas : Sstate.Arena.arena array;  (* one per worker *)
+type 'i pool = {
+  p_expanders : 'i expander array;  (* one per worker *)
   p_mutex : Mutex.t;
   p_work : Condition.t;
   p_finished : Condition.t;
-  mutable p_job : wjob option;
+  mutable p_job : 'i wjob option;
   mutable p_epoch : int;
   mutable p_active : int;
   mutable p_stop : bool;
@@ -306,21 +318,21 @@ type pool = {
   mutable p_workers : unit Domain.t array;
 }
 
-let drain_job job arena delta =
+let drain_job job (expand : _ expander) delta =
   let n = Array.length job.j_nodes in
   let rec go () =
     let i = Atomic.fetch_and_add job.j_cursor 1 in
     if i < n then begin
       job.j_results.(i) <-
-        Expand.expand ?known:job.j_known job.j_env arena delta ~g':job.j_g
-          ~threshold:job.j_threshold job.j_nodes.(i).state;
+        expand delta ~known:job.j_known ~g':job.j_g ~threshold:job.j_threshold
+          job.j_nodes.(i).state;
       go ()
     end
   in
   go ()
 
 let worker_loop pool wid =
-  let arena = pool.p_arenas.(wid) in
+  let expand = pool.p_expanders.(wid) in
   let epoch = ref 0 in
   let running = ref true in
   while !running do
@@ -340,7 +352,7 @@ let worker_loop pool wid =
          on the main domain), but a worker that did die would deadlock the
          level barrier — capture and re-raise from main instead. *)
       let exn =
-        match drain_job job arena job.j_deltas.(wid + 1) with
+        match drain_job job expand job.j_deltas.(wid + 1) with
         | () -> None
         | exception e -> Some e
       in
@@ -354,10 +366,11 @@ let worker_loop pool wid =
     end
   done
 
-let make_pool cfg ~workers =
+(* [expander ()] builds one worker's expander; it runs here, on main. *)
+let make_pool ~workers expander =
   let pool =
     {
-      p_arenas = Array.init workers (fun _ -> Sstate.Arena.create cfg);
+      p_expanders = Array.init workers (fun _ -> expander ());
       p_mutex = Mutex.create ();
       p_work = Condition.create ();
       p_finished = Condition.create ();
@@ -380,11 +393,10 @@ let shutdown_pool pool =
   Mutex.unlock pool.p_mutex;
   Array.iter Domain.join pool.p_workers
 
-let pool_run pool main_arena env nodes ~g' ~threshold ~known =
+let pool_run pool main_expand nodes ~g' ~threshold ~known =
   let nw = Array.length pool.p_workers in
   let job =
     {
-      j_env = env;
       j_nodes = nodes;
       j_g = g';
       j_threshold = threshold;
@@ -400,7 +412,7 @@ let pool_run pool main_arena env nodes ~g' ~threshold ~known =
   pool.p_active <- nw;
   Condition.broadcast pool.p_work;
   Mutex.unlock pool.p_mutex;
-  drain_job job main_arena job.j_deltas.(0);
+  drain_job job main_expand job.j_deltas.(0);
   Mutex.lock pool.p_mutex;
   while pool.p_active > 0 do
     Condition.wait pool.p_finished pool.p_mutex
@@ -414,27 +426,23 @@ let pool_run pool main_arena env nodes ~g' ~threshold ~known =
 
 (* ------------------------------------------------------------------ *)
 (* Level-synchronous engine (Dijkstra order; exact cuts; all-solutions
-   enumeration and non-existence proofs). With a pool, each level's
-   frontier is drained by the pool's workers plus the main domain through
-   the shared expansion core, each with a private stat delta and arena;
-   the merge into the next level's dedup table (and the delta merge)
-   stays sequential on main, in node index order, so the pooled and the
-   sequential path perform the exact same merges in the exact same
-   order. *)
+   enumeration and non-existence proofs), the one level search for every
+   machine: it knows states, perm counts and vetted successors, never an
+   instruction set — [expand] is the machine. With a pool, each level's
+   frontier is drained by the pool's workers plus the main domain, each
+   with a private stat delta and expander; the merge into the next
+   level's dedup table (and the delta merge) stays sequential on main, in
+   node index order, so the pooled and the sequential path perform the
+   exact same merges in the exact same order. *)
 
-let run_level ctx ~pool mode =
+let run_level ctx ~expand ~pool ~root ~root_pc ~root_final mode =
   let env = ctx.env in
-  let cfg = env.Expand.cfg in
   let opts = env.Expand.opts in
-  let initial = Sstate.initial cfg in
-  if Sstate.is_final cfg initial then trivial_final ctx
+  if root_final then trivial_final ctx
   else begin
-    let arena = Sstate.Arena.create cfg in
     let seen = Sstate.Tbl.create (1 lsl 16) in
-    let root =
-      { state = initial; g = 0; pc = perm_count ctx initial; paths = 1; parents = [] }
-    in
-    Sstate.Tbl.replace seen initial 0;
+    let root = { state = root; g = 0; pc = root_pc; paths = 1; parents = [] } in
+    Sstate.Tbl.replace seen root.state 0;
     let current = ref [ root ] in
     let level = ref 0 in
     let final_tbl = Sstate.Tbl.create 64 in
@@ -532,12 +540,11 @@ let run_level ctx ~pool mode =
           List.iter
             (fun n ->
               if not !stop then
-                consume n
-                  (Expand.expand ?known env arena a.d ~g' ~threshold n.state))
+                consume n (expand a.d ~known ~g' ~threshold n.state))
             !current
       | Some pool ->
           let nodes = Array.of_list !current in
-          let job = pool_run pool arena env nodes ~g' ~threshold ~known in
+          let job = pool_run pool expand nodes ~g' ~threshold ~known in
           (* The whole level drained before this merge, so the counters
              are independent of the worker count and steal schedule; only
              [consume] (budget/deadline chokepoints, dedup, registration)
@@ -576,7 +583,17 @@ let run_level ctx ~pool mode =
       ~open_states:0
   end
 
-let run_level_sync ctx mode = run_level ctx ~pool:None mode
+(* The cmov machine's expander: the arena core over a private arena. *)
+let cmov_expander env () : Isa.Instr.t expander =
+  let arena = Sstate.Arena.create env.Expand.cfg in
+  fun delta ~known ~g' ~threshold s ->
+    Expand.expand ?known env arena delta ~g' ~threshold s
+
+let run_level_sync ?pool ctx mode =
+  let cfg = ctx.env.Expand.cfg in
+  let root = Sstate.initial cfg in
+  run_level ctx ~expand:(cmov_expander ctx.env ()) ~pool ~root
+    ~root_pc:(perm_count ctx root) ~root_final:(Sstate.is_final cfg root) mode
 
 (* ------------------------------------------------------------------ *)
 (* A* engine: best-first on f = g + h, for fast find-first synthesis. *)
@@ -707,10 +724,12 @@ let run_parallel ?(opts = default) ?deadline ?(domains = 4) ?(mode = Find_first)
      means [domains - 1] pooled workers. [domains = 1] still runs the
      pooled full-level drain (with zero workers): the statistics are
      identical whatever the domain count. *)
-  let pool = make_pool cfg ~workers:(max 0 (domains - 1)) in
+  let pool =
+    make_pool ~workers:(max 0 (domains - 1)) (cmov_expander ctx.env)
+  in
   Fun.protect
     ~finally:(fun () -> shutdown_pool pool)
-    (fun () -> run_level ctx ~pool:(Some pool) mode)
+    (fun () -> run_level_sync ~pool ctx mode)
 
 let run_mode ?(opts = default) ?deadline ~mode cfg =
   let ctx = make_ctx ~mode ?deadline cfg opts in
@@ -722,6 +741,18 @@ let run_mode ?(opts = default) ?deadline ~mode cfg =
       run_level_sync ctx mode
 
 let run ?(opts = default) ?deadline cfg = run_mode ~opts ?deadline ~mode:Find_first cfg
+
+let run_isa ?(opts = default) ?deadline ~mode cfg isa =
+  (* The distance table has no counterpart off the cmov machine. *)
+  let opts =
+    { opts with heuristic = No_heuristic; action_filter = All_actions; dist_viability = false }
+  in
+  let ctx = make_ctx ~mode ?deadline cfg opts in
+  let root, root_pc, root_final = Expand.code_root isa cfg in
+  run_level ctx ~pool:None
+    ~expand:(fun delta ~known ~g' ~threshold s ->
+      Expand.expand_codes ?known ctx.env isa delta ~g' ~threshold s)
+    ~root ~root_pc ~root_final mode
 
 let synthesize ?(opts = best) n =
   let cfg = Isa.Config.default n in

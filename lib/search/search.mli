@@ -29,6 +29,8 @@ module Stats : module type of Stats
     - {!Astar} is best-first on [f = g + h] and is the fast path for finding
       one (or a few) kernels.
 
+    {!run_isa} runs the same level loop over the min/max and hybrid ISAs.
+
     All engines share the paper's pruning arsenal through the {!Expand}
     core: state deduplication (Section 3.6), compare-operand symmetry
     (Section 3.2), erasure and distance-budget viability (Section 3.3), the
@@ -170,8 +172,8 @@ type stats = Stats.t = {
   levels : level_stat list;  (** Shallowest first. *)
 }
 
-type result = {
-  programs : Isa.Program.t list;
+type 'i outcome = {
+  programs : 'i array list;
       (** Solutions, shortest first. Singleton in [Find_first] mode; up to
           [max_solutions] in [All_optimal] mode; empty if none exists within
           the bound. *)
@@ -192,6 +194,10 @@ type result = {
   distinct_final_states : int;
   stats : stats;
 }
+(** What a search returns, for programs over instructions ['i]. *)
+
+type result = Isa.Instr.t outcome
+(** A search over the cmov machine. *)
 
 val run : ?opts:options -> ?deadline:float -> Isa.Config.t -> result
 (** Synthesize sorting kernels for [cfg]. In [Find_first] mode, returns as
@@ -231,6 +237,20 @@ val run_parallel :
     in [Find_first] mode only the last level's generated/pruned counters
     may exceed the sequential engine's (the frontier drains completely
     before the merge notices a solution). *)
+
+val run_isa :
+  ?opts:options ->
+  ?deadline:float ->
+  mode:mode ->
+  Isa.Config.t ->
+  'i Expand.code_isa ->
+  'i outcome
+(** The [Level_sync] engine of {!run_mode} over another machine (the
+    min/max and hybrid ISAs), expanding with {!Expand.expand_codes}; [cfg]
+    gives the width. [engine], [heuristic], [action_filter] and
+    [dist_viability] are ignored: there is no A* and no distance table off
+    the cmov machine. Every other option, the result and the statistics
+    mean what they mean for {!run_mode}. *)
 
 val synthesize : ?opts:options -> int -> Isa.Program.t option
 (** [synthesize n] finds one sorting kernel for arrays of length [n] with

@@ -315,19 +315,24 @@ let synth_leader t key (p : Protocol.synth_params) =
         | Error Pool.Drained -> shed_abort Draining
         | Error e -> error_reply "failed" (Printexc.to_string e) Abort
         | Ok r ->
-            (match (r.Scheduler.status, r.Scheduler.search) with
-            | Scheduler.Synthesized, Some search ->
-                locked t.store_mutex (fun () ->
-                    match
+            (* A kernel that could not be stored is still valid: the answer
+               stays [synthesized] and says why. A degraded result is never
+               stored, and its answer says so already. *)
+            let stored =
+              match (r.Scheduler.status, r.Scheduler.search) with
+              | Scheduler.Synthesized, Some search when not r.Scheduler.degraded ->
+                  locked t.store_mutex (fun () ->
                       Store.insert ~counters:t.store_counters
-                        ~degraded:r.Scheduler.degraded
                         ?provenance:r.Scheduler.provenance ~root:t.cfg.root key
                         search
-                    with
-                    | Ok entry -> Lru.add t.lru (Key.canonical key) entry
-                    | Error _ -> ())
-            | _ -> ());
-            ( job_reply key r,
+                      |> Result.map (Lru.add t.lru (Key.canonical key)))
+              | _ -> Ok ()
+            in
+            let answer = job_reply key r in
+            ( (match stored with
+              | Ok () -> answer
+              | Error e ->
+                  { answer with Protocol.error = Some ("not stored in the registry: " ^ e) }),
               if Scheduler.poison_status r.Scheduler.status then Failure else Success ))
 
 let failed key e = reply ~elapsed:0. ~error:(Printexc.to_string e) "failed" key

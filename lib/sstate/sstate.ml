@@ -130,11 +130,6 @@ let codes t = Array.sub t.buf t.off t.len
 let size t = t.len
 let distinct_assignments t = t.len
 
-let iter f t =
-  for i = t.off to t.off + t.len - 1 do
-    f t.buf.(i)
-  done
-
 let fold f acc t =
   let r = ref acc in
   for i = t.off to t.off + t.len - 1 do
@@ -228,14 +223,6 @@ let compare a b =
   end
 
 let hash t = t.hash
-
-let pp cfg ppf t =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to t.len - 1 do
-    if i > 0 then Format.fprintf ppf "@,";
-    Machine.Assign.pp cfg ppf t.buf.(t.off + i)
-  done;
-  Format.fprintf ppf "@]"
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

@@ -30,13 +30,10 @@ val of_codes : int array -> t
 
 val codes : t -> int array
 (** The canonical codes as a fresh array (a copy: mutating it does not
-    affect the state). Hot paths should prefer {!iter} / {!fold}. *)
+    affect the state). Hot paths should prefer {!fold}. *)
 
 val size : t -> int
 (** Number of distinct assignments in the state. *)
-
-val iter : (int -> unit) -> t -> unit
-(** Iterate the canonical codes in ascending order, without allocating. *)
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 (** Fold over the canonical codes in ascending order, without allocating. *)
@@ -76,8 +73,6 @@ val lb_cache : t -> int
     configuration the state was built for. *)
 
 val set_lb_cache : t -> int -> unit
-
-val pp : Isa.Config.t -> Format.formatter -> t -> unit
 
 module Tbl : Hashtbl.S with type key = t
 (** Hash table keyed by canonical states. *)

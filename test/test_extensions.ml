@@ -46,7 +46,7 @@ let test_cp_minmax_agrees_with_enum () =
     | _ -> -1
   in
   check (Alcotest.option Alcotest.int) "both 3" (Some cp_len)
-    (Minmax.synthesize 2).Minmax.optimal_length
+    (Minmax.synthesize 2).Search.optimal_length
 
 (* --- MiniZinc emitter --- *)
 
@@ -209,12 +209,21 @@ let test_zeroone_gap_exists () =
 
 let test_hybrid_n2_optimum () =
   let r = Hybrid.synthesize 2 in
-  match r.Hybrid.programs with
+  match r.Search.programs with
   | p :: _ ->
       assert (Hybrid.sorts_all_permutations (Isa.Config.default 2) p);
       (* The hybrid optimum cannot beat the pure cmov optimum (4): any use
          of the vector file pays transfers. *)
-      check Alcotest.int "hybrid optimum = cmov optimum" 4 (Array.length p)
+      check Alcotest.int "hybrid optimum = cmov optimum" 4 (Array.length p);
+      (* The shared vetting attributes every generated successor once. *)
+      List.iter
+        (fun (l : Search.level_stat) ->
+          check Alcotest.int
+            (Printf.sprintf "depth %d: prune identity" l.Search.depth)
+            l.Search.succs_generated
+            (l.Search.succs_kept + l.Search.finals_found + l.Search.cut_pruned
+           + l.Search.viability_pruned + l.Search.bound_pruned))
+        r.Search.stats.Search.levels
   | [] -> Alcotest.fail "hybrid synthesis failed for n=2"
 
 let test_hybrid_transfer_accounting () =

@@ -380,6 +380,28 @@ let test_recovery_requarantines_halfwritten () =
       assert (Registry.Store.lookup ~root key3 = Registry.Store.Miss))
     [ "registry.write_kernel"; "registry.write_meta" ]
 
+let test_recovery_counts_migrated_flat_entry () =
+  let root = fresh_root () in
+  (match Registry.Store.insert ~root key3 (synth3 ()) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  (* Flatten the entry by hand into the old layout, store/<hash>/. *)
+  let hash = Registry.Key.hash key3 in
+  let store = Filename.concat root "store" in
+  Sys.rename
+    (Filename.concat (Filename.concat store (String.sub hash 0 2)) hash)
+    (Filename.concat store hash);
+  let counters = Registry.Store.fresh_counters () in
+  let rcv = Registry.Store.recover ~counters ~root () in
+  check Alcotest.int "migrated" 1 rcv.Registry.Store.migrated;
+  check Alcotest.int "nothing rolled back" 0 rcv.Registry.Store.rolled_back;
+  check Alcotest.int "migration counted as recovered" 1
+    counters.Registry.Store.recovered;
+  check Alcotest.int "nothing quarantined" 0 counters.Registry.Store.quarantined;
+  match Registry.Store.lookup ~root key3 with
+  | Registry.Store.Hit _ -> ()
+  | _ -> Alcotest.fail "migrated entry not served"
+
 (* ------------------------------------------------------------------ *)
 (* Job and batch chaos.                                                *)
 
@@ -574,6 +596,8 @@ let () =
             (disarmed test_torn_insert_invisible_after_recovery);
           Alcotest.test_case "half-written entries requarantined" `Quick
             (disarmed test_recovery_requarantines_halfwritten);
+          Alcotest.test_case "flat entry migration counted" `Quick
+            (disarmed test_recovery_counts_migrated_flat_entry);
         ] );
       ( "scheduler-chaos",
         [

@@ -95,7 +95,7 @@ let test_smt_and_enum_kernels_equivalent () =
 (* The min/max and cmov searches agree on the paper's size relations:
    min/max kernels are strictly shorter. *)
 let test_minmax_shorter_than_cmov () =
-  let mm = Option.get (Minmax.synthesize 3).Minmax.optimal_length in
+  let mm = Option.get (Minmax.synthesize 3).Search.optimal_length in
   let cmov =
     Array.length (Option.get (Search.synthesize 3))
   in

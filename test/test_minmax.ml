@@ -22,18 +22,18 @@ let test_paper_kernel_semantics () =
 let test_synth_sizes () =
   (* Paper: optimal min/max kernels have 8 (n=3) and 15 (n=4) instructions. *)
   check (Alcotest.option Alcotest.int) "n=2" (Some 3)
-    (Minmax.synthesize 2).Minmax.optimal_length;
+    (Minmax.synthesize 2).Search.optimal_length;
   check (Alcotest.option Alcotest.int) "n=3" (Some 8)
-    (Minmax.synthesize 3).Minmax.optimal_length
+    (Minmax.synthesize 3).Search.optimal_length
 
 let test_synth_n4_size () =
   check (Alcotest.option Alcotest.int) "n=4" (Some 15)
-    (Minmax.synthesize 4).Minmax.optimal_length
+    (Minmax.synthesize 4).Search.optimal_length
 
 let test_synth_correct () =
   List.iter
     (fun n ->
-      match (Minmax.synthesize n).Minmax.programs with
+      match (Minmax.synthesize n).Search.programs with
       | p :: _ ->
           assert (Minmax.Vexec.sorts_all_permutations (Isa.Config.default n) p)
       | [] -> Alcotest.failf "no kernel for n=%d" n)
@@ -55,32 +55,56 @@ let test_network_correct () =
 let test_synth_beats_network_n3 () =
   (* The paper's headline for Section 5.4: synthesis saves one instruction
      on the network for n = 3 (8 vs 9). *)
-  let synth = Option.get (Minmax.synthesize 3).Minmax.optimal_length in
+  let synth = Option.get (Minmax.synthesize 3).Search.optimal_length in
   assert (synth < Array.length (Minmax.network_kernel 3))
 
+(* The exact counts are order-independent facts of the level search:
+   which states each level holds, and so the path count and the number of
+   expansions of a full enumeration, do not depend on the order a level
+   is walked in. *)
 let test_all_solutions_enumeration () =
-  let r =
-    Minmax.synthesize
-      ~opts:{ Minmax.default with Minmax.all_solutions = true; cut = Some 2.0 }
-      3
-  in
-  assert (r.Minmax.solution_count >= List.length r.Minmax.programs);
-  assert (List.length r.Minmax.programs > 1);
   List.iter
-    (fun p -> assert (Minmax.Vexec.sorts_all_permutations cfg3 p))
-    r.Minmax.programs;
-  (* All enumerated programs distinct. *)
-  check Alcotest.int "distinct"
-    (List.length r.Minmax.programs)
-    (List.length (List.sort_uniq compare r.Minmax.programs))
+    (fun (k, paths, expanded) ->
+      let r =
+        Minmax.synthesize ~mode:Search.All_optimal
+          ~opts:{ Minmax.default with Search.cut = Search.Mult k }
+          3
+      in
+      let what = Printf.sprintf "cut %.1f" k in
+      check Alcotest.int (what ^ ": paths") paths r.Search.solution_count;
+      check Alcotest.int (what ^ ": expanded") expanded
+        r.Search.stats.Search.expanded;
+      check Alcotest.int (what ^ ": programs") paths (List.length r.Search.programs);
+      List.iter
+        (fun p -> assert (Minmax.Vexec.sorts_all_permutations cfg3 p))
+        r.Search.programs;
+      (* All enumerated programs distinct. *)
+      check Alcotest.int (what ^ ": distinct") paths
+        (List.length (List.sort_uniq compare r.Search.programs)))
+    [ (1.0, 288, 489); (2.0, 604, 933) ]
+
+let test_prune_identity () =
+  let r = Minmax.synthesize ~mode:Search.All_optimal 3 in
+  let st = r.Search.stats in
+  (* Every bucket the minmax machine can fill is exercised. *)
+  assert (st.Search.pruned_cut > 0 && st.Search.pruned_viability > 0);
+  assert (st.Search.deduped > 0);
+  List.iter
+    (fun (l : Search.level_stat) ->
+      check Alcotest.int
+        (Printf.sprintf "depth %d: generated = kept + finals + pruned" l.Search.depth)
+        l.Search.succs_generated
+        (l.Search.succs_kept + l.Search.finals_found + l.Search.cut_pruned
+       + l.Search.viability_pruned + l.Search.bound_pruned))
+    r.Search.stats.Search.levels
 
 let test_max_len_bound () =
-  let r = Minmax.synthesize ~opts:{ Minmax.default with Minmax.max_len = Some 7 } 3 in
+  let r = Minmax.synthesize ~opts:{ Minmax.default with Search.max_len = Some 7 } 3 in
   check (Alcotest.option Alcotest.int) "no length-7 kernel" None
-    r.Minmax.optimal_length
+    r.Search.optimal_length
 
 let test_to_sorter () =
-  match (Minmax.synthesize 3).Minmax.programs with
+  match (Minmax.synthesize 3).Search.programs with
   | p :: _ -> assert (Perf.Compile.verify (Minmax.to_sorter 3 p))
   | [] -> Alcotest.fail "no kernel"
 
@@ -117,7 +141,7 @@ let prop_packed_matches_reference =
 
 let prop_synthesized_sorts_arbitrary_ints =
   let kernel =
-    match (Minmax.synthesize 3).Minmax.programs with
+    match (Minmax.synthesize 3).Search.programs with
     | p :: _ -> p
     | [] -> failwith "no kernel"
   in
@@ -143,6 +167,7 @@ let () =
           Alcotest.test_case "network correct" `Quick test_network_correct;
           Alcotest.test_case "synth beats network" `Quick test_synth_beats_network_n3;
           Alcotest.test_case "all solutions" `Quick test_all_solutions_enumeration;
+          Alcotest.test_case "prune identity" `Quick test_prune_identity;
           Alcotest.test_case "length bound" `Quick test_max_len_bound;
           Alcotest.test_case "to_sorter" `Quick test_to_sorter;
           Alcotest.test_case "x86 rendering" `Quick test_x86_rendering;

@@ -48,7 +48,7 @@ let test_lower_n2 () =
   | Some p ->
       assert (Minmax.Vexec.sorts_all_permutations (Isa.Config.default 2) p);
       (* Lowered SyGuS code is strictly longer than the optimal kernel. *)
-      let opt = Option.get (Minmax.synthesize 2).Minmax.optimal_length in
+      let opt = Option.get (Minmax.synthesize 2).Search.optimal_length in
       assert (Array.length p > opt)
   | None -> Alcotest.fail "n=2 lowering should fit"
 
