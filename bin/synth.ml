@@ -469,6 +469,126 @@ let run_cached ~root ~x86 ~stats_json ~timeout ~budget ~optimize key =
   finish_served stats_json resp registry;
   if code <> 0 then exit code
 
+(* The default command's search on any machine: one deadline, one
+   mapping from a failed search to an exit code, one summary line and one
+   [--stats-json] writer. [search ?deadline ()] runs the key's engine;
+   [certify r p0] turns [r]'s found kernel [p0] into the one to print
+   (exiting 1 when it does not sort) and returns the notes that ride
+   along in the stats snapshot; [render] prints it. *)
+let run_search ~label ~mode ~timeout ~stats_json search ~certify ~render =
+  let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
+  let outcome =
+    match search ?deadline () with
+    | o -> o
+    | exception Search.Timeout ->
+        fail (exit_code "timed_out") "search timed out%s"
+          (match timeout with
+          | Some t -> Printf.sprintf " (deadline %.3f s)" t
+          | None -> "")
+    | exception Search.Resource_exhausted { live; budget } ->
+        fail (exit_code "exhausted") "state budget exhausted: %d live states%s (%s)"
+          live
+          (match budget with
+          | Some b -> Printf.sprintf " over budget %d" b
+          | None -> ", no budget configured")
+          (match mode with
+          | Search.Prove_none _ -> "--prove-none runs without the degradation ladder"
+          | Search.Find_first | Search.All_optimal ->
+              "even at the final degradation rung")
+  in
+  let r = outcome.Registry.Scheduler.result in
+  let degraded = outcome.Registry.Scheduler.degraded in
+  if degraded then
+    Printf.eprintf
+      "synth: degraded result (ladder rung %d): the kernel is verified \
+       correct but not guaranteed shortest; it will not be cached\n"
+      outcome.Registry.Scheduler.rung;
+  let notes =
+    match (mode, r.Search.programs) with
+    | Search.Prove_none l, _ ->
+        Printf.printf
+          (match r.Search.optimal_length with
+          | None -> format_of_string "no kernel of length <= %d exists (%d states explored)\n"
+          | Some _ -> format_of_string "a kernel of length <= %d exists! (%d states)\n")
+          l r.Search.stats.Search.expanded;
+        []
+    | _, [] ->
+        Printf.printf "no kernel found\n";
+        []
+    | _, p0 :: _ ->
+        let p, notes = certify r p0 in
+        Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
+          (Array.length p) r.Search.solution_count r.Search.stats.Search.elapsed
+          r.Search.stats.Search.expanded;
+        print_endline (render p);
+        notes
+  in
+  Option.iter
+    (fun path ->
+      write_json path
+        (Search.Stats.to_json ~label
+           ~extra:
+             (notes
+             @ [
+                 ("degraded", Json.Bool degraded);
+                 ("certifications", Json.Int (Machine.Exec.certifications ()));
+               ])
+           r.Search.stats))
+    stats_json
+
+(* A cmov kernel is polished (certified, optionally optimized) and
+   linted; its analyzer and optimizer notes ride along in the stats. *)
+let certify_cmov ~optimize key r p0 =
+  let cfg = Key.config key in
+  (* A kernel that fails certification is never printed. *)
+  let pol =
+    match Registry.Scheduler.polish ~optimize key r with
+    | Ok pol -> pol
+    | Error msg -> fail 1 "VERIFICATION FAILED: %s" msg
+  in
+  let p = pol.Registry.Scheduler.kernel in
+  let opt (rep : Opt.Pipeline.report) =
+    List.iter
+      (fun (d : Opt.Pipeline.delta) ->
+        Printf.printf "# opt %s: %d -> %d instructions, %d -> %d simulated cycles\n"
+          d.Opt.Pipeline.pass d.Opt.Pipeline.instructions_before
+          d.Opt.Pipeline.instructions_after d.Opt.Pipeline.cycles_before
+          d.Opt.Pipeline.cycles_after)
+      rep.Opt.Pipeline.deltas;
+    List.iter
+      (fun (f : Opt.Pipeline.refusal) ->
+        Printf.eprintf "synth: opt: refused %s: %s\n" f.Opt.Pipeline.pass
+          f.Opt.Pipeline.reason)
+      rep.Opt.Pipeline.refusals;
+    Json.(
+      Obj
+        [
+          ( "passes",
+            Arr
+              (List.map
+                 (fun (d : Opt.Pipeline.delta) -> Str d.Opt.Pipeline.pass)
+                 rep.Opt.Pipeline.deltas) );
+          ("refused", Int (List.length rep.Opt.Pipeline.refusals));
+          ("rounds", Int rep.Opt.Pipeline.rounds);
+          ("instructions_before", Int (Array.length p0));
+          ("instructions_after", Int (Array.length p));
+          ("cycles_before", Int (Perf.Cost.simulated_cycles cfg p0));
+          ("cycles_after", Int (Perf.Cost.simulated_cycles cfg p));
+        ])
+  in
+  let opt = Option.map opt pol.Registry.Scheduler.report in
+  let fs = lint_printed cfg p in
+  let analysis =
+    Json.(
+      Obj
+        [
+          ("findings", Int (List.length fs));
+          ("errors", Int (List.length (Analysis.Lint.errors fs)));
+          ("eliminated", Int (List.length (Analysis.Dce.run cfg p).Analysis.Dce.removed));
+        ])
+  in
+  (p, ("analysis", analysis) :: Option.to_list (Option.map (fun j -> ("opt", j)) opt))
+
 let run key minmax jobs all x86 prove_none pddl cache cache_dir stats_json
     fault_plan timeout budget optimize =
   setup_faults fault_plan;
@@ -478,151 +598,39 @@ let run key minmax jobs all x86 prove_none pddl cache cache_dir stats_json
     print_newline ();
     print_string (Planning.Pddl.problem cfg)
   end
-  else if minmax then begin
-    let mode = if all then Search.All_optimal else Search.Find_first in
-    let r = Minmax.synthesize ~opts:(Key.options key) ~mode n in
-    match r.Search.programs with
-    | [] -> Printf.printf "no min/max kernel found\n"
-    | p :: _ ->
-        (* Min/max kernels are synthesized with one scratch register. *)
-        let cfg = Isa.Config.default n in
-        (* As on the default path, a failing kernel is never printed. *)
-        if not (Minmax.Vexec.sorts_all_permutations cfg p) then
-          fail 1 "VERIFICATION FAILED: the min/max kernel does not sort every input";
-        Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
-          (Array.length p) r.Search.solution_count r.Search.stats.Search.elapsed
-          r.Search.stats.Search.expanded;
-        print_endline
-          (if x86 then Minmax.Vexec.to_x86 cfg p else Minmax.Vexec.to_string cfg p)
-  end
-  else if cache && (not all) && prove_none = None then
-    (* The store holds one kernel per key, not solution enumerations or
-       non-existence claims: only find-first requests are cached. *)
+  else if cache && (not minmax) && (not all) && prove_none = None then
+    (* The store holds one cmov kernel per key, not solution enumerations
+       or non-existence claims: only find-first cmov requests are
+       cached. *)
     run_cached ~root:(resolve_root cache_dir) ~x86 ~stats_json ~timeout ~budget
       ~optimize key
   else begin
-    let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
     let mode =
       match prove_none with
       | Some l -> Search.Prove_none l
       | None -> if all then Search.All_optimal else Search.Find_first
     in
     let label =
-      Printf.sprintf "synth n=%d engine=%s" n (Key.engine_to_string key.Key.engine)
+      Printf.sprintf "synth n=%d engine=%s%s" n
+        (Key.engine_to_string key.Key.engine)
+        (if minmax then " isa=minmax" else "")
     in
-    let outcome =
-      match Registry.Scheduler.run_key ?deadline ~domains:jobs ~mode ?budget key with
-      | o -> o
-      | exception Search.Timeout ->
-          fail (exit_code "timed_out") "search timed out%s"
-            (match timeout with
-            | Some t -> Printf.sprintf " (deadline %.3f s)" t
-            | None -> "")
-      | exception Search.Resource_exhausted { live; budget } ->
-          fail (exit_code "exhausted") "state budget exhausted: %d live states%s (%s)"
-            live
-            (match budget with
-            | Some b -> Printf.sprintf " over budget %d" b
-            | None -> ", no budget configured")
-            (match mode with
-            | Search.Prove_none _ -> "--prove-none runs without the degradation ladder"
-            | Search.Find_first | Search.All_optimal ->
-                "even at the final degradation rung")
-    in
-    let r = outcome.Registry.Scheduler.result in
-    let degraded = outcome.Registry.Scheduler.degraded in
-    if degraded then
-      Printf.eprintf
-        "synth: degraded result (ladder rung %d): the kernel is verified \
-         correct but not guaranteed shortest; it will not be cached\n"
-        outcome.Registry.Scheduler.rung;
-    (* The printed kernel's analyzer and optimizer notes, which ride
-       along in the stats snapshot. *)
-    let analysis, opt =
-      match (mode, r.Search.programs) with
-      | Search.Prove_none l, _ ->
-          Printf.printf
-            (match r.Search.optimal_length with
-            | None -> format_of_string "no kernel of length <= %d exists (%d states explored)\n"
-            | Some _ -> format_of_string "a kernel of length <= %d exists! (%d states)\n")
-            l r.Search.stats.Search.expanded;
-          (None, None)
-      | _, [] ->
-          Printf.printf "no kernel found\n";
-          (None, None)
-      | _, p0 :: _ ->
-          (* A kernel that fails certification is never printed. *)
-          let pol =
-            match Registry.Scheduler.polish ~optimize key r with
-            | Ok pol -> pol
-            | Error msg -> fail 1 "VERIFICATION FAILED: %s" msg
-          in
-          let p = pol.Registry.Scheduler.kernel
-          and r = pol.Registry.Scheduler.search in
-          let opt (rep : Opt.Pipeline.report) =
-            List.iter
-              (fun (d : Opt.Pipeline.delta) ->
-                Printf.printf
-                  "# opt %s: %d -> %d instructions, %d -> %d simulated cycles\n"
-                  d.Opt.Pipeline.pass d.Opt.Pipeline.instructions_before
-                  d.Opt.Pipeline.instructions_after d.Opt.Pipeline.cycles_before
-                  d.Opt.Pipeline.cycles_after)
-              rep.Opt.Pipeline.deltas;
-            List.iter
-              (fun (f : Opt.Pipeline.refusal) ->
-                Printf.eprintf "synth: opt: refused %s: %s\n" f.Opt.Pipeline.pass
-                  f.Opt.Pipeline.reason)
-              rep.Opt.Pipeline.refusals;
-            Json.(
-              Obj
-                [
-                  ( "passes",
-                    Arr
-                      (List.map
-                         (fun (d : Opt.Pipeline.delta) -> Str d.Opt.Pipeline.pass)
-                         rep.Opt.Pipeline.deltas) );
-                  ("refused", Int (List.length rep.Opt.Pipeline.refusals));
-                  ("rounds", Int rep.Opt.Pipeline.rounds);
-                  ("instructions_before", Int (Array.length p0));
-                  ("instructions_after", Int (Array.length p));
-                  ("cycles_before", Int (Perf.Cost.simulated_cycles cfg p0));
-                  ("cycles_after", Int (Perf.Cost.simulated_cycles cfg p));
-                ])
-          in
-          let opt = Option.map opt pol.Registry.Scheduler.report in
-          let fs = lint_printed cfg p in
-          let analysis =
-            Json.(
-              Obj
-                [
-                  ("findings", Int (List.length fs));
-                  ("errors", Int (List.length (Analysis.Lint.errors fs)));
-                  ( "eliminated",
-                    Int (List.length (Analysis.Dce.run cfg p).Analysis.Dce.removed) );
-                ])
-          in
-          Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
-            (Array.length p) r.Search.solution_count r.Search.stats.Search.elapsed
-            r.Search.stats.Search.expanded;
-          print_endline
-            (if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p);
-          (Some analysis, opt)
-    in
-    let note name = Option.map (fun j -> (name, j)) in
-    Option.iter
-      (fun path ->
-        write_json path
-          (Search.Stats.to_json ~label
-             ~extra:
-               (List.filter_map Fun.id
-                  [
-                    note "analysis" analysis;
-                    Some ("degraded", Json.Bool degraded);
-                    note "opt" opt;
-                    Some ("certifications", Json.Int (Machine.Exec.certifications ()));
-                  ])
-             r.Search.stats))
-      stats_json
+    if minmax then
+      run_search ~label ~mode ~timeout ~stats_json
+        (fun ?deadline () ->
+          Registry.Scheduler.run_isa_key ?deadline ~domains:jobs ~mode ?budget
+            (Minmax.isa cfg) key)
+        ~certify:(fun _ p ->
+          if not (Minmax.Vexec.sorts_all_permutations cfg p) then
+            fail 1 "VERIFICATION FAILED: the min/max kernel does not sort every input";
+          (p, []))
+        ~render:(if x86 then Minmax.Vexec.to_x86 cfg else Minmax.Vexec.to_string cfg)
+    else
+      run_search ~label ~mode ~timeout ~stats_json
+        (fun ?deadline () ->
+          Registry.Scheduler.run_key ?deadline ~domains:jobs ~mode ?budget key)
+        ~certify:(certify_cmov ~optimize key)
+        ~render:(if x86 then Isa.Program.to_x86 cfg else Isa.Program.to_string cfg)
   end
 
 let default_term =
@@ -644,8 +652,8 @@ let default_term =
         "Answer through the kernel registry, as the daemon does but in \
          process: a stored kernel is re-certified on load and served, a \
          missing one is synthesized and stored. Only plain find-first \
-         requests are cached; with $(b,--all) or $(b,--prove-none) the \
-         search runs uncached."
+         cmov requests are cached; with $(b,--all), $(b,--prove-none) or \
+         $(b,--minmax) the search runs uncached."
     $ cache_dir $ stats_json $ fault_plan $ timeout $ state_budget $ optimize)
 
 (* ------------------------------------------------------------------ *)

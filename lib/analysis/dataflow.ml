@@ -49,7 +49,6 @@ let analyze cfg prog =
   done;
   { prog; nregs; live; reaching; written }
 
-let live_before t i = t.live.(i)
 let live_after t i = t.live.(i + 1)
 let reg_live_after t i r = live_after t i land (1 lsl r) <> 0
 let lt_live_after t i = live_after t i land lt_bit t <> 0

@@ -22,11 +22,9 @@ val analyze : Isa.Config.t -> Isa.Program.t -> t
     Program {e points} are numbered [0 .. length p]: point [i] sits before
     instruction [i]; point [length p] is the exit. *)
 
-val live_before : t -> int -> int
-(** Bitmask of live registers at point [i] (bit [r] = register [r] live). *)
-
 val live_after : t -> int -> int
-(** [live_before] at point [i + 1]. *)
+(** Bitmask of live registers at point [i + 1], after instruction [i]
+    (bit [r] = register [r] live). *)
 
 val reg_live_after : t -> int -> int -> bool
 (** [reg_live_after t i r]: is register [r] read after instruction [i]

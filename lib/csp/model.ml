@@ -229,123 +229,3 @@ let find_min_length ?(opts = default) ?(node_limit = max_int) ?(max_len = 12) n 
       | Exhausted -> go (len + 1) acc
   in
   go 1 []
-
-(* The paper's CP-MINIZINC-FILTER variant (Section 4.2): constrain only a
-   subset of the permutations, enumerate the (mostly wrong) candidate
-   programs, and filter them through the full permutation suite. The paper
-   reports this is impractical — "prohibitively many wrong programs are
-   generated" — which the [candidates] count makes visible. *)
-type filter_result = {
-  correct : Isa.Program.t list;
-  candidates : int;
-  f_nodes : int;
-  f_elapsed : float;
-}
-
-let synth_filtered ?(opts = default) ?(node_limit = max_int)
-    ?(max_candidates = 10_000) ~suite_size ~len n =
-  let start = Unix.gettimeofday () in
-  let cfg = Isa.Config.default n in
-  let all_perms = Perms.all n in
-  let suite = List.filteri (fun i _ -> i < suite_size) all_perms in
-  (* Rebuild the model over the reduced suite by reusing [synth]'s
-     machinery: temporarily reformulate via a custom run. The cleanest
-     reuse without entangling [synth] is to re-enumerate with the subset as
-     the tracked inputs. *)
-  ignore opts;
-  let k = Isa.Config.nregs cfg in
-  let t = Fd.create () in
-  let rec mk s acc =
-    if s = len then Array.of_list (List.rev acc)
-    else begin
-      let o = Fd.new_var t ~lo:0 ~hi:3 in
-      let d = Fd.new_var t ~lo:0 ~hi:(k - 1) in
-      let sr = Fd.new_var t ~lo:0 ~hi:(k - 1) in
-      mk (s + 1) ((o, d, sr) :: acc)
-    end
-  in
-  let decisions = mk 0 [] in
-  let value =
-    Array.init (len + 1) (fun _ ->
-        Array.init (List.length suite) (fun _ ->
-            Array.init k (fun _ -> Fd.new_var t ~lo:0 ~hi:n)))
-  in
-  let flt = Array.init (len + 1) (fun _ -> Array.init (List.length suite) (fun _ -> Fd.new_var t ~lo:0 ~hi:1)) in
-  let fgt = Array.init (len + 1) (fun _ -> Array.init (List.length suite) (fun _ -> Fd.new_var t ~lo:0 ~hi:1)) in
-  List.iteri
-    (fun pi perm ->
-      for r = 0 to k - 1 do
-        let v = if r < n then perm.(r) else 0 in
-        Fd.post t (fun t -> Fd.assign t value.(0).(pi).(r) v)
-      done;
-      Fd.post t (fun t -> Fd.assign t flt.(0).(pi) 0);
-      Fd.post t (fun t -> Fd.assign t fgt.(0).(pi) 0))
-    suite;
-  Array.iteri
-    (fun s (o, d, sr) ->
-      Fd.post t ~watch:[ d; sr ] (fun t ->
-          if Fd.is_fixed t d then Fd.remove_value t sr (Fd.value t d)
-          else if Fd.is_fixed t sr then Fd.remove_value t d (Fd.value t sr)
-          else true);
-      List.iteri
-        (fun pi _ ->
-          let deps =
-            [ o; d; sr; flt.(s).(pi); fgt.(s).(pi) ]
-            @ Array.to_list value.(s).(pi)
-          in
-          Fd.post t ~watch:deps (fun t ->
-              if not (List.for_all (Fd.is_fixed t) deps) then true
-              else begin
-                let ov = Fd.value t o
-                and dv = Fd.value t d
-                and sv = Fd.value t sr in
-                let cur r = Fd.value t value.(s).(pi).(r) in
-                let lt = Fd.value t flt.(s).(pi) = 1 in
-                let gt = Fd.value t fgt.(s).(pi) = 1 in
-                let ok = ref true in
-                for r = 0 to k - 1 do
-                  if not (ov <> op_cmp && r = dv) then
-                    ok := !ok && Fd.assign t value.(s + 1).(pi).(r) (cur r)
-                done;
-                if ov = op_mov then ok := !ok && Fd.assign t value.(s + 1).(pi).(dv) (cur sv)
-                else if ov = op_cmovl then
-                  ok := !ok && Fd.assign t value.(s + 1).(pi).(dv) (if lt then cur sv else cur dv)
-                else if ov = op_cmovg then
-                  ok := !ok && Fd.assign t value.(s + 1).(pi).(dv) (if gt then cur sv else cur dv);
-                (if ov = op_cmp then begin
-                   ok := !ok && Fd.assign t flt.(s + 1).(pi) (Bool.to_int (cur dv < cur sv));
-                   ok := !ok && Fd.assign t fgt.(s + 1).(pi) (Bool.to_int (cur dv > cur sv))
-                 end
-                 else begin
-                   ok := !ok && Fd.assign t flt.(s + 1).(pi) (Bool.to_int lt);
-                   ok := !ok && Fd.assign t fgt.(s + 1).(pi) (Bool.to_int gt)
-                 end);
-                !ok
-              end))
-        suite)
-    decisions;
-  List.iteri
-    (fun pi _ ->
-      for r = 0 to n - 1 do
-        Fd.post t (fun t -> Fd.assign t value.(len).(pi).(r) (r + 1))
-      done)
-    suite;
-  let candidates = ref 0 in
-  let correct = ref [] in
-  let on_solution t =
-    incr candidates;
-    let p =
-      Array.map
-        (fun (o, d, sr) -> instr_of_codes (Fd.value t o) (Fd.value t d) (Fd.value t sr))
-        decisions
-    in
-    if Machine.Exec.sorts_all_permutations cfg p then correct := p :: !correct;
-    !candidates >= max_candidates
-  in
-  ignore (Fd.solve ~on_solution ~node_limit t);
-  {
-    correct = List.rev !correct;
-    candidates = !candidates;
-    f_nodes = Fd.nodes_explored t;
-    f_elapsed = Unix.gettimeofday () -. start;
-  }

@@ -48,24 +48,3 @@ val synth :
 val find_min_length :
   ?opts:options -> ?node_limit:int -> ?max_len:int -> int -> (int * result) list
 (** Probe lengths [1, 2, ...] (as MiniZinc models are run per length). *)
-
-type filter_result = {
-  correct : Isa.Program.t list;  (** Candidates passing the full suite. *)
-  candidates : int;  (** Programs satisfying the partial suite. *)
-  f_nodes : int;
-  f_elapsed : float;
-}
-
-val synth_filtered :
-  ?opts:options ->
-  ?node_limit:int ->
-  ?max_candidates:int ->
-  suite_size:int ->
-  len:int ->
-  int ->
-  filter_result
-(** The CP-MINIZINC-FILTER strategy (Section 4.2): constrain only the first
-    [suite_size] permutations, enumerate candidate programs, and filter them
-    through the full permutation suite. The paper found the candidate
-    stream prohibitively large; [candidates] vs [List.length correct]
-    quantifies that blow-up. *)

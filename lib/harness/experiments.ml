@@ -594,7 +594,7 @@ let e12 ~full =
      paper lists it as a separate optimization; without it each \
      no-heuristic row takes minutes — see --full); parallel and GPU rows \
      are omitted (single-core container, no GPU — DESIGN.md), but \
-     Search.run_parallel implements the multi-domain level expansion"
+     Search.run_mode ~domains implements the multi-domain level expansion"
 
 (* ------------------------------------------------------------------ *)
 (* E13: cut-factor sweep. *)

@@ -106,9 +106,7 @@ let run cfg p input =
   Array.sub gp 0 cfg.Isa.Config.n
 
 let sorts_all_permutations cfg p =
-  List.for_all
-    (fun perm -> Perms.is_identity (run cfg p perm))
-    (Perms.all cfg.Isa.Config.n)
+  Machine.Exec.first_unsorted cfg.Isa.Config.n (run cfg p) = None
 
 let instr_to_string cfg = function
   | Gp g -> Isa.Instr.to_string cfg g
@@ -126,16 +124,18 @@ let transfer_count p =
     (fun a i -> match i with To_vec _ | To_gp _ -> a + 1 | Gp _ | Vec _ -> a)
     0 p
 
+let isa cfg =
+  {
+    Search.Expand.instrs = all_instrs cfg;
+    input = of_permutation cfg;
+    apply = apply cfg;
+    is_sorted = is_sorted cfg;
+    viable = viable cfg;
+    perm_key = perm_key cfg;
+  }
+
 let synthesize ?(cut = Search.Mult 1.0) ?(max_len = 24) n =
   let cfg = Isa.Config.default n in
   Search.run_isa
-    ~opts:{ Search.default with cut; max_len = Some max_len }
-    ~mode:Search.Find_first cfg
-    {
-      Search.Expand.instrs = all_instrs cfg;
-      input = of_permutation cfg;
-      apply = apply cfg;
-      is_sorted = is_sorted cfg;
-      viable = viable cfg;
-      perm_key = perm_key cfg;
-    }
+    ~opts:{ Search.default with engine = Search.Level_sync; cut; max_len = Some max_len }
+    ~mode:Search.Find_first cfg (isa cfg)

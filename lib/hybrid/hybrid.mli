@@ -5,10 +5,10 @@
     reports that the transfer instructions needed between the two files make
     hybrids uncompetitive. This module makes that claim reproducible: it
     models the {e combined} machine — both register files, both instruction
-    sets, plus [movd]-style transfers — and runs the same level-synchronous
-    synthesis over it. Values start and must end in the general-purpose
-    file, so any use of the vector units has to pay for round-trip
-    transfers.
+    sets, plus [movd]-style transfers — and runs the same engine dispatch
+    over it ({!Search.run_isa}). Values start and must end in the
+    general-purpose file, so any use of the vector units has to pay for
+    round-trip transfers.
 
     Register indexing: [0 .. n+m-1] are the general-purpose registers
     (values then scratch, as in {!Isa.Config}); [n+m .. n+m+n+m-1] are the
@@ -30,11 +30,17 @@ val run : Isa.Config.t -> program -> int array -> int array
 (** Execute on arbitrary integers; returns the GP value registers. *)
 
 val sorts_all_permutations : Isa.Config.t -> program -> bool
+(** {!run} through the one counted n! loop,
+    {!Machine.Exec.first_unsorted}. *)
 
 val to_string : Isa.Config.t -> program -> string
 
 val transfer_count : program -> int
 (** Number of cross-file transfer instructions. *)
+
+val isa : Isa.Config.t -> instr Search.Expand.code_isa
+(** The combined machine over [cfg]'s register files, for
+    {!Search.run_isa}. *)
 
 val synthesize : ?cut:Search.cut -> ?max_len:int -> int -> instr Search.outcome
 (** Find-first level-synchronous search over the combined machine

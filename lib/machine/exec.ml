@@ -29,17 +29,17 @@ let output_correct ~input ~output =
   Perms.is_sorted output && Perms.same_multiset input output
 
 (* The one exact correctness check (paper Eq. 1): every certification,
-   optimizer proof and analysis verdict in the system runs this n! loop,
-   and each run ticks [certify_counter] — the daemon's proof that a warm
-   in-memory hit skipped re-certification. *)
+   optimizer proof and analysis verdict in the system, for every ISA,
+   runs this n! loop, and each run ticks [certify_counter] — the daemon's
+   proof that a warm in-memory hit skipped re-certification. *)
 let certify_counter = Atomic.make 0
 let certifications () = Atomic.get certify_counter
 
-let counterexample cfg p =
+let first_unsorted n run =
   Atomic.incr certify_counter;
-  List.find_opt
-    (fun perm -> not (Perms.is_identity (run cfg p perm)))
-    (Perms.all cfg.Isa.Config.n)
+  List.find_opt (fun perm -> not (Perms.is_identity (run perm))) (Perms.all n)
+
+let counterexample cfg p = first_unsorted cfg.Isa.Config.n (run cfg p)
 
 let sorts_all_permutations cfg p = counterexample cfg p = None
 

@@ -43,11 +43,20 @@ val counterexample : Isa.Config.t -> Isa.Program.t -> int array option
 val sorts_all_permutations : Isa.Config.t -> Isa.Program.t -> bool
 (** The same check as a predicate: [counterexample cfg p = None]. *)
 
+val first_unsorted : int -> (int array -> int array) -> int array option
+(** [first_unsorted n run]: the n! loop under every check above, for any
+    machine. [run] is the machine's own interpreter, mapping a
+    permutation of [1..n] to its value registers; the result is the first
+    permutation (in lexicographic order) it does not map to [1..n]. The
+    min/max, hybrid and sorting-network checks run through here, so they
+    count in {!certifications} too. *)
+
 val certifications : unit -> int
-(** Exact [n!] runs ({!certify}, {!counterexample},
-    {!sorts_all_permutations}) in this process, ever. Monotone; compare
-    readings — the daemon exports the delta so a warm cache hit can be
-    shown to have skipped re-certification. *)
+(** Exact [n!] runs ({!first_unsorted}, and so {!certify},
+    {!counterexample}, {!sorts_all_permutations} and every other ISA's
+    check) in this process, ever. Monotone; compare readings — the daemon
+    exports the delta so a warm cache hit can be shown to have skipped
+    re-certification. *)
 
 type verdict =
   | Equivalent

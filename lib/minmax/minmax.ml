@@ -1,19 +1,21 @@
 module Vinstr = Vinstr
 module Vexec = Vexec
 
-let default = { Search.default with cut = Search.Mult 1.0 }
+let default = { Search.default with heuristic = Search.Perm_count; cut = Search.Mult 1.0 }
+
+let isa cfg =
+  {
+    Search.Expand.instrs = Vinstr.all cfg;
+    input = Vexec.of_permutation cfg;
+    apply = Vexec.apply;
+    is_sorted = Vexec.is_sorted cfg;
+    viable = Vexec.viable cfg;
+    perm_key = Vexec.perm_key cfg;
+  }
 
 let synthesize ?(opts = default) ?(mode = Search.Find_first) n =
   let cfg = Isa.Config.default n in
-  Search.run_isa ~opts ~mode cfg
-    {
-      Search.Expand.instrs = Vinstr.all cfg;
-      input = Vexec.of_permutation cfg;
-      apply = Vexec.apply;
-      is_sorted = Vexec.is_sorted cfg;
-      viable = Vexec.viable cfg;
-      perm_key = Vexec.perm_key cfg;
-    }
+  Search.run_isa ~opts ~mode cfg (isa cfg)
 
 let network_kernel n =
   let cfg = Isa.Config.default n in

@@ -7,23 +7,29 @@ module Vexec : module type of Vexec
 (** Synthesis of min/max sorting kernels (paper, Section 5.4).
 
     The same enumerative approach as the cmov search, run by the same
-    level-synchronous loop ({!Search.run_isa}): this module only says how
-    a packed {!Vexec} code moves through one instruction and what sorted,
-    viable and the perm-count projection mean for that layout. The search
-    space is small enough (optimal lengths 8, 15, 26 for n = 3..5) that no
-    distance table is needed. *)
+    engine dispatch ({!Search.run_isa}): A*, the level loop and the domain
+    pool. This module only says how a packed {!Vexec} code moves through
+    one instruction and what sorted, viable and the perm-count projection
+    mean for that layout. There is no distance table for this machine:
+    the search space is small enough (optimal lengths 8, 15, 26 for
+    n = 3..5) that the perm-count heuristic and cut suffice. *)
 
 val default : Search.options
-(** {!Search.default} with the [Mult 1.0] cut and no bound. *)
+(** {!Search.default} with the perm-count heuristic, the [Mult 1.0] cut
+    and no bound: A*, as [synth --minmax] runs by default. *)
+
+val isa : Isa.Config.t -> Vinstr.t Search.Expand.code_isa
+(** The machine over [cfg]'s register file, for {!Search.run_isa}. *)
 
 val synthesize :
   ?opts:Search.options -> ?mode:Search.mode -> int -> Vinstr.t Search.outcome
-(** [synthesize n] searches for minimal min/max kernels for width [n] with
-    one scratch register, by default the first one found; with
+(** [synthesize n] searches for min/max kernels for width [n] with one
+    scratch register, by default the first one A* finds; with
     [~mode:All_optimal], every solution surviving the cut at the optimal
-    length. Which optimal kernel comes first depends on the order the
-    level loop walks a level in; the optimal length and an [All_optimal]
-    run's solution count do not. *)
+    length. Which kernel comes first depends on the engine and on the
+    order it walks states in. [Level_sync] certifies the length minimal;
+    A*'s perm-count heuristic is not admissible, yet it finds the same
+    3/8/15 at n = 2..4 (27 against the optimal 26 at n = 5). *)
 
 val network_kernel : int -> Vexec.program
 (** The optimal sorting network compiled to 3-instruction compare-and-swaps

@@ -55,9 +55,7 @@ let run cfg p input =
   Array.sub regs 0 cfg.Isa.Config.n
 
 let sorts_all_permutations cfg p =
-  List.for_all
-    (fun perm -> Perms.is_identity (run cfg p perm))
-    (Perms.all cfg.Isa.Config.n)
+  Machine.Exec.first_unsorted cfg.Isa.Config.n (run cfg p) = None
 
 let to_string cfg p =
   Array.to_list p |> List.map (Vinstr.to_string cfg) |> String.concat "\n"

@@ -22,6 +22,9 @@ val run : Isa.Config.t -> program -> int array -> int array
 (** Reference interpreter on native ints; returns the value registers. *)
 
 val sorts_all_permutations : Isa.Config.t -> program -> bool
+(** {!run} through the one counted n! loop,
+    {!Machine.Exec.first_unsorted}: [true] iff the kernel sorts every
+    permutation of [1..n]. *)
 
 val to_string : Isa.Config.t -> program -> string
 val to_x86 : Isa.Config.t -> program -> string

@@ -13,10 +13,10 @@
 
 type engine = Astar | Level | Parallel
 (** [Level] and [Parallel] both run the level-synchronous engine;
-    [Parallel] expands each level on worker domains ({!Search.run_parallel}).
-    Both produce identical kernels for a fixed option set, but they are
-    distinct key fields so a certified-minimal request never aliases a
-    fast-path entry. *)
+    [Parallel] expands each level on worker domains ([~domains] of
+    {!Search.run_mode}). Both produce identical kernels for a fixed
+    option set, but they are distinct key fields so a certified-minimal
+    request never aliases a fast-path entry. *)
 
 type t = private {
   n : int;

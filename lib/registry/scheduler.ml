@@ -20,7 +20,7 @@ type job_result = {
   provenance : Store.provenance option;
 }
 
-type run_outcome = { result : Search.result; degraded : bool; rung : int }
+type 'i run_outcome = { result : 'i Search.outcome; degraded : bool; rung : int }
 
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder.                                                 *)
@@ -53,17 +53,14 @@ let degrade_opts (base : Search.options) = function
         heuristic = Search.Perm_count;
       }
 
-let run_key ?deadline ?(domains = 2) ?(mode = Search.Find_first) ?budget key =
-  let base = Key.options key and cfg = Key.config key in
+(* The ladder over one machine: [run opts] searches with one rung's
+   options. *)
+let ladder ~mode ?budget key run =
+  let base = Key.options key in
   let base =
     match budget with
     | None -> base
     | Some b -> { base with Search.state_budget = Some b }
-  in
-  let run opts =
-    match key.Key.engine with
-    | Key.Parallel -> Search.run_parallel ~opts ?deadline ~domains ~mode cfg
-    | Key.Astar | Key.Level -> Search.run_mode ~opts ?deadline ~mode cfg
   in
   (* The distinct rungs for this base configuration (adjacent rungs can
      coincide, e.g. a [Mult 2.0] base makes rung 1 and rung 2 both
@@ -93,6 +90,23 @@ let run_key ?deadline ?(domains = 2) ?(mode = Search.Find_first) ?budget key =
         | exception Search.Resource_exhausted _ -> go rest)
   in
   go rungs
+
+(* Only a [Parallel] key runs on the pool. *)
+let pool key domains =
+  match key.Key.engine with
+  | Key.Parallel -> Some domains
+  | Key.Astar | Key.Level -> None
+
+let run_key ?deadline ?(domains = 2) ?(mode = Search.Find_first) ?budget key =
+  let domains = pool key domains and cfg = Key.config key in
+  ladder ~mode ?budget key (fun opts ->
+      Search.run_mode ~opts ?deadline ?domains ~mode cfg)
+
+let run_isa_key ?deadline ?(domains = 2) ?(mode = Search.Find_first) ?budget isa
+    key =
+  let domains = pool key domains and cfg = Key.config key in
+  ladder ~mode ?budget key (fun opts ->
+      Search.run_isa ~opts ?deadline ?domains ~mode cfg isa)
 
 let ( let* ) = Result.bind
 

@@ -58,8 +58,8 @@ type job_result = {
           kernel. Stored with the entry. *)
 }
 
-type run_outcome = {
-  result : Search.result;
+type 'i run_outcome = {
+  result : 'i Search.outcome;
   degraded : bool;
       (** The result came from a ladder rung above 0: correct but not
           optimality-guaranteed. Callers must not store it as optimal
@@ -78,11 +78,11 @@ val run_key :
   ?mode:Search.mode ->
   ?budget:int ->
   Key.t ->
-  run_outcome
+  Isa.Instr.t run_outcome
 (** Dispatch one request to the engine its key names: A*, sequential
-    level-sync, or {!Search.run_parallel} over [domains] workers (default
-    2, [Parallel] keys only). The single place that turns a key into a
-    running search. {!run_one} calls it for every daemon, batch and
+    level-sync, or the level loop over a pool of [domains] domains
+    (default 2, [Parallel] keys only). The single place that turns a key
+    into a running search. {!run_one} calls it for every daemon, batch and
     [--cache] job; the only direct caller in the CLI is the default
     command's uncached path (and [--all] / [--prove-none], which the
     registry never serves).
@@ -98,6 +98,18 @@ val run_key :
     kernel exists when one does, so its exhaustion propagates at once.
     [deadline] (an absolute {!Fault.Clock.now} instant) spans all rungs —
     degrading does not extend a job's time box. *)
+
+val run_isa_key :
+  ?deadline:float ->
+  ?domains:int ->
+  ?mode:Search.mode ->
+  ?budget:int ->
+  'i Search.Expand.code_isa ->
+  Key.t ->
+  'i run_outcome
+(** {!run_key} over another machine ({!Search.run_isa}): the same engine
+    dispatch, budget and ladder, for the key's register file. The key
+    still names a cmov request; [synth --minmax] runs through this. *)
 
 type polished = {
   kernel : Isa.Program.t;  (** The kernel to print and store. *)

@@ -25,8 +25,6 @@ type t = {
   mutable var_inc : float;
   mutable ok : bool; (* false once trivially unsat *)
   mutable conflicts : int;
-  mutable decisions : int;
-  mutable propagations : int;
 }
 
 let create () =
@@ -47,8 +45,6 @@ let create () =
     var_inc = 1.0;
     ok = true;
     conflicts = 0;
-    decisions = 0;
-    propagations = 0;
   }
 
 let grow_arrays s n =
@@ -83,11 +79,7 @@ let new_var s =
   v
 
 let ensure_vars s n = while s.nvars < n do ignore (new_var s) done
-let num_vars s = s.nvars
-let num_clauses s = s.nclauses
 let stats_conflicts s = s.conflicts
-let stats_decisions s = s.decisions
-let stats_propagations s = s.propagations
 
 let value_lit s l =
   let a = s.assigns.(var_of_lit l) in
@@ -154,7 +146,6 @@ let propagate s =
   while !conflict < 0 && s.qhead < s.trail_len do
     let l = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
-    s.propagations <- s.propagations + 1;
     (* Clauses watching ~l must find a new watch or propagate. *)
     let watching = s.watches.(l) in
     s.watches.(l) <- [];
@@ -383,7 +374,6 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) s =
                     s.trail_lim <- s.trail_len :: s.trail_lim
                 | 0 -> result := Some Unsat
                 | _ ->
-                    s.decisions <- s.decisions + 1;
                     s.trail_lim <- s.trail_len :: s.trail_lim;
                     enqueue s a (-1)
               end
@@ -398,7 +388,6 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) s =
                   result := Some (Sat model)
                 end
                 else begin
-                  s.decisions <- s.decisions + 1;
                   s.trail_lim <- s.trail_len :: s.trail_lim;
                   let l = (2 * v) lor if s.polarity.(v) then 0 else 1 in
                   enqueue s l (-1)

@@ -33,9 +33,4 @@ val solve : ?assumptions:int list -> ?conflict_limit:int -> t -> result option
     different assumptions, and clauses can be added between calls
     (incremental use — the CEGIS loop relies on this). *)
 
-val num_vars : t -> int
-val num_clauses : t -> int
-
 val stats_conflicts : t -> int
-val stats_decisions : t -> int
-val stats_propagations : t -> int

@@ -145,6 +145,20 @@ let vet env delta ~g' ~(threshold : int) ~viable ~(pc : int) ~lb =
 
 let known_state known s = match known with Some k -> k s | None -> false
 
+(* A final successor past the length bound is no solution: it counts
+   under [pruned_bound], not [finals]. The level loop never generates
+   one, and neither does A* while distance viability holds every
+   non-final state at least one step inside the bound. *)
+let final_within env delta ~g' =
+  if env.bound < max_int && g' > env.bound then begin
+    delta.pruned_bound <- delta.pruned_bound + 1;
+    false
+  end
+  else begin
+    delta.finals <- delta.finals + 1;
+    true
+  end
+
 (* A vetted successor that is the parent state itself. *)
 let unchanged known instr state ~pc =
   if known_state known state then Known else Open { instr; state; pc }
@@ -211,8 +225,8 @@ let expand ?known env arena delta ~g' ~threshold state =
               out := unchanged known instr state ~pc :: !out
         | Sstate.Arena.Changed ->
             if Sstate.Arena.probe_is_final arena then begin
-              delta.finals <- delta.finals + 1;
-              out := Final { instr; state = Sstate.Arena.commit arena } :: !out
+              if final_within env delta ~g' then
+                out := Final { instr; state = Sstate.Arena.commit arena } :: !out
             end
             else
               let pc = Sstate.Arena.probe_distinct_perms arena in
@@ -256,10 +270,10 @@ let expand_codes ?known env isa delta ~g' ~threshold state =
   |> List.filter_map (fun instr ->
          delta.generated <- delta.generated + 1;
          let codes' = Array.map (isa.apply instr) codes in
-         if Array.for_all isa.is_sorted codes' then begin
-           delta.finals <- delta.finals + 1;
-           Some (Final { instr; state = Sstate.of_codes codes' })
-         end
+         if Array.for_all isa.is_sorted codes' then
+           if final_within env delta ~g' then
+             Some (Final { instr; state = Sstate.of_codes codes' })
+           else None
          else
            let pc = code_perms isa codes' in
            let viable = Array.for_all isa.viable codes' in

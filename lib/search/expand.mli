@@ -72,7 +72,8 @@ type delta = {
   mutable generated : int;  (** Successor states built (finals included). *)
   mutable kept : int;
       (** Non-final successors that survived every vetting stage. *)
-  mutable finals : int;  (** Final (sorted-everywhere) successors. *)
+  mutable finals : int;
+      (** Final (sorted-everywhere) successors within the length bound. *)
   mutable pruned_cut : int;
   mutable pruned_viability : int;
   mutable pruned_bound : int;
@@ -135,8 +136,9 @@ val expand :
   Sstate.t ->
   Isa.Instr.t succ list
 (** [expand env arena delta ~g' ~threshold state] generates and vets every
-    successor of [state] at depth [g']. Final states are always kept (they
-    bypass vetting, like in every engine); non-final successors survive
+    successor of [state] at depth [g']. Final states within the length
+    bound are always kept (the bound is the only check they meet; one
+    past it counts as [pruned_bound]); non-final successors survive
     only if they pass the erasure check, distance viability, the length
     bound, and the cut [threshold]. Counters for generated, kept, final
     and pruned successors accumulate in [delta]. Successors are returned

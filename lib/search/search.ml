@@ -108,7 +108,7 @@ type 'i node = {
   mutable parents : ('i node * 'i) list; (* head = representative *)
 }
 
-(* One expansion step as the level loop sees it: the machine's own
+(* One expansion step as the engines see it: the machine's own
    successor function over a domain-private scratch, vetted by the
    shared core into [delta]. *)
 type 'i expander =
@@ -118,6 +118,16 @@ type 'i expander =
   threshold:int ->
   Sstate.t ->
   'i Expand.succ list
+
+(* A machine as every engine sees it: the root state, its perm count and
+   finality, and a factory of expanders, one per domain. The engines know
+   nothing else of an instruction set. *)
+type 'i machine = {
+  root : Sstate.t;
+  root_pc : int;
+  root_final : bool;
+  expander : unit -> 'i expander;
+}
 
 (* Per-depth stat accumulator: the expansion delta plus the merge-side
    counters only the engine knows. *)
@@ -186,8 +196,6 @@ let acc_at ctx depth =
   end;
   if depth + 1 > ctx.max_depth then ctx.max_depth <- depth + 1;
   ctx.accs.(depth)
-
-let perm_count ctx s = Sstate.distinct_perms ctx.env.Expand.cfg s
 
 let heuristic_value ctx node =
   let opts = ctx.env.Expand.opts in
@@ -366,11 +374,12 @@ let worker_loop pool wid =
     end
   done
 
-(* [expander ()] builds one worker's expander; it runs here, on main. *)
-let make_pool ~workers expander =
+(* [machine.expander ()] builds one worker's expander; it runs here, on
+   main. *)
+let make_pool ~workers machine =
   let pool =
     {
-      p_expanders = Array.init workers (fun _ -> expander ());
+      p_expanders = Array.init workers (fun _ -> machine.expander ());
       p_mutex = Mutex.create ();
       p_work = Condition.create ();
       p_finished = Condition.create ();
@@ -428,20 +437,21 @@ let pool_run pool main_expand nodes ~g' ~threshold ~known =
 (* Level-synchronous engine (Dijkstra order; exact cuts; all-solutions
    enumeration and non-existence proofs), the one level search for every
    machine: it knows states, perm counts and vetted successors, never an
-   instruction set — [expand] is the machine. With a pool, each level's
-   frontier is drained by the pool's workers plus the main domain, each
-   with a private stat delta and expander; the merge into the next
-   level's dedup table (and the delta merge) stays sequential on main, in
-   node index order, so the pooled and the sequential path perform the
-   exact same merges in the exact same order. *)
+   instruction set. With a pool, each level's frontier is drained by the
+   pool's workers plus the main domain, each with a private stat delta
+   and expander; the merge into the next level's dedup table (and the
+   delta merge) stays sequential on main, in node index order, so the
+   pooled and the sequential path perform the exact same merges in the
+   exact same order. *)
 
-let run_level ctx ~expand ~pool ~root ~root_pc ~root_final mode =
+let run_level ctx ~pool m mode =
   let env = ctx.env in
   let opts = env.Expand.opts in
-  if root_final then trivial_final ctx
+  if m.root_final then trivial_final ctx
   else begin
+    let expand = m.expander () in
     let seen = Sstate.Tbl.create (1 lsl 16) in
-    let root = { state = root; g = 0; pc = root_pc; paths = 1; parents = [] } in
+    let root = { state = m.root; g = 0; pc = m.root_pc; paths = 1; parents = [] } in
     Sstate.Tbl.replace seen root.state 0;
     let current = ref [ root ] in
     let level = ref 0 in
@@ -583,29 +593,14 @@ let run_level ctx ~expand ~pool ~root ~root_pc ~root_final mode =
       ~open_states:0
   end
 
-(* The cmov machine's expander: the arena core over a private arena. *)
-let cmov_expander env () : Isa.Instr.t expander =
-  let arena = Sstate.Arena.create env.Expand.cfg in
-  fun delta ~known ~g' ~threshold s ->
-    Expand.expand ?known env arena delta ~g' ~threshold s
-
-let run_level_sync ?pool ctx mode =
-  let cfg = ctx.env.Expand.cfg in
-  let root = Sstate.initial cfg in
-  run_level ctx ~expand:(cmov_expander ctx.env ()) ~pool ~root
-    ~root_pc:(perm_count ctx root) ~root_final:(Sstate.is_final cfg root) mode
-
 (* ------------------------------------------------------------------ *)
 (* A* engine: best-first on f = g + h, for fast find-first synthesis. *)
 
-let run_astar ctx =
-  let env = ctx.env in
-  let cfg = env.Expand.cfg in
-  let opts = env.Expand.opts in
-  let initial = Sstate.initial cfg in
-  if Sstate.is_final cfg initial then trivial_final ctx
+let run_astar ctx m =
+  let opts = ctx.env.Expand.opts in
+  if m.root_final then trivial_final ctx
   else begin
-    let arena = Sstate.Arena.create cfg in
+    let expand = m.expander () in
     let seen = Sstate.Tbl.create (1 lsl 16) in
     let heap = Heap.create () in
     (* Minimum perm-count seen per level, for the cut threshold. *)
@@ -620,11 +615,9 @@ let run_astar ctx =
       let a = !level_min_pc in
       if pc < a.(g) then a.(g) <- pc
     in
-    let root =
-      { state = initial; g = 0; pc = perm_count ctx initial; paths = 1; parents = [] }
-    in
+    let root = { state = m.root; g = 0; pc = m.root_pc; paths = 1; parents = [] } in
     note_level_pc 0 root.pc;
-    Sstate.Tbl.replace seen initial 0;
+    Sstate.Tbl.replace seen m.root 0;
     Heap.push heap (heuristic_value ctx root) root;
     let found = ref None in
     let continue = ref true in
@@ -663,9 +656,7 @@ let run_astar ctx =
                   | None -> false)
             else None
           in
-          let succs =
-            Expand.expand ?known env arena a.d ~g' ~threshold node.state
-          in
+          let succs = expand a.d ~known ~g' ~threshold node.state in
           List.iter
             (function
               | _ when not !continue -> ()
@@ -716,43 +707,69 @@ let run_astar ctx =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Machines and the one dispatch.                                      *)
 
-let run_parallel ?(opts = default) ?deadline ?(domains = 4) ?(mode = Find_first)
-    cfg =
-  let ctx = make_ctx ~mode ?deadline cfg opts in
-  (* Main always participates in the drain, so [domains] total domains
-     means [domains - 1] pooled workers. [domains = 1] still runs the
-     pooled full-level drain (with zero workers): the statistics are
-     identical whatever the domain count. *)
-  let pool =
-    make_pool ~workers:(max 0 (domains - 1)) (cmov_expander ctx.env)
-  in
-  Fun.protect
-    ~finally:(fun () -> shutdown_pool pool)
-    (fun () -> run_level_sync ~pool ctx mode)
+(* The cmov machine: the arena core over a private arena per domain. *)
+let cmov_machine env =
+  let cfg = env.Expand.cfg in
+  let root = Sstate.initial cfg in
+  {
+    root;
+    root_pc = Sstate.distinct_perms cfg root;
+    root_final = Sstate.is_final cfg root;
+    expander =
+      (fun () ->
+        let arena = Sstate.Arena.create cfg in
+        fun delta ~known ~g' ~threshold s ->
+          Expand.expand ?known env arena delta ~g' ~threshold s);
+  }
 
-let run_mode ?(opts = default) ?deadline ~mode cfg =
-  let ctx = make_ctx ~mode ?deadline cfg opts in
-  match (mode, opts.engine) with
-  | Find_first, Astar -> run_astar ctx
-  | Find_first, Level_sync -> run_level_sync ctx Find_first
-  | (All_optimal | Prove_none _), _ ->
+(* Any other machine: [Expand.expand_codes] needs no scratch of its own. *)
+let code_machine env isa =
+  let root, root_pc, root_final = Expand.code_root isa env.Expand.cfg in
+  {
+    root;
+    root_pc;
+    root_final;
+    expander =
+      (fun () delta ~known ~g' ~threshold s ->
+        Expand.expand_codes ?known env isa delta ~g' ~threshold s);
+  }
+
+let dispatch ?domains ctx mode m =
+  match (domains, mode, ctx.env.Expand.opts.engine) with
+  | Some domains, _, _ ->
+      (* Main always participates in the drain, so [domains] total domains
+         means [domains - 1] pooled workers. [domains = 1] still runs the
+         pooled full-level drain (with zero workers): the statistics are
+         identical whatever the domain count. *)
+      let pool = make_pool ~workers:(max 0 (domains - 1)) m in
+      Fun.protect
+        ~finally:(fun () -> shutdown_pool pool)
+        (fun () -> run_level ctx ~pool:(Some pool) m mode)
+  | None, Find_first, Astar -> run_astar ctx m
+  | None, _, _ ->
       (* Enumeration and non-existence proofs need exact level order. *)
-      run_level_sync ctx mode
+      run_level ctx ~pool:None m mode
+
+let run_mode ?(opts = default) ?deadline ?domains ~mode cfg =
+  let ctx = make_ctx ~mode ?deadline cfg opts in
+  dispatch ?domains ctx mode (cmov_machine ctx.env)
 
 let run ?(opts = default) ?deadline cfg = run_mode ~opts ?deadline ~mode:Find_first cfg
 
-let run_isa ?(opts = default) ?deadline ~mode cfg isa =
+let run_isa ?(opts = default) ?deadline ?domains ~mode cfg isa =
   (* The distance table has no counterpart off the cmov machine. *)
   let opts =
-    { opts with heuristic = No_heuristic; action_filter = All_actions; dist_viability = false }
+    {
+      opts with
+      heuristic = (if opts.heuristic = Dist_bound then No_heuristic else opts.heuristic);
+      action_filter = All_actions;
+      dist_viability = false;
+    }
   in
   let ctx = make_ctx ~mode ?deadline cfg opts in
-  let root, root_pc, root_final = Expand.code_root isa cfg in
-  run_level ctx ~pool:None
-    ~expand:(fun delta ~known ~g' ~threshold s ->
-      Expand.expand_codes ?known ctx.env isa delta ~g' ~threshold s)
-    ~root ~root_pc ~root_final mode
+  dispatch ?domains ctx mode (code_machine ctx.env isa)
 
 let synthesize ?(opts = best) n =
   let cfg = Isa.Config.default n in

@@ -23,13 +23,16 @@ module Stats : module type of Stats
       cost graph). The first level containing a final state is the optimal
       program length; the engine can enumerate {e all} optimal solutions and
       prove non-existence up to a length bound, which is how the paper
-      establishes its new tight lower bound of 20 for [n = 4]. With
-      {!run_parallel} the same engine expands each level on multiple worker
+      establishes its new tight lower bound of 20 for [n = 4]. Given
+      [~domains], the same engine expands each level on multiple worker
       domains.
     - {!Astar} is best-first on [f = g + h] and is the fast path for finding
       one (or a few) kernels.
 
-    {!run_isa} runs the same level loop over the min/max and hybrid ISAs.
+    The engines see a machine only as a root state and a successor
+    function, so one dispatch runs them over every instruction set:
+    {!run_mode} over the cmov machine, {!run_isa} over the min/max and
+    hybrid machines.
 
     All engines share the paper's pruning arsenal through the {!Expand}
     core: state deduplication (Section 3.6), compare-operand symmetry
@@ -207,50 +210,54 @@ val run : ?opts:options -> ?deadline:float -> Isa.Config.t -> result
     can step backwards under clock skew); the engine raises {!Timeout} when
     it passes. *)
 
-val run_mode : ?opts:options -> ?deadline:float -> mode:mode -> Isa.Config.t -> result
-
-val run_parallel :
+val run_mode :
   ?opts:options ->
   ?deadline:float ->
   ?domains:int ->
-  ?mode:mode ->
+  mode:mode ->
   Isa.Config.t ->
   result
-(** Level-synchronous search over a persistent pool of [domains - 1]
-    worker domains plus the calling domain (the paper's parallel Dijkstra;
-    Section 3.1 notes the approach "is parallelizable as we can process
-    all programs of a certain length in parallel"). The pool is spawned
-    once per search and parked between levels; each level's frontier is
-    drained work-stealing style — every domain claims the next unclaimed
-    node off a shared atomic cursor — so load balance does not depend on
-    how states were chunked. Successor generation and all pruning run in
-    the workers through the same {!Expand} core as the sequential engines
-    — every option ([action_filter], [dist_viability], [erasure_check],
-    [cut], [dedup], [max_len]) is honored and the prune counters are
-    exact (per-domain deltas, merged after the level drains).
-    Deduplication and path accounting merge sequentially in the same
-    order as the sequential engine, so for a fixed option set this
-    returns the same programs, [optimal_length], [solution_count]
-    (path-count semantics), and prune statistics as {!run_mode} with
-    [engine = Level_sync] — and, because every level drains fully before
-    the merge, results {e and} statistics are independent of [domains];
-    in [Find_first] mode only the last level's generated/pruned counters
-    may exceed the sequential engine's (the frontier drains completely
-    before the merge notices a solution). *)
+(** {!run} in any {!mode}. [Find_first] runs the engine [opts] names;
+    [All_optimal] and [Prove_none] always run [Level_sync], which they
+    need for exact level order.
+
+    With [domains], every mode runs [Level_sync] (whatever [engine]
+    says) over a persistent pool of [domains - 1] worker domains plus the
+    calling domain (the paper's parallel Dijkstra; Section 3.1 notes the
+    approach "is parallelizable as we can process all programs of a
+    certain length in parallel"). The pool is spawned once per search and
+    parked between levels; each level's frontier is drained
+    work-stealing style — every domain claims the next unclaimed node off
+    a shared atomic cursor — so load balance does not depend on how
+    states were chunked. Successor generation and all pruning run in the
+    workers through the same {!Expand} core as the sequential engines, so
+    every option is honored and the prune counters are exact (per-domain
+    deltas, merged after the level drains). Deduplication and path
+    accounting merge sequentially in the same order as the sequential
+    engine, so for a fixed option set the pooled run returns the same
+    programs, [optimal_length], [solution_count] (path-count semantics)
+    and prune statistics as the sequential [Level_sync] run — and,
+    because every level drains fully before the merge, results {e and}
+    statistics are independent of [domains]; in [Find_first] mode only
+    the last level's generated/pruned counters may exceed the sequential
+    engine's (the frontier drains completely before the merge notices a
+    solution). *)
 
 val run_isa :
   ?opts:options ->
   ?deadline:float ->
+  ?domains:int ->
   mode:mode ->
   Isa.Config.t ->
   'i Expand.code_isa ->
   'i outcome
-(** The [Level_sync] engine of {!run_mode} over another machine (the
-    min/max and hybrid ISAs), expanding with {!Expand.expand_codes}; [cfg]
-    gives the width. [engine], [heuristic], [action_filter] and
-    [dist_viability] are ignored: there is no A* and no distance table off
-    the cmov machine. Every other option, the result and the statistics
-    mean what they mean for {!run_mode}. *)
+(** {!run_mode} over another machine (the min/max and hybrid ISAs),
+    expanding with {!Expand.expand_codes}; [cfg] gives the register
+    file. The dispatch is the same — A*, the level loop, or the pool.
+    Only what needs the cmov distance table is dropped: a [Dist_bound]
+    heuristic becomes [No_heuristic], and [action_filter] and
+    [dist_viability] are ignored. Every other option, the result and the
+    statistics mean what they mean for {!run_mode}. *)
 
 val synthesize : ?opts:options -> int -> Isa.Program.t option
 (** [synthesize n] finds one sorting kernel for arrays of length [n] with

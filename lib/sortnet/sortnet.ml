@@ -138,8 +138,7 @@ let sorts_all_binary t =
   done;
   !ok
 
-let sorts_all_permutations t =
-  List.for_all (fun p -> Perms.is_sorted (apply t p)) (Perms.all t.n)
+let sorts_all_permutations t = Machine.Exec.first_unsorted t.n (apply t) = None
 
 let to_kernel cfg t =
   if cfg.Isa.Config.n <> t.n then invalid_arg "Sortnet.to_kernel: width mismatch";

@@ -46,7 +46,8 @@ val sorts_all_binary : t -> bool
     cmov kernels (paper, Section 2.3), but does apply to networks. *)
 
 val sorts_all_permutations : t -> bool
-(** Exhaustive check on all [n!] permutations — used to cross-validate the
+(** Exhaustive check on all [n!] permutations, through the one counted
+    loop ({!Machine.Exec.first_unsorted}) — used to cross-validate the
     0-1 lemma in tests. *)
 
 val to_kernel : Isa.Config.t -> t -> Isa.Program.t

@@ -34,7 +34,7 @@ let assert_level_parallel_agree ~mode cfg opts =
     Search.run_mode ~opts:{ opts with Search.engine = Search.Level_sync } ~mode
       cfg
   in
-  let par = Search.run_parallel ~opts ~domains:3 ~mode cfg in
+  let par = Search.run_mode ~opts ~domains:3 ~mode cfg in
   check opt_len (name ^ ": optimal length") seq.Search.optimal_length
     par.Search.optimal_length;
   check Alcotest.int (name ^ ": solution count (paths)")
@@ -177,7 +177,7 @@ let test_parallel_jobs_independent () =
         List.map
           (fun domains ->
             let r =
-              Search.run_parallel ~opts:Search.best ~domains ~mode cfg
+              Search.run_mode ~opts:Search.best ~domains ~mode cfg
             in
             (domains, r))
           [ 1; 2; 3; 4 ]
@@ -263,7 +263,7 @@ let test_n5_budget_trips_in_every_engine () =
         ~opts:{ tiny with Search.engine = Search.Level_sync }
         ~mode:Search.Find_first cfg);
   trips "parallel" (fun () ->
-      Search.run_parallel ~opts:tiny ~domains:3 ~mode:Search.Find_first cfg)
+      Search.run_mode ~opts:tiny ~domains:3 ~mode:Search.Find_first cfg)
 
 let () =
   Alcotest.run "engines-equiv"

@@ -123,7 +123,9 @@ let test_compare_kernels_order () =
 (* --- Parallel search --- *)
 
 let test_parallel_n2 () =
-  let r = Search.run_parallel ~domains:2 (Isa.Config.default 2) in
+  let r =
+    Search.run_mode ~domains:2 ~mode:Search.Find_first (Isa.Config.default 2)
+  in
   check (Alcotest.option Alcotest.int) "optimal 4" (Some 4) r.Search.optimal_length;
   match r.Search.programs with
   | p :: _ -> assert (Machine.Exec.sorts_all_permutations (Isa.Config.default 2) p)
@@ -135,7 +137,10 @@ let test_parallel_matches_sequential_n3 () =
     Search.run ~opts:{ opts with Search.engine = Search.Level_sync }
       (Isa.Config.default 3)
   in
-  let par = Search.run_parallel ~opts ~domains:3 (Isa.Config.default 3) in
+  let par =
+    Search.run_mode ~opts ~domains:3 ~mode:Search.Find_first
+      (Isa.Config.default 3)
+  in
   check (Alcotest.option Alcotest.int) "same optimal length"
     seq.Search.optimal_length par.Search.optimal_length;
   (* Expansion accounting differs at the final level (the parallel engine
@@ -148,7 +153,7 @@ let test_parallel_matches_sequential_n3 () =
 
 let test_parallel_prove_none () =
   let r =
-    Search.run_parallel ~domains:2 ~mode:(Search.Prove_none 3)
+    Search.run_mode ~domains:2 ~mode:(Search.Prove_none 3)
       (Isa.Config.default 2)
   in
   check (Alcotest.option Alcotest.int) "no kernel of length 3" None
@@ -225,6 +230,20 @@ let test_hybrid_n2_optimum () =
            + l.Search.viability_pruned + l.Search.bound_pruned))
         r.Search.stats.Search.levels
   | [] -> Alcotest.fail "hybrid synthesis failed for n=2"
+
+(* The hybrid machine runs on every engine of the dispatch: A* finds the
+   same optimum as the level loop. *)
+let test_hybrid_n2_astar () =
+  let cfg = Isa.Config.default 2 in
+  let r =
+    Search.run_isa
+      ~opts:{ Search.default with Search.cut = Search.Mult 1.0 }
+      ~mode:Search.Find_first cfg (Hybrid.isa cfg)
+  in
+  check (Alcotest.option Alcotest.int) "A* finds 4" (Some 4) r.Search.optimal_length;
+  match r.Search.programs with
+  | p :: _ -> assert (Hybrid.sorts_all_permutations cfg p)
+  | [] -> Alcotest.fail "no hybrid kernel"
 
 let test_hybrid_transfer_accounting () =
   let p =
@@ -326,6 +345,7 @@ let () =
       ( "hybrid",
         [
           Alcotest.test_case "n=2 optimum" `Slow test_hybrid_n2_optimum;
+          Alcotest.test_case "n=2 optimum under A*" `Quick test_hybrid_n2_astar;
           Alcotest.test_case "transfer accounting" `Quick
             test_hybrid_transfer_accounting;
           Alcotest.test_case "mixed program" `Quick test_hybrid_run_mixed_program;

@@ -2,6 +2,14 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let cfg3 = Isa.Config.default 3
 
+(* One run of the engine dispatch over the min/max machine. *)
+let run ?(opts = Minmax.default) ?domains ~engine ~mode n =
+  let cfg = Isa.Config.default n in
+  Search.run_isa ~opts:{ opts with Search.engine } ?domains ~mode cfg
+    (Minmax.isa cfg)
+
+let engines = [ ("astar", Search.Astar); ("level", Search.Level_sync) ]
+
 let test_paper_kernel_sorts () =
   assert (Minmax.Vexec.sorts_all_permutations cfg3 Minmax.paper_sort3);
   check Alcotest.int "8 instructions" 8 (Array.length Minmax.paper_sort3)
@@ -84,24 +92,87 @@ let test_all_solutions_enumeration () =
     [ (1.0, 288, 489); (2.0, 604, 933) ]
 
 let test_prune_identity () =
-  let r = Minmax.synthesize ~mode:Search.All_optimal 3 in
-  let st = r.Search.stats in
-  (* Every bucket the minmax machine can fill is exercised. *)
-  assert (st.Search.pruned_cut > 0 && st.Search.pruned_viability > 0);
-  assert (st.Search.deduped > 0);
   List.iter
-    (fun (l : Search.level_stat) ->
-      check Alcotest.int
-        (Printf.sprintf "depth %d: generated = kept + finals + pruned" l.Search.depth)
-        l.Search.succs_generated
-        (l.Search.succs_kept + l.Search.finals_found + l.Search.cut_pruned
-       + l.Search.viability_pruned + l.Search.bound_pruned))
-    r.Search.stats.Search.levels
+    (fun (name, (r : Minmax.Vinstr.t Search.outcome)) ->
+      let st = r.Search.stats in
+      (* Every bucket the minmax machine can fill is exercised. *)
+      assert (st.Search.pruned_cut > 0 && st.Search.pruned_viability > 0);
+      assert (st.Search.deduped > 0);
+      List.iter
+        (fun (l : Search.level_stat) ->
+          check Alcotest.int
+            (Printf.sprintf "%s depth %d: generated = kept + finals + pruned" name
+               l.Search.depth)
+            l.Search.succs_generated
+            (l.Search.succs_kept + l.Search.finals_found + l.Search.cut_pruned
+           + l.Search.viability_pruned + l.Search.bound_pruned))
+        st.Search.levels)
+    [
+      ("level", Minmax.synthesize ~mode:Search.All_optimal 3);
+      ("astar", run ~engine:Search.Astar ~mode:Search.Find_first 4);
+    ]
 
 let test_max_len_bound () =
-  let r = Minmax.synthesize ~opts:{ Minmax.default with Search.max_len = Some 7 } 3 in
-  check (Alcotest.option Alcotest.int) "no length-7 kernel" None
-    r.Search.optimal_length
+  List.iter
+    (fun (name, engine) ->
+      let r =
+        run ~opts:{ Minmax.default with Search.max_len = Some 7 } ~engine
+          ~mode:Search.Find_first 3
+      in
+      check (Alcotest.option Alcotest.int) (name ^ ": no length-7 kernel") None
+        r.Search.optimal_length)
+    engines
+
+(* A* with the perm-count heuristic and the certified-minimal level loop
+   agree on the paper's optima. *)
+let test_engines_agree () =
+  List.iter
+    (fun (n, len) ->
+      List.iter
+        (fun (name, engine) ->
+          let r = run ~engine ~mode:Search.Find_first n in
+          check (Alcotest.option Alcotest.int)
+            (Printf.sprintf "n=%d %s" n name)
+            (Some len) r.Search.optimal_length;
+          match r.Search.programs with
+          | p :: _ ->
+              assert (Minmax.Vexec.sorts_all_permutations (Isa.Config.default n) p)
+          | [] -> Alcotest.failf "n=%d %s: no kernel" n name)
+        engines)
+    [ (2, 3); (3, 8); (4, 15) ]
+
+(* The pool merges in the sequential loop's order, so a full enumeration
+   is the same run whatever the domain count. *)
+let test_pool_matches_level () =
+  let strip (r : Minmax.Vinstr.t Search.outcome) =
+    (r.Search.programs, { r.Search.stats with Search.elapsed = 0.; timeline = [] })
+  in
+  List.iter
+    (fun (k, paths) ->
+      let opts = { Minmax.default with Search.cut = Search.Mult k } in
+      let level domains =
+        run ~opts ?domains ~engine:Search.Level_sync ~mode:Search.All_optimal 3
+      in
+      let seq = level None in
+      check Alcotest.int (Printf.sprintf "cut %.0f: paths" k) paths
+        seq.Search.solution_count;
+      List.iter
+        (fun d ->
+          let par = level (Some d) in
+          check Alcotest.int
+            (Printf.sprintf "cut %.0f, %d domains: paths" k d)
+            paths par.Search.solution_count;
+          if strip par <> strip seq then
+            Alcotest.failf "cut %.0f, %d domains: run differs from sequential" k d)
+        [ 1; 2; 4 ])
+    [ (1.0, 288); (2.0, 604) ]
+
+(* One min/max certification is one run of the counted n! loop. *)
+let test_certification_counted () =
+  let before = Machine.Exec.certifications () in
+  assert (Minmax.Vexec.sorts_all_permutations cfg3 Minmax.paper_sort3);
+  check Alcotest.int "one certification" (before + 1)
+    (Machine.Exec.certifications ())
 
 let test_to_sorter () =
   match (Minmax.synthesize 3).Search.programs with
@@ -169,6 +240,10 @@ let () =
           Alcotest.test_case "all solutions" `Quick test_all_solutions_enumeration;
           Alcotest.test_case "prune identity" `Quick test_prune_identity;
           Alcotest.test_case "length bound" `Quick test_max_len_bound;
+          Alcotest.test_case "engines agree" `Quick test_engines_agree;
+          Alcotest.test_case "pool = level" `Quick test_pool_matches_level;
+          Alcotest.test_case "certification counted" `Quick
+            test_certification_counted;
           Alcotest.test_case "to_sorter" `Quick test_to_sorter;
           Alcotest.test_case "x86 rendering" `Quick test_x86_rendering;
         ] );

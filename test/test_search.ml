@@ -142,7 +142,9 @@ let test_stats_json_well_formed () =
           ~opts:
             { Search.best with Search.engine = Search.Level_sync; max_solutions = 5 }
           ~mode:Search.All_optimal cfg );
-      ("parallel-best-n3", Search.run_parallel ~opts:Search.best ~domains:2 cfg);
+      ( "parallel-best-n3",
+        Search.run_mode ~opts:Search.best ~domains:2 ~mode:Search.Find_first cfg
+      );
     ]
   in
   List.iter
@@ -237,7 +239,7 @@ let test_prune_attribution_identity () =
     (Search.run ~opts:{ opts with Search.engine = Search.Level_sync } cfg)
       .Search.stats;
   assert_level_identity "parallel"
-    (Search.run_parallel ~opts ~domains:3 ~mode:Search.All_optimal cfg)
+    (Search.run_mode ~opts ~domains:3 ~mode:Search.All_optimal cfg)
       .Search.stats;
   (* And with the cut off / no bound, where finals and kept dominate. *)
   let loose = { Search.default with Search.max_len = Some 11 } in
@@ -321,6 +323,28 @@ let test_bound_too_small_returns_none () =
   let opts = { Search.default with Search.max_len = Some 2 } in
   let r = Search.run ~opts cfg in
   check Alcotest.int "no programs" 0 (List.length r.Search.programs)
+
+(* A* holds the length bound for final successors too. Distance
+   viability prunes every non-final state at the bound, which hid a final
+   successor one step past it; without it, A* used to return a kernel of
+   length 11 under a bound of 10. (The cut only keeps the run short: with
+   no heuristic and no cut the same lapse took 1.9M expansions.) *)
+let test_astar_bound_holds_for_finals () =
+  let cfg = Isa.Config.default 3 in
+  let opts =
+    {
+      Search.default with
+      Search.heuristic = Search.Perm_count;
+      cut = Search.Mult 1.0;
+      max_len = Some 10;
+      dist_viability = false;
+    }
+  in
+  let r = Search.run ~opts cfg in
+  check (Alcotest.option Alcotest.int) "no kernel within 10" None
+    r.Search.optimal_length;
+  check Alcotest.int "no programs" 0 (List.length r.Search.programs);
+  assert (r.Search.stats.Search.pruned_bound > 0)
 
 (* Every enumerated optimal program is distinct and correct. *)
 let test_all_optimal_programs_distinct_correct () =
@@ -448,6 +472,8 @@ let () =
           Alcotest.test_case "trace collection" `Quick test_trace_collection;
           Alcotest.test_case "bound too small" `Quick
             test_bound_too_small_returns_none;
+          Alcotest.test_case "A* bound holds for finals" `Quick
+            test_astar_bound_holds_for_finals;
           Alcotest.test_case "benchmark search stats pinned" `Quick
             test_benchmark_search_stats_pinned;
         ] );
