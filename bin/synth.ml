@@ -534,7 +534,12 @@ let run_search ~label ~mode ~timeout ~stats_json search ~certify ~render =
                  ("certifications", Json.Int (Machine.Exec.certifications ()));
                ])
            r.Search.stats))
-    stats_json
+    stats_json;
+  (* A search that finds nothing is a synthesis failure; a --prove-none
+     verdict is an answer either way. *)
+  match (mode, r.Search.programs) with
+  | (Search.Find_first | Search.All_optimal), [] -> exit 1
+  | _ -> ()
 
 (* A cmov kernel is polished (certified, optionally optimized) and
    linted; its analyzer and optimizer notes ride along in the stats. *)
@@ -772,8 +777,10 @@ let batch_term =
       value & opt int 1
       & info [ "retries" ] ~docv:"K"
           ~doc:
-            "Extra attempts after a timeout, exhaustion, or failure \
-             (default 1), with exponential backoff between attempts.")
+            "Extra attempts after a timeout, exhaustion, or internal error \
+             (default 1), with exponential backoff between attempts. A \
+             search that finished without a publishable kernel is not \
+             retried.")
   in
   let backoff =
     Arg.(

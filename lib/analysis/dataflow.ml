@@ -1,5 +1,5 @@
 (* Straight-line dataflow: backward liveness over registers and the lt/gt
-   flags, forward reaching-cmp and written-before facts, def-use chains.
+   flags, forward reaching-cmp and written-before facts.
 
    Liveness masks pack the register set and both flags into one int:
    bit r (r < nregs) = register r, bit nregs = lt, bit nregs+1 = gt. *)
@@ -55,32 +55,6 @@ let lt_live_after t i = live_after t i land lt_bit t <> 0
 let gt_live_after t i = live_after t i land gt_bit t <> 0
 let reaching_cmp t i = t.reaching.(i)
 let reg_written_before t i r = t.written.(i) land (1 lsl r) <> 0
-
-let def_uses t i =
-  let p = t.prog in
-  let len = Array.length p in
-  let open Isa.Instr in
-  match p.(i).op with
-  | Cmp ->
-      let rec go j acc =
-        if j >= len then List.rev acc
-        else
-          match p.(j).op with
-          | Cmp -> List.rev acc
-          | Cmovl | Cmovg -> go (j + 1) (j :: acc)
-          | Mov -> go (j + 1) acc
-      in
-      go (i + 1) []
-  | Mov | Cmovl | Cmovg ->
-      let r = p.(i).dst in
-      let rec go j acc =
-        if j >= len then List.rev acc
-        else
-          let y = p.(j) in
-          let acc = if List.mem r (reads y) then j :: acc else acc in
-          if y.op = Mov && y.dst = r then List.rev acc else go (j + 1) acc
-      in
-      go (i + 1) []
 
 let is_effective t i =
   let x = t.prog.(i) in

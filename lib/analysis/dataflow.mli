@@ -48,14 +48,6 @@ val reg_written_before : t -> int -> int -> bool
     registers do not (they hold the constant 0 until first written). A
     conditional move counts as a definition. *)
 
-(** {2 Def-use chains} *)
-
-val def_uses : t -> int -> int list
-(** Instruction indices that consume what instruction [i] defines: for a
-    [cmp], the conditional moves before the next [cmp]; for a (conditional)
-    move, the readers of its destination before the next unconditional
-    overwrite. Ascending order. *)
-
 val is_effective : t -> int -> bool
 (** Does instruction [i] define something that is live after it? An
     ineffective instruction is provably removable: deleting it cannot change

@@ -8,29 +8,19 @@ type result = {
   refused : bool;
 }
 
-(* One dataflow pass: all instructions removable by liveness facts alone.
+(* One dataflow pass: every instruction Lint proves dead, named by the
+   first dead-write, dead-cmp or orphan-cmov finding at its index.
    Deleting them simultaneously is sound: deletion only removes uses, so
    every other dead definition stays dead. *)
 let dataflow_removable cfg p =
-  let df = Dataflow.analyze cfg p in
-  let classify i =
-    let x = p.(i) in
-    let open Isa.Instr in
-    match writes x with
-    | Some d when not (Dataflow.reg_live_after df i d) -> Some Lint.Dead_write
-    | _ -> (
-        match x.op with
-        | Cmp
-          when not (Dataflow.lt_live_after df i || Dataflow.gt_live_after df i)
-          ->
-            Some Lint.Dead_cmp
-        | (Cmovl | Cmovg) when Dataflow.reaching_cmp df i = None ->
-            Some Lint.Orphan_cmov
-        | _ -> None)
-  in
-  List.filter_map
-    (fun i -> Option.map (fun r -> (i, r)) (classify i))
-    (List.init (Array.length p) Fun.id)
+  List.fold_left
+    (fun acc (f : Lint.finding) ->
+      match (f.rule, f.index) with
+      | (Lint.Dead_write | Lint.Dead_cmp | Lint.Orphan_cmov), Some i
+        when not (List.mem_assoc i acc) ->
+          (i, f.rule) :: acc
+      | _ -> acc)
+    [] (Lint.check cfg p)
 
 (* Semantic no-ops are identity on their reachable sets, so deleting all of
    them at once leaves every downstream reachable set — and hence every
@@ -45,13 +35,14 @@ let delete p victims =
   Array.iteri (fun i x -> if not dead.(i) then keep := x :: !keep) p;
   Array.of_list (List.rev !keep)
 
-let run cfg p =
+(* Both families to a fixpoint, unproven. *)
+let shrink cfg p =
   (* orig.(i) = index in the original program of current instruction i. *)
   let orig = ref (Array.init (Array.length p) Fun.id) in
   let cur = ref p in
   let removed = ref [] in
   let passes = ref 0 in
-  let shrink victims =
+  let drop victims =
     removed :=
       !removed
       @ List.map (fun (i, rule) -> { index = !orig.(i); rule }) victims;
@@ -67,34 +58,32 @@ let run cfg p =
     incr passes;
     match dataflow_removable cfg !cur with
     | _ :: _ as victims ->
-        shrink victims;
+        drop victims;
         fix ()
     | [] -> (
         match noop_removable cfg !cur with
         | _ :: _ as victims ->
-            shrink victims;
+            drop victims;
             fix ()
         | [] -> ())
   in
   fix ();
-  let optimized = !cur in
-  let preserved = Machine.Exec.equiv cfg p optimized = Machine.Exec.Equivalent in
-  let in_certifies = Result.is_ok (Machine.Exec.certify cfg p) in
-  let out_certifies = Result.is_ok (Machine.Exec.certify cfg optimized) in
-  if preserved && (out_certifies || not in_certifies) then
-    {
-      optimized;
-      removed = List.sort (fun a b -> compare a.index b.index) !removed;
-      passes = !passes;
-      certified = out_certifies;
-      refused = false;
-    }
-  else
-    (* The proof failed: refuse the rewrite, return the input untouched. *)
-    {
-      optimized = p;
-      removed = [];
-      passes = !passes;
-      certified = in_certifies;
-      refused = true;
-    }
+  (!cur, List.sort (fun a b -> compare a.index b.index) !removed, !passes)
+
+let fixpoint cfg p =
+  let optimized, _, _ = shrink cfg p in
+  optimized
+
+let run cfg p =
+  let optimized, removed, passes = shrink cfg p in
+  match Machine.Exec.prove_rewrite cfg ~pass:"dce" p optimized with
+  | Ok sorts -> { optimized; removed; passes; certified = sorts; refused = false }
+  | Error _ ->
+      (* The proof failed: refuse the rewrite, return the input untouched. *)
+      {
+        optimized = p;
+        removed = [];
+        passes;
+        certified = Result.is_ok (Machine.Exec.certify cfg p);
+        refused = true;
+      }

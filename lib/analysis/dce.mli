@@ -1,20 +1,20 @@
 (** Proof-carrying dead-code elimination.
 
-    Deletes instructions that the dataflow analysis proves dead (dead
-    writes, unconsumed [cmp]s, orphan conditional moves) or the abstract
-    interpreter proves to be semantic no-ops, iterating to a fixpoint.
-    The two families alternate in separate passes with the analyses
-    recomputed in between — a liveness-dead instruction may be exactly what
-    justified another instruction's no-op proof, so deleting members of
-    both sets computed on the same program would be unsound.
+    Deletes instructions that {!Lint.check} proves dead (its dead-write,
+    dead-cmp and orphan-cmov findings; the first such finding at an index
+    names the removal's rule) or the abstract interpreter proves to be
+    semantic no-ops, iterating to a fixpoint. The two families alternate
+    in separate passes with the analyses recomputed in between — a
+    liveness-dead instruction may be exactly what justified another
+    instruction's no-op proof, so deleting members of both sets computed
+    on the same program would be unsound.
 
-    The rewrite is {e proof-carrying}: the optimized program must be
-    {!Machine.Exec.equiv}alent to the input (bit-identical value registers
-    on every one of the [n!] input permutations), and when the input
-    kernel certifies as sorting, the output must re-certify under the one
-    certifier, {!Machine.Exec.certify}. If either proof fails the rewrite
-    is refused and the original program returned untouched — the
-    optimizer can decline to optimize, but can never miscompile. *)
+    The rewrite is {e proof-carrying}: {!run} hands the fixpoint to
+    {!Machine.Exec.prove_rewrite} (equivalence on every one of the [n!]
+    input permutations, then re-certification when the input sorts). If
+    the proof fails the rewrite is refused and the original program
+    returned untouched — the optimizer can decline to optimize, but can
+    never miscompile. *)
 
 type removal = { index : int; rule : Lint.rule }
 (** One deleted instruction: [index] is its position in the {e original}
@@ -39,3 +39,8 @@ val run : Isa.Config.t -> Isa.Program.t -> result
 (** Optimize [p] to fixpoint. [optimized] is never longer than [p], and
     [Machine.Exec.run] agrees with [p] on the value registers for every
     input permutation. *)
+
+val fixpoint : Isa.Config.t -> Isa.Program.t -> Isa.Program.t
+(** The same fixpoint, {e unproven}: the optimizer's [dce] pass proposes
+    it and leaves the proof to the pipeline's own gate, so each proposal
+    is proven once. *)

@@ -20,8 +20,7 @@ let instr_of_codes op dst src =
   in
   { Minmax.Vinstr.op; dst; src }
 
-let synth ?(node_limit = max_int) ?(all_solutions = false)
-    ?(erasure_pruning = true) ~len n =
+let synth ?(node_limit = max_int) ?(all_solutions = false) ~len n =
   let start = Unix.gettimeofday () in
   let cfg = Isa.Config.default n in
   let k = Isa.Config.nregs cfg in
@@ -77,7 +76,8 @@ let synth ?(node_limit = max_int) ?(all_solutions = false)
                   else max (cur dv) (cur sv)
                 in
                 ok := !ok && Fd.assign t value.(s + 1).(pi).(dv) nv;
-                if !ok && erasure_pruning then begin
+                (* Erasure pruning: every input value must survive. *)
+                if !ok then begin
                   let mask = ref 0 in
                   for r = 0 to k - 1 do
                     if Fd.is_fixed t value.(s + 1).(pi).(r) then

@@ -16,8 +16,7 @@ type result = {
 }
 
 val synth :
-  ?node_limit:int -> ?all_solutions:bool -> ?erasure_pruning:bool ->
-  len:int -> int -> result
+  ?node_limit:int -> ?all_solutions:bool -> len:int -> int -> result
 (** Search for min/max kernels of exactly [len] instructions for width [n].
     Results are verified on all permutations before being reported. *)
 

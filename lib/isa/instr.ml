@@ -21,6 +21,14 @@ let reads i =
   | Cmp -> [ i.dst; i.src ]
   | Mov | Cmovl | Cmovg -> [ i.src ]
 
+let uses ~flags i =
+  match i.op with
+  | Cmp -> [ i.dst; i.src ]
+  | Mov -> [ i.src ]
+  | Cmovl | Cmovg -> [ i.src; i.dst; flags ]
+
+let defs ~flags i = match i.op with Cmp -> [ flags ] | Mov | Cmovl | Cmovg -> [ i.dst ]
+
 let valid cfg i =
   let k = Config.nregs cfg in
   let in_range r = r >= 0 && r < k in

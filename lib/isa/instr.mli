@@ -37,8 +37,22 @@ val writes : t -> int option
     happen at run time). *)
 
 val reads : t -> int list
-(** Registers read by the instruction. A conditional move reads its source
-    (and, implicitly, the flags — not included here). *)
+(** Registers the instruction reads unconditionally: a conditional move
+    reads its source (and, implicitly, the flags — not included here).
+    This is the lint's notion of a read; dependence tracking uses
+    {!uses}. *)
+
+val uses : flags:int -> t -> int list
+(** The dependence set an instruction consumes, with the flags named by
+    the caller's [flags] index (typically [Config.nregs cfg]): [cmp a b]
+    uses [a] and [b]; [mov d s] uses [s]; a conditional move uses its
+    source, its own destination (the old value survives when the flag is
+    clear) and the flags, in that order. The cost models, the pipeline
+    simulator and the scheduler all take their dependences from here. *)
+
+val defs : flags:int -> t -> int list
+(** The dependence set an instruction produces: [[flags]] for [cmp], the
+    destination for a (conditional) move. *)
 
 val valid : Config.t -> t -> bool
 (** [valid cfg i] checks operand ranges, [dst <> src] for moves, and the

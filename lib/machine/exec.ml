@@ -66,6 +66,28 @@ let equiv cfg a b =
   in
   go (Perms.all cfg.Isa.Config.n)
 
+let prove_rewrite cfg ~pass before after =
+  match equiv cfg before after with
+  | Differs { input; out_a; out_b } ->
+      Error
+        (Printf.sprintf
+           "pass %s is not behavior-preserving: on input [%s] the rewrite \
+            produces [%s] where the original produces [%s]"
+           pass (ints input) (ints out_b) (ints out_a))
+  | Equivalent ->
+      (* Independent second proof: when the input certifies, the output
+         must re-certify. Equivalence already implies it semantically;
+         running the certifier anyway means a bug in either check is
+         caught by the other. *)
+      let sorts = Result.is_ok (certify cfg before) in
+      if sorts && Result.is_error (certify cfg after) then
+        Error
+          (Printf.sprintf
+             "pass %s: the rewrite no longer certifies as a sorting kernel \
+              although the input did"
+             pass)
+      else Ok sorts
+
 let sorts_random_suite cfg p ~seed ~cases ~lo ~hi =
   let st = Random.State.make [| seed |] in
   let ok = ref true in

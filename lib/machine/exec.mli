@@ -32,8 +32,8 @@ val certify : Isa.Config.t -> Isa.Program.t -> (unit, string) result
     ISA is constant-free. [Ok ()] iff the kernel sorts; the error message
     names the first failing input and the produced output, suitable for
     printing verbatim. Every trust boundary (registry load and insert,
-    serve admission, the CLI), every optimizer proof ({!Opt.Cert},
-    {!Analysis.Dce}) and every analysis verdict runs this check. *)
+    serve admission, the CLI), every rewrite proof ({!prove_rewrite})
+    and every analysis verdict runs this check. *)
 
 val counterexample : Isa.Config.t -> Isa.Program.t -> int array option
 (** The same check, returning the first permutation of [1..n] (in
@@ -71,6 +71,24 @@ val equiv : Isa.Config.t -> Isa.Program.t -> Isa.Program.t -> verdict
     inputs. Neither kernel needs to sort. Scratch contents and flags are
     not observable; [cfg] must be wide enough for both kernels. Not a
     certification: it does not tick {!certifications}. *)
+
+val prove_rewrite :
+  Isa.Config.t -> pass:string -> Isa.Program.t -> Isa.Program.t -> (bool, string) result
+(** [prove_rewrite cfg ~pass before after]: the one proof every rewrite
+    of a kernel must pass before it replaces [before] — the optimizer's
+    passes ({!Opt.Pipeline}) and dead-code elimination
+    ({!Analysis.Dce}) alike. First {!equiv}[ before after]; then, when
+    [before] certifies, [after] must re-certify — an independent second
+    proof, so a bug in either check is caught by the other. [Ok sorts]
+    says whether [before] (and therefore [after]) sorts. An [Error]
+    names [pass]; an equivalence failure also names a concrete
+    counterexample permutation and both outputs. Ticks {!certifications}
+    once when [before] does not sort, twice when it does.
+
+    The sound-for-networks 0-1 shortcut ({!Zeroone}) is deliberately not
+    used: the paper's §2.3 witness sorts all [2^n] binary inputs yet
+    fails on a permutation, so a proof over arbitrary kernels must
+    quantify over all [n!] permutations. *)
 
 val sorts_random_suite :
   Isa.Config.t -> Isa.Program.t -> seed:int -> cases:int -> lo:int -> hi:int -> bool

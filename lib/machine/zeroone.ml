@@ -15,7 +15,10 @@ let zero_one_gap cfg p =
     | None -> `Equivalent
   else `Equivalent
 
-let find_counterexample_kernel ?(max_programs = 2_000_000) cfg =
+(* Cap on programs tried: the witness appears long before it. *)
+let max_programs = 2_000_000
+
+let find_counterexample_kernel cfg =
   let instrs = Isa.Instr.all cfg in
   let ni = Array.length instrs in
   let tried = ref 0 in

@@ -20,7 +20,7 @@ val zero_one_gap :
     for this kernel (both hold or both fail). *)
 
 val find_counterexample_kernel :
-  ?max_programs:int -> Isa.Config.t -> (Isa.Program.t * int array) option
+  Isa.Config.t -> (Isa.Program.t * int array) option
 (** Search short programs for one witnessing the gap: correct on all [2^n]
     binary inputs, incorrect on some permutation. Returns the kernel and
     the failing permutation. The existence of such kernels is exactly why

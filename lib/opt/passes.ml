@@ -135,16 +135,10 @@ let coalesce_pair p =
 (* Shape (a): cmovX d _ ... cmovX d _ under the same flags with no
    intervening read or write of d — whenever the first fires, the second
    fires too and overwrites it before anyone looks. *)
-let drop_dominated p =
+let drop_dominated cfg p =
   let len = Array.length p in
   let keep = Array.make len true in
-  let reads i =
-    let open Isa.Instr in
-    match i.op with
-    | Cmp -> [ i.dst; i.src ]
-    | Mov -> [ i.src ]
-    | Cmovl | Cmovg -> [ i.src; i.dst ]
-  in
+  let flags = Isa.Config.nregs cfg in
   for k = 0 to len - 1 do
     let i = p.(k) in
     if Isa.Instr.is_conditional i then begin
@@ -159,7 +153,7 @@ let drop_dominated p =
         end
         else if
           u.Isa.Instr.op = Isa.Instr.Cmp
-          || List.mem d (reads u)
+          || List.mem d (Isa.Instr.uses ~flags u)
           || Isa.Instr.writes u = Some d
         then stop := true
         else incr j
@@ -171,7 +165,7 @@ let drop_dominated p =
   Array.of_list (List.rev !out)
 
 let coalesce_cmov =
-  { name = "coalesce-cmov"; apply = (fun _cfg p -> drop_dominated (coalesce_pair p)) }
+  { name = "coalesce-cmov"; apply = (fun cfg p -> drop_dominated cfg (coalesce_pair p)) }
 
 (* ------------------------------------------------------------------ *)
 (* Canonical scratch naming.                                           *)
@@ -200,13 +194,9 @@ let canonicalize_f cfg p =
 let canonicalize = { name = "canonicalize"; apply = canonicalize_f }
 
 (* ------------------------------------------------------------------ *)
-(* DCE, re-wrapped.                                                    *)
+(* DCE, unproven: the pipeline's gate proves it.                       *)
 
-let dce =
-  {
-    name = "dce";
-    apply = (fun cfg p -> (Analysis.Dce.run cfg p).Analysis.Dce.optimized);
-  }
+let dce = { name = "dce"; apply = Analysis.Dce.fixpoint }
 
 (* ------------------------------------------------------------------ *)
 (* Dependence-DAG list scheduler.                                      *)
@@ -217,20 +207,8 @@ let schedule_f cfg p =
   else begin
     let nregs = Isa.Config.nregs cfg in
     let flags = nregs in
-    let reads k =
-      let i = p.(k) in
-      let open Isa.Instr in
-      match i.op with
-      | Cmp -> [ i.dst; i.src ]
-      | Mov -> [ i.src ]
-      | Cmovl | Cmovg -> [ i.src; i.dst; flags ]
-    in
-    let writes k =
-      let i = p.(k) in
-      match i.Isa.Instr.op with
-      | Isa.Instr.Cmp -> [ flags ]
-      | Isa.Instr.Mov | Isa.Instr.Cmovl | Isa.Instr.Cmovg -> [ i.Isa.Instr.dst ]
-    in
+    let reads k = Isa.Instr.uses ~flags p.(k) in
+    let writes k = Isa.Instr.defs ~flags p.(k) in
     (* Full dependence graph over registers and flags. Unlike the cost
        model's RAW-only edges, reordering must also respect WAR and WAW:
        there is no renaming here, a cmov's conditional write is a write,

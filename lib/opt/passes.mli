@@ -2,10 +2,11 @@
 
     Each pass is a {e proposer}: a pure function from program to program
     that is believed — but never trusted — to preserve behavior. The
-    {!Pipeline} driver wraps every proposal in a {!Cert.t} and discharges
-    it over all [n!] permutations before the rewrite is allowed to stand;
-    a pass therefore only needs to be {e usually} right, and a bug in any
-    pass manifests as a refused rewrite, never as a miscompile.
+    {!Pipeline} driver proves every proposal with
+    {!Machine.Exec.prove_rewrite} over all [n!] permutations before the
+    rewrite is allowed to stand; a pass therefore only needs to be
+    {e usually} right, and a bug in any pass manifests as a refused
+    rewrite, never as a miscompile.
 
     Passes must keep every instruction {!Isa.Instr.valid} (notably the
     [dst < src] canonical order of [cmp]); when a rewrite would violate
@@ -46,15 +47,16 @@ val canonicalize : pass
     scratch permutation preserves behavior. *)
 
 val dce : pass
-(** ["dce"] — {!Analysis.Dce.run}, re-wrapped so its removals are
-    certified a second time by the pipeline's own certificate. *)
+(** ["dce"] — {!Analysis.Dce.fixpoint}: DCE's removals, proposed
+    unproven so the pipeline's own rewrite proof checks them once. *)
 
 val schedule : pass
 (** ["schedule"] — dependence-DAG list scheduler. Builds the full
-    dependence graph (read-after-write, write-after-read and
-    write-after-write, over registers {e and} flags — unlike
-    {!Perf.Cost.dependence_edges}, which is RAW-only and must not be
-    used for reordering), then re-orders by latency-weighted critical
+    dependence graph from {!Isa.Instr.uses} and {!Isa.Instr.defs}
+    (read-after-write, write-after-read and write-after-write, over
+    registers {e and} flags — unlike {!Perf.Cost.dependence_edges},
+    which is RAW-only and must not be used for reordering), then
+    re-orders by latency-weighted critical
     path under the in-order issue model of
     {!Perf.Cost.simulated_cycles}. The reorder is kept only when it
     strictly lowers the simulated cycle count. *)

@@ -22,13 +22,13 @@ type report = {
 let max_rounds = 8
 
 (* The chaos hook: mutate a proposal into something semantically wrong so
-   the certificate must refuse it. Appending "mov r1 r2" clobbers a value
+   the rewrite proof must refuse it. Appending "mov r1 r2" clobbers a value
    register, which no sorting kernel's output survives. *)
 let sabotage cfg proposal =
   if Isa.Config.nregs cfg >= 2 then Isa.Program.append proposal (Isa.Instr.mov 0 1)
   else proposal
 
-let run ?(passes = Passes.all) cfg p =
+let run cfg p =
   let current = ref p in
   let deltas = ref [] in
   let refusals = ref [] in
@@ -61,10 +61,8 @@ let run ?(passes = Passes.all) cfg p =
               }
               :: !refusals
           else
-            match
-              Cert.discharge cfg { Cert.pass = pass.name; before; after = proposal }
-            with
-            | Ok () ->
+            match Machine.Exec.prove_rewrite cfg ~pass:pass.name before proposal with
+            | Ok _ ->
                 current := proposal;
                 changed := true;
                 deltas :=
@@ -84,7 +82,7 @@ let run ?(passes = Passes.all) cfg p =
             | Error reason ->
                 refusals := { pass = pass.name; round = !round; reason } :: !refusals
         end)
-      passes
+      Passes.all
   done;
   {
     optimized = !current;

@@ -6,8 +6,9 @@
 
     - a {e cost gate} — the proposal may not be longer than the current
       program nor raise its {!Perf.Cost.simulated_cycles}; and
-    - a {e certificate} — {!Cert.discharge} must prove the proposal
-      bit-identical on the value registers for all [n!] permutations.
+    - a {e rewrite proof} — {!Machine.Exec.prove_rewrite} must prove the
+      proposal bit-identical on the value registers for all [n!]
+      permutations, and re-certify it when the current program sorts.
 
     A proposal failing either gate is recorded as a refusal and the
     current program is kept, so the pipeline's output is always at least
@@ -45,7 +46,7 @@ type report = {
 val max_rounds : int
 (** Fixpoint cap (8); deterministic passes converge much sooner. *)
 
-val run : ?passes:Passes.pass list -> Isa.Config.t -> Isa.Program.t -> report
-(** Optimize to fixpoint with [passes] (default {!Passes.all}).
+val run : Isa.Config.t -> Isa.Program.t -> report
+(** Optimize to fixpoint with {!Passes.all}.
     [optimized] is never longer or slower (simulated cycles) than the
     input and agrees with it on every input permutation. *)

@@ -19,39 +19,19 @@ type analysis = {
   latency_bound : float;
 }
 
-(* RAW edges over registers and flags. Renaming removes WAR/WAW. A
-   conditional move additionally reads its own destination (it may keep the
-   old value) and the flags. *)
-let dependence_edges _cfg p =
-  let n = Array.length p in
+(* RAW edges over registers and flags ({!Isa.Instr.uses}, flags at index
+   [nregs]). Renaming removes WAR/WAW. *)
+let dependence_edges cfg p =
+  let flags = Isa.Config.nregs cfg in
+  let last_write = Array.make (flags + 1) (-1) in
   let edges = ref [] in
-  let last_write = Hashtbl.create 16 in
-  (* key: `Reg r or `Flags *)
-  let last_flags = ref (-1) in
-  let dep_on producer consumer =
-    if producer >= 0 then edges := (producer, consumer) :: !edges
-  in
-  for k = 0 to n - 1 do
-    let i = p.(k) in
-    let reads =
-      match i.Isa.Instr.op with
-      | Isa.Instr.Cmp -> [ i.Isa.Instr.dst; i.Isa.Instr.src ]
-      | Isa.Instr.Mov -> [ i.Isa.Instr.src ]
-      | Isa.Instr.Cmovl | Isa.Instr.Cmovg -> [ i.Isa.Instr.src; i.Isa.Instr.dst ]
-    in
-    List.iter
-      (fun r ->
-        match Hashtbl.find_opt last_write r with
-        | Some w -> dep_on w k
-        | None -> ())
-      reads;
-    if Isa.Instr.is_conditional i then dep_on !last_flags k;
-    (match i.Isa.Instr.op with
-    | Isa.Instr.Cmp -> last_flags := k
-    | Isa.Instr.Mov | Isa.Instr.Cmovl | Isa.Instr.Cmovg ->
-        Hashtbl.replace last_write i.Isa.Instr.dst k);
-    ()
-  done;
+  Array.iteri
+    (fun k i ->
+      List.iter
+        (fun r -> if last_write.(r) >= 0 then edges := (last_write.(r), k) :: !edges)
+        (Isa.Instr.uses ~flags i);
+      List.iter (fun r -> last_write.(r) <- k) (Isa.Instr.defs ~flags i))
+    p;
   List.rev !edges
 
 let analyze cfg p =
@@ -108,24 +88,15 @@ let simulated_cycles cfg p =
   let finish = ref 0 in
   Array.iter
     (fun i ->
-      let open Isa.Instr in
-      let reads =
-        match i.op with
-        | Cmp -> [ i.dst; i.src ]
-        | Mov -> [ i.src ]
-        (* A conditional move reads its destination (the old value flows
-           through when the flag is clear) and the flags. *)
-        | Cmovl | Cmovg -> [ i.src; i.dst; flags ]
-      in
       let operands_ready =
-        List.fold_left (fun acc r -> max acc ready.(r)) 0 reads
+        List.fold_left (fun acc r -> max acc ready.(r)) 0 (Isa.Instr.uses ~flags i)
       in
       if operands_ready > !cycle then begin
         cycle := operands_ready;
         issued := 0;
         cmovs := 0
       end;
-      let conditional = is_conditional i in
+      let conditional = Isa.Instr.is_conditional i in
       while !issued >= issue_width || (conditional && !cmovs >= 2) do
         incr cycle;
         issued := 0;
@@ -133,10 +104,8 @@ let simulated_cycles cfg p =
       done;
       incr issued;
       if conditional then incr cmovs;
-      let done_at = !cycle + (resources i.op).latency in
-      (match i.op with
-      | Cmp -> ready.(flags) <- done_at
-      | Mov | Cmovl | Cmovg -> ready.(i.dst) <- done_at);
+      let done_at = !cycle + (resources i.Isa.Instr.op).latency in
+      List.iter (fun r -> ready.(r) <- done_at) (Isa.Instr.defs ~flags i);
       finish := max !finish done_at)
     p;
   !finish

@@ -28,10 +28,10 @@ let run ?(core = default_core) ?(iterations = 100) cfg p =
       Array.init total (fun i ->
           { instr = p.(i mod n_static); iter = i / n_static })
     in
-    let k = Isa.Config.nregs cfg in
-    (* Last writer (dynamic index) per renamed register / flag. *)
-    let reg_writer = Hashtbl.create 64 in
-    let flag_writer = Hashtbl.create 64 in
+    let flags = Isa.Config.nregs cfg in
+    (* Last writer (dynamic index) per renamed register / flag: keyed by
+       (iteration, register), the flags at register [flags]. *)
+    let writer = Hashtbl.create 64 in
     let complete = Array.make total 0 in
     (* Per-cycle port bookings. *)
     let cmov_used = Hashtbl.create 256 in
@@ -69,42 +69,29 @@ let run ?(core = default_core) ?(iterations = 100) cfg p =
       done;
       incr issued_this_cycle;
       let d = stream.(i) in
-      let dep_reg r =
-        match Hashtbl.find_opt reg_writer (d.iter, r) with
-        | Some w -> complete.(w)
-        | None -> 0
-      in
-      let dep_flags () =
-        match Hashtbl.find_opt flag_writer d.iter with
-        | Some w -> complete.(w)
-        | None -> 0
-      in
       let instr = d.instr in
-      let dst = instr.Isa.Instr.dst and src = instr.Isa.Instr.src in
-      ignore k;
+      let ready =
+        List.fold_left
+          (fun acc r ->
+            match Hashtbl.find_opt writer (d.iter, r) with
+            | Some w -> max acc complete.(w)
+            | None -> acc)
+          !cycle
+          (Isa.Instr.uses ~flags instr)
+      in
       let finish =
         match instr.Isa.Instr.op with
         | Isa.Instr.Mov ->
             (* Eliminated by renaming: completes as soon as its source is
                ready, no execution port. *)
-            max !cycle (dep_reg src)
-        | Isa.Instr.Cmp ->
-            let ready = max !cycle (max (dep_reg dst) (dep_reg src)) in
-            let start = book alu_used core.alu_ports ready in
-            start + 1
-        | Isa.Instr.Cmovl | Isa.Instr.Cmovg ->
-            let ready =
-              max !cycle
-                (max (dep_flags ()) (max (dep_reg dst) (dep_reg src)))
-            in
-            let start = book cmov_used core.cmov_ports ready in
-            start + 1
+            ready
+        | Isa.Instr.Cmp -> book alu_used core.alu_ports ready + 1
+        | Isa.Instr.Cmovl | Isa.Instr.Cmovg -> book cmov_used core.cmov_ports ready + 1
       in
       complete.(i) <- finish;
-      (match instr.Isa.Instr.op with
-      | Isa.Instr.Cmp -> Hashtbl.replace flag_writer d.iter i
-      | Isa.Instr.Mov | Isa.Instr.Cmovl | Isa.Instr.Cmovg ->
-          Hashtbl.replace reg_writer (d.iter, dst) i)
+      List.iter
+        (fun r -> Hashtbl.replace writer (d.iter, r) i)
+        (Isa.Instr.defs ~flags instr)
     done;
     let cycles = Array.fold_left max 0 complete in
     let cycles = max cycles 1 in

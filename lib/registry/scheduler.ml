@@ -201,7 +201,8 @@ let polish ~optimize key (r : Search.result) =
 
 (* One job, run to completion on the calling domain (a serve pool
    worker): up to [1 + retries] attempts, each against its own deadline,
-   with backoff between attempts. Exceptions must not escape, so
+   with backoff between attempts; a finished search that yields no
+   publishable kernel is final. Exceptions must not escape, so
    everything funnels into a [status]; each failed attempt is recorded
    in the [attempt_log]. *)
 let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
@@ -218,17 +219,23 @@ let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
       | o -> (
           match polish ~optimize key o.result with
           | Ok pol -> `Done (pol, o)
-          | Error msg -> `Retry (Failed msg))
+          (* No kernel within the bound, or one that fails
+             certification: the search is deterministic, so a retry
+             would end the same way. *)
+          | Error msg -> `Final (Failed msg))
       | exception Search.Timeout -> `Retry Timed_out
       | exception Search.Resource_exhausted { live; budget } ->
           `Retry (Exhausted { live; budget })
       | exception e -> `Retry (Failed (Printexc.to_string e))
     in
+    let give_up status =
+      log := { n = k; failure = failure_string status; backoff = 0. } :: !log;
+      (status, None, k)
+    in
     match outcome with
     | `Done (pol, o) -> (Synthesized, Some (pol, o), k)
-    | `Retry status when k > retries ->
-        log := { n = k; failure = failure_string status; backoff = 0. } :: !log;
-        (status, None, k)
+    | `Final status -> give_up status
+    | `Retry status when k > retries -> give_up status
     | `Retry status ->
         let d = backoff_delay ~base:backoff ~key ~attempt:k in
         log := { n = k; failure = failure_string status; backoff = d } :: !log;

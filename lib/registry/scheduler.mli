@@ -25,7 +25,9 @@ type status =
           rung of the degradation ladder. [budget] is [None] when no
           budget was configured (the exhaustion came from the
           [search.alloc_budget] fault site). *)
-  | Failed of string  (** No kernel, or certification failed. *)
+  | Failed of string
+      (** No kernel, or certification failed (never retried), or every
+          attempt raised. *)
 
 type attempt = {
   n : int;  (** 1-based attempt number. *)
@@ -145,7 +147,10 @@ val run_one :
 (** One job run to completion in the calling domain: up to [1 + retries]
     attempts through {!run_key}'s degradation ladder (with [budget]),
     each against its own deadline of [timeout] seconds, then {!polish}.
-    A timed-out, exhausted, or failed attempt sleeps before the next:
+    A {!polish} error (no kernel within the bound, or one that fails
+    certification) is final: the search is deterministic, so a retry
+    would end the same way. A timed-out or exhausted attempt, or one
+    that raised, sleeps before the next:
     [backoff * 2^(attempt-1)] seconds, capped at 2, scaled by a
     deterministic jitter in [0.5, 1.5) derived from the key and attempt
     number — so identical jobs sleep identical schedules. Never raises;

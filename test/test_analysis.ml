@@ -27,12 +27,6 @@ let contains s sub =
 let test_dataflow_sort2 () =
   let p = parse cfg2 sort2 in
   let df = Analysis.Dataflow.analyze cfg2 p in
-  (* Def-use chains: the cmp feeds both cmovs; the save of r1 into s1 is
-     read only by the final conditional restore. *)
-  check (Alcotest.list Alcotest.int) "cmp consumers" [ 2; 3 ]
-    (Analysis.Dataflow.def_uses df 1);
-  check (Alcotest.list Alcotest.int) "mov consumers" [ 3 ]
-    (Analysis.Dataflow.def_uses df 0);
   (* Flags: only gt is ever consumed. *)
   assert (Analysis.Dataflow.gt_live_after df 1);
   assert (not (Analysis.Dataflow.lt_live_after df 1));

@@ -485,7 +485,14 @@ let test_batch_timeout_and_failure () =
   (match served with
   | [ s ] -> check Alcotest.string "failed" "failed" s.Serve.Protocol.status
   | _ -> Alcotest.fail "expected one result");
-  check Alcotest.int "nothing stored" 0 (count "inserted")
+  check Alcotest.int "nothing stored" 0 (count "inserted");
+  (* The search finished: retrying it would find nothing again. *)
+  let r =
+    Registry.Scheduler.run_one ~timeout:None ~retries:2 ~backoff:0.05 ~budget:None
+      impossible
+  in
+  check Alcotest.int "a finished search is not retried" 1
+    r.Registry.Scheduler.attempts
 
 let test_parse_jobs () =
   (match
