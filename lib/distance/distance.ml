@@ -3,6 +3,7 @@ type t = {
   table : int array; (* indexed by assignment code; -2 unreachable, -1 dead *)
   reachable : int array; (* all reachable codes *)
   max_finite : int;
+  no_viable_dead : bool; (* every reachable viable code is finitely distant *)
   words : int; (* mask words per code *)
   row : int array;
       (* indexed by assignment code: offset of its mask in [masks]; -2
@@ -141,6 +142,8 @@ let compute cfg =
     table;
     reachable;
     max_finite = !max_finite;
+    (* The codes the rounds never labeled are the viable dead ones. *)
+    no_viable_dead = !pending = [];
     words;
     row;
     masks;
@@ -186,6 +189,7 @@ let attach t arena = Sstate.Arena.attach_distance arena t.table ~infinity
 
 let reachable_count t = Array.length t.reachable
 let max_finite_dist t = t.max_finite
+let no_viable_dead t = t.no_viable_dead
 
 let is_optimal_action t i c =
   let d = dist t c in

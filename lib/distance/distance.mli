@@ -70,6 +70,16 @@ val max_finite_dist : t -> int
 (** The largest finite distance in the table — the sorting "radius" of the
     single-assignment space. *)
 
+val no_viable_dead : t -> bool
+(** [true] iff every reachable code that still holds all of [1..n] has a
+    finite distance, recorded as the table is built. Then a state whose
+    codes are all viable has a lower bound of at most {!max_finite_dist},
+    which lets the search settle a move successor's cut without mapping
+    it ([Search.Expand.expand]). It holds at every [m >= 1] (a scratch
+    register lets any arrangement of the values be sorted) and fails at
+    [m = 0] for [n >= 2], where no unsorted permutation can be sorted
+    without losing a value. *)
+
 val is_optimal_action : t -> Isa.Instr.t -> Machine.Assign.code -> bool
 (** [is_optimal_action t i c] is true iff executing [i] moves [c] strictly
     closer to sorted, i.e. [i] begins some optimal sorting sequence for

@@ -109,6 +109,22 @@ let viable cfg c =
   let need = ((1 lsl cfg.Isa.Config.n) - 1) lsl 1 in
   present_values cfg c land need = need
 
+let sole_holders cfg c =
+  let k = Isa.Config.nregs cfg in
+  let once = ref 0 and twice = ref 0 in
+  for i = 0 to k - 1 do
+    let b = 1 lsl ((c lsr reg_shift i) land 7) in
+    twice := !twice lor (!once land b);
+    once := !once lor b
+  done;
+  let sole = !once land lnot !twice land (((1 lsl cfg.Isa.Config.n) - 1) lsl 1) in
+  let regs = ref 0 in
+  for i = 0 to k - 1 do
+    if sole land (1 lsl ((c lsr reg_shift i) land 7)) <> 0 then
+      regs := !regs lor (1 lsl i)
+  done;
+  !regs
+
 let max_code cfg = 1 lsl (2 + (3 * Isa.Config.nregs cfg))
 
 let pp cfg ppf c =

@@ -75,6 +75,14 @@ val present_values : Isa.Config.t -> code -> int
 val viable : Isa.Config.t -> code -> bool
 (** True iff every value [1..n] is still present in some register. *)
 
+val sole_holders : Isa.Config.t -> code -> int
+(** Bitmask of the registers that hold a value of [1..n] no other register
+    holds: bit [k] is set iff register [k] is that value's only copy.
+    Writing any other value into such a register erases the value, so a
+    data-moving instruction (its destination differs from its source) that
+    fires on [c] with its destination in this mask leaves a code that is
+    not {!viable}. *)
+
 val max_code : Isa.Config.t -> int
 (** Exclusive upper bound on codes for [cfg] — suitable for dense tables. *)
 

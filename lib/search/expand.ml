@@ -184,6 +184,72 @@ let expand ?known env arena delta ~g' ~threshold state =
     | Some d -> Distance.state_lower_bound d state
     | None -> -1
   in
+  (* A data-moving successor rewrites only its destination, and only in
+     the codes where it fires (every code for [mov], those whose flags
+     read lt or gt for a cmov), so two of its verdicts follow from the
+     parent and it is never probed for them.
+     Erasure: it keeps every value exactly when the parent did and its
+     destination is no sole holder in a firing code. A successor that
+     loses one is pruned where [vet] prunes it: by the erasure check, or
+     by distance viability, which holds a code missing a value dead.
+     Cut: its count is at least the parent's [pc] for a scratch
+     destination and [Arena.perms_without] for a value one. A floor above
+     [threshold] and at least 2 is a non-final successor that the cut
+     prunes, provided nothing earlier in [vet] fires: it is viable (the
+     erasure step passed), so with no viable dead code its bound is
+     finite and at most [max_finite_dist], and the length bound holds.
+     [settle_cut] is that proviso, and also asks that the parent be above
+     the threshold, which every floor needs. *)
+  let viability_prunes =
+    env.opts.erasure_check || (env.opts.dist_viability && env.dist <> None)
+  in
+  let sole_any = ref 0 and sole_lt = ref 0 and sole_gt = ref 0 in
+  if viability_prunes && viable then
+    Sstate.fold
+      (fun () c ->
+        let h = Machine.Assign.sole_holders cfg c in
+        sole_any := !sole_any lor h;
+        let f = Machine.Assign.flags c in
+        if f = Machine.Assign.flag_lt then sole_lt := !sole_lt lor h
+        else if f = Machine.Assign.flag_gt then sole_gt := !sole_gt lor h)
+      () state;
+  let erases (i : Isa.Instr.t) =
+    viability_prunes
+    && ((not viable)
+       ||
+       let holders =
+         match i.op with
+         | Cmovl -> !sole_lt
+         | Cmovg -> !sole_gt
+         | Mov | Cmp -> !sole_any
+       in
+       holders land (1 lsl i.dst) <> 0)
+  in
+  let settle_cut =
+    pc > threshold
+    &&
+    match env.dist with
+    | Some d when env.opts.dist_viability ->
+        Distance.no_viable_dead d
+        && (env.bound = max_int || g' + Distance.max_finite_dist d <= env.bound)
+    | _ -> env.bound = max_int || g' <= env.bound
+  in
+  let n = cfg.Isa.Config.n in
+  (* [perms_without] per value register, counted on first use. *)
+  let floors = if settle_cut then Array.make n (-1) else [||] in
+  let cut_settles (i : Isa.Instr.t) =
+    settle_cut
+    &&
+    let floor =
+      if i.dst >= n then pc
+      else begin
+        if floors.(i.dst) < 0 then
+          floors.(i.dst) <- Sstate.Arena.perms_without arena state i.dst;
+        floors.(i.dst)
+      end
+    in
+    floor > threshold && floor >= 2
+  in
   (* Boxed once here, not on every non-[cmp] probe. *)
   let limit = Some threshold in
   (* The action filter's current mask word, computed on first use. *)
@@ -215,6 +281,9 @@ let expand ?known env arena delta ~g' ~threshold state =
             | Sstate.Arena.Changed -> staged known arena instr ~pc)
             :: !out
       end
+      else if erases instr then
+        delta.pruned_viability <- delta.pruned_viability + 1
+      else if cut_settles instr then delta.pruned_cut <- delta.pruned_cut + 1
       else
         match Sstate.Arena.probe ?limit arena instr state with
         | Sstate.Arena.Unchanged ->

@@ -18,8 +18,12 @@
     pruned successors allocate nothing. Answers already known are not
     recomputed: the action filter tests precomputed mask bits in place, a
     [cmp] successor (only its flags differ from the parent) is vetted
-    with the parent's facts before any code is mapped, and the other
-    probes stop counting once the count passes the cut threshold.
+    with the parent's facts before any code is mapped, a [mov] or cmov
+    successor that would be pruned for erasing a value or by the cut is
+    settled from two summaries of the parent (the registers that hold a
+    value's only copy, and the count with the destination masked) without
+    being mapped, and the remaining probes stop counting once the count
+    passes the cut threshold.
 
     All pruning decisions are recorded in a {!delta} — a small mutable
     counter record private to the caller. Sequential engines pass one
@@ -147,6 +151,15 @@ val expand :
     distance table, if any, is attached to it, and the survivors that
     come back as {!Final} or {!Open} are committed into it and remain
     valid indefinitely.
+
+    Every successor that is mapped goes through {!Sstate.Arena.probe},
+    which raises [Invalid_argument] on a code the attached table calls
+    unreachable. A successor settled from the parent (a [mov] or cmov
+    pruned for erasure or by the cut) is never mapped and so never
+    checked, and needs no check: the table's reachable codes are closed
+    under every instruction, so the successors of a state whose codes
+    are reachable (every state an engine builds from its root) have
+    reachable codes too.
 
     [known] is the engine's dedup pre-filter: a surviving non-final
     successor for which it answers [true] becomes {!Known} and is never

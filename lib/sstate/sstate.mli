@@ -133,6 +133,17 @@ module Arena : sig
       or committed ([Invalid_argument]). A count at or below [limit]
       leaves the probe exactly as without one. *)
 
+  val perms_without : arena -> t -> int -> int
+  (** [perms_without a s d] is the number of distinct value-register
+      projections of [s] with value register [d] left out (the count of
+      [s]'s codes keyed by the other [n - 1] value registers), counted
+      with the arena's stamp table, without allocating. An instruction
+      that writes only register [d] leaves every successor code's
+      projection without [d] as it was, so its successor has at least
+      this many distinct permutations: the floor the search's cut reads
+      before probing a move into [d]. The staged probe, if any, is left
+      as it was. *)
+
   val probe_distinct_perms : arena -> int
   val probe_is_final : arena -> bool
   val probe_all_viable : arena -> bool

@@ -264,6 +264,98 @@ let test_pinned_sizes () =
       check Alcotest.int "radius" radius (Distance.max_finite_dist t))
     [ (4, 9_086, 6); (5, 138_167, 7) ]
 
+(* The table's certificate: [d x = 0] on every sorted reachable code, and
+   [d x <= 1 + d (i x)] for every reachable code [x] and every instruction
+   [i], a dead code counting as infinite. Along any sorting sequence [d]
+   then falls by at most 1 per step and ends at 0, so it never
+   overestimates (the bound is admissible) and a code it calls dead
+   cannot be sorted. The no-viable-dead fact is checked against a direct
+   scan. Returns the first violation. *)
+let certificate_violation cfg ~dist ~no_viable_dead =
+  let instrs = Isa.Instr.all cfg in
+  let reachable = Ref.reachable_codes cfg instrs in
+  let inf = Distance.infinity in
+  let bad = ref None in
+  let fail fmt =
+    Printf.ksprintf (fun m -> if !bad = None then bad := Some m) fmt
+  in
+  Array.iter
+    (fun c ->
+      let d = dist c in
+      if Machine.Assign.is_sorted cfg c && d <> 0 then
+        fail "sorted code %d at distance %d" c d;
+      Array.iter
+        (fun i ->
+          let d' = dist (Machine.Assign.apply cfg i c) in
+          if d' < inf && d > d' + 1 then
+            fail "code %d at %d, %s leads to %d" c d
+              (Isa.Instr.to_string cfg i) d')
+        instrs)
+    reachable;
+  let scan =
+    Array.for_all
+      (fun c -> (not (Machine.Assign.viable cfg c)) || dist c < inf)
+      reachable
+  in
+  if scan <> no_viable_dead then
+    fail "no_viable_dead says %b, the scan %b" no_viable_dead scan;
+  !bad
+
+let certificate_tables () =
+  List.map
+    (fun n ->
+      let c = Isa.Config.make ~n ~m:1 in
+      (c, Distance.compute_cached c))
+    [ 1; 5 ]
+  @ List.map
+      (fun m ->
+        let c = Isa.Config.make ~n:1 ~m in
+        (c, Distance.compute c))
+      [ 0; 2 ]
+  @ Lazy.force oracle_tables
+
+let test_certificate () =
+  List.iter
+    (fun (c, t) ->
+      let name = Format.asprintf "%a" Isa.Config.pp c in
+      (match
+         certificate_violation c ~dist:(Distance.dist t)
+           ~no_viable_dead:(Distance.no_viable_dead t)
+       with
+      | None -> ()
+      | Some m -> Alcotest.failf "%s: %s" name m);
+      (* m = 0 leaves no room to swap: every unsorted permutation is a
+         viable dead code once n >= 2. *)
+      check Alcotest.bool (name ^ " no viable dead code")
+        (c.Isa.Config.m > 0 || c.Isa.Config.n < 2)
+        (Distance.no_viable_dead t))
+    (certificate_tables ())
+
+(* Raising one entry by 1 — a code one step from sorted, or a sorted
+   code — breaks the certificate. *)
+let test_certificate_catches_raise () =
+  let t = d3 in
+  let reachable = Ref.reachable_codes cfg (Isa.Instr.all cfg) in
+  let pick p =
+    match List.find_opt p (Array.to_list reachable) with
+    | Some c -> c
+    | None -> Alcotest.fail "no such code"
+  in
+  List.iter
+    (fun victim ->
+      let dist c = Distance.dist t c + if c = victim then 1 else 0 in
+      match
+        certificate_violation cfg ~dist
+          ~no_viable_dead:(Distance.no_viable_dead t)
+      with
+      | Some _ -> ()
+      | None -> Alcotest.failf "raising code %d went unnoticed" victim)
+    [
+      pick (fun c -> Distance.dist t c = 1);
+      pick (fun c -> Distance.dist t c = Distance.max_finite_dist t);
+      pick (Machine.Assign.is_sorted cfg);
+    ]
+
 (* The mask-based action filter agrees with its definition — comparisons,
    plus every instruction optimal for some assignment — on random-walk
    states, for a shuffled subset of the instruction set (so a mask read by
@@ -322,6 +414,9 @@ let () =
           Alcotest.test_case "matches reference rounds" `Quick
             test_matches_reference;
           Alcotest.test_case "pinned n=4/n=5 sizes" `Quick test_pinned_sizes;
+          Alcotest.test_case "table certificate" `Quick test_certificate;
+          Alcotest.test_case "certificate catches a raised entry" `Quick
+            test_certificate_catches_raise;
           Alcotest.test_case "cmp keeps distance, n<=4" `Quick
             test_cmp_keeps_distance;
           Alcotest.test_case "cmp keeps distance, n=5" `Slow
