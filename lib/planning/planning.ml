@@ -22,6 +22,9 @@ module Planner = struct
     let cfg = Isa.Config.default n in
     let instrs = Isa.Instr.all cfg in
     let dist = if heuristic = Pdb then Some (Distance.compute_cached cfg) else None in
+    (* A dead state's estimate. It is never weighted, so it sorts after
+       every finite priority instead of overflowing at [Wastar 4]. *)
+    let dead = max_int / 4 in
     let h node =
       match heuristic with
       | Blind -> 0
@@ -30,14 +33,16 @@ module Planner = struct
           match dist with
           | Some d ->
               let lb = Distance.state_lower_bound d node.state in
-              if lb >= Distance.infinity then max_int / 4 else lb
+              if lb >= Distance.infinity then dead else lb
           | None -> 0)
     in
     let prio node =
       match strategy with
       | Uniform -> node.g
       | Greedy -> h node
-      | Wastar w -> node.g + (w * h node)
+      | Wastar w ->
+          let h = h node in
+          node.g + if h = dead then dead else w * h
     in
     let bound = match max_len with Some b -> b | None -> max_int in
     let heap = Search.Heap.create () in

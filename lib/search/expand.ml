@@ -272,11 +272,12 @@ let expand ?known env arena delta ~g' ~threshold state =
     then begin
       delta.generated <- delta.generated + 1;
       if instr.Isa.Instr.op = Isa.Instr.Cmp then begin
-        (* Vetted before mapping a single code; only survivors are probed,
-           to find out whether they are new. *)
+        (* Vetted before mapping a single code; only survivors are
+           staged, with the parent's facts, to find out whether they are
+           new. *)
         if vet env delta ~g' ~threshold ~viable ~pc ~lb then
           out :=
-            (match Sstate.Arena.probe arena instr state with
+            (match Sstate.Arena.stage_cmp arena instr state with
             | Sstate.Arena.Unchanged -> unchanged known instr state ~pc
             | Sstate.Arena.Changed -> staged known arena instr ~pc)
             :: !out

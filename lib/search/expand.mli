@@ -18,7 +18,9 @@
     pruned successors allocate nothing. Answers already known are not
     recomputed: the action filter tests precomputed mask bits in place, a
     [cmp] successor (only its flags differ from the parent) is vetted
-    with the parent's facts before any code is mapped, a [mov] or cmov
+    with the parent's facts before any code is mapped (a survivor is
+    staged by {!Sstate.Arena.stage_cmp}, which maps, dedups and hashes
+    its codes and computes no fact), a [mov] or cmov
     successor that would be pruned for erasing a value or by the cut is
     settled from two summaries of the parent (the registers that hold a
     value's only copy, and the count with the destination masked) without
@@ -152,11 +154,12 @@ val expand :
     come back as {!Final} or {!Open} are committed into it and remain
     valid indefinitely.
 
-    Every successor that is mapped goes through {!Sstate.Arena.probe},
-    which raises [Invalid_argument] on a code the attached table calls
-    unreachable. A successor settled from the parent (a [mov] or cmov
-    pruned for erasure or by the cut) is never mapped and so never
-    checked, and needs no check: the table's reachable codes are closed
+    Every [mov] or cmov successor that is mapped goes through
+    {!Sstate.Arena.probe}, which raises [Invalid_argument] on a code the
+    attached table calls unreachable. A successor settled from the parent
+    (a [mov] or cmov pruned for erasure or by the cut) and a [cmp]
+    successor (whose facts are the parent's) are never checked, and need
+    no check: the table's reachable codes are closed
     under every instruction, so the successors of a state whose codes
     are reachable (every state an engine builds from its root) have
     reachable codes too.

@@ -144,6 +144,22 @@ module Arena : sig
       before probing a move into [d]. The staged probe, if any, is left
       as it was. *)
 
+  val stage_cmp : arena -> Isa.Instr.t -> t -> outcome
+  (** [stage_cmp a i s] stages the successor of [s] under the [cmp] [i]
+      as {!probe} does, without computing any fact: a [cmp] rewrites only
+      the flag bits, which none of the facts reads, so the successor's
+      distinct-permutation count, finality, viability and (with a table
+      attached) lower bound are [s]'s own — its caches, filled on first
+      use; the bound from the table when [s] has none cached. The flag
+      bits sit below every register field, so the mapped codes come out
+      non-decreasing, with codes that differed only in flags now adjacent
+      duplicates: one pass spots an unchanged result, drops the
+      duplicates and computes the hash, and the staging is canonical at
+      once. Returns [Unchanged] or [Changed] as {!probe} (without a limit)
+      would, and the [probe_*] accessors, {!probe_size}, {!probe_view} and
+      {!commit} then answer exactly as after that probe. Raises
+      [Invalid_argument] if [i] is not a [cmp]. *)
+
   val probe_distinct_perms : arena -> int
   val probe_is_final : arena -> bool
   val probe_all_viable : arena -> bool

@@ -296,6 +296,53 @@ let prop_heap_sorts =
       in
       drain [] = List.sort compare xs)
 
+(* Interleaved pushes and pops against a model that keeps the held
+   elements stably sorted by priority: every pop returns the model's
+   head, so equal priorities leave in insertion order. Priorities mix
+   negatives (min_int included), a few small values that tie often, and
+   the extremes max_int / 2 and max_int. *)
+let prop_open_list_stable_order =
+  let prio =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range (-5) (-1));
+          (1, return min_int);
+          (6, int_range 0 4);
+          (1, return (max_int / 2));
+          (1, return max_int);
+        ])
+  in
+  let op =
+    QCheck.Gen.(frequency [ (3, map Option.some prio); (2, return None) ])
+  in
+  let show = function None -> "pop" | Some p -> Printf.sprintf "push %d" p in
+  QCheck.Test.make ~name:"open list pops in stable priority order" ~count:300
+    QCheck.(make ~print:(Print.list show) Gen.(list_size (int_bound 200) op))
+    (fun ops ->
+      let h = Search.Heap.create () in
+      let model = ref [] and seq = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some p ->
+              Search.Heap.push h p !seq;
+              model :=
+                List.stable_sort
+                  (fun (a, _) (b, _) -> compare a b)
+                  (!model @ [ (p, !seq) ]);
+              incr seq;
+              true
+          | None -> (
+              match (Search.Heap.pop h, !model) with
+              | None, [] -> true
+              | Some got, want :: rest ->
+                  model := rest;
+                  got = want
+              | _ -> false))
+          && Search.Heap.size h = List.length !model)
+        ops)
+
 let () =
   Alcotest.run "extensions"
     [
@@ -354,5 +401,6 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
+          QCheck_alcotest.to_alcotest prop_open_list_stable_order;
         ] );
     ]

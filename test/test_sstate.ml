@@ -304,6 +304,89 @@ let prop_probe_limit_keeps_vetting_facts =
       done;
       !ok)
 
+(* Staging a [cmp] successor from the parent answers as a full probe
+   does. Along random walks, every [cmp] of the state reached is staged in
+   one arena and probed in another: the unchanged verdict, and for a
+   changed successor the view's codes, length and hash and the count,
+   finality, viability and distance bound, all agree, and the committed
+   state equals [apply]'s. The parent's bound is cached on half the
+   steps, so both the cached bound and the table's are read. *)
+let prop_stage_cmp_matches_probe =
+  QCheck.Test.make ~name:"cmp staging equals probe then view" ~count:200
+    QCheck.(triple (int_range 2 5) (int_range 0 2) (int_bound 1000000))
+    (fun (n, m, seed) ->
+      let cfgn = Isa.Config.make ~n ~m in
+      let st = Random.State.make [| seed |] in
+      let staged = Sstate.Arena.create cfgn
+      and probed = Sstate.Arena.create cfgn in
+      let dist =
+        if n <= 4 && Random.State.bool st then begin
+          let d = Distance.compute_cached cfgn in
+          Distance.attach d staged;
+          Distance.attach d probed;
+          Some d
+        end
+        else None
+      in
+      let instrs = Isa.Instr.all cfgn in
+      let cmps =
+        List.filter
+          (fun i -> i.Isa.Instr.op = Isa.Instr.Cmp)
+          (Array.to_list instrs)
+      in
+      let s = ref (Sstate.initial cfgn) in
+      let ok = ref true in
+      for _ = 0 to Random.State.int st 12 do
+        let parent = !s in
+        (match dist with
+        | Some d when Random.State.bool st ->
+            ignore (Distance.state_lower_bound d parent)
+        | _ -> ());
+        List.iter
+          (fun i ->
+            let via_apply = Sstate.apply cfgn i parent in
+            match
+              ( Sstate.Arena.stage_cmp staged i parent,
+                Sstate.Arena.probe probed i parent )
+            with
+            | Sstate.Arena.Unchanged, Sstate.Arena.Unchanged ->
+                if not (Sstate.equal via_apply parent) then ok := false
+            | Sstate.Arena.Changed, Sstate.Arena.Changed ->
+                let facts a =
+                  ( Sstate.Arena.probe_distinct_perms a,
+                    Sstate.Arena.probe_is_final a,
+                    Sstate.Arena.probe_all_viable a,
+                    Sstate.Arena.probe_lower_bound a )
+                in
+                (* Facts first: the probe computes them before any view. *)
+                let f = facts staged and f' = facts probed in
+                let v = Sstate.Arena.probe_view staged
+                and v' = Sstate.Arena.probe_view probed in
+                if
+                  f <> f'
+                  || Sstate.Arena.probe_size staged
+                     <> Sstate.Arena.probe_size probed
+                  || Sstate.codes v <> Sstate.codes v'
+                  || Sstate.size v <> Sstate.size v'
+                  || Sstate.hash v <> Sstate.hash v'
+                then ok := false;
+                let c = Sstate.Arena.commit staged in
+                if
+                  not (Sstate.equal c via_apply)
+                  || Sstate.hash c <> Sstate.hash via_apply
+                  || Sstate.distinct_perms cfgn c
+                     <> Sstate.distinct_perms cfgn via_apply
+                  || Sstate.is_final cfgn c <> Sstate.is_final cfgn via_apply
+                  || Sstate.all_viable cfgn c
+                     <> Sstate.all_viable cfgn via_apply
+                then ok := false
+            | _ -> ok := false)
+          cmps;
+        let step = instrs.(Random.State.int st (Array.length instrs)) in
+        s := Sstate.apply cfgn step parent
+      done;
+      !ok)
+
 (* The whole-array instruction map agrees with the per-code [apply] for
    every opcode, on codes with random flags and repeated values (so [cmp]
    also meets equal operands), and writes only the requested range. *)
@@ -366,6 +449,7 @@ let () =
           qtest prop_arena_probe_matches_apply;
           qtest prop_probe_order_free_matches_canonical;
           qtest prop_probe_limit_keeps_vetting_facts;
+          qtest prop_stage_cmp_matches_probe;
           qtest prop_map_sub_matches_apply;
         ] );
     ]
