@@ -23,6 +23,8 @@ type bench_row = {
   generated : int;
   expanded : int;
   optimal_length : int option;
+  footprint : Search.footprint;
+  peak_rss_mb : float;
 }
 
 (* The n = 4 and n = 5 rows run the benchmark's own search specs
@@ -33,13 +35,19 @@ let n5_sweep_depth =
   | _ -> invalid_arg "Spec.n5_level is not a Prove_none sweep"
 
 let spec_row (s : Benchkit.Spec.search) =
-  (s.label, s.n, fun () -> Benchkit.Spec.run_search s)
+  ( s.label,
+    s.n,
+    (fun () -> Benchkit.Spec.run_search s),
+    fun () -> Search.run_weighed ~opts:s.opts ~mode:s.mode (Benchkit.Spec.config s) )
 
 let bench_search_specs =
   [
     ( "n3-best-astar",
       3,
-      fun () -> Search.run ~opts:Search.best (Isa.Config.default 3) );
+      (fun () -> Search.run ~opts:Search.best (Isa.Config.default 3)),
+      fun () ->
+        Search.run_weighed ~opts:Search.best ~mode:Search.Find_first
+          (Isa.Config.default 3) );
     spec_row Benchkit.Spec.n4_astar;
     (* Lower-bound sweep: exhaust every program of length <= depth (only
        the optimality-safe erasure check prunes), certifying "no n=5
@@ -68,7 +76,23 @@ let bench_repeats () =
           Printf.eprintf "bench: BENCH_REPEATS must be a positive integer, got %S\n" s;
           exit 2)
 
-let run_bench_row (bench, bn, runit) =
+(* Peak resident set (VmHWM) of this process so far, in MB; 0 where
+   /proc is not there. *)
+let peak_rss_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> 0.
+  | status ->
+      List.find_map
+        (fun line ->
+          match String.split_on_char ':' line with
+          | [ "VmHWM"; v ] ->
+              Scanf.sscanf_opt (String.trim v) "%d kB" (fun kb ->
+                  float_of_int kb /. 1024.)
+          | _ -> None)
+        (String.split_on_char '\n' status)
+      |> Option.value ~default:0.
+
+let run_bench_row (bench, bn, runit, weigh) =
   (* Warm the process-wide distance cache so the first repeat is not
      charged for table precomputation the others skip. *)
   ignore (Distance.compute_cached (Isa.Config.default bn));
@@ -82,21 +106,49 @@ let run_bench_row (bench, bn, runit) =
       else 0.
     in
     match !best with
-    | Some b when b.states_per_sec >= sps -> ()
-    | _ ->
-        best :=
-          Some
-            {
-              bench;
-              bn;
-              states_per_sec = sps;
-              time_to_optimal_s = s.Search.elapsed;
-              generated = s.Search.generated;
-              expanded = s.Search.expanded;
-              optimal_length = r.Search.optimal_length;
-            }
+    | Some (best_sps, _) when best_sps >= sps -> ()
+    | _ -> best := Some (sps, r)
   done;
-  Option.get !best
+  let sps, r = Option.get !best in
+  let s = r.Search.stats in
+  (* The rows run in growing order, so the process's peak so far is this
+     row's own; it is read before the weighing walk adds its own. *)
+  let peak_rss_mb = peak_rss_mb () in
+  {
+    bench;
+    bn;
+    states_per_sec = sps;
+    time_to_optimal_s = s.Search.elapsed;
+    generated = s.Search.generated;
+    expanded = s.Search.expanded;
+    optimal_length = r.Search.optimal_length;
+    footprint = snd (weigh ());
+    peak_rss_mb;
+  }
+
+(* Bytes per dedup-table entry, by part, as the search ends. *)
+let memory_json b =
+  let f = b.footprint in
+  let per bytes =
+    Json.Float (if f.Search.states = 0 then 0. else float_of_int bytes /. float_of_int f.Search.states)
+  in
+  Json.Obj
+    [
+      ("states", Json.Int f.Search.states);
+      ( "bytes_per_state",
+        Json.Obj
+          [
+            ("codes", per f.Search.code_bytes);
+            ("record", per f.Search.record_bytes);
+            ("node", per f.Search.node_bytes);
+            ("cell", per f.Search.cell_bytes);
+            ( "total",
+              per
+                (f.Search.code_bytes + f.Search.record_bytes + f.Search.node_bytes
+               + f.Search.cell_bytes) );
+          ] );
+      ("peak_rss_mb", Json.Float b.peak_rss_mb);
+    ]
 
 let bench_row_json b =
   Json.Obj
@@ -109,6 +161,7 @@ let bench_row_json b =
       ("expanded", Json.Int b.expanded);
       ( "optimal_length",
         match b.optimal_length with Some l -> Json.Int l | None -> Json.Null );
+      ("memory", memory_json b);
     ]
 
 (* The committed trajectory: { "schema": ..., "history": [entry; ...] }. *)

@@ -141,6 +141,14 @@ type level_acc = {
 (* Mutable context shared by all engines. Everything a worker domain needs
    is in the immutable [env]; the rest is touched only by the merging
    (main) domain. *)
+type footprint = {
+  states : int;
+  code_bytes : int;
+  record_bytes : int;
+  node_bytes : int;
+  cell_bytes : int;
+}
+
 type ctx = {
   env : Expand.env;
   start : float;
@@ -153,13 +161,15 @@ type ctx = {
   mutable solutions_found : int;
   mutable accs : level_acc array;
   mutable max_depth : int; (* number of leading [accs] entries in use *)
+  weigh : bool; (* measure [footprint] as the engine ends *)
+  mutable footprint : footprint option;
 }
 
 (* Monotonic: deadline math must survive the wall clock stepping
    backwards (NTP, VM suspend), and the injector can warp this clock. *)
 let now () = Fault.Clock.now ()
 
-let make_ctx ?(mode = Find_first) ?deadline cfg opts =
+let make_ctx ?(mode = Find_first) ?deadline ?(weigh = false) cfg opts =
   let bound =
     let b = match opts.max_len with Some b -> b | None -> max_int in
     match mode with Prove_none l -> min b l | Find_first | All_optimal -> b
@@ -175,6 +185,8 @@ let make_ctx ?(mode = Find_first) ?deadline cfg opts =
     solutions_found = 0;
     accs = [||];
     max_depth = 0;
+    weigh;
+    footprint = None;
   }
 
 let fresh_acc () =
@@ -286,6 +298,38 @@ let finish ctx ~programs ~optimal_length ~solution_count ~distinct_final_states
         levels;
       };
   }
+
+(* Weigh the dedup table [seen] and the nodes reachable from [nodes]:
+   words reachable from the array of states, less the array, are the
+   states' records and code storage; the table's own words are what
+   [seen] reaches beyond them; the nodes' are what the pair of the array
+   and [nodes] reaches beyond the array's. *)
+let weigh ctx seen nodes =
+  if ctx.weigh then begin
+    let states = Array.of_list (Sstate.Tbl.fold (fun s _ acc -> s :: acc) seen []) in
+    let n = Array.length states in
+    let array_words = n + 1 in
+    let of_states = Obj.reachable_words (Obj.repr states) - array_words in
+    let record =
+      if n = 0 then 0 else n * (Obj.size (Obj.repr states.(0)) + 1)
+    in
+    let cells = Obj.reachable_words (Obj.repr seen) - of_states in
+    let pair_words = 3 in
+    let nodes =
+      Obj.reachable_words (Obj.repr (states, nodes))
+      - pair_words - array_words - of_states
+    in
+    let bytes w = w * (Sys.word_size / 8) in
+    ctx.footprint <-
+      Some
+        {
+          states = n;
+          code_bytes = bytes (of_states - record);
+          record_bytes = bytes record;
+          node_bytes = bytes nodes;
+          cell_bytes = bytes cells;
+        }
+  end
 
 let trivial_final ctx =
   finish ctx ~programs:[ [||] ] ~optimal_length:(Some 0) ~solution_count:1
@@ -461,6 +505,7 @@ let run_level ctx ~pool m mode =
     let final_tbl = Sstate.Tbl.create 64 in
     let final_order = ref [] in
     let stop = ref false in
+    let last_next = ref (Sstate.Tbl.create 1) in
     let track_all = mode <> Find_first in
     while (not !stop) && !current <> [] do
       let g' = !level + 1 in
@@ -471,6 +516,7 @@ let run_level ctx ~pool m mode =
       in
       let threshold = Expand.cut_threshold opts ~min_pc in
       let next = Sstate.Tbl.create (1 lsl 12) in
+      last_next := next;
       let drop () =
         ctx.deduped <- ctx.deduped + 1;
         a.a_deduped <- a.a_deduped + 1
@@ -581,6 +627,7 @@ let run_level ctx ~pool m mode =
         level := g'
       end
     done;
+    weigh ctx seen (Obj.repr (!current, !last_next, !final_order));
     let finals = List.rev !final_order in
     let solution_count = List.fold_left (fun a n -> a + n.paths) 0 finals in
     let programs =
@@ -698,6 +745,7 @@ let run_astar ctx m =
                       Heap.push heap (g' + heuristic_value ctx n') n'))
             succs
     done;
+    weigh ctx seen (Obj.repr (heap, !found));
     match !found with
     | Some n ->
         finish ctx
@@ -760,6 +808,14 @@ let run_mode ?(opts = default) ?deadline ?domains ~mode cfg =
   dispatch ?domains ctx mode (cmov_machine ctx.env)
 
 let run ?(opts = default) ?deadline cfg = run_mode ~opts ?deadline ~mode:Find_first cfg
+
+let run_weighed ?(opts = default) ~mode cfg =
+  let ctx = make_ctx ~mode ~weigh:true cfg opts in
+  let r = dispatch ctx mode (cmov_machine ctx.env) in
+  let none =
+    { states = 0; code_bytes = 0; record_bytes = 0; node_bytes = 0; cell_bytes = 0 }
+  in
+  (r, Option.value ctx.footprint ~default:none)
 
 let run_isa ?(opts = default) ?deadline ?domains ~mode cfg isa =
   (* The distance table has no counterpart off the cmov machine. *)

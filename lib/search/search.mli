@@ -259,6 +259,26 @@ val run_isa :
     [dist_viability] are ignored. Every other option, the result and the
     statistics mean what they mean for {!run_mode}. *)
 
+type footprint = {
+  states : int;  (** Entries of the dedup table as the search ends. *)
+  code_bytes : int;
+      (** The states' code storage: the bump chunks they sit in, the
+          space committed for states the engine then dropped included. *)
+  record_bytes : int;  (** The [Sstate.t] records. *)
+  node_bytes : int;
+      (** Search nodes and parent links reachable from the frontier, the
+          open list and the solutions, beyond the states themselves. *)
+  cell_bytes : int;  (** The dedup table's bucket array and cells. *)
+}
+(** What a search holds as it ends, in bytes, by [Obj.reachable_words]:
+    the memory cost of the representation, per part. *)
+
+val run_weighed :
+  ?opts:options -> mode:mode -> Isa.Config.t -> result * footprint
+(** {!run_mode} (sequential) that also weighs what the engine holds just
+    before it returns. The walk costs time and memory of its own, so the
+    benchmark runs it apart from its timed repeats. *)
+
 val synthesize : ?opts:options -> int -> Isa.Program.t option
 (** [synthesize n] finds one sorting kernel for arrays of length [n] with
     the default scratch-register count, using {!best} options unless

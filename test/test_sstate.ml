@@ -426,6 +426,149 @@ let prop_canonical_idempotent =
       let s = Sstate.of_codes codes in
       Sstate.equal s (Sstate.of_codes (Sstate.codes s :> int array)))
 
+(* ------------------------------------------------------------------ *)
+(* Every cell width against an int-array model. Codes run up to 29 bits
+   (n = 6, m = 3), so states whose largest code needs 24 bits or fewer
+   and states that need more meet in one property. Each way of making a
+   state — [of_codes], [initial], [apply] and an arena [commit] — must
+   agree with the model on the codes, [fold], [size], [equal], [compare]
+   and [hash]; [equal] and [compare] are also checked across pairs. *)
+
+module Model = struct
+  let canon codes = Array.of_list (List.sort_uniq Int.compare (Array.to_list codes))
+
+  (* FNV-1a over the canonical codes, as [Sstate.hash] documents it. *)
+  let hash codes =
+    Array.fold_left
+      (fun h c -> (h lxor c) * 0x100000001b3)
+      0x1bf29ce484222325 codes
+    land max_int
+
+  (* Length first, then elementwise. *)
+  let compare a b =
+    let la = Array.length a and lb = Array.length b in
+    if la <> lb then Int.compare la lb
+    else
+      let rec go i =
+        if i = la then 0
+        else
+          let c = Int.compare a.(i) b.(i) in
+          if c <> 0 then c else go (i + 1)
+      in
+      go 0
+end
+
+let sign x = if x < 0 then -1 else if x > 0 then 1 else 0
+
+(* Random codes over every register of [cfgn], with random flags: the
+   top register's field reaches bit [2 + 3 * nregs - 1]. *)
+let wide_codes cfgn st =
+  let nregs = Isa.Config.nregs cfgn in
+  Array.init
+    (1 + Random.State.int st 16)
+    (fun _ ->
+      Machine.Assign.of_values cfgn
+        (Array.init nregs (fun _ -> Random.State.int st (cfgn.Isa.Config.n + 1)))
+      lor Random.State.int st 3)
+
+let agrees_with_model s model =
+  Sstate.codes s = model
+  && List.rev (Sstate.fold (fun acc c -> c :: acc) [] s) = Array.to_list model
+  && Sstate.size s = Array.length model
+  && Sstate.hash s = Model.hash model
+  && Sstate.equal s (Sstate.of_codes model)
+  && Sstate.compare s (Sstate.of_codes model) = 0
+
+let prop_cell_widths_match_model =
+  QCheck.Test.make ~name:"every cell width matches the int model" ~count:300
+    QCheck.(triple (int_range 2 6) (int_range 0 3) (int_bound 1000000))
+    (fun (n, m, seed) ->
+      let cfgn = Isa.Config.make ~n ~m in
+      let st = Random.State.make [| seed |] in
+      let instrs = Isa.Instr.all cfgn in
+      let pick () = instrs.(Random.State.int st (Array.length instrs)) in
+      (* (state, model) pairs made every way a state can be made. *)
+      let made = ref [] in
+      let keep s model = made := (s, model) :: !made in
+      for _ = 1 to 3 do
+        let codes = wide_codes cfgn st in
+        keep (Sstate.of_codes codes) (Model.canon codes)
+      done;
+      let init = Sstate.initial cfgn in
+      let init_model =
+        Model.canon
+          (Array.of_list
+             (List.map (Machine.Assign.of_permutation cfgn) (Perms.all n)))
+      in
+      keep init init_model;
+      let s = ref (Sstate.of_codes (wide_codes cfgn st)) in
+      let model = ref (Sstate.codes !s) in
+      for _ = 1 to 4 do
+        let i = pick () in
+        s := Sstate.apply cfgn i !s;
+        model := Model.canon (Array.map (Machine.Assign.apply cfgn i) !model);
+        keep !s !model
+      done;
+      let arena = Sstate.Arena.create cfgn in
+      let s = ref (if Random.State.bool st then init else Sstate.of_codes (wide_codes cfgn st)) in
+      let model = ref (Sstate.codes !s) in
+      for _ = 1 to 6 do
+        let i = pick () in
+        match Sstate.Arena.probe arena i !s with
+        | Sstate.Arena.Unchanged -> ()
+        | Sstate.Arena.Changed ->
+            if Random.State.bool st then
+              ignore (Sstate.Arena.probe_view arena);
+            s := Sstate.Arena.commit arena;
+            model := Model.canon (Array.map (Machine.Assign.apply cfgn i) !model);
+            keep !s !model
+      done;
+      let made = Array.of_list !made in
+      Array.for_all (fun (s, model) -> agrees_with_model s model) made
+      && Array.for_all
+           (fun (a, ma) ->
+             Array.for_all
+               (fun (b, mb) ->
+                 Sstate.equal a b = (ma = mb)
+                 && sign (Sstate.compare a b) = sign (Model.compare ma mb))
+               made)
+           made)
+
+(* [Sstate.hash] values, pinned: the level loop's [Sstate.Tbl.fold] order
+   (and so every level-engine pin) follows them. *)
+let test_hash_pins () =
+  List.iter
+    (fun (n, want) ->
+      check Alcotest.int
+        (Printf.sprintf "initial n=%d" n)
+        want
+        (Sstate.hash (Sstate.initial (Isa.Config.default n))))
+    [ (2, 1720713740332468745); (3, 882303583384700269); (4, 697558359554331701); (5, 3838331216494134565) ];
+  let committed cfgn instrs =
+    let arena = Sstate.Arena.create cfgn in
+    List.fold_left
+      (fun s i ->
+        match Sstate.Arena.probe arena i s with
+        | Sstate.Arena.Unchanged -> s
+        | Sstate.Arena.Changed -> Sstate.Arena.commit arena)
+      (Sstate.initial cfgn) instrs
+  in
+  let open Isa.Instr in
+  List.iter
+    (fun (name, cfgn, instrs, want) ->
+      let s = committed cfgn instrs in
+      check Alcotest.int name want (Sstate.hash s);
+      check Alcotest.int (name ^ ", rebuilt") want
+        (Sstate.hash (Sstate.of_codes (Sstate.codes s))))
+    [
+      ("n=3 mov s1 r1; cmp r1 r2", Isa.Config.default 3, [ mov 3 0; cmp 0 1 ], 1704960698607601060);
+      ( "n=4 mov s1 r1; cmp r1 r2; cmovg r1 r2; cmovl r2 s1",
+        Isa.Config.default 4,
+        [ mov 4 0; cmp 0 1; cmovg 0 1; cmovl 1 4 ],
+        486960034547829973 );
+      ("n=6 m=3 mov s3 r6 (a 29-bit code)", Isa.Config.make ~n:6 ~m:3, [ mov 8 5 ], 3455206010268986533);
+    ]
+
 let () =
   Alcotest.run "sstate"
     [
@@ -440,6 +583,7 @@ let () =
           Alcotest.test_case "viability" `Quick test_viability_state;
           Alcotest.test_case "hash/equal" `Quick test_hash_equal_consistency;
           Alcotest.test_case "Tbl" `Quick test_tbl;
+          Alcotest.test_case "hash pins" `Quick test_hash_pins;
         ] );
       ( "properties",
         [
@@ -451,5 +595,6 @@ let () =
           qtest prop_probe_limit_keeps_vetting_facts;
           qtest prop_stage_cmp_matches_probe;
           qtest prop_map_sub_matches_apply;
+          qtest prop_cell_widths_match_model;
         ] );
     ]
