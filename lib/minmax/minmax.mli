@@ -11,8 +11,9 @@ module Vexec : module type of Vexec
     pool. This module only says how a packed {!Vexec} code moves through
     one instruction and what sorted, viable and the perm-count projection
     mean for that layout. There is no distance table for this machine:
-    the search space is small enough (optimal lengths 8, 15, 26 for
-    n = 3..5) that the perm-count heuristic and cut suffice. *)
+    the search space is small enough (the level loop certifies 8, 15 and
+    23 for n = 3..5, each minimal under the k=1 cut; 26 is the paper's
+    figure at n = 5) that the perm-count heuristic and cut suffice. *)
 
 val default : Search.options
 (** {!Search.default} with the perm-count heuristic, the [Mult 1.0] cut
@@ -29,7 +30,9 @@ val synthesize :
     length. Which kernel comes first depends on the engine and on the
     order it walks states in. [Level_sync] certifies the length minimal;
     A*'s perm-count heuristic is not admissible, yet it finds the same
-    3/8/15 at n = 2..4 (27 against the optimal 26 at n = 5). *)
+    3/8/15 at n = 2..4. At n = 5 it returns 27, where the level loop
+    certifies 23, minimal under the k=1 cut (26 is the paper's
+    figure). *)
 
 val network_kernel : int -> Vexec.program
 (** The optimal sorting network compiled to 3-instruction compare-and-swaps

@@ -9,7 +9,9 @@
 
     A compare-and-swap costs three instructions here versus four in the
     cmov ISA, and synthesized kernels beat the network implementation by
-    one instruction for n = 3 (8 vs 9) and by one for n = 5 (26 vs 27). *)
+    one instruction for n = 3 (8 vs 9) and, in the paper, by one for
+    n = 5 (26 vs 27); the level loop here finds 23 at n = 5, minimal
+    under the k=1 cut. *)
 
 type op = Movdqa | Pmin | Pmax
 type t = { op : op; dst : int; src : int }

@@ -189,7 +189,8 @@ let expand ?known env arena delta ~g' ~threshold state =
      read lt or gt for a cmov), so two of its verdicts follow from the
      parent and it is never probed for them.
      Erasure: it keeps every value exactly when the parent did and its
-     destination is no sole holder in a firing code. A successor that
+     destination is no sole holder in a firing code ([Arena.sole_holders]:
+     the holders over all codes, lt codes and gt codes). A successor that
      loses one is pruned where [vet] prunes it: by the erasure check, or
      by distance viability, which holds a code missing a value dead.
      Cut: its count is at least the parent's [pc] for a scratch
@@ -203,27 +204,18 @@ let expand ?known env arena delta ~g' ~threshold state =
   let viability_prunes =
     env.opts.erasure_check || (env.opts.dist_viability && env.dist <> None)
   in
-  let sole_any = ref 0 and sole_lt = ref 0 and sole_gt = ref 0 in
-  if viability_prunes && viable then
-    Sstate.fold
-      (fun () c ->
-        let h = Machine.Assign.sole_holders cfg c in
-        sole_any := !sole_any lor h;
-        let f = Machine.Assign.flags c in
-        if f = Machine.Assign.flag_lt then sole_lt := !sole_lt lor h
-        else if f = Machine.Assign.flag_gt then sole_gt := !sole_gt lor h)
-      () state;
+  let sole =
+    if viability_prunes && viable then Sstate.Arena.sole_holders arena state
+    else 0
+  in
   let erases (i : Isa.Instr.t) =
     viability_prunes
     && ((not viable)
        ||
-       let holders =
-         match i.op with
-         | Cmovl -> !sole_lt
-         | Cmovg -> !sole_gt
-         | Mov | Cmp -> !sole_any
+       let shift =
+         match i.op with Cmovl -> 10 | Cmovg -> 20 | Mov | Cmp -> 0
        in
-       holders land (1 lsl i.dst) <> 0)
+       (sole lsr shift) land (1 lsl i.dst) <> 0)
   in
   let settle_cut =
     pc > threshold
@@ -329,11 +321,13 @@ let code_root isa cfg =
   let codes =
     Perms.all cfg.Isa.Config.n |> List.map isa.input |> Array.of_list
   in
-  (Sstate.of_codes codes, code_perms isa codes, Array.for_all isa.is_sorted codes)
+  let pc = code_perms isa codes in
+  (Sstate.of_codes ~perms:pc codes, pc, Array.for_all isa.is_sorted codes)
 
 (* The same bookkeeping as [expand], without an arena: each successor's
    codes are mapped into a fresh array, its facts read off that array,
-   and only survivors are canonicalized. *)
+   and only survivors are canonicalized, with their count (by this
+   machine's permutation key) stored on the state for the engines. *)
 let expand_codes ?known env isa delta ~g' ~threshold state =
   let codes = Sstate.codes state in
   Array.to_list isa.instrs
@@ -349,5 +343,5 @@ let expand_codes ?known env isa delta ~g' ~threshold state =
            let viable = Array.for_all isa.viable codes' in
            if not (vet env delta ~g' ~threshold ~viable ~pc ~lb:(-1)) then None
            else
-             let state = Sstate.of_codes codes' in
+             let state = Sstate.of_codes ~perms:pc codes' in
              Some (if known_state known state then Known else Open { instr; state; pc }))

@@ -23,8 +23,8 @@
     its codes and computes no fact), a [mov] or cmov
     successor that would be pruned for erasing a value or by the cut is
     settled from two summaries of the parent (the registers that hold a
-    value's only copy, and the count with the destination masked) without
-    being mapped, and the remaining probes stop counting once the count
+    value's only copy, {!Sstate.Arena.sole_holders}, and the count with
+    the destination masked) without being mapped, and the remaining probes stop counting once the count
     passes the cut threshold.
 
     All pruning decisions are recorded in a {!delta} — a small mutable

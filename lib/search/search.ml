@@ -100,13 +100,26 @@ type 'i outcome = {
 
 type result = Isa.Instr.t outcome
 
+(* A search node. Its distinct-permutation count, which the cut and the
+   heuristic read, is its state's ([Sstate.distinct_perms], cached on the
+   state). The representative parent and the instruction from it sit
+   inline; only [All_optimal] adds further parents, to [more]. *)
 type 'i node = {
   state : Sstate.t;
   g : int;
-  pc : int; (* distinct permutation count, used by cut and heuristic *)
   mutable paths : int;
-  mutable parents : ('i node * 'i) list; (* head = representative *)
+  parent : 'i node; (* the representative parent; the root is its own *)
+  instr : 'i; (* the instruction from [parent]; any one at the root *)
+  mutable more : ('i node * 'i) list; (* further parents, in arrival order *)
 }
+
+let is_root n = n.parent == n
+
+let child ~g ~paths state parent instr =
+  { state; g; paths; parent; instr; more = [] }
+
+(* Record one more parent of [n] ([All_optimal]). *)
+let add_parent n parent instr = n.more <- n.more @ [ (parent, instr) ]
 
 (* One expansion step as the engines see it: the machine's own
    successor function over a domain-private scratch, vetted by the
@@ -125,9 +138,18 @@ type 'i expander =
 type 'i machine = {
   root : Sstate.t;
   root_pc : int;
+  instrs : 'i array;
   root_final : bool;
   expander : unit -> 'i expander;
 }
+
+(* The root node, its own parent: the engines build it only for a root
+   that is not final, which has instructions to expand. *)
+let root_node m =
+  let rec root =
+    { state = m.root; g = 0; paths = 1; parent = root; instr = m.instrs.(0); more = [] }
+  in
+  root
 
 (* Per-depth stat accumulator: the expansion delta plus the merge-side
    counters only the engine knows. *)
@@ -220,7 +242,7 @@ let heuristic_value ctx node =
   in
   match opts.heuristic with
   | No_heuristic -> 0
-  | Perm_count -> weigh (node.pc - 1)
+  | Perm_count -> weigh (Sstate.distinct_perms ctx.env.Expand.cfg node.state - 1)
   | Assign_count -> weigh (Sstate.distinct_assignments node.state - 1)
   | Dist_bound -> (
       match ctx.env.Expand.dist with
@@ -239,11 +261,7 @@ let sample_trace ctx ~open_states =
 
 (* Path reconstruction: walk representative parents back to the root. *)
 let program_of_node node =
-  let rec go acc n =
-    match n.parents with
-    | [] -> acc
-    | (p, i) :: _ -> go (i :: acc) p
-  in
+  let rec go acc n = if is_root n then acc else go (n.instr :: acc) n.parent in
   Array.of_list (go [] node)
 
 (* Enumerate up to [cap] distinct programs through the parent DAG. *)
@@ -251,11 +269,14 @@ let programs_of_final cap finals =
   let out = ref [] and count = ref 0 in
   let rec go suffix n =
     if !count < cap then
-      match n.parents with
-      | [] ->
-          out := Array.of_list suffix :: !out;
-          incr count
-      | ps -> List.iter (fun (p, i) -> go (i :: suffix) p) ps
+      if is_root n then begin
+        out := Array.of_list suffix :: !out;
+        incr count
+      end
+      else begin
+        go (n.instr :: suffix) n.parent;
+        List.iter (fun (p, i) -> go (i :: suffix) p) n.more
+      end
   in
   List.iter (fun n -> go [] n) finals;
   List.rev !out
@@ -498,7 +519,7 @@ let run_level ctx ~pool m mode =
   else begin
     let expand = m.expander () in
     let seen = Sstate.Tbl.create (1 lsl 16) in
-    let root = { state = m.root; g = 0; pc = m.root_pc; paths = 1; parents = [] } in
+    let root = root_node m in
     Sstate.Tbl.replace seen root.state 0;
     let current = ref [ root ] in
     let level = ref 0 in
@@ -512,7 +533,9 @@ let run_level ctx ~pool m mode =
       let a = acc_at ctx !level in
       let current_len = List.length !current in
       let min_pc =
-        List.fold_left (fun acc n -> min acc n.pc) max_int !current
+        List.fold_left
+          (fun acc n -> min acc (Sstate.distinct_perms env.Expand.cfg n.state))
+          max_int !current
       in
       let threshold = Expand.cut_threshold opts ~min_pc in
       let next = Sstate.Tbl.create (1 lsl 12) in
@@ -529,21 +552,13 @@ let run_level ctx ~pool m mode =
             (match Sstate.Tbl.find_opt final_tbl state' with
             | Some fn ->
                 fn.paths <- fn.paths + node.paths;
-                if track_all then fn.parents <- fn.parents @ [ (node, instr) ]
+                if track_all then add_parent fn node instr
             | None ->
-                let fn =
-                  {
-                    state = state';
-                    g = g';
-                    pc = 1;
-                    paths = node.paths;
-                    parents = [ (node, instr) ];
-                  }
-                in
+                let fn = child ~g:g' ~paths:node.paths state' node instr in
                 Sstate.Tbl.replace final_tbl state' fn;
                 final_order := fn :: !final_order);
             if mode = Find_first then stop := true
-        | Expand.Open { instr; state = state'; pc } -> (
+        | Expand.Open { instr; state = state'; pc = _ } -> (
             let seen_before =
               if opts.dedup then Sstate.Tbl.find_opt seen state' else None
             in
@@ -554,18 +569,9 @@ let run_level ctx ~pool m mode =
                 | Some n' ->
                     drop ();
                     n'.paths <- n'.paths + node.paths;
-                    if track_all then
-                      n'.parents <- n'.parents @ [ (node, instr) ]
+                    if track_all then add_parent n' node instr
                 | None ->
-                    let n' =
-                      {
-                        state = state';
-                        g = g';
-                        pc;
-                        paths = node.paths;
-                        parents = [ (node, instr) ];
-                      }
-                    in
+                    let n' = child ~g:g' ~paths:node.paths state' node instr in
                     if opts.dedup then Sstate.Tbl.replace seen state' g';
                     Sstate.Tbl.replace next state' n'))
       in
@@ -665,8 +671,8 @@ let run_astar ctx m =
       let a = !level_min_pc in
       if pc < a.(g) then a.(g) <- pc
     in
-    let root = { state = m.root; g = 0; pc = m.root_pc; paths = 1; parents = [] } in
-    note_level_pc 0 root.pc;
+    let root = root_node m in
+    note_level_pc 0 m.root_pc;
     Sstate.Tbl.replace seen m.root 0;
     Heap.push heap (heuristic_value ctx root) root;
     let found = ref None in
@@ -713,15 +719,7 @@ let run_astar ctx m =
               | Expand.Known -> drop ()
               | Expand.Final { instr; state } ->
                   ctx.solutions_found <- 1;
-                  found :=
-                    Some
-                      {
-                        state;
-                        g = g';
-                        pc = 1;
-                        paths = node.paths;
-                        parents = [ (node, instr) ];
-                      };
+                  found := Some (child ~g:g' ~paths:node.paths state node instr);
                   continue := false
               | Expand.Open { instr; state; pc } -> (
                   match
@@ -729,15 +727,7 @@ let run_astar ctx m =
                   with
                   | Some l when l <= g' -> drop ()
                   | _ ->
-                      let n' =
-                        {
-                          state;
-                          g = g';
-                          pc;
-                          paths = node.paths;
-                          parents = [ (node, instr) ];
-                        }
-                      in
+                      let n' = child ~g:g' ~paths:node.paths state node instr in
                       note_level_pc g' pc;
                       if opts.dedup then Sstate.Tbl.replace seen state g';
                       let ao = acc_at ctx g' in
@@ -767,6 +757,7 @@ let cmov_machine env =
   {
     root;
     root_pc = Sstate.distinct_perms cfg root;
+    instrs = env.Expand.instrs;
     root_final = Sstate.is_final cfg root;
     expander =
       (fun () ->
@@ -781,6 +772,7 @@ let code_machine env isa =
   {
     root;
     root_pc;
+    instrs = isa.Expand.instrs;
     root_final;
     expander =
       (fun () delta ~known ~g' ~threshold s ->

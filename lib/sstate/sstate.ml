@@ -1,40 +1,119 @@
 (* Packed synthesis states.
 
    A state is a canonical (strictly increasing, deduplicated) sequence of
-   assignment codes, stored as a slice [off, off + len) of a shared backing
-   array so the search can bump-allocate states into large chunks instead
-   of one heap array per state. Derived facts that the engines query on
-   every expansion — the FNV hash, the distinct-permutation count, finality
-   and viability — are computed once and cached in the record; [hash] in
-   particular makes every dedup-table operation O(1) instead of O(len). On
-   the arena path the order-free facts (count, finality, viability, the
-   distance bound) come from one pass over the raw mapped codes, and only
-   successors that survive vetting are sorted, deduplicated and hashed. A
-   probe given the cut threshold stops counting once the cut is decided.
+   assignment codes, stored as a run of fixed-width little cells in a
+   shared [Bytes] chunk, so the search can bump-allocate states into large
+   chunks instead of one heap block per state. The cell width is the
+   narrowest of 3, 4 or 8 bytes that holds the state's smallest and
+   largest code: 3 for every configuration with at most 7 registers (codes
+   below 2^23), 4 above while the codes stay below 2^32. The width is a
+   function of the codes, so equal states have equal widths and [equal]
+   compares raw bytes. Cells are written and read in the machine's own
+   byte order: they never leave the process.
 
-   The cfg-dependent caches ([pc], [tags], [lb]) are filled lazily for
+   Derived facts that the engines query on every expansion — the FNV hash
+   (over the int codes, whatever the width), the distinct-permutation
+   count, finality and viability — are computed once and cached; [hash]
+   makes every dedup-table operation O(1) instead of O(len). The length,
+   the cell width and the caches share one immediate word, [meta]. On the
+   arena path the parent is decoded once into int scratch, the order-free
+   facts (count, finality, viability, the distance bound) come from one
+   pass over the raw mapped codes, and only successors that survive
+   vetting are sorted, deduplicated, hashed and encoded. A probe given the
+   cut threshold stops counting once the cut is decided.
+
+   The cfg-dependent caches (count, tags, bound) are filled lazily for
    states built without a config ({!of_codes}) and eagerly on the arena
-   path. They are benign under parallel access: the cached values are
-   deterministic functions of the immutable codes, and an [int] store is
-   atomic in OCaml, so concurrent fills write the same value. *)
+   path. They are benign under parallel access: each fill writes the whole
+   [meta] word (an [int] store is atomic in OCaml), every value it caches
+   is a deterministic function of the immutable codes, and the length and
+   width bits are the same in every word ever written. A fill racing
+   another may drop the other's bits; that cache then reads as unknown
+   and is computed again. *)
 
 type t = {
-  buf : int array;  (* backing chunk; this state is buf.[off .. off+len) *)
-  off : int;
-  len : int;
-  hash : int;  (* FNV-1a over the slice, precomputed *)
-  mutable pc : int;  (* distinct-permutation count; -1 = not yet computed *)
-  mutable tags : int;  (* finality/viability cache, see tag_* below *)
-  mutable lb : int;  (* distance lower-bound cache (Distance); -1 = unset *)
+  buf : Bytes.t;  (* backing chunk; the cells are buf.[off .. off + len * width) *)
+  off : int;  (* byte offset of the first cell *)
+  hash : int;  (* FNV-1a over the int codes, precomputed *)
+  mutable meta : int;  (* length, cell width and caches; layout below *)
 }
 
+(* [meta], from bit 0: the four tag bits, the cell width (4 bits), the
+   distance bound plus one (16 bits; 0 = not cached), the
+   distinct-permutation count plus one (19 bits; 0 = not computed) and
+   the length (19 bits). A bound too large for its field (the distance
+   table's infinity) is never cached; it is recomputed when asked. *)
 let tag_final_known = 1
 let tag_final = 2
 let tag_viable_known = 4
 let tag_viable = 8
+let width_shift = 4
+let lb_shift = 8
+let lb_mask = 0xffff
+let pc_shift = 24
+let pc_mask = (1 lsl 19) - 1
+let len_shift = 43
+let max_len = (1 lsl 19) - 1
+
+let pack ~len ~width ~pc ~tags ~lb =
+  if len > max_len then invalid_arg "Sstate: too many codes";
+  (len lsl len_shift)
+  lor ((pc + 1) lsl pc_shift)
+  lor ((if lb >= 0 && lb < lb_mask then lb + 1 else 0) lsl lb_shift)
+  lor (width lsl width_shift)
+  lor tags
+
+let size t = t.meta lsr len_shift
+let width t = (t.meta lsr width_shift) land 15
+let pc_cache t = ((t.meta lsr pc_shift) land pc_mask) - 1
+let tags t = t.meta land 15
 
 let fnv_seed = 0x1bf29ce484222325
 let fnv_prime = 0x100000001b3
+
+(* ------------------------------------------------------------------ *)
+(* Cells. *)
+
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16"
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let width_for ~lo ~hi =
+  if lo >= 0 && hi < 1 lsl 24 then 3 else if lo >= 0 && hi < 1 lsl 32 then 4 else 8
+
+let get_cell b p w =
+  match w with
+  | 3 -> get16 b p lor (Char.code (Bytes.get b (p + 2)) lsl 16)
+  | 4 -> get16 b p lor (get16 b (p + 2) lsl 16)
+  | _ -> Int64.to_int (get64 b p)
+  [@@inline]
+
+(* Write [a.[0 .. len)] as [w]-byte cells from byte [off] of [b]. *)
+let encode (a : int array) len w b off =
+  match w with
+  | 3 ->
+      for i = 0 to len - 1 do
+        let c = a.(i) and p = off + (3 * i) in
+        set16 b p (c land 0xffff);
+        Bytes.set b (p + 2) (Char.unsafe_chr ((c lsr 16) land 0xff))
+      done
+  | 4 ->
+      for i = 0 to len - 1 do
+        let c = a.(i) and p = off + (4 * i) in
+        set16 b p (c land 0xffff);
+        set16 b (p + 2) ((c lsr 16) land 0xffff)
+      done
+  | _ -> for i = 0 to len - 1 do set64 b (off + (8 * i)) (Int64.of_int a.(i)) done
+
+(* The codes of [t] into [dst.[0 .. size t)]. *)
+let decode t (dst : int array) =
+  let w = width t and b = t.buf and off = t.off in
+  for i = 0 to size t - 1 do
+    dst.(i) <- get_cell b (off + (w * i)) w
+  done
+
+let code t i = get_cell t.buf (t.off + (width t * i)) (width t) [@@inline]
 
 (* ------------------------------------------------------------------ *)
 (* Monomorphic int sort of a prefix: insertion sort for short runs,
@@ -100,22 +179,23 @@ let dedup_sorted (a : int array) n =
   done;
   !w
 
-(* Build a state that owns [a] (callers must not retain [a]). *)
-let of_owned_prefix a n =
+(* Build a state from the codes [a.[0..n)], which it may reorder. *)
+let of_prefix ?(pc = -1) a n =
   if n = 0 then invalid_arg "Sstate: empty state";
   sort_range a 0 n;
   let len = dedup_sorted a n in
+  let width = width_for ~lo:a.(0) ~hi:a.(len - 1) in
+  let buf = Bytes.create (len * width) in
+  encode a len width buf 0;
   {
-    buf = a;
+    buf;
     off = 0;
-    len;
     hash = hash_range a 0 len;
-    pc = -1;
-    tags = 0;
-    lb = -1;
+    meta = pack ~len ~width ~pc ~tags:0 ~lb:(-1);
   }
 
-let of_codes a = of_owned_prefix (Array.copy a) (Array.length a)
+let of_codes ?perms a =
+  of_prefix ?pc:perms (Array.copy a) (Array.length a)
 
 let initial cfg =
   let n = cfg.Isa.Config.n in
@@ -124,23 +204,26 @@ let initial cfg =
   Perms.iter n (fun p ->
       a.(!i) <- Machine.Assign.of_permutation cfg p;
       incr i);
-  of_owned_prefix a !i
+  of_prefix a !i
 
-let codes t = Array.sub t.buf t.off t.len
-let size t = t.len
-let distinct_assignments t = t.len
+let codes t =
+  let a = Array.make (size t) 0 in
+  decode t a;
+  a
+
+let distinct_assignments = size
 
 let fold f acc t =
   let r = ref acc in
-  for i = t.off to t.off + t.len - 1 do
-    r := f !r t.buf.(i)
+  for i = 0 to size t - 1 do
+    r := f !r (code t i)
   done;
   !r
 
 let apply cfg instr t =
-  let a = Array.make t.len 0 in
-  Machine.Assign.map_sub cfg instr t.buf t.off a 0 t.len;
-  of_owned_prefix a t.len
+  let a = codes t in
+  Machine.Assign.map_sub cfg instr a 0 a 0 (Array.length a);
+  of_prefix a (Array.length a)
 
 (* Packed key of the value registers: [is_final] iff every code's key is
    the sorted pattern (1, 2, ..., n in order). *)
@@ -153,70 +236,88 @@ let sorted_key cfg =
   !k
 
 let is_final cfg t =
-  if t.tags land tag_final_known <> 0 then t.tags land tag_final <> 0
+  let tags = tags t in
+  if tags land tag_final_known <> 0 then tags land tag_final <> 0
   else begin
     let skey = sorted_key cfg in
     let mask = (1 lsl (3 * cfg.Isa.Config.n)) - 1 in
     let ok = ref true in
-    for i = t.off to t.off + t.len - 1 do
-      if (t.buf.(i) lsr 2) land mask <> skey then ok := false
+    for i = 0 to size t - 1 do
+      if (code t i lsr 2) land mask <> skey then ok := false
     done;
-    t.tags <-
-      t.tags lor tag_final_known lor (if !ok then tag_final else 0);
+    t.meta <- t.meta lor tag_final_known lor (if !ok then tag_final else 0);
     !ok
   end
 
 let all_viable cfg t =
-  if t.tags land tag_viable_known <> 0 then t.tags land tag_viable <> 0
+  let tags = tags t in
+  if tags land tag_viable_known <> 0 then tags land tag_viable <> 0
   else begin
     let ok = ref true in
-    for i = t.off to t.off + t.len - 1 do
-      if not (Machine.Assign.viable cfg t.buf.(i)) then ok := false
+    for i = 0 to size t - 1 do
+      if not (Machine.Assign.viable cfg (code t i)) then ok := false
     done;
-    t.tags <-
-      t.tags lor tag_viable_known lor (if !ok then tag_viable else 0);
+    t.meta <- t.meta lor tag_viable_known lor (if !ok then tag_viable else 0);
     !ok
   end
 
 let distinct_perms cfg t =
-  if t.pc >= 0 then t.pc
+  let cached = pc_cache t in
+  if cached >= 0 then cached
   else begin
     let mask = (1 lsl (3 * cfg.Isa.Config.n)) - 1 in
-    let keys = Array.make t.len 0 in
-    for i = 0 to t.len - 1 do
-      keys.(i) <- (t.buf.(t.off + i) lsr 2) land mask
+    let len = size t in
+    let keys = codes t in
+    for i = 0 to len - 1 do
+      keys.(i) <- (keys.(i) lsr 2) land mask
     done;
-    sort_range keys 0 t.len;
+    sort_range keys 0 len;
     let d = ref 1 in
-    for i = 1 to t.len - 1 do
+    for i = 1 to len - 1 do
       if keys.(i) <> keys.(i - 1) then incr d
     done;
-    t.pc <- !d;
+    t.meta <- t.meta land lnot (pc_mask lsl pc_shift) lor ((!d + 1) lsl pc_shift);
     !d
   end
 
-let lb_cache t = t.lb
-let set_lb_cache t lb = t.lb <- lb
+let lb_cache t = ((t.meta lsr lb_shift) land lb_mask) - 1
+
+let set_lb_cache t lb =
+  if lb >= 0 && lb < lb_mask then
+    t.meta <- t.meta land lnot (lb_mask lsl lb_shift) lor ((lb + 1) lsl lb_shift)
+
+(* The same [bytes] bytes from [pa] in [a] and [pb] in [b], eight at a
+   time. *)
+let bytes_equal a pa b pb bytes =
+  let i = ref 0 in
+  while !i + 8 <= bytes && Int64.equal (get64 a (pa + !i)) (get64 b (pb + !i)) do
+    i := !i + 8
+  done;
+  if !i + 8 <= bytes then false
+  else begin
+    while !i < bytes && Bytes.get a (pa + !i) = Bytes.get b (pb + !i) do
+      incr i
+    done;
+    !i = bytes
+  end
 
 let equal a b =
   a == b
-  || (a.hash = b.hash && a.len = b.len
-     &&
-     let i = ref 0 in
-     while !i < a.len && a.buf.(a.off + !i) = b.buf.(b.off + !i) do
-       incr i
-     done;
-     !i = a.len)
+  || a.hash = b.hash
+     && a.meta lsr len_shift = b.meta lsr len_shift
+     && width a = width b
+     && bytes_equal a.buf a.off b.buf b.off (size a * width a)
 
 let compare a b =
   (* Same order as the old [int array] polymorphic compare: length first,
      then elementwise. *)
-  if a.len <> b.len then Stdlib.compare a.len b.len
+  let len = size a in
+  if len <> size b then Int.compare len (size b)
   else begin
     let rec go i =
-      if i = a.len then 0
+      if i = len then 0
       else
-        let c = Stdlib.compare a.buf.(a.off + i) b.buf.(b.off + i) in
+        let c = Int.compare (code a i) (code b i) in
         if c <> 0 then c else go (i + 1)
     in
     go 0
@@ -232,6 +333,34 @@ module Tbl = Hashtbl.Make (struct
 end)
 
 (* ------------------------------------------------------------------ *)
+(* Sole holders, tabulated. *)
+
+(* [Machine.Assign.sole_holders] depends only on a code's register
+   fields, so for up to 7 registers (a 21-bit field, a register mask that
+   fits a byte) it is one byte per field value, built once per (n, m)
+   and shared by every arena. Larger register files get no table (it
+   would take 16 MB at 8 registers) and compute the holders per code. *)
+let sole_table_regs = 7
+let sole_cache : (int * int, Bytes.t) Hashtbl.t = Hashtbl.create 8
+let sole_cache_lock = Mutex.create ()
+
+let sole_table cfg =
+  let nregs = Isa.Config.nregs cfg in
+  if nregs > sole_table_regs then Bytes.empty
+  else
+    Mutex.protect sole_cache_lock (fun () ->
+        let key = (cfg.Isa.Config.n, cfg.Isa.Config.m) in
+        match Hashtbl.find_opt sole_cache key with
+        | Some t -> t
+        | None ->
+            let t =
+              Bytes.init (1 lsl (3 * nregs)) (fun field ->
+                  Char.chr (Machine.Assign.sole_holders cfg (field lsl 2)))
+            in
+            Hashtbl.replace sole_cache key t;
+            t)
+
+(* ------------------------------------------------------------------ *)
 (* Arena: per-domain scratch for the expansion hot loop. *)
 
 module Arena = struct
@@ -243,29 +372,36 @@ module Arena = struct
     skey : int;  (* sorted key pattern *)
     nregs : int;
     need : int;  (* viability: bit set per required value 1..n *)
+    sole : Bytes.t;  (* [sole_table cfg]; empty above 7 registers *)
+    mutable parent : state;  (* the state whose codes [pcodes] holds *)
+    mutable pcodes : int array;
+    mutable sole_masks : int;  (* [sole_holders] of [parent]; -1 = not yet *)
     mutable map_buf : int array;  (* probe scratch *)
     stamp : int array;  (* perm-key -> generation, for O(1) counting *)
     mutable gen : int;
-    mutable chunk : int array;  (* current bump chunk for commits *)
-    mutable used : int;
+    mutable chunk : Bytes.t;  (* current bump chunk for commits *)
+    mutable used : int;  (* bytes of [chunk] committed *)
     mutable dist : int array;  (* attached distance table; [||] = none *)
     mutable dist_inf : int;  (* its bound for a code that cannot be sorted *)
     (* Probe results, valid from [probe] returning [Changed] until the
        next probe. [map_buf.[0 .. p_len)] holds the raw mapped codes until
        [canonicalize] sorts and dedups them in place ([p_canon]); [p_hash]
-       is meaningful only once they are canonical. *)
+       and [p_width] are meaningful only once they are canonical, and
+       [p_enc] says they are also encoded at [chunk.[used ..)]. *)
     mutable p_over : bool;  (* the count passed the limit; partial facts *)
     mutable p_len : int;
     mutable p_sorted : bool;  (* the raw codes came out non-decreasing *)
     mutable p_canon : bool;
     mutable p_hash : int;
+    mutable p_width : int;
+    mutable p_enc : bool;
     mutable p_pc : int;
     mutable p_final : bool;
     mutable p_viable : bool;
     mutable p_lb : int;  (* -1 when no table is attached *)
   }
 
-  let chunk_words = 1 lsl 15
+  let chunk_bytes = 1 lsl 18
 
   let create cfg =
     let n = cfg.Isa.Config.n in
@@ -275,10 +411,14 @@ module Arena = struct
       skey = sorted_key cfg;
       nregs = Isa.Config.nregs cfg;
       need = ((1 lsl n) - 1) lsl 1;
+      sole = sole_table cfg;
+      parent = { buf = Bytes.empty; off = 0; hash = 0; meta = 0 };
+      pcodes = Array.make (max 8 (Perms.factorial n)) 0;
+      sole_masks = -1;
       map_buf = Array.make (max 8 (Perms.factorial n)) 0;
       stamp = Array.make (1 lsl (3 * n)) 0;
       gen = 0;
-      chunk = Array.make chunk_words 0;
+      chunk = Bytes.create chunk_bytes;
       used = 0;
       dist = [||];
       dist_inf = 0;
@@ -287,6 +427,8 @@ module Arena = struct
       p_sorted = false;
       p_canon = false;
       p_hash = 0;
+      p_width = 3;
+      p_enc = false;
       p_pc = 0;
       p_final = false;
       p_viable = false;
@@ -299,6 +441,17 @@ module Arena = struct
 
   type outcome = Unchanged | Changed
 
+  (* Decode [s] into [pcodes] unless it is already there: every call of
+     one expansion reads the same parent, decoded once. *)
+  let load a (s : state) =
+    if a.parent != s then begin
+      let len = size s in
+      if Array.length a.pcodes < len then a.pcodes <- Array.make (2 * len) 0;
+      decode s a.pcodes;
+      a.parent <- s;
+      a.sole_masks <- -1
+    end
+
   (* A fresh stamp generation, under which every key reads as unseen. *)
   let next_gen a =
     a.gen <- a.gen + 1;
@@ -308,16 +461,19 @@ module Arena = struct
     end;
     a.gen
 
-  (* [instr] applied to every code of [s], into the probe scratch. *)
-  let map_into a instr (s : state) =
-    if Array.length a.map_buf < s.len then
-      a.map_buf <- Array.make (2 * s.len) 0;
-    Machine.Assign.map_sub a.cfg instr s.buf s.off a.map_buf 0 s.len;
+  (* [instr] applied to every code of the loaded parent, into the probe
+     scratch; the staging is now unencoded. *)
+  let map_into a instr len =
+    if Array.length a.map_buf < len then a.map_buf <- Array.make (2 * len) 0;
+    Machine.Assign.map_sub a.cfg instr a.pcodes 0 a.map_buf 0 len;
+    a.p_enc <- false;
     a.map_buf
 
   let probe ?(limit = max_int) a instr (s : state) =
-    let len = s.len in
-    let buf = map_into a instr s in
+    load a s;
+    let len = size s in
+    let pcodes = a.pcodes in
+    let buf = map_into a instr len in
     let g = next_gen a and stamp = a.stamp and dist = a.dist in
     let has_dist = Array.length dist > 0 in
     let same = ref true and nondecr = ref true and prev = ref min_int in
@@ -340,7 +496,7 @@ module Arena = struct
     for i = 0 to len - 1 do
       let c = buf.(i) in
       if !counting then begin
-        if c <> s.buf.(s.off + i) then same := false;
+        if c <> pcodes.(i) then same := false;
         if c < !prev then nondecr := false;
         prev := c;
         let key = (c lsr 2) land a.kmask in
@@ -385,17 +541,45 @@ module Arena = struct
   (* Takes its own stamp generation and touches no probe result, so the
      staged successor survives it. *)
   let perms_without a (s : state) d =
-    let g = next_gen a and stamp = a.stamp in
+    load a s;
+    let g = next_gen a and stamp = a.stamp and pcodes = a.pcodes in
     let mask = a.kmask land lnot (7 lsl (3 * d)) in
     let count = ref 0 in
-    for i = s.off to s.off + s.len - 1 do
-      let key = (s.buf.(i) lsr 2) land mask in
+    for i = 0 to size s - 1 do
+      let key = (pcodes.(i) lsr 2) land mask in
       if stamp.(key) <> g then begin
         stamp.(key) <- g;
         incr count
       end
     done;
     !count
+
+  let sole_shift_lt = 10
+  let sole_shift_gt = 20
+
+  (* One pass over the decoded parent, one table load per code (or the
+     holders computed, above 7 registers). *)
+  let sole_holders a (s : state) =
+    load a s;
+    if a.sole_masks < 0 then begin
+      let pcodes = a.pcodes and table = a.sole in
+      let tabled = Bytes.length table > 0 in
+      let any = ref 0 and lt = ref 0 and gt = ref 0 in
+      for i = 0 to size s - 1 do
+        let c = pcodes.(i) in
+        let h =
+          if tabled then Char.code (Bytes.unsafe_get table (c lsr 2))
+          else Machine.Assign.sole_holders a.cfg c
+        in
+        any := !any lor h;
+        let f = c land 3 in
+        if f = Machine.Assign.flag_lt then lt := !lt lor h
+        else if f = Machine.Assign.flag_gt then gt := !gt lor h
+      done;
+      a.sole_masks <-
+        !any lor (!lt lsl sole_shift_lt) lor (!gt lsl sole_shift_gt)
+    end;
+    a.sole_masks
 
   (* A [cmp] rewrites only the flag bits, below every register field, so
      the mapped codes of a canonical state stay non-decreasing: codes that
@@ -405,11 +589,13 @@ module Arena = struct
   let stage_cmp a (instr : Isa.Instr.t) (s : state) =
     if instr.op <> Isa.Instr.Cmp then
       invalid_arg "Sstate.Arena.stage_cmp: not a cmp";
-    let buf = map_into a instr s in
+    load a s;
+    let len = size s and pcodes = a.pcodes in
+    let buf = map_into a instr len in
     let same = ref true and w = ref 0 and h = ref fnv_seed in
-    for i = 0 to s.len - 1 do
+    for i = 0 to len - 1 do
       let c = buf.(i) in
-      if c <> s.buf.(s.off + i) then same := false;
+      if c <> pcodes.(i) then same := false;
       if !w = 0 || c <> buf.(!w - 1) then begin
         buf.(!w) <- c;
         incr w;
@@ -424,20 +610,23 @@ module Arena = struct
       a.p_sorted <- true;
       a.p_canon <- true;
       a.p_hash <- !h land max_int;
+      a.p_width <- width_for ~lo:buf.(0) ~hi:buf.(!w - 1);
       a.p_pc <- distinct_perms a.cfg s;
       a.p_final <- is_final a.cfg s;
       a.p_viable <- all_viable a.cfg s;
       a.p_lb <-
         (if Array.length dist = 0 then -1
-         else if s.lb >= 0 then s.lb
-         else
-           fold
-             (fun lb c ->
-               match dist.(c) with
-               | -2 -> invalid_arg "Sstate.Arena.stage_cmp: code not reachable"
-               | -1 -> max lb a.dist_inf
-               | d -> max lb d)
-             0 s);
+         else if lb_cache s >= 0 then lb_cache s
+         else begin
+           let lb = ref 0 in
+           for i = 0 to len - 1 do
+             match dist.(pcodes.(i)) with
+             | -2 -> invalid_arg "Sstate.Arena.stage_cmp: code not reachable"
+             | -1 -> lb := max !lb a.dist_inf
+             | d -> lb := max !lb d
+           done;
+           !lb
+         end);
       Changed
     end
 
@@ -455,6 +644,7 @@ module Arena = struct
       if not a.p_sorted then sort_range buf 0 a.p_len;
       a.p_len <- dedup_sorted buf a.p_len;
       a.p_hash <- hash_range buf 0 a.p_len;
+      a.p_width <- width_for ~lo:buf.(0) ~hi:buf.(a.p_len - 1);
       a.p_canon <- true
     end
 
@@ -462,35 +652,43 @@ module Arena = struct
     canonicalize a;
     a.p_len
 
-  let staged a buf off =
+  (* Canonicalize and encode the staged codes at the chunk's free end,
+     once per probe, starting a new chunk when they do not fit. *)
+  let encode_staged a =
+    canonicalize a;
+    if not a.p_enc then begin
+      let bytes = a.p_len * a.p_width in
+      if a.used + bytes > Bytes.length a.chunk then begin
+        (* The old chunk stays alive exactly as long as states committed
+           into it do; we just stop bumping into it. *)
+        a.chunk <- Bytes.create (max chunk_bytes bytes);
+        a.used <- 0
+      end;
+      encode a.map_buf a.p_len a.p_width a.chunk a.used;
+      a.p_enc <- true
+    end
+
+  let staged a =
     {
-      buf;
-      off;
-      len = a.p_len;
+      buf = a.chunk;
+      off = a.used;
       hash = a.p_hash;
-      pc = a.p_pc;
-      tags =
-        tag_final_known lor tag_viable_known
-        lor (if a.p_final then tag_final else 0)
-        lor (if a.p_viable then tag_viable else 0);
-      lb = a.p_lb;
+      meta =
+        pack ~len:a.p_len ~width:a.p_width ~pc:a.p_pc ~lb:a.p_lb
+          ~tags:
+            (tag_final_known lor tag_viable_known
+            lor (if a.p_final then tag_final else 0)
+            lor if a.p_viable then tag_viable else 0);
     }
 
   let probe_view a =
-    canonicalize a;
-    staged a a.map_buf 0
+    encode_staged a;
+    staged a
 
   let commit a =
-    canonicalize a;
-    let len = a.p_len in
-    if a.used + len > Array.length a.chunk then begin
-      (* The old chunk stays alive exactly as long as states committed
-         into it do; we just stop bumping into it. *)
-      a.chunk <- Array.make (max chunk_words len) 0;
-      a.used <- 0
-    end;
-    let off = a.used in
-    Array.blit a.map_buf 0 a.chunk off len;
-    a.used <- off + len;
-    staged a a.chunk off
+    encode_staged a;
+    let s = staged a in
+    a.used <- a.used + (a.p_len * a.p_width);
+    a.p_enc <- false;
+    s
 end

@@ -8,13 +8,21 @@
     behave identically on all inputs map to the same state, and input
     permutations whose assignments have converged are tracked once.
 
-    Representation: a state is a slice of a shared backing array (so the
-    search can bump-allocate whole levels of states into large chunks, see
-    {!Arena}) carrying precomputed caches for the facts every engine asks
-    of every state — hash, distinct-permutation count, finality and
-    viability. The caches make {!hash}, and after first use
-    {!distinct_perms} / {!is_final} / {!all_viable}, O(1); on the {!Arena}
-    path they arrive filled from the probe. *)
+    Representation: a state's codes are fixed-width cells in a shared
+    [Bytes] chunk (so the search can bump-allocate whole levels of states
+    into large chunks, see {!Arena}), at the narrowest width of 3, 4 or 8
+    bytes that holds its smallest and largest code: 3 bytes for every
+    configuration with at most 7 registers, 4 above. The width follows
+    from the codes, so equal states share it, and {!equal} compares raw
+    bytes. The record is four words: the chunk, the offset, the hash, and
+    one immediate word packing the length, the width and the caches for
+    the facts every engine asks of every state — distinct-permutation
+    count, finality, viability and the distance bound. {!hash} is
+    precomputed; after first use {!distinct_perms} / {!is_final} /
+    {!all_viable} are O(1), and on the {!Arena} path they arrive filled
+    from the probe. Reading the codes ({!fold}, {!codes}) decodes the
+    cells; the arena decodes a parent once per expansion and works on
+    ints from there. *)
 
 type t
 (** Canonical: strictly increasing sequence of assignment codes, never
@@ -24,9 +32,13 @@ type t
 val initial : Isa.Config.t -> t
 (** One assignment per permutation of [1..n], scratch zeroed, flags clear. *)
 
-val of_codes : int array -> t
+val of_codes : ?perms:int -> int array -> t
 (** Canonicalize an arbitrary code vector (sort + dedup). The input array is
-    not modified. *)
+    not modified. [perms], when given, is stored as the state's
+    {!distinct_perms}: a machine whose permutation key is not the cmov
+    layout's ([Expand.expand_codes]) records its own count there, so the
+    engines can read every state's count from the state. At most
+    [2^19 - 1] distinct codes. *)
 
 val codes : t -> int array
 (** The canonical codes as a fresh array (a copy: mutating it does not
@@ -64,8 +76,9 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val hash : t -> int
-(** FNV-1a over the code sequence. Precomputed during canonicalization, so
-    this is O(1) — dedup-table operations no longer rehash the codes. *)
+(** FNV-1a over the code sequence, as ints (the cell width does not enter
+    it). Precomputed during canonicalization, so this is O(1) —
+    dedup-table operations no longer rehash the codes. *)
 
 val lb_cache : t -> int
 (** Cached distance lower bound, [-1] when not yet computed. Maintained by
@@ -73,22 +86,32 @@ val lb_cache : t -> int
     configuration the state was built for. *)
 
 val set_lb_cache : t -> int -> unit
+(** Cache a bound. The cache holds bounds below [65535]; a larger one
+    (the distance table's infinity) is not kept, and {!lb_cache} stays
+    [-1]. *)
 
 module Tbl : Hashtbl.S with type key = t
 (** Hash table keyed by canonical states. *)
 
 (** Per-domain scratch for the expansion hot loop.
 
-    An arena owns (1) a probe buffer and a permutation-key stamp table,
-    reused by every {!Arena.probe} so that generating-and-vetting a
-    successor allocates nothing, and (2) the current bump chunk that
-    {!Arena.commit} appends surviving states into. Pruned successors —
-    the overwhelming majority under the paper's cuts — never touch the
-    heap, and neither do survivors the caller already knows (it looks
-    them up through {!Arena.probe_view} before deciding to commit).
-    Arenas are single-domain: the parallel engine gives each worker its
-    own. Committed states remain valid for the arena's whole lifetime and
-    beyond (chunks are retired to the GC, never recycled). *)
+    An arena owns (1) int scratch: the decoded parent, a probe buffer and
+    a permutation-key stamp table, reused by every {!Arena.probe} so that
+    generating-and-vetting a successor allocates nothing, and (2) the
+    current bump chunk that {!Arena.commit} encodes surviving states into.
+    The parent is decoded on the first call that reads it ({!Arena.probe},
+    {!Arena.stage_cmp}, {!Arena.perms_without}, {!Arena.sole_holders})
+    and kept until a call names another state, so one expansion decodes
+    its parent once and every probe of it runs on ints. Only a survivor
+    is encoded, once, into the chunk's free end: {!Arena.probe_view}
+    encodes it there for the dedup lookup and {!Arena.commit} keeps it by
+    bumping past it. Pruned successors — the overwhelming majority under
+    the paper's cuts — never touch the heap, and neither do survivors the
+    caller already knows (it looks them up through {!Arena.probe_view}
+    before deciding to commit). Arenas are single-domain: the parallel
+    engine gives each worker its own. Committed states remain valid for
+    the arena's whole lifetime and beyond (chunks are retired to the GC,
+    never recycled). *)
 module Arena : sig
   type arena
 
@@ -144,6 +167,18 @@ module Arena : sig
       before probing a move into [d]. The staged probe, if any, is left
       as it was. *)
 
+  val sole_holders : arena -> t -> int
+  (** [sole_holders a s] ORs {!Machine.Assign.sole_holders} over the codes
+      of [s], three ways, packed into one int: bits 0-9 over every code,
+      bits 10-19 over the codes whose flags read lt, bits 20-29 over
+      those that read gt. Computed once per parent, without allocating:
+      one byte load per code from a table indexed by the code's register
+      fields, built once per [(n, m)] and shared by every arena. The
+      table takes [2^(3 * nregs)] bytes (32 KB at n = 4, 256 KB at n = 5,
+      2 MB at 7 registers); a configuration with 8 or 9 registers (n = 6
+      with m >= 2, n = 5 with m = 3) has none and computes each code's
+      holders instead. The staged probe, if any, is left as it was. *)
+
   val stage_cmp : arena -> Isa.Instr.t -> t -> outcome
   (** [stage_cmp a i s] stages the successor of [s] under the [cmp] [i]
       as {!probe} does, without computing any fact: a [cmp] rewrites only
@@ -173,14 +208,16 @@ module Arena : sig
   (** Number of distinct codes of the staged successor. Canonicalizes. *)
 
   val probe_view : arena -> t
-  (** The staged successor as a state whose codes are the arena's scratch
-      — for a dedup-table lookup before deciding to commit. Canonicalizes.
-      The view is transient: it is valid only until the next [probe] and
-      must never be stored (in a table, a node or a result); {!commit} is
-      the way to keep the successor. *)
+  (** The staged successor as a state whose cells sit in the chunk's free
+      end, not yet committed — for a dedup-table lookup before deciding
+      to commit. Canonicalizes and encodes. The view is transient: it is
+      valid only until the next [probe] or [stage_cmp] and must never be
+      stored (in a table, a node or a result); {!commit} is the way to
+      keep the successor. *)
 
   val commit : arena -> t
   (** Materialize the staged successor into the arena's bump chunk,
-      canonicalizing it first if no earlier call did. Only call after
-      [probe] returned [Changed]; call at most once per probe. *)
+      canonicalizing and encoding it first if no earlier call did (after
+      {!probe_view}, it only keeps the cells the view encoded). Only call
+      after [probe] returned [Changed]; call at most once per probe. *)
 end
