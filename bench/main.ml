@@ -34,20 +34,11 @@ let n5_sweep_depth =
   | Search.Prove_none depth -> depth
   | _ -> invalid_arg "Spec.n5_level is not a Prove_none sweep"
 
-let spec_row (s : Benchkit.Spec.search) =
-  ( s.label,
-    s.n,
-    (fun () -> Benchkit.Spec.run_search s),
-    fun () -> Search.run_weighed ~opts:s.opts ~mode:s.mode (Benchkit.Spec.config s) )
+let spec_row (s : Benchkit.Spec.search) = (s.label, s.n, s.opts, s.mode)
 
 let bench_search_specs =
   [
-    ( "n3-best-astar",
-      3,
-      (fun () -> Search.run ~opts:Search.best (Isa.Config.default 3)),
-      fun () ->
-        Search.run_weighed ~opts:Search.best ~mode:Search.Find_first
-          (Isa.Config.default 3) );
+    ("n3-best-astar", 3, Search.best, Search.Find_first);
     spec_row Benchkit.Spec.n4_astar;
     (* Lower-bound sweep: exhaust every program of length <= depth (only
        the optimality-safe erasure check prunes), certifying "no n=5
@@ -76,29 +67,14 @@ let bench_repeats () =
           Printf.eprintf "bench: BENCH_REPEATS must be a positive integer, got %S\n" s;
           exit 2)
 
-(* Peak resident set (VmHWM) of this process so far, in MB; 0 where
-   /proc is not there. *)
-let peak_rss_mb () =
-  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
-  | exception Sys_error _ -> 0.
-  | status ->
-      List.find_map
-        (fun line ->
-          match String.split_on_char ':' line with
-          | [ "VmHWM"; v ] ->
-              Scanf.sscanf_opt (String.trim v) "%d kB" (fun kb ->
-                  float_of_int kb /. 1024.)
-          | _ -> None)
-        (String.split_on_char '\n' status)
-      |> Option.value ~default:0.
-
-let run_bench_row (bench, bn, runit, weigh) =
+let run_bench_row (bench, bn, opts, mode) =
+  let cfg = Isa.Config.default bn in
   (* Warm the process-wide distance cache so the first repeat is not
      charged for table precomputation the others skip. *)
-  ignore (Distance.compute_cached (Isa.Config.default bn));
+  ignore (Distance.compute_cached cfg);
   let best = ref None in
   for _ = 1 to bench_repeats () do
-    let r = runit () in
+    let r = Search.run_mode ~opts ~mode cfg in
     let s = r.Search.stats in
     let sps =
       if s.Search.elapsed > 0. then
@@ -113,7 +89,7 @@ let run_bench_row (bench, bn, runit, weigh) =
   let s = r.Search.stats in
   (* The rows run in growing order, so the process's peak so far is this
      row's own; it is read before the weighing walk adds its own. *)
-  let peak_rss_mb = peak_rss_mb () in
+  let peak_rss_mb = Benchkit.Phase.self_rss_mb () in
   {
     bench;
     bn;
@@ -122,7 +98,7 @@ let run_bench_row (bench, bn, runit, weigh) =
     generated = s.Search.generated;
     expanded = s.Search.expanded;
     optimal_length = r.Search.optimal_length;
-    footprint = snd (weigh ());
+    footprint = snd (Search.run_weighed ~opts ~mode cfg);
     peak_rss_mb;
   }
 
@@ -130,7 +106,9 @@ let run_bench_row (bench, bn, runit, weigh) =
 let memory_json b =
   let f = b.footprint in
   let per bytes =
-    Json.Float (if f.Search.states = 0 then 0. else float_of_int bytes /. float_of_int f.Search.states)
+    Json.Float
+      (if f.Search.states = 0 then 0.
+       else float_of_int bytes /. float_of_int f.Search.states)
   in
   Json.Obj
     [

@@ -321,8 +321,8 @@ let code_root isa cfg =
   let codes =
     Perms.all cfg.Isa.Config.n |> List.map isa.input |> Array.of_list
   in
-  let pc = code_perms isa codes in
-  (Sstate.of_codes ~perms:pc codes, pc, Array.for_all isa.is_sorted codes)
+  ( Sstate.of_codes ~perms:(code_perms isa codes) codes,
+    Array.for_all isa.is_sorted codes )
 
 (* The same bookkeeping as [expand], without an arena: each successor's
    codes are mapped into a fresh array, its facts read off that array,

@@ -190,9 +190,10 @@ type 'i code_isa = {
       (** The value-register projection, counted by the perm-count cut. *)
 }
 
-val code_root : 'i code_isa -> Isa.Config.t -> Sstate.t * int * bool
-(** The initial state (one code per input permutation), its
-    distinct-permutation count, and whether it is already final. *)
+val code_root : 'i code_isa -> Isa.Config.t -> Sstate.t * bool
+(** The initial state (one code per input permutation), carrying its
+    distinct-permutation count by [perm_key], and whether it is already
+    final. *)
 
 val expand_codes :
   ?known:(Sstate.t -> bool) ->

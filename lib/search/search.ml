@@ -132,12 +132,12 @@ type 'i expander =
   Sstate.t ->
   'i Expand.succ list
 
-(* A machine as every engine sees it: the root state, its perm count and
-   finality, and a factory of expanders, one per domain. The engines know
-   nothing else of an instruction set. *)
+(* A machine as every engine sees it: the root state (its perm count
+   cached on it), its instructions and finality, and a factory of
+   expanders, one per domain. The engines know nothing else of an
+   instruction set. *)
 type 'i machine = {
   root : Sstate.t;
-  root_pc : int;
   instrs : 'i array;
   root_final : bool;
   expander : unit -> 'i expander;
@@ -160,9 +160,6 @@ type level_acc = {
   mutable a_open : int;
 }
 
-(* Mutable context shared by all engines. Everything a worker domain needs
-   is in the immutable [env]; the rest is touched only by the merging
-   (main) domain. *)
 type footprint = {
   states : int;
   code_bytes : int;
@@ -171,6 +168,9 @@ type footprint = {
   cell_bytes : int;
 }
 
+(* Mutable context shared by all engines. Everything a worker domain needs
+   is in the immutable [env]; the rest is touched only by the merging
+   (main) domain. *)
 type ctx = {
   env : Expand.env;
   start : float;
@@ -558,7 +558,7 @@ let run_level ctx ~pool m mode =
                 Sstate.Tbl.replace final_tbl state' fn;
                 final_order := fn :: !final_order);
             if mode = Find_first then stop := true
-        | Expand.Open { instr; state = state'; pc = _ } -> (
+        | Expand.Open { instr; state = state'; _ } -> (
             let seen_before =
               if opts.dedup then Sstate.Tbl.find_opt seen state' else None
             in
@@ -672,7 +672,7 @@ let run_astar ctx m =
       if pc < a.(g) then a.(g) <- pc
     in
     let root = root_node m in
-    note_level_pc 0 m.root_pc;
+    note_level_pc 0 (Sstate.distinct_perms ctx.env.Expand.cfg m.root);
     Sstate.Tbl.replace seen m.root 0;
     Heap.push heap (heuristic_value ctx root) root;
     let found = ref None in
@@ -756,7 +756,6 @@ let cmov_machine env =
   let root = Sstate.initial cfg in
   {
     root;
-    root_pc = Sstate.distinct_perms cfg root;
     instrs = env.Expand.instrs;
     root_final = Sstate.is_final cfg root;
     expander =
@@ -768,10 +767,9 @@ let cmov_machine env =
 
 (* Any other machine: [Expand.expand_codes] needs no scratch of its own. *)
 let code_machine env isa =
-  let root, root_pc, root_final = Expand.code_root isa env.Expand.cfg in
+  let root, root_final = Expand.code_root isa env.Expand.cfg in
   {
     root;
-    root_pc;
     instrs = isa.Expand.instrs;
     root_final;
     expander =

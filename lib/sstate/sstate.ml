@@ -3,12 +3,11 @@
    A state is a canonical (strictly increasing, deduplicated) sequence of
    assignment codes, stored as a run of fixed-width little cells in a
    shared [Bytes] chunk, so the search can bump-allocate states into large
-   chunks instead of one heap block per state. The cell width is the
-   narrowest of 3, 4 or 8 bytes that holds the state's smallest and
-   largest code: 3 for every configuration with at most 7 registers (codes
-   below 2^23), 4 above while the codes stay below 2^32. The width is a
-   function of the codes, so equal states have equal widths and [equal]
-   compares raw bytes. Cells are written and read in the machine's own
+   chunks instead of one heap block per state. The cell width is 3 bytes
+   when the state's largest code fits in 24 bits, as every code does in a
+   configuration with at most 7 registers, else 4 (codes are below 2^29).
+   The width is a function of the codes, so equal states have equal
+   widths and [equal] compares raw bytes. Cells are written and read in the machine's own
    byte order: they never leave the process.
 
    Derived facts that the engines query on every expansion — the FNV hash
@@ -77,34 +76,31 @@ let fnv_prime = 0x100000001b3
 external get16 : Bytes.t -> int -> int = "%caml_bytes_get16"
 external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16"
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
+(* The cell width of the sorted codes [lo .. hi]. *)
 let width_for ~lo ~hi =
-  if lo >= 0 && hi < 1 lsl 24 then 3 else if lo >= 0 && hi < 1 lsl 32 then 4 else 8
+  if lo < 0 || hi >= 1 lsl 32 then invalid_arg "Sstate: code out of range";
+  if hi < 1 lsl 24 then 3 else 4
 
 let get_cell b p w =
-  match w with
-  | 3 -> get16 b p lor (Char.code (Bytes.get b (p + 2)) lsl 16)
-  | 4 -> get16 b p lor (get16 b (p + 2) lsl 16)
-  | _ -> Int64.to_int (get64 b p)
+  if w = 3 then get16 b p lor (Char.code (Bytes.get b (p + 2)) lsl 16)
+  else get16 b p lor (get16 b (p + 2) lsl 16)
   [@@inline]
 
 (* Write [a.[0 .. len)] as [w]-byte cells from byte [off] of [b]. *)
 let encode (a : int array) len w b off =
-  match w with
-  | 3 ->
-      for i = 0 to len - 1 do
-        let c = a.(i) and p = off + (3 * i) in
-        set16 b p (c land 0xffff);
-        Bytes.set b (p + 2) (Char.unsafe_chr ((c lsr 16) land 0xff))
-      done
-  | 4 ->
-      for i = 0 to len - 1 do
-        let c = a.(i) and p = off + (4 * i) in
-        set16 b p (c land 0xffff);
-        set16 b (p + 2) ((c lsr 16) land 0xffff)
-      done
-  | _ -> for i = 0 to len - 1 do set64 b (off + (8 * i)) (Int64.of_int a.(i)) done
+  if w = 3 then
+    for i = 0 to len - 1 do
+      let c = a.(i) and p = off + (3 * i) in
+      set16 b p (c land 0xffff);
+      Bytes.set b (p + 2) (Char.unsafe_chr ((c lsr 16) land 0xff))
+    done
+  else
+    for i = 0 to len - 1 do
+      let c = a.(i) and p = off + (4 * i) in
+      set16 b p (c land 0xffff);
+      set16 b (p + 2) ((c lsr 16) land 0xffff)
+    done
 
 (* The codes of [t] into [dst.[0 .. size t)]. *)
 let decode t (dst : int array) =
@@ -290,7 +286,7 @@ let set_lb_cache t lb =
    time. *)
 let bytes_equal a pa b pb bytes =
   let i = ref 0 in
-  while !i + 8 <= bytes && Int64.equal (get64 a (pa + !i)) (get64 b (pb + !i)) do
+  while !i + 8 <= bytes && (get64 a (pa + !i) : int64) = get64 b (pb + !i) do
     i := !i + 8
   done;
   if !i + 8 <= bytes then false
@@ -568,7 +564,7 @@ module Arena = struct
       for i = 0 to size s - 1 do
         let c = pcodes.(i) in
         let h =
-          if tabled then Char.code (Bytes.unsafe_get table (c lsr 2))
+          if tabled then Char.code (Bytes.get table (c lsr 2))
           else Machine.Assign.sole_holders a.cfg c
         in
         any := !any lor h;

@@ -10,9 +10,9 @@
 
     Representation: a state's codes are fixed-width cells in a shared
     [Bytes] chunk (so the search can bump-allocate whole levels of states
-    into large chunks, see {!Arena}), at the narrowest width of 3, 4 or 8
-    bytes that holds its smallest and largest code: 3 bytes for every
-    configuration with at most 7 registers, 4 above. The width follows
+    into large chunks, see {!Arena}): 3 bytes each when the state's
+    largest code fits in 24 bits, as every code does in a configuration
+    with at most 7 registers, else 4. The width follows
     from the codes, so equal states share it, and {!equal} compares raw
     bytes. The record is four words: the chunk, the offset, the hash, and
     one immediate word packing the length, the width and the caches for
@@ -27,7 +27,8 @@
 type t
 (** Canonical: strictly increasing sequence of assignment codes, never
     empty. Structurally immutable; internal caches are benign-race safe
-    (deterministic values, word-sized writes). *)
+    (deterministic values, each fill one word-sized write; a fill lost to
+    a racing one is computed again). *)
 
 val initial : Isa.Config.t -> t
 (** One assignment per permutation of [1..n], scratch zeroed, flags clear. *)
@@ -38,7 +39,8 @@ val of_codes : ?perms:int -> int array -> t
     {!distinct_perms}: a machine whose permutation key is not the cmov
     layout's ([Expand.expand_codes]) records its own count there, so the
     engines can read every state's count from the state. At most
-    [2^19 - 1] distinct codes. *)
+    [2^19 - 1] distinct codes, each at least 0 and below [2^32] (every
+    machine's codes are below [2^29]); [Invalid_argument] otherwise. *)
 
 val codes : t -> int array
 (** The canonical codes as a fresh array (a copy: mutating it does not

@@ -534,6 +534,36 @@ let prop_cell_widths_match_model =
                made)
            made)
 
+(* The arena's sole-holder pass (a table at up to 7 registers, computed
+   per code above) against [Machine.Assign.sole_holders], its
+   definition: all codes, lt codes and gt codes, packed as documented. *)
+let prop_sole_holders_match_assign =
+  QCheck.Test.make ~name:"arena sole holders = Assign.sole_holders" ~count:300
+    QCheck.(triple (int_range 2 6) (int_range 0 3) (int_bound 1000000))
+    (fun (n, m, seed) ->
+      let cfgn = Isa.Config.make ~n ~m in
+      let st = Random.State.make [| seed |] in
+      let arena = Sstate.Arena.create cfgn in
+      List.for_all
+        (fun s ->
+          let over flag =
+            Sstate.fold
+              (fun acc c ->
+                if flag < 0 || Machine.Assign.flags c = flag then
+                  acc lor Machine.Assign.sole_holders cfgn c
+                else acc)
+              0 s
+          in
+          Sstate.Arena.sole_holders arena s
+          = over (-1)
+            lor (over Machine.Assign.flag_lt lsl 10)
+            lor (over Machine.Assign.flag_gt lsl 20))
+        [
+          Sstate.of_codes (wide_codes cfgn st);
+          Sstate.of_codes (wide_codes cfgn st);
+          Sstate.initial cfgn;
+        ])
+
 (* [Sstate.hash] values, pinned: the level loop's [Sstate.Tbl.fold] order
    (and so every level-engine pin) follows them. *)
 let test_hash_pins () =
@@ -596,5 +626,6 @@ let () =
           qtest prop_stage_cmp_matches_probe;
           qtest prop_map_sub_matches_apply;
           qtest prop_cell_widths_match_model;
+          qtest prop_sole_holders_match_assign;
         ] );
     ]
