@@ -147,7 +147,14 @@ type 'i machine = {
    that is not final, which has instructions to expand. *)
 let root_node m =
   let rec root =
-    { state = m.root; g = 0; paths = 1; parent = root; instr = m.instrs.(0); more = [] }
+    {
+      state = m.root;
+      g = 0;
+      paths = 1;
+      parent = root;
+      instr = m.instrs.(0);
+      more = [];
+    }
   in
   root
 
@@ -242,7 +249,8 @@ let heuristic_value ctx node =
   in
   match opts.heuristic with
   | No_heuristic -> 0
-  | Perm_count -> weigh (Sstate.distinct_perms ctx.env.Expand.cfg node.state - 1)
+  | Perm_count ->
+      weigh (Sstate.distinct_perms ctx.env.Expand.cfg node.state - 1)
   | Assign_count -> weigh (Sstate.distinct_assignments node.state - 1)
   | Dist_bound -> (
       match ctx.env.Expand.dist with
@@ -327,7 +335,9 @@ let finish ctx ~programs ~optimal_length ~solution_count ~distinct_final_states
    and [nodes] reaches beyond the array's. *)
 let weigh ctx seen nodes =
   if ctx.weigh then begin
-    let states = Array.of_list (Sstate.Tbl.fold (fun s _ acc -> s :: acc) seen []) in
+    let states =
+      Array.of_list (Sstate.Tbl.fold (fun s _ acc -> s :: acc) seen [])
+    in
     let n = Array.length states in
     let array_words = n + 1 in
     let of_states = Obj.reachable_words (Obj.repr states) - array_words in

@@ -7,8 +7,8 @@
    when the state's largest code fits in 24 bits, as every code does in a
    configuration with at most 7 registers, else 4 (codes are below 2^29).
    The width is a function of the codes, so equal states have equal
-   widths and [equal] compares raw bytes. Cells are written and read in the machine's own
-   byte order: they never leave the process.
+   widths and [equal] compares raw bytes. Cells are written and read in
+   the machine's own byte order: they never leave the process.
 
    Derived facts that the engines query on every expansion — the FNV hash
    (over the int codes, whatever the width), the distinct-permutation
@@ -31,7 +31,7 @@
    and is computed again. *)
 
 type t = {
-  buf : Bytes.t;  (* backing chunk; the cells are buf.[off .. off + len * width) *)
+  buf : Bytes.t;  (* backing chunk; cells at buf.[off .. off + len * width) *)
   off : int;  (* byte offset of the first cell *)
   hash : int;  (* FNV-1a over the int codes, precomputed *)
   mutable meta : int;  (* length, cell width and caches; layout below *)
@@ -61,6 +61,10 @@ let pack ~len ~width ~pc ~tags ~lb =
   lor ((if lb >= 0 && lb < lb_mask then lb + 1 else 0) lsl lb_shift)
   lor (width lsl width_shift)
   lor tags
+
+(* Overwrite one field of [meta] with one word-sized write. *)
+let set_field t shift mask v =
+  t.meta <- t.meta land lnot (mask lsl shift) lor (v lsl shift)
 
 let size t = t.meta lsr len_shift
 let width t = (t.meta lsr width_shift) land 15
@@ -272,7 +276,7 @@ let distinct_perms cfg t =
     for i = 1 to len - 1 do
       if keys.(i) <> keys.(i - 1) then incr d
     done;
-    t.meta <- t.meta land lnot (pc_mask lsl pc_shift) lor ((!d + 1) lsl pc_shift);
+    set_field t pc_shift pc_mask (!d + 1);
     !d
   end
 
@@ -280,7 +284,7 @@ let lb_cache t = ((t.meta lsr lb_shift) land lb_mask) - 1
 
 let set_lb_cache t lb =
   if lb >= 0 && lb < lb_mask then
-    t.meta <- t.meta land lnot (lb_mask lsl lb_shift) lor ((lb + 1) lsl lb_shift)
+    set_field t lb_shift lb_mask (lb + 1)
 
 (* The same [bytes] bytes from [pa] in [a] and [pb] in [b], eight at a
    time. *)

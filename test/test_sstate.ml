@@ -510,7 +510,11 @@ let prop_cell_widths_match_model =
         keep !s !model
       done;
       let arena = Sstate.Arena.create cfgn in
-      let s = ref (if Random.State.bool st then init else Sstate.of_codes (wide_codes cfgn st)) in
+      let s =
+        ref
+          (if Random.State.bool st then init
+           else Sstate.of_codes (wide_codes cfgn st))
+      in
       let model = ref (Sstate.codes !s) in
       for _ = 1 to 6 do
         let i = pick () in
