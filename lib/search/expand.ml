@@ -6,7 +6,6 @@ type engine = Astar | Level_sync
 type options = {
   engine : engine;
   heuristic : heuristic;
-  h_weight : float;
   cut : cut;
   action_filter : action_filter;
   erasure_check : bool;
@@ -52,6 +51,14 @@ let zero_delta () =
     pruned_viability = 0;
     pruned_bound = 0;
   }
+
+let clear_delta d =
+  d.generated <- 0;
+  d.kept <- 0;
+  d.finals <- 0;
+  d.pruned_cut <- 0;
+  d.pruned_viability <- 0;
+  d.pruned_bound <- 0
 
 let merge_delta ~into d =
   into.generated <- into.generated + d.generated;

@@ -1,7 +1,7 @@
 (** The shared, instrumented expansion core.
 
-    Every search engine — A*, level-synchronous Dijkstra, and the parallel
-    level engine — explores the same graph with the same pruning arsenal.
+    Every search engine — A* and level-synchronous Dijkstra, on one
+    domain or many — explores the same graph with the same pruning arsenal.
     This module is the single implementation of one expansion step: given a
     state at depth [g - 1], apply the action filter, generate successors,
     and vet each against the erasure check, the distance-viability bound,
@@ -28,10 +28,10 @@
     passes the cut threshold.
 
     All pruning decisions are recorded in a {!delta} — a small mutable
-    counter record private to the caller. Sequential engines pass one
-    long-lived delta per level; the parallel engine gives each worker
-    domain a fresh delta and merges them after the level drains, so the
-    prune counters are exact under parallel execution too. [expand]
+    counter record private to the caller. A* passes one long-lived delta
+    per depth; the level loop expands each node into a delta slot of its
+    own and merges it when it consumes the node, so the prune counters
+    are exact under parallel execution too. [expand]
     touches no shared mutable state: [env] is read-only and the arena is
     the caller's own, which is what makes the core safe to call from
     multiple domains at once. *)
@@ -44,7 +44,6 @@ type engine = Astar | Level_sync
 type options = {
   engine : engine;
   heuristic : heuristic;
-  h_weight : float;
   cut : cut;
   action_filter : action_filter;
   erasure_check : bool;
@@ -92,6 +91,9 @@ type delta = {
     owner merges with {!merge_delta}. *)
 
 val zero_delta : unit -> delta
+
+val clear_delta : delta -> unit
+(** [clear_delta d] zeroes every counter of [d], for reuse. *)
 
 val merge_delta : into:delta -> delta -> unit
 (** [merge_delta ~into d] adds every counter of [d] into [into]. *)

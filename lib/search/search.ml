@@ -19,7 +19,6 @@ exception Resource_exhausted = Expand.Resource_exhausted
 type options = Expand.options = {
   engine : engine;
   heuristic : heuristic;
-  h_weight : float;
   cut : cut;
   action_filter : action_filter;
   erasure_check : bool;
@@ -35,7 +34,6 @@ let default =
   {
     engine = Astar;
     heuristic = No_heuristic;
-    h_weight = 1.0;
     cut = No_cut;
     action_filter = All_actions;
     erasure_check = true;
@@ -54,9 +52,6 @@ let best =
     action_filter = Optimal_guided;
     cut = Mult 1.0;
   }
-
-let best_preserving =
-  { default with heuristic = Perm_count; cut = Mult 2.0 }
 
 type trace_point = Stats.trace_point = {
   t : float;
@@ -238,25 +233,17 @@ let acc_at ctx depth =
   if depth + 1 > ctx.max_depth then ctx.max_depth <- depth + 1;
   ctx.accs.(depth)
 
-(* A state the distance table calls dead gets [max_int / 2], unweighted,
-   so it sorts after every finite estimate: weighting it (by 2 or more)
-   would overflow into a negative priority that is popped first. *)
+(* A state the distance table calls dead gets [Distance.infinity], so
+   it sorts after every finite estimate. *)
 let heuristic_value ctx node =
-  let opts = ctx.env.Expand.opts in
-  let weigh raw =
-    if opts.h_weight = 1.0 then raw
-    else int_of_float (opts.h_weight *. float_of_int raw)
-  in
-  match opts.heuristic with
+  let env = ctx.env in
+  match env.Expand.opts.heuristic with
   | No_heuristic -> 0
-  | Perm_count ->
-      weigh (Sstate.distinct_perms ctx.env.Expand.cfg node.state - 1)
-  | Assign_count -> weigh (Sstate.distinct_assignments node.state - 1)
+  | Perm_count -> Sstate.distinct_perms env.Expand.cfg node.state - 1
+  | Assign_count -> Sstate.distinct_assignments node.state - 1
   | Dist_bound -> (
-      match ctx.env.Expand.dist with
-      | Some d ->
-          let lb = Distance.state_lower_bound d node.state in
-          if lb >= Distance.infinity then max_int / 2 else weigh lb
+      match env.Expand.dist with
+      | Some d -> Distance.state_lower_bound d node.state
       | None -> 0)
 
 let sample_trace ctx ~open_states =
@@ -367,105 +354,121 @@ let trivial_final ctx =
     ~distinct_final_states:1 ~open_states:0
 
 (* ------------------------------------------------------------------ *)
-(* Persistent domain pool with a work-stealing shared frontier.
+(* Persistent domain pool, drained chunk by chunk.
 
-   The pool is spawned once per search and parked on a condition variable
-   between levels — no per-level [Domain.spawn]/[Domain.join] churn. Each
-   level publishes one job: the frontier as a node array plus an atomic
-   cursor. Workers (and the main domain, which participates) repeatedly
-   claim the next unclaimed node index and expand it with their own
-   expander (over a per-domain arena) into a results slot private to that
-   node, with a per-domain delta — so the drain order is load-balanced and
-   nondeterministic, but the merge (performed by main, in node index
-   order, after the whole level has drained) is exactly the sequential
-   engine's merge. Delta sums are commutative, so the totals are
-   independent of both the worker count and the steal schedule. *)
+   The pool is spawned once per search. The level loop publishes its
+   frontier in node-order chunks of [1 + chunk_per_worker * workers]
+   nodes; the workers and the main domain claim the chunk's next
+   unclaimed node off an atomic cursor and expand it, each with its own
+   expander (over a per-domain arena), into that node's result and delta
+   slots. Once the chunk has drained, main alone merges it, node by node
+   in index order, so every merge and every counter is the sequential
+   one whatever the worker count and steal schedule. With no workers a
+   chunk is one node, which main expands without touching the cursor:
+   nothing is locked, synchronized or allocated per node. *)
 
-type 'i wjob = {
-  j_nodes : 'i node array;
-  j_g : int;  (* successor depth g' *)
-  j_threshold : int;
-  j_known : (Sstate.t -> bool) option;  (* reads [seen], frozen while draining *)
-  j_cursor : int Atomic.t;  (* next unclaimed node index *)
-  j_results : 'i Expand.succ list array;  (* slot per node *)
-  j_deltas : Expand.delta array;  (* slot 0 = main, slot w + 1 = worker w *)
-}
+(* Nodes per worker in a chunk: enough that the barrier after each chunk
+   costs little, few enough that a chunk's successor lists stay a sliver
+   of what the search holds. *)
+let chunk_per_worker = 256
 
 type 'i pool = {
-  p_expanders : 'i expander array;  (* one per worker *)
+  p_expanders : 'i expander array;  (* [0] main's, [w + 1] worker [w]'s *)
+  p_chunk : int;
+  p_results : 'i Expand.succ list array;  (* slot [i mod p_chunk] of node [i] *)
+  p_deltas : Expand.delta array;  (* likewise *)
+  mutable p_nodes : 'i node array;  (* the level's frontier, in merge order *)
+  mutable p_g : int;  (* successor depth g' *)
+  mutable p_threshold : int;
+  mutable p_known : (Sstate.t -> bool) option;  (* reads [seen], frozen while a chunk drains *)
+  mutable p_hi : int;  (* end of the published chunk *)
+  p_cursor : int Atomic.t;  (* next unclaimed node index *)
+  p_epoch : int Atomic.t;  (* chunks published *)
+  p_active : int Atomic.t;  (* workers still draining the chunk *)
+  p_stop : bool Atomic.t;
+  mutable p_exn : exn option;  (* a worker's, re-raised on main *)
   p_mutex : Mutex.t;
-  p_work : Condition.t;
-  p_finished : Condition.t;
-  mutable p_job : 'i wjob option;
-  mutable p_epoch : int;
-  mutable p_active : int;
-  mutable p_stop : bool;
-  mutable p_exn : exn option;
+  p_wake : Condition.t;
   mutable p_workers : unit Domain.t array;
 }
 
-let drain_job job (expand : _ expander) delta =
-  let n = Array.length job.j_nodes in
+(* Expand node [i] of the published level into its slots. *)
+let expand_node pool (expand : _ expander) i =
+  let s = i mod pool.p_chunk in
+  let d = pool.p_deltas.(s) in
+  Expand.clear_delta d;
+  pool.p_results.(s) <-
+    expand d ~known:pool.p_known ~g':pool.p_g ~threshold:pool.p_threshold
+      pool.p_nodes.(i).state
+
+(* Claim and expand nodes of the published chunk until none is left. *)
+let drain pool expand =
   let rec go () =
-    let i = Atomic.fetch_and_add job.j_cursor 1 in
-    if i < n then begin
-      job.j_results.(i) <-
-        expand delta ~known:job.j_known ~g':job.j_g ~threshold:job.j_threshold
-          job.j_nodes.(i).state;
+    let i = Atomic.fetch_and_add pool.p_cursor 1 in
+    if i < pool.p_hi then begin
+      expand_node pool expand i;
       go ()
     end
   in
   go ()
 
-let worker_loop pool wid =
-  let expand = pool.p_expanders.(wid) in
-  let epoch = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock pool.p_mutex;
-    while pool.p_epoch = !epoch && not pool.p_stop do
-      Condition.wait pool.p_work pool.p_mutex
-    done;
-    if pool.p_stop then begin
-      Mutex.unlock pool.p_mutex;
-      running := false
-    end
-    else begin
-      epoch := pool.p_epoch;
-      let job = Option.get pool.p_job in
-      Mutex.unlock pool.p_mutex;
-      (* The core raises nothing under normal operation (fault sites live
-         on the main domain), but a worker that did die would deadlock the
-         level barrier — capture and re-raise from main instead. *)
-      let exn =
-        match drain_job job expand job.j_deltas.(wid + 1) with
-        | () -> None
-        | exception e -> Some e
-      in
-      Mutex.lock pool.p_mutex;
-      (match exn with
-      | Some e when pool.p_exn = None -> pool.p_exn <- Some e
-      | _ -> ());
-      pool.p_active <- pool.p_active - 1;
-      if pool.p_active = 0 then Condition.signal pool.p_finished;
-      Mutex.unlock pool.p_mutex
-    end
-  done
+(* Wait until [ready ()], parked between [wake]s. *)
+let await pool ready =
+  Mutex.lock pool.p_mutex;
+  while not (ready ()) do
+    Condition.wait pool.p_wake pool.p_mutex
+  done;
+  Mutex.unlock pool.p_mutex
 
-(* [machine.expander ()] builds one worker's expander; it runs here, on
+(* Wake every parked domain, after what it waits on has changed. *)
+let wake pool =
+  Mutex.lock pool.p_mutex;
+  Condition.broadcast pool.p_wake;
+  Mutex.unlock pool.p_mutex
+
+let worker_loop pool w =
+  let expand = pool.p_expanders.(w + 1) in
+  let rec loop epoch =
+    await pool (fun () ->
+        Atomic.get pool.p_epoch <> epoch || Atomic.get pool.p_stop);
+    if not (Atomic.get pool.p_stop) then begin
+      let epoch = Atomic.get pool.p_epoch in
+      (* The core raises nothing under normal operation (fault sites live
+         on the main domain), but a worker that did die would hang the
+         chunk barrier: main re-raises its exception instead. *)
+      (try drain pool expand
+       with e ->
+         Mutex.lock pool.p_mutex;
+         if pool.p_exn = None then pool.p_exn <- Some e;
+         Mutex.unlock pool.p_mutex);
+      if Atomic.fetch_and_add pool.p_active (-1) = 1 then wake pool;
+      loop epoch
+    end
+  in
+  loop 0
+
+(* [machine.expander ()] builds every domain's expander; it runs here, on
    main. *)
 let make_pool ~workers machine =
+  let chunk = 1 + (chunk_per_worker * workers) in
   let pool =
     {
-      p_expanders = Array.init workers (fun _ -> machine.expander ());
-      p_mutex = Mutex.create ();
-      p_work = Condition.create ();
-      p_finished = Condition.create ();
-      p_job = None;
-      p_epoch = 0;
-      p_active = 0;
-      p_stop = false;
+      p_expanders = Array.init (workers + 1) (fun _ -> machine.expander ());
+      p_chunk = chunk;
+      p_results = Array.make chunk [];
+      p_deltas = Array.init chunk (fun _ -> Expand.zero_delta ());
+      p_nodes = [||];
+      p_g = 0;
+      p_threshold = 0;
+      p_known = None;
+      p_hi = 0;
+      p_cursor = Atomic.make 0;
+      p_epoch = Atomic.make 0;
+      p_active = Atomic.make 0;
+      p_stop = Atomic.make false;
       p_exn = None;
+      p_mutex = Mutex.create ();
+      p_wake = Condition.create ();
       p_workers = [||];
     }
   in
@@ -474,78 +477,61 @@ let make_pool ~workers machine =
   pool
 
 let shutdown_pool pool =
-  Mutex.lock pool.p_mutex;
-  pool.p_stop <- true;
-  Condition.broadcast pool.p_work;
-  Mutex.unlock pool.p_mutex;
+  Atomic.set pool.p_stop true;
+  wake pool;
   Array.iter Domain.join pool.p_workers
 
-let pool_run pool main_expand nodes ~g' ~threshold ~known =
-  let nw = Array.length pool.p_workers in
-  let job =
-    {
-      j_nodes = nodes;
-      j_g = g';
-      j_threshold = threshold;
-      j_known = known;
-      j_cursor = Atomic.make 0;
-      j_results = Array.make (Array.length nodes) [];
-      j_deltas = Array.init (nw + 1) (fun _ -> Expand.zero_delta ());
-    }
-  in
-  Mutex.lock pool.p_mutex;
-  pool.p_job <- Some job;
-  pool.p_epoch <- pool.p_epoch + 1;
-  pool.p_active <- nw;
-  Condition.broadcast pool.p_work;
-  Mutex.unlock pool.p_mutex;
-  drain_job job main_expand job.j_deltas.(0);
-  Mutex.lock pool.p_mutex;
-  while pool.p_active > 0 do
-    Condition.wait pool.p_finished pool.p_mutex
-  done;
-  let exn = pool.p_exn in
-  pool.p_exn <- None;
-  pool.p_job <- None;
-  Mutex.unlock pool.p_mutex;
-  (match exn with Some e -> raise e | None -> ());
-  job
+(* Expand nodes [lo, hi) of the published level into their slots: main
+   alone when there are no workers, else every domain off the cursor. *)
+let drain_chunk pool ~lo ~hi =
+  let workers = Array.length pool.p_workers in
+  if workers = 0 then
+    for i = lo to hi - 1 do
+      expand_node pool pool.p_expanders.(0) i
+    done
+  else begin
+    pool.p_hi <- hi;
+    Atomic.set pool.p_cursor lo;
+    Atomic.set pool.p_active workers;
+    Atomic.incr pool.p_epoch;
+    wake pool;
+    drain pool pool.p_expanders.(0);
+    await pool (fun () -> Atomic.get pool.p_active = 0);
+    Option.iter raise pool.p_exn
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Level-synchronous engine (Dijkstra order; exact cuts; all-solutions
    enumeration and non-existence proofs), the one level search for every
-   machine: it knows states, perm counts and vetted successors, never an
-   instruction set. With a pool, each level's frontier is drained by the
-   pool's workers plus the main domain, each with a private stat delta
-   and expander; the merge into the next level's dedup table (and the
-   delta merge) stays sequential on main, in node index order, so the
-   pooled and the sequential path perform the exact same merges in the
-   exact same order. *)
+   machine and every domain count: it knows states, perm counts and
+   vetted successors, never an instruction set. The pool expands each
+   chunk of the frontier; the merge into the next level's dedup table,
+   each node's delta included, runs on main in node index order, and
+   only for nodes consumed before a [Find_first] final stops the level. *)
 
-let run_level ctx ~pool m mode =
+let run_level ctx pool m mode =
   let env = ctx.env in
   let opts = env.Expand.opts in
   if m.root_final then trivial_final ctx
   else begin
-    let expand = m.expander () in
     let seen = Sstate.Tbl.create (1 lsl 16) in
     let root = root_node m in
     Sstate.Tbl.replace seen root.state 0;
-    let current = ref [ root ] in
+    let current = ref [| root |] in
     let level = ref 0 in
     let final_tbl = Sstate.Tbl.create 64 in
     let final_order = ref [] in
     let stop = ref false in
     let last_next = ref (Sstate.Tbl.create 1) in
     let track_all = mode <> Find_first in
-    while (not !stop) && !current <> [] do
+    while (not !stop) && Array.length !current > 0 do
+      let nodes = !current in
       let g' = !level + 1 in
       let a = acc_at ctx !level in
-      let current_len = List.length !current in
       let min_pc =
-        List.fold_left
+        Array.fold_left
           (fun acc n -> min acc (Sstate.distinct_perms env.Expand.cfg n.state))
-          max_int !current
+          max_int nodes
       in
       let threshold = Expand.cut_threshold opts ~min_pc in
       let next = Sstate.Tbl.create (1 lsl 12) in
@@ -600,7 +586,7 @@ let run_level ctx ~pool m mode =
          dedup is on; otherwise the frontier itself is all we hold. *)
       let live () =
         if opts.dedup then Sstate.Tbl.length seen
-        else current_len + Sstate.Tbl.length next
+        else Array.length nodes + Sstate.Tbl.length next
       in
       let consume node succs =
         check_deadline ctx;
@@ -610,24 +596,23 @@ let run_level ctx ~pool m mode =
         sample_trace ctx ~open_states:(Sstate.Tbl.length next);
         List.iter (fun s -> if not !stop then register node s) succs
       in
-      (match pool with
-      | None ->
-          List.iter
-            (fun n ->
-              if not !stop then
-                consume n (expand a.d ~known ~g' ~threshold n.state))
-            !current
-      | Some pool ->
-          let nodes = Array.of_list !current in
-          let job = pool_run pool expand nodes ~g' ~threshold ~known in
-          (* The whole level drained before this merge, so the counters
-             are independent of the worker count and steal schedule; only
-             [consume] (budget/deadline chokepoints, dedup, registration)
-             runs here, on main, in node index order. *)
-          Array.iter (fun d -> Expand.merge_delta ~into:a.d d) job.j_deltas;
-          Array.iteri
-            (fun i ss -> if not !stop then consume nodes.(i) ss)
-            job.j_results);
+      pool.p_nodes <- nodes;
+      pool.p_g <- g';
+      pool.p_threshold <- threshold;
+      pool.p_known <- known;
+      let lo = ref 0 in
+      while (not !stop) && !lo < Array.length nodes do
+        let hi = min (Array.length nodes) (!lo + pool.p_chunk) in
+        drain_chunk pool ~lo:!lo ~hi;
+        for i = !lo to hi - 1 do
+          if not !stop then begin
+            let s = i mod pool.p_chunk in
+            Expand.merge_delta ~into:a.d pool.p_deltas.(s);
+            consume nodes.(i) pool.p_results.(s)
+          end
+        done;
+        lo := hi
+      done;
       a.a_open <- Sstate.Tbl.length next;
       ctx.max_open <- max ctx.max_open (Sstate.Tbl.length next);
       (* Solutions found at level [g'] are optimal: stop unless we are
@@ -639,7 +624,11 @@ let run_level ctx ~pool m mode =
         | _ -> ());
         if env.Expand.bound < max_int && g' >= env.Expand.bound then
           stop := true;
-        current := Sstate.Tbl.fold (fun _ n acc -> n :: acc) next [];
+        (* Last folded first: the order the loop has always merged in. *)
+        let frontier = Array.make (Sstate.Tbl.length next) root in
+        let i = ref (Array.length frontier) in
+        Sstate.Tbl.fold (fun _ n () -> decr i; frontier.(!i) <- n) next ();
+        current := frontier;
         level := g'
       end
     done;
@@ -789,19 +778,15 @@ let code_machine env isa =
 
 let dispatch ?domains ctx mode m =
   match (domains, mode, ctx.env.Expand.opts.engine) with
-  | Some domains, _, _ ->
-      (* Main always participates in the drain, so [domains] total domains
-         means [domains - 1] pooled workers. [domains = 1] still runs the
-         pooled full-level drain (with zero workers): the statistics are
-         identical whatever the domain count. *)
-      let pool = make_pool ~workers:(max 0 (domains - 1)) m in
+  | None, Find_first, Astar -> run_astar ctx m
+  | _ ->
+      (* Main always takes part in the drain, so [domains] total domains
+         means [domains - 1] workers; without [domains], none. *)
+      let workers = match domains with Some d -> max 0 (d - 1) | None -> 0 in
+      let pool = make_pool ~workers m in
       Fun.protect
         ~finally:(fun () -> shutdown_pool pool)
-        (fun () -> run_level ctx ~pool:(Some pool) m mode)
-  | None, Find_first, Astar -> run_astar ctx m
-  | None, _, _ ->
-      (* Enumeration and non-existence proofs need exact level order. *)
-      run_level ctx ~pool:None m mode
+        (fun () -> run_level ctx pool m mode)
 
 let run_mode ?(opts = default) ?deadline ?domains ~mode cfg =
   let ctx = make_ctx ~mode ?deadline cfg opts in

@@ -307,7 +307,14 @@ let test_optimal_kernels_lint_clean () =
   (* An optimal kernel cannot contain a provably removable instruction —
      otherwise a shorter kernel would exist. Assert the analyzer agrees on
      every optimal n=3 kernel the enumerator can produce. *)
-  let opts = { Search.best_preserving with Search.max_solutions = 50 } in
+  let opts =
+    {
+      Search.default with
+      Search.heuristic = Search.Perm_count;
+      cut = Search.Mult 2.0;
+      max_solutions = 50;
+    }
+  in
   let r = Search.run_mode ~opts ~mode:Search.All_optimal cfg3 in
   assert (r.Search.programs <> []);
   List.iter

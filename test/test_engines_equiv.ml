@@ -26,8 +26,21 @@ let name_of opts =
     | Search.Optimal_guided -> "guided")
     (match opts.Search.max_len with None -> "-" | Some l -> string_of_int l)
 
-(* Level-sync vs parallel on the same options: identical results by
-   construction (same expansion core, same merge order). *)
+(* Everything a run reports but wall-clock artifacts: every counter and
+   the per-level rows. *)
+let strip (s : Search.stats) =
+  ( s.Search.expanded,
+    s.Search.generated,
+    s.Search.deduped,
+    s.Search.pruned_cut,
+    s.Search.pruned_viability,
+    s.Search.pruned_bound,
+    s.Search.max_open,
+    s.Search.levels )
+
+(* Level-sync vs parallel on the same options: identical results and
+   statistics by construction (same expansion core, same merge order,
+   each node's delta merged when its node is). *)
 let assert_level_parallel_agree ~mode cfg opts =
   let name = name_of opts in
   let seq =
@@ -47,6 +60,8 @@ let assert_level_parallel_agree ~mode cfg opts =
   List.iter
     (fun p -> if not (verify cfg p) then Alcotest.failf "%s: bad kernel" name)
     (seq.Search.programs @ par.Search.programs);
+  if strip seq.Search.stats <> strip par.Search.stats then
+    Alcotest.failf "%s: parallel statistics differ from sequential" name;
   (seq, par)
 
 (* Prune counters on the parallel run must be populated whenever the
@@ -131,9 +146,8 @@ let test_n3_astar_grid () =
     [ Search.No_heuristic; Search.Perm_count; Search.Dist_bound ]
 
 let test_n3_all_optimal_bit_equal () =
-  (* In All_optimal mode the whole level is processed before the engines
-     stop, so even the statistics must be bit-identical between the
-     sequential and the parallel engine. *)
+  (* The statistics must be bit-identical between the sequential and the
+     parallel engine. *)
   let cfg = Isa.Config.default 3 in
   let opts =
     { Search.best with Search.action_filter = Search.All_actions; max_solutions = 50 }
@@ -155,50 +169,98 @@ let test_n3_all_optimal_bit_equal () =
     Alcotest.fail "per-level stats differ between sequential and parallel"
 
 (* Work-stealing determinism: results and statistics are independent of
-   the domain count. The steal schedule varies run to run, but every level
-   drains fully before the (sequential, index-ordered) merge, so nothing
-   observable depends on which domain expanded which node. *)
+   the domain count, and equal to the run without [~domains]. The steal
+   schedule varies run to run, but the merge walks each chunk in node
+   order after it drained, so nothing observable depends on which domain
+   expanded which node. *)
 let test_parallel_jobs_independent () =
   let cfg = Isa.Config.default 3 in
-  let strip (s : Search.stats) =
-    (* Everything except wall-clock artifacts. *)
-    ( s.Search.expanded,
-      s.Search.generated,
-      s.Search.deduped,
-      s.Search.pruned_cut,
-      s.Search.pruned_viability,
-      s.Search.pruned_bound,
-      s.Search.max_open,
-      s.Search.levels )
-  in
+  let opts = { Search.best with Search.engine = Search.Level_sync } in
   List.iter
     (fun mode ->
-      let runs =
-        List.map
-          (fun domains ->
-            let r =
-              Search.run_mode ~opts:Search.best ~domains ~mode cfg
-            in
-            (domains, r))
-          [ 1; 2; 3; 4 ]
-      in
-      match runs with
-      | (_, first) :: rest ->
-          List.iter
-            (fun (domains, r) ->
-              check opt_len
-                (Printf.sprintf "jobs=%d optimal length" domains)
-                first.Search.optimal_length r.Search.optimal_length;
-              check Alcotest.int
-                (Printf.sprintf "jobs=%d solution count" domains)
-                first.Search.solution_count r.Search.solution_count;
-              if r.Search.programs <> first.Search.programs then
-                Alcotest.failf "jobs=%d: programs differ" domains;
-              if strip r.Search.stats <> strip first.Search.stats then
-                Alcotest.failf "jobs=%d: statistics differ" domains)
-            rest
-      | [] -> assert false)
-    [ Search.Find_first; Search.All_optimal ]
+      let first = Search.run_mode ~opts ~mode cfg in
+      List.iter
+        (fun domains ->
+          let r = Search.run_mode ~opts ~domains ~mode cfg in
+          check opt_len
+            (Printf.sprintf "jobs=%d optimal length" domains)
+            first.Search.optimal_length r.Search.optimal_length;
+          check Alcotest.int
+            (Printf.sprintf "jobs=%d solution count" domains)
+            first.Search.solution_count r.Search.solution_count;
+          if r.Search.programs <> first.Search.programs then
+            Alcotest.failf "jobs=%d: programs differ" domains;
+          if strip r.Search.stats <> strip first.Search.stats then
+            Alcotest.failf "jobs=%d: statistics differ" domains)
+        [ 1; 2; 3; 4 ])
+    [ Search.Find_first; Search.All_optimal; Search.Prove_none 10 ]
+
+(* A find-first run stops at the final's node, inside a chunk the workers
+   drained past it ([1 + 256 * workers] nodes per chunk): the nodes after
+   it were expanded but are never merged, so the last level counts only
+   the nodes the run without [~domains] consumed. *)
+let test_find_first_stops_inside_chunk () =
+  let cfg = Isa.Config.default 3 in
+  (* The last frontier holds 27,512 nodes; the final is the 2,323rd. *)
+  let opts =
+    { Search.best with Search.engine = Search.Level_sync; cut = Search.Add 2 }
+  in
+  let seq = Search.run_mode ~opts ~mode:Search.Find_first cfg in
+  let levels = seq.Search.stats.Search.levels in
+  let last = List.nth levels (List.length levels - 1) in
+  let frontier = (List.nth levels (List.length levels - 2)).Search.open_after in
+  List.iter
+    (fun domains ->
+      let chunk = 1 + (256 * (domains - 1)) in
+      if frontier <= chunk || last.Search.nodes_expanded mod chunk = 0 then
+        Alcotest.failf "jobs=%d: the stop is not inside a chunk" domains;
+      let par = Search.run_mode ~opts ~domains ~mode:Search.Find_first cfg in
+      if par.Search.programs <> seq.Search.programs then
+        Alcotest.failf "jobs=%d: programs differ" domains;
+      if strip par.Search.stats <> strip seq.Search.stats then
+        Alcotest.failf "jobs=%d: statistics differ" domains)
+    [ 2; 3; 4 ]
+
+(* The deadline and budget checks run on main as each node is consumed,
+   so a fault or a budget trips at the same consumed node whatever the
+   domain count: [Fault.hits] counts the checks that ran. *)
+let test_faults_fire_at_same_node () =
+  let cfg = Isa.Config.default 3 in
+  let opts = { Search.best with Search.engine = Search.Level_sync } in
+  let with_plan spec f =
+    match Fault.plan_of_string spec with
+    | Error e -> Alcotest.fail e
+    | Ok plan ->
+        Fault.install plan;
+        Fun.protect ~finally:Fault.disarm f
+  in
+  let hits () =
+    (Fault.hits Fault.Search_deadline, Fault.hits Fault.Search_alloc_budget)
+  in
+  let trip ?domains ~opts spec =
+    with_plan spec (fun () ->
+        match Search.run_mode ~opts ?domains ~mode:Search.Find_first cfg with
+        | exception Search.Timeout -> (-1, hits ())
+        | exception Search.Resource_exhausted { live; _ } -> (live, hits ())
+        | _ -> Alcotest.failf "%s: the search ran to completion" spec)
+  in
+  let budget = { opts with Search.state_budget = Some 1_000 } in
+  List.iter
+    (fun (name, opts, spec) ->
+      let first = trip ~opts spec in
+      List.iter
+        (fun domains ->
+          check
+            Alcotest.(pair int (pair int int))
+            (Printf.sprintf "%s, jobs=%d: live, deadline and budget checks"
+               name domains)
+            first (trip ~domains ~opts spec))
+        [ 1; 2; 3; 4 ])
+    [
+      ("deadline fault", opts, "search.deadline=nth:300");
+      ("budget fault", opts, "search.alloc_budget=nth:300");
+      ("state budget", budget, "seed=1");
+    ]
 
 let test_n2_all_modes_agree () =
   let cfg = Isa.Config.default 2 in
@@ -277,6 +339,10 @@ let () =
             test_n3_all_optimal_bit_equal;
           Alcotest.test_case "results independent of jobs" `Quick
             test_parallel_jobs_independent;
+          Alcotest.test_case "find-first stops inside a chunk" `Quick
+            test_find_first_stops_inside_chunk;
+          Alcotest.test_case "faults fire at the same node" `Quick
+            test_faults_fire_at_same_node;
         ] );
       ( "n2",
         [ Alcotest.test_case "all modes agree" `Quick test_n2_all_modes_agree ] );

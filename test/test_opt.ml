@@ -307,7 +307,12 @@ let judgments buf cfg p =
 let characterization_corpus () =
   let cfg3 = Isa.Config.default 3 in
   let opts =
-    { Search.best_preserving with Search.cut = Search.Mult 1.0; max_solutions = 100_000 }
+    {
+      Search.default with
+      Search.heuristic = Search.Perm_count;
+      cut = Search.Mult 1.0;
+      max_solutions = 100_000;
+    }
   in
   let optima = (Search.run_mode ~opts ~mode:Search.All_optimal cfg3).Search.programs in
   let st = Random.State.make [| 2025 |] in

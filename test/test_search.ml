@@ -47,7 +47,12 @@ let test_n3_all_configs_agree () =
       | [] -> Alcotest.failf "%s: no kernel found" name)
     [
       ("best", Search.best);
-      ("best_preserving", Search.best_preserving);
+      ( "perm_count_cut2",
+        {
+          Search.default with
+          Search.heuristic = Search.Perm_count;
+          cut = Search.Mult 2.0;
+        } );
       ("perm_count", { Search.default with Search.heuristic = Search.Perm_count });
       ( "assign_count",
         { Search.default with Search.heuristic = Search.Assign_count } );
@@ -483,47 +488,30 @@ let test_vet_order_stats_pinned () =
     ~opts:{ Search.best with Search.max_len = Some 12 }
     (53_799, 4_204, 11_715, (24_464, 11_899, 1_283), 1_745, Some 11)
 
-(* A dead state's [Dist_bound] estimate stays unweighted: at a weight of
-   2 or more, weighting the [max_int / 2] sentinel overflowed into a
-   negative priority, so A* popped dead states first (153 expansions
-   instead of 8 at w = 2, 91 instead of 6 at w = 3). With neither
-   viability check on, dead states do reach the open list. From w = 3 on
-   the weighted search settles for a length-5 kernel, which weighted A*
-   may. *)
-let test_weighted_dead_state_sorts_last () =
+(* A dead state's [Dist_bound] estimate is [Distance.infinity], which
+   sorts after every finite priority and cannot overflow when the depth
+   is added. With neither viability check on, dead states do reach the
+   open list. *)
+let test_dead_state_sorts_last () =
   let cfg = Isa.Config.default 2 in
-  let run w =
-    let opts =
-      {
-        Search.default with
-        Search.heuristic = Search.Dist_bound;
-        h_weight = w;
-        erasure_check = false;
-        dist_viability = false;
-        max_len = Some 12;
-      }
-    in
-    let r = Search.run ~opts cfg in
-    (r.Search.stats.Search.expanded, r.Search.optimal_length)
+  let opts =
+    {
+      Search.default with
+      Search.heuristic = Search.Dist_bound;
+      erasure_check = false;
+      dist_viability = false;
+      max_len = Some 12;
+    }
   in
-  List.iter
-    (fun (w, expected) ->
-      check
-        Alcotest.(pair int (option int))
-        (Printf.sprintf "w=%g expanded, length" w)
-        expected (run w))
-    [
-      (1.99, (8, Some 4));
-      (2.0, (8, Some 4));
-      (3.0, (6, Some 5));
-      (1e6, (5, Some 5));
-    ]
+  let r = Search.run ~opts cfg in
+  check
+    Alcotest.(pair int (option int))
+    "expanded, length" (16, Some 4)
+    (r.Search.stats.Search.expanded, r.Search.optimal_length)
 
 (* A* searches whose open list holds many equal priorities, so the pop
    order among ties (first pushed, first popped) decides which states are
-   expanded: no heuristic, where every node of a depth ties, and the
-   weight 0.5 of the n=5 experiment, which halves and truncates the
-   perm-count estimate. *)
+   expanded: no heuristic, where every node of a depth ties. *)
 let test_tie_order_stats_pinned () =
   let n3 = Isa.Config.default 3 in
   pin_find_first "n=3 A* no heuristic" ~cfg:n3
@@ -536,13 +524,7 @@ let test_tie_order_stats_pinned () =
         Search.heuristic = Search.No_heuristic;
         cut = Search.Mult 1.5;
       }
-    (376_795, 27_489, 90_901, (155_510, 97_522, 0), 16_029, Some 11);
-  pin_find_first "n=3 A* h_weight 0.5" ~cfg:n3
-    ~opts:{ Search.best with Search.h_weight = 0.5 }
-    (53_174, 4_155, 12_114, (24_688, 11_855, 0), 1_745, Some 11);
-  pin_find_first "n=4 A* h_weight 0.5" ~cfg:(Isa.Config.default 4)
-    ~opts:{ Search.best with Search.h_weight = 0.5 }
-    (7_361_737, 274_240, 659_144, (4_082_568, 2_345_328, 0), 80_559, Some 20)
+    (376_795, 27_489, 90_901, (155_510, 97_522, 0), 16_029, Some 11)
 
 (* A from-scratch classifier for one expansion, the oracle for
    [Expand.expand]: every successor is built with [Sstate.apply], read
@@ -791,8 +773,8 @@ let () =
             test_vet_order_stats_pinned;
           Alcotest.test_case "tie order stats pinned" `Quick
             test_tie_order_stats_pinned;
-          Alcotest.test_case "weighted dead state sorts last" `Quick
-            test_weighted_dead_state_sorts_last;
+          Alcotest.test_case "dead state sorts last" `Quick
+            test_dead_state_sorts_last;
         ] );
       ( "enumeration",
         [
