@@ -21,7 +21,7 @@ let () =
     (ts r.Search.stats.Search.elapsed)
     (Printf.sprintf "%d distinct solutions" r.Search.solution_count);
   (* SMT (bit-blasted onto the in-repo CDCL solver). *)
-  let s = Smtlite.synth_cegis ~len:4 n in
+  let s = Smtlite.synth_cegis Smtlite.cmov ~len:4 n in
   row "SMT-CEGIS"
     (match s.Smtlite.outcome with
     | Smtlite.Found p -> Printf.sprintf "found len %d" (Array.length p)
@@ -30,14 +30,14 @@ let () =
     (ts s.Smtlite.elapsed)
     (Printf.sprintf "%d CEGIS iterations, %d conflicts" s.Smtlite.cegis_iterations
        s.Smtlite.sat_conflicts);
-  let s = Smtlite.synth_perm ~len:3 n in
+  let s = Smtlite.synth_perm Smtlite.cmov ~len:3 n in
   row "SMT-PERM (len 3)"
     (match s.Smtlite.outcome with
     | Smtlite.Unsat_length -> "UNSAT: 4 is minimal"
     | _ -> "unexpected")
     (ts s.Smtlite.elapsed) "solver-based minimality proof";
   (* Constraint programming. *)
-  let c = Csp.Model.synth ~len:4 n in
+  let c = Csp.Model.synth Csp.Model.cmov ~len:4 n in
   row "CP (FD propagation)"
     (match c.Csp.Model.outcome with
     | Csp.Model.Found p -> Printf.sprintf "found len %d" (Array.length p)

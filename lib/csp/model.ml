@@ -1,3 +1,68 @@
+type 'i isa = {
+  ops : int;
+  decode : int -> int -> int -> 'i;
+  cmp_op : int option;
+  flag_bits : int;
+  writes_reg : int -> bool;
+  writes_flags : int -> bool;
+  value : int -> int -> int -> (int -> bool) -> int;
+  flag : int -> int -> int -> int -> bool;
+  run : Isa.Config.t -> 'i array -> int array -> int array;
+}
+
+(* Opcode codes: mov, cmp, cmovl, cmovg. *)
+let cmov =
+  let decode op dst src =
+    let op =
+      match op with
+      | 0 -> Isa.Instr.Mov
+      | 1 -> Isa.Instr.Cmp
+      | 2 -> Isa.Instr.Cmovl
+      | _ -> Isa.Instr.Cmovg
+    in
+    { Isa.Instr.op; dst; src }
+  in
+  {
+    ops = 4;
+    decode;
+    cmp_op = Some 1;
+    flag_bits = 2;
+    writes_reg = (fun o -> o <> 1);
+    writes_flags = (fun o -> o = 1);
+    value =
+      (fun o a b flag ->
+        if o = 0 then b
+        else if o = 2 then if flag 0 then b else a
+        else if flag 1 then b
+        else a);
+    flag = (fun _ a b bit -> if bit = 0 then a < b else a > b);
+    run = Machine.Exec.run;
+  }
+
+(* Opcode codes: movdqa, pmin, pmax. *)
+let minmax =
+  let decode op dst src =
+    let op =
+      match op with
+      | 0 -> Minmax.Vinstr.Movdqa
+      | 1 -> Minmax.Vinstr.Pmin
+      | _ -> Minmax.Vinstr.Pmax
+    in
+    { Minmax.Vinstr.op; dst; src }
+  in
+  {
+    ops = 3;
+    decode;
+    cmp_op = None;
+    flag_bits = 0;
+    writes_reg = (fun _ -> true);
+    writes_flags = (fun _ -> false);
+    value =
+      (fun o a b _ -> if o = 0 then b else if o = 1 then min a b else max a b);
+    flag = (fun _ _ _ _ -> false);
+    run = Minmax.Vexec.run;
+  }
+
 type goal = Goal_exact | Goal_ascending_present
 
 type options = {
@@ -17,33 +82,17 @@ let default =
     erasure_pruning = true;
   }
 
-type outcome = Found of Isa.Program.t | Exhausted | Node_limit
+type 'i outcome = Found of 'i array | Exhausted | Node_limit
 
-type result = {
-  outcome : outcome;
-  solutions : Isa.Program.t list;
+type 'i result = {
+  outcome : 'i outcome;
+  solutions : 'i array list;
   nodes : int;
   elapsed : float;
 }
 
-(* Opcode codes in the CP model. *)
-let op_mov = 0
-let op_cmp = 1
-let op_cmovl = 2
-let op_cmovg = 3
-
-let instr_of_codes op dst src =
-  let op =
-    match op with
-    | 0 -> Isa.Instr.Mov
-    | 1 -> Isa.Instr.Cmp
-    | 2 -> Isa.Instr.Cmovl
-    | _ -> Isa.Instr.Cmovg
-  in
-  { Isa.Instr.op; dst; src }
-
 let synth ?(opts = default) ?(node_limit = max_int) ?(all_solutions = false)
-    ~len n =
+    isa ~len n =
   let start = Unix.gettimeofday () in
   let cfg = Isa.Config.default n in
   let k = Isa.Config.nregs cfg in
@@ -55,7 +104,7 @@ let synth ?(opts = default) ?(node_limit = max_int) ?(all_solutions = false)
   let rec mk s acc =
     if s = len then Array.of_list (List.rev acc)
     else begin
-      let o = Fd.new_var t ~lo:0 ~hi:3 in
+      let o = Fd.new_var t ~lo:0 ~hi:(isa.ops - 1) in
       let d = Fd.new_var t ~lo:0 ~hi:(k - 1) in
       let sr = Fd.new_var t ~lo:0 ~hi:(k - 1) in
       mk (s + 1) ((o, d, sr) :: acc)
@@ -65,13 +114,17 @@ let synth ?(opts = default) ?(node_limit = max_int) ?(all_solutions = false)
   let ops = Array.map (fun (o, _, _) -> o) decisions in
   let dsts = Array.map (fun (_, d, _) -> d) decisions in
   let srcs = Array.map (fun (_, _, sr) -> sr) decisions in
-  (* State variables: value.(step).(perm).(reg), flags lt/gt in {0,1}. *)
+  (* State variables: value.(step).(perm).(reg), then each flag bit
+     flag.(b).(step).(perm) in {0,1}. *)
   let value =
     Array.init (len + 1) (fun _ ->
         Array.init np (fun _ -> Array.init k (fun _ -> Fd.new_var t ~lo:0 ~hi:n)))
   in
-  let flt = Array.init (len + 1) (fun _ -> Array.init np (fun _ -> Fd.new_var t ~lo:0 ~hi:1)) in
-  let fgt = Array.init (len + 1) (fun _ -> Array.init np (fun _ -> Fd.new_var t ~lo:0 ~hi:1)) in
+  let flag =
+    Array.init isa.flag_bits (fun _ ->
+        Array.init (len + 1) (fun _ ->
+            Array.init np (fun _ -> Fd.new_var t ~lo:0 ~hi:1)))
+  in
   (* Initial state. *)
   List.iteri
     (fun pi perm ->
@@ -79,8 +132,7 @@ let synth ?(opts = default) ?(node_limit = max_int) ?(all_solutions = false)
         let v = if r < n then perm.(r) else 0 in
         Fd.post t (fun t -> Fd.assign t value.(0).(pi).(r) v)
       done;
-      Fd.post t (fun t -> Fd.assign t flt.(0).(pi) 0);
-      Fd.post t (fun t -> Fd.assign t fgt.(0).(pi) 0))
+      Array.iter (fun f -> Fd.post t (fun t -> Fd.assign t f.(0).(pi) 0)) flag)
     perms;
   (* dst <> src. *)
   for s = 0 to len - 1 do
@@ -90,39 +142,45 @@ let synth ?(opts = default) ?(node_limit = max_int) ?(all_solutions = false)
         else if Fd.is_fixed t sr then Fd.remove_value t d (Fd.value t sr)
         else true)
   done;
-  (* Heuristic (II): cmp operands ascending. *)
-  if opts.cmp_symmetry then
-    for s = 0 to len - 1 do
-      let o = ops.(s) and d = dsts.(s) and sr = srcs.(s) in
-      Fd.post t ~watch:[ o; d; sr ] (fun t ->
-          if Fd.is_fixed t o && Fd.value t o = op_cmp && Fd.is_fixed t d then begin
-            let dv = Fd.value t d in
-            let ok = ref true in
-            for x = 0 to dv do
-              if !ok then ok := Fd.remove_value t sr x
-            done;
-            !ok
-          end
-          else true)
-    done;
-  (* Heuristic (I): no consecutive compares. *)
-  if opts.no_consecutive_cmp then
-    for s = 0 to len - 2 do
-      let a = ops.(s) and b = ops.(s + 1) in
-      Fd.post t ~watch:[ a ] (fun t ->
-          if Fd.is_fixed t a && Fd.value t a = op_cmp then
-            Fd.remove_value t b op_cmp
-          else true)
-    done;
-  if opts.first_is_cmp && len > 0 then
-    Fd.post t (fun t -> Fd.assign t ops.(0) op_cmp);
+  (match isa.cmp_op with
+  | None -> ()
+  | Some op_cmp ->
+      (* Heuristic (II): cmp operands ascending. *)
+      if opts.cmp_symmetry then
+        for s = 0 to len - 1 do
+          let o = ops.(s) and d = dsts.(s) and sr = srcs.(s) in
+          Fd.post t ~watch:[ o; d; sr ] (fun t ->
+              if Fd.is_fixed t o && Fd.value t o = op_cmp && Fd.is_fixed t d
+              then begin
+                let dv = Fd.value t d in
+                let ok = ref true in
+                for x = 0 to dv do
+                  if !ok then ok := Fd.remove_value t sr x
+                done;
+                !ok
+              end
+              else true)
+        done;
+      (* Heuristic (I): no consecutive compares. *)
+      if opts.no_consecutive_cmp then
+        for s = 0 to len - 2 do
+          let a = ops.(s) and b = ops.(s + 1) in
+          Fd.post t ~watch:[ a ] (fun t ->
+              if Fd.is_fixed t a && Fd.value t a = op_cmp then
+                Fd.remove_value t b op_cmp
+              else true)
+        done;
+      if opts.first_is_cmp && len > 0 then
+        Fd.post t (fun t -> Fd.assign t ops.(0) op_cmp));
   (* Transition propagators: once the instruction at step s and the state at
      step s are fixed, the state at step s+1 follows functionally. *)
   for s = 0 to len - 1 do
     List.iteri
       (fun pi _ ->
+        let flags = Array.map (fun f -> f.(s).(pi)) flag in
         let deps =
-          [ ops.(s); dsts.(s); srcs.(s); flt.(s).(pi); fgt.(s).(pi) ]
+          [ ops.(s); dsts.(s); srcs.(s) ]
+          @ Array.to_list flags
           @ Array.to_list value.(s).(pi)
         in
         Fd.post t ~watch:deps (fun t ->
@@ -133,23 +191,22 @@ let synth ?(opts = default) ?(node_limit = max_int) ?(all_solutions = false)
               and d = Fd.value t dsts.(s)
               and sr = Fd.value t srcs.(s) in
               let cur r = Fd.value t value.(s).(pi).(r) in
-              let lt = Fd.value t flt.(s).(pi) = 1 in
-              let gt = Fd.value t fgt.(s).(pi) = 1 in
+              let now b = Fd.value t flags.(b) = 1 in
               let ok = ref true in
               let set_reg r v = ok := !ok && Fd.assign t value.(s + 1).(pi).(r) v in
-              let set_flags l g =
-                ok := !ok && Fd.assign t flt.(s + 1).(pi) (Bool.to_int l);
-                ok := !ok && Fd.assign t fgt.(s + 1).(pi) (Bool.to_int g)
-              in
+              let writes = isa.writes_reg o in
               (* Untouched registers carry over. *)
               for r = 0 to k - 1 do
-                if not (o <> op_cmp && r = d) then set_reg r (cur r)
+                if not (writes && r = d) then set_reg r (cur r)
               done;
-              if o = op_mov then set_reg d (cur sr)
-              else if o = op_cmovl then set_reg d (if lt then cur sr else cur d)
-              else if o = op_cmovg then set_reg d (if gt then cur sr else cur d);
-              if o = op_cmp then set_flags (cur d < cur sr) (cur d > cur sr)
-              else set_flags lt gt;
+              if writes then set_reg d (isa.value o (cur d) (cur sr) now);
+              for b = 0 to isa.flag_bits - 1 do
+                let v =
+                  if isa.writes_flags o then isa.flag o (cur d) (cur sr) b
+                  else now b
+                in
+                ok := !ok && Fd.assign t flag.(b).(s + 1).(pi) (Bool.to_int v)
+              done;
               (* Redundant viability constraint: no value erased. *)
               if !ok && opts.erasure_pruning then begin
                 let mask = ref 0 in
@@ -192,15 +249,17 @@ let synth ?(opts = default) ?(node_limit = max_int) ?(all_solutions = false)
               end
               else true))
     perms;
-  (* Search: label instructions chronologically. *)
+  (* Search: label instructions chronologically; every solution is checked
+     on all n! inputs by the ISA's own interpreter. *)
   let solutions = ref [] in
   let on_solution t =
     let p =
       Array.init len (fun s ->
-          instr_of_codes (Fd.value t ops.(s)) (Fd.value t dsts.(s))
+          isa.decode (Fd.value t ops.(s)) (Fd.value t dsts.(s))
             (Fd.value t srcs.(s)))
     in
-    if Machine.Exec.sorts_all_permutations cfg p then solutions := p :: !solutions;
+    if Machine.Exec.first_unsorted n (isa.run cfg p) = None then
+      solutions := p :: !solutions;
     not all_solutions
   in
   let res = Fd.solve ~on_solution ~node_limit t in
@@ -218,11 +277,12 @@ let synth ?(opts = default) ?(node_limit = max_int) ?(all_solutions = false)
     elapsed = Unix.gettimeofday () -. start;
   }
 
-let find_min_length ?(opts = default) ?(node_limit = max_int) ?(max_len = 12) n =
+let find_min_length ?(opts = default) ?(node_limit = max_int) ?(max_len = 12)
+    isa n =
   let rec go len acc =
     if len > max_len then List.rev acc
     else
-      let r = synth ~opts ~node_limit ~len n in
+      let r = synth ~opts ~node_limit isa ~len n in
       let acc = (len, r) :: acc in
       match r.outcome with
       | Found _ | Node_limit -> List.rev acc

@@ -260,7 +260,7 @@ let e5 ~full =
 
 let e6 ~full =
   let budget = if full then 2_000_000 else 120_000 in
-  let show name (r : Smtlite.result) extra =
+  let show name (r : _ Smtlite.result) extra =
     [
       name;
       (match r.Smtlite.outcome with
@@ -275,14 +275,17 @@ let e6 ~full =
   in
   let rows =
     [
-      show "SMT-PERM n=2 len=4" (Smtlite.synth_perm ~len:4 2) "";
-      show "SMT-PERM n=2 len=3" (Smtlite.synth_perm ~len:3 2) "minimality proof";
-      show "SMT-CEGIS n=2 len=4" (Smtlite.synth_cegis ~len:4 2) "";
+      show "SMT-PERM n=2 len=4" (Smtlite.synth_perm Smtlite.cmov ~len:4 2) "";
+      show "SMT-PERM n=2 len=3"
+        (Smtlite.synth_perm Smtlite.cmov ~len:3 2)
+        "minimality proof";
+      show "SMT-CEGIS n=2 len=4" (Smtlite.synth_cegis Smtlite.cmov ~len:4 2) "";
       show "SMT-CEGIS n=2 (asc. goal)"
-        (Smtlite.synth_cegis ~goal:Smtlite.Goal_ascending_present ~len:4 2)
+        (Smtlite.synth_cegis ~goal:Smtlite.Goal_ascending_present Smtlite.cmov
+           ~len:4 2)
         "";
       show "SMT-CEGIS n=3 len=11"
-        (Smtlite.synth_cegis ~conflict_limit:budget ~len:11 3)
+        (Smtlite.synth_cegis ~conflict_limit:budget Smtlite.cmov ~len:11 3)
         (Printf.sprintf "budget %d conflicts" budget);
     ]
   in
@@ -317,7 +320,7 @@ let e6 ~full =
 (* ------------------------------------------------------------------ *)
 (* E7/E8/E9: constraint programming. *)
 
-let cp_row name (r : Csp.Model.result) =
+let cp_row name (r : _ Csp.Model.result) =
   [
     name;
     (match r.Csp.Model.outcome with
@@ -332,9 +335,10 @@ let e7 ~full =
   let limit = if full then 50_000_000 else 3_000_000 in
   let rows =
     [
-      cp_row "CP n=2 len=4" (Csp.Model.synth ~len:4 2);
-      cp_row "CP n=2 len=3" (Csp.Model.synth ~len:3 2);
-      cp_row "CP n=3 len=11" (Csp.Model.synth ~node_limit:limit ~len:11 3);
+      cp_row "CP n=2 len=4" (Csp.Model.synth Csp.Model.cmov ~len:4 2);
+      cp_row "CP n=2 len=3" (Csp.Model.synth Csp.Model.cmov ~len:3 2);
+      cp_row "CP n=3 len=11"
+        (Csp.Model.synth ~node_limit:limit Csp.Model.cmov ~len:11 3);
       cp_row "ILP n=2 len=4"
         (let r = Ilp.Model.synth ~len:4 2 in
          {
@@ -395,7 +399,8 @@ let e8 ~full:_ =
   in
   let rows =
     List.map
-      (fun (name, opts) -> cp_row name (Csp.Model.synth ~opts ~len:4 2))
+      (fun (name, opts) ->
+        cp_row name (Csp.Model.synth ~opts Csp.Model.cmov ~len:4 2))
       variants
   in
   Table.print
@@ -406,7 +411,7 @@ let e8 ~full:_ =
     rows
 
 let e9 ~full:_ =
-  let cp = Csp.Model.synth ~all_solutions:true ~len:4 2 in
+  let cp = Csp.Model.synth ~all_solutions:true Csp.Model.cmov ~len:4 2 in
   let enum =
     Search.run_mode
       ~opts:
@@ -971,23 +976,30 @@ let e20 ~full =
   List.iter bench (if full then [ 3; 4 ] else [ 3 ]);
   (* Solver-based min/max synthesis (paper 5.4: CP 15.8 s, SMT 10 s for
      n=3; neither solves n=4). *)
-  let smt = Smtlite.Vmodel.synth_cegis ~conflict_limit:300_000 ~len:8 3 in
-  let cp = Csp.Vmodel.synth ~node_limit:(if full then 20_000_000 else 2_000_000) ~len:8 3 in
+  let smt =
+    Smtlite.synth_cegis ~conflict_limit:300_000 Smtlite.minmax ~len:8 3
+  in
+  let cp =
+    Csp.Model.synth
+      ~opts:{ Csp.Model.default with Csp.Model.goal = Csp.Model.Goal_exact }
+      ~node_limit:(if full then 20_000_000 else 2_000_000)
+      Csp.Model.minmax ~len:8 3
+  in
   Table.print ~title:"Solver-based min/max synthesis for n=3 (paper: SMT 10 s, CP 15.8 s)"
     [ "technique"; "outcome"; "time" ]
     [
       [ "SMT (CDCL, CEGIS)";
-        (match smt.Smtlite.Vmodel.outcome with
-        | Smtlite.Vmodel.Found p -> Printf.sprintf "found len %d" (Array.length p)
-        | Smtlite.Vmodel.Unsat_length -> "UNSAT"
-        | Smtlite.Vmodel.Budget_exhausted -> "budget exhausted");
-        tstr smt.Smtlite.Vmodel.elapsed ];
+        (match smt.Smtlite.outcome with
+        | Smtlite.Found p -> Printf.sprintf "found len %d" (Array.length p)
+        | Smtlite.Unsat_length -> "UNSAT"
+        | Smtlite.Budget_exhausted -> "budget exhausted");
+        tstr smt.Smtlite.elapsed ];
       [ "CP (FD, no learning)";
-        (match cp.Csp.Vmodel.outcome with
-        | Csp.Vmodel.Found p -> Printf.sprintf "found len %d" (Array.length p)
-        | Csp.Vmodel.Exhausted -> "exhausted"
-        | Csp.Vmodel.Node_limit -> "node limit");
-        tstr cp.Csp.Vmodel.elapsed ];
+        (match cp.Csp.Model.outcome with
+        | Csp.Model.Found p -> Printf.sprintf "found len %d" (Array.length p)
+        | Csp.Model.Exhausted -> "exhausted"
+        | Csp.Model.Node_limit -> "node limit");
+        tstr cp.Csp.Model.elapsed ];
     ];
   (* Hybrid kernels (Section 5.4): certify at n=2 that mixing the files
      never beats staying in one. *)

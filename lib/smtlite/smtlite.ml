@@ -1,4 +1,89 @@
-module Vmodel = Vmodel
+type step = {
+  choice : int;
+  dom : int;
+  now : int array array;
+  next : int array array;
+  flags : int array;
+  flags' : int array;
+}
+
+type 'i isa = {
+  universe : Isa.Config.t -> 'i array;
+  flag_bits : int;
+  writes : 'i -> int option;
+  writes_flags : 'i -> bool;
+  is_cmp : 'i -> bool;
+  semantics : Sat.t -> step -> 'i -> unit;
+  run : Isa.Config.t -> 'i array -> int array -> int array;
+}
+
+(* [dst := src] when the instruction is chosen. *)
+let copy s st ~dst ~src =
+  for v = 0 to st.dom - 1 do
+    Sat.add_clause s [ -st.choice; -st.now.(src).(v); st.next.(dst).(v) ]
+  done
+
+let cmov =
+  let semantics s st (instr : Isa.Instr.t) =
+    let i = st.choice and d = instr.dst and src = instr.src in
+    let cmov_on f =
+      for v = 0 to st.dom - 1 do
+        Sat.add_clause s [ -i; -f; -st.now.(src).(v); st.next.(d).(v) ];
+        Sat.add_clause s [ -i; f; -st.now.(d).(v); st.next.(d).(v) ]
+      done
+    in
+    match instr.op with
+    | Isa.Instr.Mov -> copy s st ~dst:d ~src
+    | Isa.Instr.Cmp ->
+        let lt' = st.flags'.(0) and gt' = st.flags'.(1) in
+        for va = 0 to st.dom - 1 do
+          for vb = 0 to st.dom - 1 do
+            let base = [ -i; -st.now.(d).(va); -st.now.(src).(vb) ] in
+            Sat.add_clause s ((if va < vb then lt' else -lt') :: base);
+            Sat.add_clause s ((if va > vb then gt' else -gt') :: base)
+          done
+        done
+    | Isa.Instr.Cmovl -> cmov_on st.flags.(0)
+    | Isa.Instr.Cmovg -> cmov_on st.flags.(1)
+  in
+  {
+    universe = Isa.Instr.all;
+    flag_bits = 2;
+    writes = Isa.Instr.writes;
+    writes_flags = (fun i -> i.Isa.Instr.op = Isa.Instr.Cmp);
+    is_cmp = (fun i -> i.Isa.Instr.op = Isa.Instr.Cmp);
+    semantics;
+    run = Machine.Exec.run;
+  }
+
+let minmax =
+  let semantics s st (instr : Minmax.Vinstr.t) =
+    let d = instr.dst and src = instr.src in
+    let apply f =
+      for va = 0 to st.dom - 1 do
+        for vb = 0 to st.dom - 1 do
+          Sat.add_clause s
+            [
+              -st.choice; -st.now.(d).(va); -st.now.(src).(vb);
+              st.next.(d).(f va vb);
+            ]
+        done
+      done
+    in
+    match instr.op with
+    | Minmax.Vinstr.Movdqa -> copy s st ~dst:d ~src
+    | Minmax.Vinstr.Pmin -> apply min
+    | Minmax.Vinstr.Pmax -> apply max
+  in
+  {
+    universe = Minmax.Vinstr.all;
+    flag_bits = 0;
+    writes = (fun i -> Some i.Minmax.Vinstr.dst);
+    writes_flags = (fun _ -> false);
+    is_cmp = (fun _ -> false);
+    semantics;
+    run = Minmax.Vexec.run;
+  }
 
 type goal = Goal_exact | Goal_ascending_present
 
@@ -7,10 +92,10 @@ type heuristics = { no_consecutive_cmp : bool; first_is_cmp : bool }
 let no_heuristics = { no_consecutive_cmp = false; first_is_cmp = false }
 let default_heuristics = { no_consecutive_cmp = true; first_is_cmp = false }
 
-type outcome = Found of Isa.Program.t | Unsat_length | Budget_exhausted
+type 'i outcome = Found of 'i array | Unsat_length | Budget_exhausted
 
-type result = {
-  outcome : outcome;
+type 'i result = {
+  outcome : 'i outcome;
   elapsed : float;
   sat_conflicts : int;
   cegis_iterations : int;
@@ -20,11 +105,12 @@ type result = {
 (* One encoded synthesis problem. Instruction-choice variables are shared;
    each added input permutation gets its own state variables and transition
    clauses, which is what makes the CEGIS loop incremental. *)
-type enc = {
+type 'i enc = {
   solver : Sat.t;
+  isa : 'i isa;
   cfg : Isa.Config.t;
   len : int;
-  instrs : Isa.Instr.t array;
+  instrs : 'i array;
   ins : int array array; (* ins.(t).(i) — choice variable *)
   goal : goal;
   mutable inputs : int; (* number of encoded permutations *)
@@ -40,9 +126,9 @@ let exactly_one solver vars =
     done
   done
 
-let create ?(goal = Goal_exact) ?(heuristics = default_heuristics) cfg len =
+let create ?(goal = Goal_exact) ?(heuristics = default_heuristics) isa cfg len =
   let solver = Sat.create () in
-  let instrs = Isa.Instr.all cfg in
+  let instrs = isa.universe cfg in
   let ni = Array.length instrs in
   let ins =
     Array.init len (fun _ -> Array.init ni (fun _ -> Sat.new_var solver))
@@ -52,22 +138,18 @@ let create ?(goal = Goal_exact) ?(heuristics = default_heuristics) cfg len =
     for t = 0 to len - 2 do
       Array.iteri
         (fun i a ->
-          if a.Isa.Instr.op = Isa.Instr.Cmp then
+          if isa.is_cmp a then
             Array.iteri
               (fun j b ->
-                if b.Isa.Instr.op = Isa.Instr.Cmp then
+                if isa.is_cmp b then
                   Sat.add_clause solver [ -ins.(t).(i); -ins.(t + 1).(j) ])
               instrs)
         instrs
     done;
   if heuristics.first_is_cmp && len > 0 then
     Sat.add_clause solver
-      (Array.to_list
-         (Array.of_list
-            (List.filteri
-               (fun i _ -> instrs.(i).Isa.Instr.op = Isa.Instr.Cmp)
-               (Array.to_list ins.(0)))));
-  { solver; cfg; len; instrs; ins; goal; inputs = 0 }
+      (List.filteri (fun i _ -> isa.is_cmp instrs.(i)) (Array.to_list ins.(0)));
+  { solver; isa; cfg; len; instrs; ins; goal; inputs = 0 }
 
 (* Encode the state evolution of one concrete input permutation. *)
 let add_input enc perm =
@@ -76,86 +158,50 @@ let add_input enc perm =
   let n = cfg.Isa.Config.n in
   let k = Isa.Config.nregs cfg in
   let dom = n + 1 in
-  (* reg.(t).(r).(v), lt.(t), gt.(t) *)
+  (* reg.(t).(r).(v), then flag.(b).(t) *)
   let reg =
     Array.init (enc.len + 1) (fun _ ->
         Array.init k (fun _ -> Array.init dom (fun _ -> Sat.new_var s)))
   in
-  let lt = Array.init (enc.len + 1) (fun _ -> Sat.new_var s) in
-  let gt = Array.init (enc.len + 1) (fun _ -> Sat.new_var s) in
+  let flag =
+    Array.init enc.isa.flag_bits (fun _ ->
+        Array.init (enc.len + 1) (fun _ -> Sat.new_var s))
+  in
   for t = 0 to enc.len do
     for r = 0 to k - 1 do
       exactly_one s (Array.to_list reg.(t).(r))
     done
   done;
-  (* Initial state. *)
+  (* Initial state: the permutation, zeroed scratch, clear flags. *)
   for r = 0 to k - 1 do
     let v = if r < n then perm.(r) else 0 in
     Sat.add_clause s [ reg.(0).(r).(v) ]
   done;
-  Sat.add_clause s [ -lt.(0) ];
-  Sat.add_clause s [ -gt.(0) ];
-  (* Transitions. *)
+  Array.iter (fun f -> Sat.add_clause s [ -f.(0) ]) flag;
+  (* Transitions: frame axioms for what the instruction leaves alone, then
+     its own semantics. *)
   for t = 0 to enc.len - 1 do
+    let flags = Array.map (fun f -> f.(t)) flag in
+    let flags' = Array.map (fun f -> f.(t + 1)) flag in
     Array.iteri
       (fun idx instr ->
         let i = enc.ins.(t).(idx) in
-        let frame_reg r =
-          for v = 0 to dom - 1 do
-            Sat.add_clause s [ -i; -reg.(t).(r).(v); reg.(t + 1).(r).(v) ]
-          done
-        in
-        let frame_flags () =
-          Sat.add_clause s [ -i; -lt.(t); lt.(t + 1) ];
-          Sat.add_clause s [ -i; lt.(t); -lt.(t + 1) ];
-          Sat.add_clause s [ -i; -gt.(t); gt.(t + 1) ];
-          Sat.add_clause s [ -i; gt.(t); -gt.(t + 1) ]
-        in
-        let d = instr.Isa.Instr.dst and src = instr.Isa.Instr.src in
-        match instr.Isa.Instr.op with
-        | Isa.Instr.Mov ->
-            for r = 0 to k - 1 do
-              if r <> d then frame_reg r
-            done;
-            frame_flags ();
+        let written = enc.isa.writes instr in
+        for r = 0 to k - 1 do
+          if written <> Some r then
             for v = 0 to dom - 1 do
-              Sat.add_clause s [ -i; -reg.(t).(src).(v); reg.(t + 1).(d).(v) ]
+              Sat.add_clause s [ -i; -reg.(t).(r).(v); reg.(t + 1).(r).(v) ]
             done
-        | Isa.Instr.Cmp ->
-            for r = 0 to k - 1 do
-              frame_reg r
-            done;
-            for va = 0 to dom - 1 do
-              for vb = 0 to dom - 1 do
-                let base = [ -i; -reg.(t).(d).(va); -reg.(t).(src).(vb) ] in
-                Sat.add_clause s
-                  ((if va < vb then lt.(t + 1) else -lt.(t + 1)) :: base);
-                Sat.add_clause s
-                  ((if va > vb then gt.(t + 1) else -gt.(t + 1)) :: base)
-              done
-            done
-        | Isa.Instr.Cmovl ->
-            for r = 0 to k - 1 do
-              if r <> d then frame_reg r
-            done;
-            frame_flags ();
-            for v = 0 to dom - 1 do
-              Sat.add_clause s
-                [ -i; -lt.(t); -reg.(t).(src).(v); reg.(t + 1).(d).(v) ];
-              Sat.add_clause s
-                [ -i; lt.(t); -reg.(t).(d).(v); reg.(t + 1).(d).(v) ]
-            done
-        | Isa.Instr.Cmovg ->
-            for r = 0 to k - 1 do
-              if r <> d then frame_reg r
-            done;
-            frame_flags ();
-            for v = 0 to dom - 1 do
-              Sat.add_clause s
-                [ -i; -gt.(t); -reg.(t).(src).(v); reg.(t + 1).(d).(v) ];
-              Sat.add_clause s
-                [ -i; gt.(t); -reg.(t).(d).(v); reg.(t + 1).(d).(v) ]
-            done)
+        done;
+        if not (enc.isa.writes_flags instr) then
+          Array.iteri
+            (fun b f ->
+              Sat.add_clause s [ -i; -f; flags'.(b) ];
+              Sat.add_clause s [ -i; f; -flags'.(b) ])
+            flags;
+        enc.isa.semantics s
+          { choice = i; dom; now = reg.(t); next = reg.(t + 1); flags; flags' }
+          instr)
       enc.instrs
   done;
   (* Goal. *)
@@ -192,6 +238,11 @@ let decode enc model =
       in
       find 0)
 
+(* The verification oracle: the one counted n! loop over the ISA's own
+   interpreter. *)
+let counterexample enc p =
+  Machine.Exec.first_unsorted enc.cfg.Isa.Config.n (enc.isa.run enc.cfg p)
+
 let mk_result outcome start solver iters inputs =
   {
     outcome;
@@ -201,23 +252,21 @@ let mk_result outcome start solver iters inputs =
     encoded_inputs = inputs;
   }
 
-let synth_perm ?goal ?heuristics ?(conflict_limit = max_int) ~len n =
+let synth_perm ?goal ?heuristics ?(conflict_limit = max_int) isa ~len n =
   let start = Unix.gettimeofday () in
-  let cfg = Isa.Config.default n in
-  let enc = create ?goal ?heuristics cfg len in
+  let enc = create ?goal ?heuristics isa (Isa.Config.default n) len in
   List.iter (add_input enc) (Perms.all n);
   match Sat.solve ~conflict_limit enc.solver with
   | None -> mk_result Budget_exhausted start enc.solver 1 enc.inputs
   | Some Sat.Unsat -> mk_result Unsat_length start enc.solver 1 enc.inputs
   | Some (Sat.Sat model) ->
       let p = decode enc model in
-      assert (Machine.Exec.sorts_all_permutations cfg p);
+      assert (counterexample enc p = None);
       mk_result (Found p) start enc.solver 1 enc.inputs
 
-let synth_cegis ?goal ?heuristics ?(conflict_limit = max_int) ~len n =
+let synth_cegis ?goal ?heuristics ?(conflict_limit = max_int) isa ~len n =
   let start = Unix.gettimeofday () in
-  let cfg = Isa.Config.default n in
-  let enc = create ?goal ?heuristics cfg len in
+  let enc = create ?goal ?heuristics isa (Isa.Config.default n) len in
   (* Seed with the reversed permutation — the hardest single input. *)
   add_input enc (Array.init n (fun i -> n - i));
   let rec loop iters =
@@ -226,7 +275,7 @@ let synth_cegis ?goal ?heuristics ?(conflict_limit = max_int) ~len n =
     | Some Sat.Unsat -> mk_result Unsat_length start enc.solver iters enc.inputs
     | Some (Sat.Sat model) -> (
         let p = decode enc model in
-        match Machine.Exec.counterexample cfg p with
+        match counterexample enc p with
         | None -> mk_result (Found p) start enc.solver iters enc.inputs
         | Some cex ->
             add_input enc cex;
@@ -235,14 +284,14 @@ let synth_cegis ?goal ?heuristics ?(conflict_limit = max_int) ~len n =
   loop 1
 
 let find_min_length ?(strategy = `Cegis) ?(conflict_limit = max_int)
-    ?(max_len = 24) n =
+    ?(max_len = 24) isa n =
   let synth =
     match strategy with `Perm -> synth_perm | `Cegis -> synth_cegis
   in
   let rec go len acc =
     if len > max_len then List.rev acc
     else
-      let r = synth ~conflict_limit ~len n in
+      let r = synth ~conflict_limit isa ~len n in
       let acc = (len, r) :: acc in
       match r.outcome with
       | Found _ | Budget_exhausted -> List.rev acc

@@ -51,19 +51,19 @@ let test_fd_dom_values () =
 (* --- Model: CP synthesis --- *)
 
 let test_cp_n2_finds_4 () =
-  match (Csp.Model.synth ~len:4 2).Csp.Model.outcome with
+  match (Csp.Model.synth Csp.Model.cmov ~len:4 2).Csp.Model.outcome with
   | Csp.Model.Found p ->
       check Alcotest.int "length" 4 (Array.length p);
       assert (Machine.Exec.sorts_all_permutations (Isa.Config.default 2) p)
   | _ -> Alcotest.fail "CP should find an n=2 kernel"
 
 let test_cp_n2_len3_exhausted () =
-  match (Csp.Model.synth ~len:3 2).Csp.Model.outcome with
+  match (Csp.Model.synth Csp.Model.cmov ~len:3 2).Csp.Model.outcome with
   | Csp.Model.Exhausted -> ()
   | _ -> Alcotest.fail "no length-3 kernel exists"
 
 let test_cp_all_solutions_match_enum () =
-  let cp = Csp.Model.synth ~all_solutions:true ~len:4 2 in
+  let cp = Csp.Model.synth ~all_solutions:true Csp.Model.cmov ~len:4 2 in
   let enum =
     Search.run_mode
       ~opts:{ Search.default with Search.engine = Search.Level_sync }
@@ -79,7 +79,9 @@ let test_cp_goal_variants_agree () =
   List.iter
     (fun goal ->
       match
-        (Csp.Model.synth ~opts:{ Csp.Model.default with Csp.Model.goal } ~len:4 2)
+        (Csp.Model.synth
+           ~opts:{ Csp.Model.default with Csp.Model.goal }
+           Csp.Model.cmov ~len:4 2)
           .Csp.Model.outcome
       with
       | Csp.Model.Found p ->
@@ -88,12 +90,16 @@ let test_cp_goal_variants_agree () =
     [ Csp.Model.Goal_exact; Csp.Model.Goal_ascending_present ]
 
 let test_cp_node_limit () =
-  match (Csp.Model.synth ~node_limit:50 ~len:11 3).Csp.Model.outcome with
+  match
+    (Csp.Model.synth ~node_limit:50 Csp.Model.cmov ~len:11 3).Csp.Model.outcome
+  with
   | Csp.Model.Node_limit -> ()
   | _ -> Alcotest.fail "n=3 in 50 nodes is impossible"
 
 let test_cp_heuristics_reduce_nodes () =
-  let nodes opts = (Csp.Model.synth ~opts ~len:4 2).Csp.Model.nodes in
+  let nodes opts =
+    (Csp.Model.synth ~opts Csp.Model.cmov ~len:4 2).Csp.Model.nodes
+  in
   let with_h = nodes Csp.Model.default in
   let without =
     nodes

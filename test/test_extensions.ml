@@ -8,41 +8,74 @@ let cfg3 = Isa.Config.default 3
 (* --- SMT min/max --- *)
 
 let test_smt_minmax_n2 () =
-  match (Smtlite.Vmodel.synth_cegis ~len:3 2).Smtlite.Vmodel.outcome with
-  | Smtlite.Vmodel.Found p ->
+  match (Smtlite.synth_cegis Smtlite.minmax ~len:3 2).Smtlite.outcome with
+  | Smtlite.Found p ->
       check Alcotest.int "3 instructions" 3 (Array.length p);
       assert (Minmax.Vexec.sorts_all_permutations (Isa.Config.default 2) p)
   | _ -> Alcotest.fail "SMT should solve minmax n=2"
 
 let test_smt_minmax_n2_len2_unsat () =
-  match (Smtlite.Vmodel.synth_perm ~len:2 2).Smtlite.Vmodel.outcome with
-  | Smtlite.Vmodel.Unsat_length -> ()
+  match (Smtlite.synth_perm Smtlite.minmax ~len:2 2).Smtlite.outcome with
+  | Smtlite.Unsat_length -> ()
   | _ -> Alcotest.fail "no 2-instruction minmax kernel for n=2"
 
 let test_smt_minmax_find_min_length () =
-  let results = Smtlite.Vmodel.find_min_length ~max_len:5 2 in
+  let results = Smtlite.find_min_length ~max_len:5 Smtlite.minmax 2 in
   match List.rev results with
-  | (3, { Smtlite.Vmodel.outcome = Smtlite.Vmodel.Found _; _ }) :: _ -> ()
+  | (3, { Smtlite.outcome = Smtlite.Found _; _ }) :: _ -> ()
   | _ -> Alcotest.fail "minimum should be 3"
+
+(* Every CEGIS candidate is checked by the one counted n! loop,
+   Machine.Exec.first_unsorted, whichever ISA it is written in. *)
+let test_cegis_certifies_each_candidate () =
+  let ticks f =
+    let before = Machine.Exec.certifications () in
+    let r = f () in
+    (r, Machine.Exec.certifications () - before)
+  in
+  let cmov, cmov_ticks =
+    ticks (fun () -> Smtlite.synth_cegis Smtlite.cmov ~len:4 2)
+  in
+  let minmax, minmax_ticks =
+    ticks (fun () -> Smtlite.synth_cegis Smtlite.minmax ~len:3 2)
+  in
+  check Alcotest.int "cmov: one n! run per candidate"
+    cmov.Smtlite.cegis_iterations cmov_ticks;
+  check Alcotest.int "min/max: one n! run per candidate"
+    minmax.Smtlite.cegis_iterations minmax_ticks;
+  check Alcotest.bool "min/max checked its candidate" true (minmax_ticks > 0)
 
 (* --- CP min/max --- *)
 
+let minmax_opts =
+  { Csp.Model.default with Csp.Model.goal = Csp.Model.Goal_exact }
+
 let test_cp_minmax_n2 () =
-  match (Csp.Vmodel.synth ~len:3 2).Csp.Vmodel.outcome with
-  | Csp.Vmodel.Found p ->
+  match
+    (Csp.Model.synth ~opts:minmax_opts Csp.Model.minmax ~len:3 2)
+      .Csp.Model.outcome
+  with
+  | Csp.Model.Found p ->
       assert (Minmax.Vexec.sorts_all_permutations (Isa.Config.default 2) p)
   | _ -> Alcotest.fail "CP should solve minmax n=2"
 
 let test_cp_minmax_len2_exhausted () =
-  match (Csp.Vmodel.synth ~len:2 2).Csp.Vmodel.outcome with
-  | Csp.Vmodel.Exhausted -> ()
+  match
+    (Csp.Model.synth ~opts:minmax_opts Csp.Model.minmax ~len:2 2)
+      .Csp.Model.outcome
+  with
+  | Csp.Model.Exhausted -> ()
   | _ -> Alcotest.fail "no 2-instruction minmax kernel"
 
 let test_cp_minmax_agrees_with_enum () =
   (* The CP-found minimum equals the enumerative search's. *)
   let cp_len =
-    match List.rev (Csp.Vmodel.find_min_length ~max_len:5 2) with
-    | (l, { Csp.Vmodel.outcome = Csp.Vmodel.Found _; _ }) :: _ -> l
+    match
+      List.rev
+        (Csp.Model.find_min_length ~opts:minmax_opts ~max_len:5
+           Csp.Model.minmax 2)
+    with
+    | (l, { Csp.Model.outcome = Csp.Model.Found _; _ }) :: _ -> l
     | _ -> -1
   in
   check (Alcotest.option Alcotest.int) "both 3" (Some cp_len)
@@ -351,6 +384,8 @@ let () =
           Alcotest.test_case "n=2 finds 3" `Quick test_smt_minmax_n2;
           Alcotest.test_case "len 2 unsat" `Quick test_smt_minmax_n2_len2_unsat;
           Alcotest.test_case "min length probe" `Quick test_smt_minmax_find_min_length;
+          Alcotest.test_case "CEGIS certifies each candidate" `Quick
+            test_cegis_certifies_each_candidate;
         ] );
       ( "cp-minmax",
         [

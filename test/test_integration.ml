@@ -14,10 +14,10 @@ let test_optimal_lengths_agree_across_techniques () =
       .Search.optimal_length
   in
   check (Alcotest.option Alcotest.int) "enum" (Some 4) enum;
-  (match (Smtlite.synth_perm ~len:3 2).Smtlite.outcome with
+  (match (Smtlite.synth_perm Smtlite.cmov ~len:3 2).Smtlite.outcome with
   | Smtlite.Unsat_length -> ()
   | _ -> Alcotest.fail "SMT disagrees on the lower bound");
-  (match (Csp.Model.synth ~len:3 2).Csp.Model.outcome with
+  (match (Csp.Model.synth Csp.Model.cmov ~len:3 2).Csp.Model.outcome with
   | Csp.Model.Exhausted -> ()
   | _ -> Alcotest.fail "CP disagrees on the lower bound");
   (match (Ilp.Model.synth ~len:3 2).Ilp.Model.outcome with
@@ -80,7 +80,7 @@ let test_stoke_to_perf_pipeline () =
 
 (* SMT-found and enum-found kernels are semantically interchangeable. *)
 let test_smt_and_enum_kernels_equivalent () =
-  match (Smtlite.synth_cegis ~len:4 2).Smtlite.outcome with
+  match (Smtlite.synth_cegis Smtlite.cmov ~len:4 2).Smtlite.outcome with
   | Smtlite.Found smt_kernel ->
       let enum_kernel = Option.get (Search.synthesize 2) in
       let cfg = Isa.Config.default 2 in
