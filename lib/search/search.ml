@@ -372,16 +372,21 @@ let trivial_final ctx =
    of what the search holds. *)
 let chunk_per_worker = 256
 
+(* What every expansion of one level reads, published once per level. *)
+type 'i level = {
+  nodes : 'i node array;  (* the level's frontier, in merge order *)
+  g' : int;  (* successor depth *)
+  threshold : int;
+  known : (Sstate.t -> bool) option;  (* reads [seen], frozen while a chunk drains *)
+}
+
 type 'i pool = {
   p_expanders : 'i expander array;  (* [0] main's, [w + 1] worker [w]'s *)
   p_chunk : int;
   p_results : 'i Expand.succ list array;  (* slot [i mod p_chunk] of node [i] *)
   p_deltas : Expand.delta array;  (* likewise *)
-  mutable p_nodes : 'i node array;  (* the level's frontier, in merge order *)
-  mutable p_g : int;  (* successor depth g' *)
-  mutable p_threshold : int;
-  mutable p_known : (Sstate.t -> bool) option;  (* reads [seen], frozen while a chunk drains *)
-  mutable p_hi : int;  (* end of the published chunk *)
+  p_level : 'i level Atomic.t;
+  p_hi : int Atomic.t;  (* end of the published chunk *)
   p_cursor : int Atomic.t;  (* next unclaimed node index *)
   p_epoch : int Atomic.t;  (* chunks published *)
   p_active : int Atomic.t;  (* workers still draining the chunk *)
@@ -392,21 +397,21 @@ type 'i pool = {
   mutable p_workers : unit Domain.t array;
 }
 
-(* Expand node [i] of the published level into its slots. *)
-let expand_node pool (expand : _ expander) i =
+(* Expand node [i] of level [l] into its slots. *)
+let expand_node pool l (expand : _ expander) i =
   let s = i mod pool.p_chunk in
   let d = pool.p_deltas.(s) in
   Expand.clear_delta d;
   pool.p_results.(s) <-
-    expand d ~known:pool.p_known ~g':pool.p_g ~threshold:pool.p_threshold
-      pool.p_nodes.(i).state
+    expand d ~known:l.known ~g':l.g' ~threshold:l.threshold l.nodes.(i).state
 
 (* Claim and expand nodes of the published chunk until none is left. *)
 let drain pool expand =
+  let l = Atomic.get pool.p_level and hi = Atomic.get pool.p_hi in
   let rec go () =
     let i = Atomic.fetch_and_add pool.p_cursor 1 in
-    if i < pool.p_hi then begin
-      expand_node pool expand i;
+    if i < hi then begin
+      expand_node pool l expand i;
       go ()
     end
   in
@@ -457,11 +462,9 @@ let make_pool ~workers machine =
       p_chunk = chunk;
       p_results = Array.make chunk [];
       p_deltas = Array.init chunk (fun _ -> Expand.zero_delta ());
-      p_nodes = [||];
-      p_g = 0;
-      p_threshold = 0;
-      p_known = None;
-      p_hi = 0;
+      p_level =
+        Atomic.make { nodes = [||]; g' = 0; threshold = 0; known = None };
+      p_hi = Atomic.make 0;
       p_cursor = Atomic.make 0;
       p_epoch = Atomic.make 0;
       p_active = Atomic.make 0;
@@ -485,12 +488,14 @@ let shutdown_pool pool =
    alone when there are no workers, else every domain off the cursor. *)
 let drain_chunk pool ~lo ~hi =
   let workers = Array.length pool.p_workers in
-  if workers = 0 then
+  if workers = 0 then begin
+    let l = Atomic.get pool.p_level in
     for i = lo to hi - 1 do
-      expand_node pool pool.p_expanders.(0) i
+      expand_node pool l pool.p_expanders.(0) i
     done
+  end
   else begin
-    pool.p_hi <- hi;
+    Atomic.set pool.p_hi hi;
     Atomic.set pool.p_cursor lo;
     Atomic.set pool.p_active workers;
     Atomic.incr pool.p_epoch;
@@ -596,10 +601,7 @@ let run_level ctx pool m mode =
         sample_trace ctx ~open_states:(Sstate.Tbl.length next);
         List.iter (fun s -> if not !stop then register node s) succs
       in
-      pool.p_nodes <- nodes;
-      pool.p_g <- g';
-      pool.p_threshold <- threshold;
-      pool.p_known <- known;
+      Atomic.set pool.p_level { nodes; g'; threshold; known };
       let lo = ref 0 in
       while (not !stop) && !lo < Array.length nodes do
         let hi = min (Array.length nodes) (!lo + pool.p_chunk) in
