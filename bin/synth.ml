@@ -1758,8 +1758,9 @@ let commands =
       devlint_term );
     ( "certify",
       "Certify kernel files as sorting kernels: the symbolic order-poset \
-       certifier first (polynomial, no n! enumeration), the paper's \
-       exhaustive permutation check only on an $(i,unknown) verdict. A \
+       certifier proves or refutes each kernel by reasoning about value \
+       orders, and the paper's exhaustive permutation check decides it on \
+       an $(i,unknown) verdict. A \
        $(i,refuted) verdict always carries an execution-confirmed \
        counterexample. Exits 1 when any file fails to certify (or to \
        parse).",
