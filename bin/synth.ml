@@ -23,24 +23,7 @@
                                       every rewrite certified on all n!
                                       permutations, refused otherwise
      synth equiv a.txt b.txt          exact equivalence on all n! inputs;
-                                      exit 1 + counterexample on mismatch
-
-   Exit codes (every subcommand documents the same [exits] list):
-     0  success
-     1  lint / verification / synthesis failure (or mixed batch failures;
-        for equiv: the kernels differ), an unparsable input file, or a
-        request the server refused
-     2  the search deadline passed (every retry timed out)
-     3  the live-state budget was exhausted even at the final
-        degradation rung
-     4  registry corruption: a verify sweep found entries that had to be
-        quarantined
-     5  synthesis server unreachable, or a protocol error on its socket
-        (client / batch --server modes)
-     6  the server shed the request: overloaded (connection budget or
-        request queue full, or draining) or circuit_open (the key's
-        breaker is tripped); retry after the server's retry_after hint
-   124  a bad flag value, including -n/-m out of range (cmdliner) *)
+                                      exit 1 + counterexample on mismatch *)
 
 open Cmdliner
 module Json = Registry.Json
@@ -114,20 +97,6 @@ let fail ?(who = "synth") code fmt =
       exit code)
     fmt
 
-(* [--fault-plan] accepts the same forms as $SORTSYNTH_FAULT_PLAN: an
-   inline spec when it contains '=' (specs always do — at least [seed=] or
-   a [site=trigger] clause), a plan-file path otherwise. *)
-let setup_faults spec =
-  let r =
-    match spec with
-    | None -> Fault.setup ()
-    | Some s ->
-        Result.map Fault.install
-          (if String.contains s '=' then Fault.plan_of_string s
-           else Fault.load_file s)
-  in
-  Result.iter_error (fail 1 "fault plan: %s") r
-
 (* Every file the CLI writes goes through here: an unwritable path is a
    one-line diagnostic and exit 1, never an uncaught exception. *)
 let write_file path s =
@@ -140,9 +109,13 @@ let write_file path s =
   | () -> ()
   | exception Sys_error msg -> fail 1 "cannot write %s" msg
 
+(* [--stats-json]: nothing without a path, stdout for '-'. *)
 let write_json path json =
-  let json = Json.to_string json ^ "\n" in
-  if path = "-" then print_string json else write_file path json
+  Option.iter
+    (fun path ->
+      let json = Json.to_string json ^ "\n" in
+      if path = "-" then print_string json else write_file path json)
+    path
 
 let read_file_res path =
   match open_in_bin path with
@@ -200,10 +173,21 @@ let restricted conv ~expected ok =
   in
   Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
 
-let bounded lo hi =
+let bounded ?hi lo =
   restricted Arg.int
-    ~expected:(Printf.sprintf "an integer in %d..%d" lo hi)
-    (fun v -> lo <= v && v <= hi)
+    ~expected:
+      (match hi with
+      | Some hi -> Printf.sprintf "an integer in %d..%d" lo hi
+      | None -> Printf.sprintf "an integer >= %d" lo)
+    (fun v -> lo <= v && Option.fold hi ~none:true ~some:(fun hi -> v <= hi))
+
+(* A count flag: an integer of at least [lo], and at most [hi] when
+   given. Worker-domain counts stop at OCaml 5.1's [Max_domains], 128,
+   before any domain is spawned. *)
+let count ?hi ?(docv = "N") lo names default doc =
+  Arg.(value & opt (bounded ?hi lo) default & info names ~docv ~doc)
+
+let max_domains = 128
 
 (* Seconds: --timeout, --deadline, --backoff, --breaker-cooldown and
    --drain-grace. NaN would mean "no deadline" locally but an expired
@@ -215,13 +199,13 @@ let duration =
 let n =
   Arg.(
     value
-    & opt (bounded 1 6) 3
+    & opt (bounded ~hi:6 1) 3
     & info [ "n" ] ~docv:"N" ~doc:"Array length to sort (1-6).")
 
 let scratch =
   Arg.(
     value
-    & opt (bounded 0 3) 1
+    & opt (bounded ~hi:3 0) 1
     & info [ "scratch"; "m" ] ~doc:"Scratch registers (default 1).")
 
 let engine =
@@ -264,10 +248,8 @@ let key =
   Term.(const make $ n $ scratch $ engine $ heuristic $ cut $ max_len)
 
 let jobs =
-  Arg.(
-    value & opt int 2
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for --engine parallel and for batch mode.")
+  count ~hi:max_domains 1 [ "jobs"; "j" ] 2
+    "Worker domains for --engine parallel and for batch mode."
 
 let flag name doc = Arg.(value & flag & info [ name ] ~doc)
 let x86 = flag "x86" "Print x86-64 assembly."
@@ -292,18 +274,33 @@ let stats_json =
            (counters, timeline, per-level open/pruned breakdown) to $(docv), \
            or to stdout when $(docv) is '-'.")
 
+(* [--fault-plan]: a term that installs the plan (or the one in
+   $SORTSYNTH_FAULT_PLAN, in the same forms). A spec containing '=' is
+   inline — specs always have at least [seed=] or a [site=trigger]
+   clause — anything else is a plan-file path. Every command that takes
+   it lists it last, so every other flag is parsed before it runs. *)
 let fault_plan =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fault-plan" ] ~docv:"PLAN"
-        ~env:(Cmd.Env.info "SORTSYNTH_FAULT_PLAN")
-        ~doc:
-          "Deterministic fault-injection plan (testing only): a plan file, \
-           or an inline spec like 'seed=42;registry.rename=nth:1'. Makes \
-           the named chokepoints — registry writes, renames, fsyncs, \
-           worker deaths, search budgets and deadlines — fail \
-           on cue, deterministically in the seed.")
+  let install spec =
+    Result.iter_error (fail 1 "fault plan: %s")
+      (match spec with
+      | None -> Fault.setup ()
+      | Some s ->
+          Result.map Fault.install
+            (if String.contains s '=' then Fault.plan_of_string s else Fault.load_file s))
+  in
+  Term.(
+    const install
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "fault-plan" ] ~docv:"PLAN"
+            ~env:(Cmd.Env.info "SORTSYNTH_FAULT_PLAN")
+            ~doc:
+              "Deterministic fault-injection plan (testing only): a plan file, \
+               or an inline spec like 'seed=42;registry.rename=nth:1'. Makes \
+               the named chokepoints — registry writes, renames, fsyncs, \
+               worker deaths, search budgets and deadlines — fail \
+               on cue, deterministically in the seed."))
 
 let timeout =
   Arg.(
@@ -351,8 +348,8 @@ let server =
 let json_flag = flag "json" "Emit a machine-readable JSON report on stdout."
 
 (* ------------------------------------------------------------------ *)
-(* The local executor, and the printers of a served answer. The       *)
-(* default command's --cache, batch and client all print through here. *)
+(* The executor, and the printers of a served answer. The default     *)
+(* command's --cache, batch and client all go through here.           *)
 
 (* The daemon in process, without a socket. Constant settings, not flags
    — no memory layer (every lookup goes to the store), a pool and queue
@@ -386,6 +383,71 @@ let serve_local ~root ~workers req =
     (fun () ->
       let resp = Serve.Server.handle srv req in
       (resp, Json.member "registry" (Serve.Server.snapshot srv)))
+
+(* One request to the daemon, as [client] and [batch --server] make it:
+   an unreachable server or a torn answer exits 5, a refusal 1, a
+   connection-level shed 6. Any other response is returned. *)
+let roundtrip who socket req =
+  match Serve.Client.roundtrip ~socket req with
+  | Error msg -> fail ~who exit_unreachable "%s" msg
+  | Ok (P.Refused msg) -> fail ~who 1 "server refused: %s" msg
+  | Ok (P.Overloaded retry_after) ->
+      fail ~who (exit_code "overloaded")
+        "server overloaded (connection budget); retry in %.1f s" retry_after
+  | Ok resp -> resp
+
+(* Over a socket a request carries an absolute deadline, unless it names
+   one: every attempt the server may make for it at the per-attempt
+   timeout, plus a second of queue and transport slack. A request that
+   would outlast that is shed in the server's queue instead of burning a
+   worker. A batch shares one deadline and the server's fan-out width is
+   unknown, so its keys count as running one after another. *)
+let with_deadline req =
+  let derive keys p =
+    match (p.P.deadline, p.P.timeout) with
+    | None, Some t ->
+        let attempts = float_of_int ((1 + p.P.retries) * keys) in
+        { p with P.deadline = Some (Fault.Clock.now () +. (t *. attempts) +. 1.0) }
+    | _ -> p
+  in
+  match req with
+  | P.Synth (key, p) -> P.Synth (key, derive 1 p)
+  | P.Batch (keys, p) -> P.Batch (keys, derive (List.length keys) p)
+  | P.Lookup _ | P.Stats | P.Shutdown -> req
+
+(* The one executor behind --cache, batch and client: the daemon on the
+   [server] socket, else [serve_local] over [root] with [workers].
+   Returns the answers — one per key of a lookup, synth
+   or batch request, none for stats and shutdown — with the response and
+   a local executor's registry block. Any other response is a protocol
+   error (exit 5). *)
+let execute ~who ?server ?root ?(workers = 1) req =
+  let resp, registry =
+    match server with
+    | Some socket -> (roundtrip who socket (with_deadline req), None)
+    | None -> serve_local ~root ~workers req
+  in
+  let answers =
+    match (req, resp) with
+    | (P.Lookup _ | P.Synth _), P.Served s -> [ s ]
+    | P.Batch (keys, _), P.Jobs served when List.length served = List.length keys -> served
+    | P.Batch (keys, _), P.Jobs served ->
+        fail ~who exit_unreachable "protocol error: %d jobs sent, %d answers received"
+          (List.length keys) (List.length served)
+    | (P.Stats | P.Shutdown), (P.Snapshot _ | P.Goodbye) -> []
+    | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
+  in
+  (answers, resp, registry)
+
+(* Exit with the answers' outcome: a homogeneous failure class keeps its
+   own code, so scripts can tell "give it more time" (2) from "give it
+   more memory" (3) from "retry later" (6); mixed failures collapse to
+   1. *)
+let exit_with codes =
+  match List.sort_uniq compare (List.filter (( <> ) 0) codes) with
+  | [] -> ()
+  | [ code ] -> exit code
+  | _ -> exit 1
 
 (* Every executor answers with kernel text; --x86 re-renders it. *)
 let render ~who ~x86 key text =
@@ -430,7 +492,7 @@ let finish_served stats_json resp registry =
     | Some reg, Json.Obj fields -> Json.Obj (fields @ [ ("registry", reg) ])
     | _, j -> j
   in
-  Option.iter (fun path -> write_json path stats) stats_json
+  write_json stats_json stats
 
 (* ------------------------------------------------------------------ *)
 (* Default command: synthesize one kernel.                             *)
@@ -448,37 +510,42 @@ let lint_printed cfg p =
 (* [--cache]: one request to the local executor, answered as the daemon
    answers it over a socket — a disk hit, or a search stored on success. *)
 let run_cached ~root ~x86 ~stats_json ~timeout ~budget ~optimize key =
-  let who = "synth" in
-  let req =
-    P.Synth (key, { P.default_params with P.timeout; budget; optimize; retries = 0 })
+  let who = "synth" and cfg = Key.config key in
+  let answers, resp, registry =
+    execute ~who ~root
+      (P.Synth (key, { P.default_params with P.timeout; budget; optimize; retries = 0 }))
   in
-  let resp, registry = serve_local ~root:(Some root) ~workers:1 req in
-  let s =
-    match resp with
-    | P.Served s -> s
-    | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
-  in
-  let cfg = Key.config key in
-  Option.iter
-    (fun text ->
-      Result.iter (fun p -> ignore (lint_printed cfg p)) (Isa.Program.of_string cfg text))
-    s.P.kernel;
-  let code =
-    print_served ~who { s with P.kernel = Option.map (render ~who ~x86 key) s.P.kernel }
+  let codes =
+    List.map
+      (fun (s : P.served) ->
+        Option.iter
+          (fun text ->
+            Result.iter (fun p -> ignore (lint_printed cfg p)) (Isa.Program.of_string cfg text))
+          s.P.kernel;
+        print_served ~who { s with P.kernel = Option.map (render ~who ~x86 key) s.P.kernel })
+      answers
   in
   finish_served stats_json resp registry;
-  if code <> 0 then exit code
+  exit_with codes
+
+(* What the default command searches with, picked by ISA: [search
+   deadline] runs the key's engine; [certify r p0] turns [r]'s found
+   kernel [p0] into the one to print (exiting 1 when it does not sort)
+   and returns the notes that ride along in the stats snapshot; [render]
+   prints it. *)
+type searcher =
+  | Searcher :
+      (float option -> 'i Registry.Scheduler.run_outcome)
+      * ('i Search.outcome -> 'i array -> 'i array * (string * Json.t) list)
+      * ('i array -> string)
+      -> searcher
 
 (* The default command's search on any machine: one deadline, one
    mapping from a failed search to an exit code, one summary line and one
-   [--stats-json] writer. [search ?deadline ()] runs the key's engine;
-   [certify r p0] turns [r]'s found kernel [p0] into the one to print
-   (exiting 1 when it does not sort) and returns the notes that ride
-   along in the stats snapshot; [render] prints it. *)
-let run_search ~label ~mode ~timeout ~stats_json search ~certify ~render =
-  let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
+   [--stats-json] writer. *)
+let run_search ~label ~mode ~timeout ~stats_json (Searcher (search, certify, render)) =
   let outcome =
-    match search ?deadline () with
+    match search (Option.map (fun t -> Fault.Clock.now () +. t) timeout) with
     | o -> o
     | exception Search.Timeout ->
         fail (exit_code "timed_out") "search timed out%s"
@@ -523,18 +590,15 @@ let run_search ~label ~mode ~timeout ~stats_json search ~certify ~render =
         print_endline (render p);
         notes
   in
-  Option.iter
-    (fun path ->
-      write_json path
-        (Search.Stats.to_json ~label
-           ~extra:
-             (notes
-             @ [
-                 ("degraded", Json.Bool degraded);
-                 ("certifications", Json.Int (Machine.Exec.certifications ()));
-               ])
-           r.Search.stats))
-    stats_json;
+  write_json stats_json
+    (Search.Stats.to_json ~label
+       ~extra:
+         (notes
+         @ [
+             ("degraded", Json.Bool degraded);
+             ("certifications", Json.Int (Machine.Exec.certifications ()));
+           ])
+       r.Search.stats);
   (* A search that finds nothing is a synthesis failure; a --prove-none
      verdict is an answer either way. *)
   match (mode, r.Search.programs) with
@@ -595,8 +659,7 @@ let certify_cmov ~optimize key r p0 =
   (p, ("analysis", analysis) :: Option.to_list (Option.map (fun j -> ("opt", j)) opt))
 
 let run key minmax jobs all x86 prove_none pddl cache cache_dir stats_json
-    fault_plan timeout budget optimize =
-  setup_faults fault_plan;
+    timeout budget optimize () =
   let cfg = Key.config key and n = key.Key.n in
   if pddl then begin
     print_string (Planning.Pddl.domain cfg);
@@ -620,22 +683,22 @@ let run key minmax jobs all x86 prove_none pddl cache cache_dir stats_json
         (Key.engine_to_string key.Key.engine)
         (if minmax then " isa=minmax" else "")
     in
-    if minmax then
-      run_search ~label ~mode ~timeout ~stats_json
-        (fun ?deadline () ->
-          Registry.Scheduler.run_isa_key ?deadline ~domains:jobs ~mode ?budget
-            (Minmax.isa cfg) key)
-        ~certify:(fun _ p ->
-          if not (Minmax.Vexec.sorts_all_permutations cfg p) then
-            fail 1 "VERIFICATION FAILED: the min/max kernel does not sort every input";
-          (p, []))
-        ~render:(if x86 then Minmax.Vexec.to_x86 cfg else Minmax.Vexec.to_string cfg)
-    else
-      run_search ~label ~mode ~timeout ~stats_json
-        (fun ?deadline () ->
-          Registry.Scheduler.run_key ?deadline ~domains:jobs ~mode ?budget key)
-        ~certify:(certify_cmov ~optimize key)
-        ~render:(if x86 then Isa.Program.to_x86 cfg else Isa.Program.to_string cfg)
+    run_search ~label ~mode ~timeout ~stats_json
+      (if minmax then
+         Searcher
+           ( (fun deadline ->
+               Registry.Scheduler.run_isa_key ?deadline ~domains:jobs ~mode ?budget
+                 (Minmax.isa cfg) key),
+             (fun _ p ->
+               if not (Minmax.Vexec.sorts_all_permutations cfg p) then
+                 fail 1 "VERIFICATION FAILED: the min/max kernel does not sort every input";
+               (p, [])),
+             if x86 then Minmax.Vexec.to_x86 cfg else Minmax.Vexec.to_string cfg )
+       else
+         Searcher
+           ( (fun deadline -> Registry.Scheduler.run_key ?deadline ~domains:jobs ~mode ?budget key),
+             certify_cmov ~optimize key,
+             if x86 then Isa.Program.to_x86 cfg else Isa.Program.to_string cfg ))
   end
 
 let default_term =
@@ -659,23 +722,11 @@ let default_term =
          missing one is synthesized and stored. Only plain find-first \
          cmov requests are cached; with $(b,--all), $(b,--prove-none) or \
          $(b,--minmax) the search runs uncached."
-    $ cache_dir $ stats_json $ fault_plan $ timeout $ state_budget $ optimize)
+    $ cache_dir $ stats_json $ timeout $ state_budget $ optimize $ fault_plan)
 
 (* ------------------------------------------------------------------ *)
-(* The daemon round trip, and batch: a JSON job list run locally through *)
-(* the registry + scheduler, or through the daemon.                    *)
-
-(* One request to the daemon, as [client] and [batch --server] make it:
-   an unreachable server or a torn answer exits 5, a refusal 1, a
-   connection-level shed 6. Any other response is returned. *)
-let roundtrip who socket req =
-  match Serve.Client.roundtrip ~socket req with
-  | Error msg -> fail ~who exit_unreachable "%s" msg
-  | Ok (P.Refused msg) -> fail ~who 1 "server refused: %s" msg
-  | Ok (P.Overloaded retry_after) ->
-      fail ~who (exit_code "overloaded")
-        "server overloaded (connection budget); retry in %.1f s" retry_after
-  | Ok resp -> resp
+(* batch: a JSON job list run locally through the registry +          *)
+(* scheduler, or through the daemon.                                   *)
 
 (* One '#' line per job — its outcome label and a note — then its kernel.
    Local and remote batches both print through here. *)
@@ -709,60 +760,29 @@ let print_job i key (s : P.served) =
   Option.iter print_endline s.P.kernel
 
 let run_jobs jobs_file server workers timeout retries backoff budget no_cache
-    cache_dir x86 stats_json fault_plan optimize =
-  setup_faults fault_plan;
+    cache_dir x86 stats_json optimize () =
   let who = "synth batch" in
   let keys =
     match Result.bind (read_file_res jobs_file) Registry.Scheduler.parse_jobs with
     | Ok keys -> keys
     | Error msg -> fail 1 "cannot read jobs: %s" msg
   in
-  (* Through a socket, propagate an absolute deadline covering every
-     attempt the server may make on our behalf, plus a second of
-     queue/transport slack — so a request that would blow past our
-     patience is shed in the server's queue instead of burning a worker.
-     The batch shares one deadline and we don't know the server's
-     fan-out width, so budget for the worst case, the whole batch running
-     serially; the per-attempt timeout, not the batch deadline, bounds
-     each job. A local batch has no patience but its own: no deadline. *)
-  let deadline =
-    match (server, timeout) with
-    | Some _, Some t ->
-        let attempts = float_of_int ((1 + retries) * List.length keys) in
-        Some (Fault.Clock.now () +. (t *. attempts) +. 1.0)
-    | _ -> None
-  in
-  let req = P.Batch (keys, { P.timeout; budget; retries; backoff; optimize; deadline }) in
-  let resp, registry =
-    match server with
-    | Some socket -> (roundtrip who socket req, None)
-    | None ->
-        let root = if no_cache then None else Some (resolve_root cache_dir) in
-        serve_local ~root ~workers req
-  in
-  let served =
-    match resp with
-    | P.Jobs served when List.length served = List.length keys -> served
-    | P.Jobs served ->
-        fail ~who exit_unreachable
-          "protocol error: %d jobs sent, %d answers received" (List.length keys)
-          (List.length served)
-    | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
+  let served, resp, registry =
+    execute ~who ?server ~workers
+      ?root:(if no_cache then None else Some (resolve_root cache_dir))
+      (P.Batch (keys, { P.timeout; budget; retries; backoff; optimize; deadline = None }))
   in
   List.iteri
     (fun i (key, s) ->
       print_job i key { s with P.kernel = Option.map (render ~who ~x86 key) s.P.kernel })
     (List.combine keys served);
   finish_served stats_json resp registry;
-  (* A homogeneous failure class keeps its own exit code, so scripts can
-     tell "give it more time" (2) from "give it more memory" (3) from
-     "retry later" (6); mixed or other failures collapse to 1. *)
-  match List.filter (( <> ) 0) (List.map (fun s -> exit_code s.P.status) served) with
-  | [] -> ()
-  | codes ->
-      Printf.eprintf "%s: %d of %d jobs did not produce a kernel\n" who
-        (List.length codes) (List.length served);
-      exit (match List.sort_uniq compare codes with [ c ] -> c | _ -> 1)
+  let codes = List.map (fun s -> exit_code s.P.status) served in
+  let failed = List.length (List.filter (( <> ) 0) codes) in
+  if failed > 0 then
+    Printf.eprintf "%s: %d of %d jobs did not produce a kernel\n" who failed
+      (List.length served);
+  exit_with codes
 
 let batch_term =
   let jobs_file =
@@ -773,14 +793,10 @@ let batch_term =
           ~doc:"JSON array of requests, e.g. [{\"n\":3},{\"n\":4,\"engine\":\"level\"}].")
   in
   let retries =
-    Arg.(
-      value & opt int 1
-      & info [ "retries" ] ~docv:"K"
-          ~doc:
-            "Extra attempts after a timeout, exhaustion, or internal error \
-             (default 1), with exponential backoff between attempts. A \
-             search that finished without a publishable kernel is not \
-             retried.")
+    count ~docv:"K" 0 [ "retries" ] 1
+      "Extra attempts after a timeout, exhaustion, or internal error \
+       (default 1), with exponential backoff between attempts. A search \
+       that finished without a publishable kernel is not retried."
   in
   let backoff =
     Arg.(
@@ -797,8 +813,7 @@ let batch_term =
     $ flag "no-cache"
         "Leave the registry alone: run the batch against a throwaway one, \
          removed afterwards."
-    $ cache_dir $ x86 $ stats_json
-    $ fault_plan $ optimize)
+    $ cache_dir $ x86 $ stats_json $ optimize $ fault_plan)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel files: the one loader behind lint, analyze, certify,         *)
@@ -1208,8 +1223,7 @@ let network_verdict cfg p =
       in
       Ok (net, Sortnet.sorts_all_binary net, optimal_size)
 
-let run_optimize file dims json out x86 fault_plan =
-  setup_faults fault_plan;
+let run_optimize file dims json out x86 () =
   let cfg, prog, _lines = load_kernel_or_exit dims file in
   let rep = Opt.Pipeline.run cfg prog in
   let p = rep.Opt.Pipeline.optimized in
@@ -1458,20 +1472,17 @@ let registry_verify cache_dir lint stats_json =
   Printf.printf "# %d ok, %d quarantined (%d by the static analyzer)\n"
     (List.length checked - !bad)
     !bad counters.Registry.Store.lint_errors;
-  (match stats_json with
-  | None -> ()
-  | Some path ->
-      write_json path
-        Json.(
-          Obj
-            [
-              ("label", Str "registry verify");
-              ("root", Str root);
-              ("lint", Bool lint);
-              ("checked", Int (List.length checked));
-              ("ok", Int (List.length checked - !bad));
-              ("registry", Registry.Store.counters_json counters);
-            ]));
+  write_json stats_json
+    Json.(
+      Obj
+        [
+          ("label", Str "registry verify");
+          ("root", Str root);
+          ("lint", Bool lint);
+          ("checked", Int (List.length checked));
+          ("ok", Int (List.length checked - !bad));
+          ("registry", Registry.Store.counters_json counters);
+        ]);
   (* Any corrupted entry — found by the recovery scan or the certify
      sweep — is the documented "registry corruption" exit code. *)
   if !bad + rcv.Registry.Store.requarantined > 0 then exit exit_corrupt
@@ -1495,8 +1506,7 @@ let registry_gc cache_dir dry_run =
 (* serve / client: the long-lived synthesis daemon and its thin client. *)
 
 let run_serve socket cache_dir capacity workers max_conns max_queue
-    breaker_threshold breaker_cooldown drain_grace stats_json fault_plan =
-  setup_faults fault_plan;
+    breaker_threshold breaker_cooldown drain_grace stats_json () =
   let root = resolve_root cache_dir in
   let cfg =
     {
@@ -1515,10 +1525,7 @@ let run_serve socket cache_dir capacity workers max_conns max_queue
   Serve.Server.run
     ~on_ready:(fun () -> Printf.printf "# serve: listening on %s\n%!" socket)
     ~handle_signals:true t;
-  match stats_json with
-  | Some path ->
-      write_json path (Serve.Server.snapshot t)
-  | None -> ()
+  write_json stats_json (Serve.Server.snapshot t)
 
 let serve_term =
   let socket =
@@ -1529,47 +1536,33 @@ let serve_term =
           ~doc:"Unix domain socket to listen on (unlinked and rebound).")
   in
   let capacity =
-    Arg.(
-      value & opt int 128
-      & info [ "capacity" ] ~docv:"N"
-          ~doc:
-            "In-memory LRU capacity in entries. Warm hits are served with \
-             zero directory scans and zero re-certifications; 0 disables \
-             the memory layer.")
+    count 0 [ "capacity" ] 128
+      "In-memory LRU capacity in entries. Warm hits are served with zero \
+       directory scans and zero re-certifications; 0 disables the memory \
+       layer."
   in
   let workers =
-    Arg.(
-      value & opt int 2
-      & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:"Persistent search worker domains (default 2).")
+    count ~hi:max_domains 1 [ "workers"; "j" ] 2
+      "Persistent search worker domains (default 2)."
   in
   let max_conns =
-    Arg.(
-      value & opt int 64
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:
-            "Concurrent connection budget. A connection over the budget is \
-             answered with one typed 'overloaded' line (never silently \
-             dropped) and closed; clients see exit code 6.")
+    count 1 [ "max-conns" ] 64
+      "Concurrent connection budget. A connection over the budget is \
+       answered with one typed 'overloaded' line (never silently dropped) \
+       and closed; clients see exit code 6."
   in
   let max_queue =
-    Arg.(
-      value & opt int 32
-      & info [ "max-queue" ] ~docv:"N"
-          ~doc:
-            "Bounded pending-request queue in front of the worker pool. A \
-             request that would wait behind $(docv) queued jobs is shed \
-             with a typed 'overloaded' response and a retry_after hint.")
+    count 1 [ "max-queue" ] 32
+      "Bounded pending-request queue in front of the worker pool. A request \
+       that would wait behind $(docv) queued jobs is shed with a typed \
+       'overloaded' response and a retry_after hint."
   in
   let breaker_threshold =
-    Arg.(
-      value & opt int 3
-      & info [ "breaker-threshold" ] ~docv:"K"
-          ~doc:
-            "Poison-key circuit breaker: $(docv) consecutive crashed or \
-             budget-exhausted outcomes for the same canonical key trip its \
-             breaker; further requests fast-fail with 'circuit_open' \
-             instead of burning workers.")
+    count ~docv:"K" 1 [ "breaker-threshold" ] 3
+      "Poison-key circuit breaker: $(docv) consecutive crashed or \
+       budget-exhausted outcomes for the same canonical key trip its \
+       breaker; further requests fast-fail with 'circuit_open' instead of \
+       burning workers."
   in
   let breaker_cooldown =
     Arg.(
@@ -1594,34 +1587,21 @@ let serve_term =
     $ max_queue $ breaker_threshold $ breaker_cooldown $ drain_grace
     $ stats_json $ fault_plan)
 
-let run_client server op key timeout budget deadline optimize stats_json
-    fault_plan =
-  setup_faults fault_plan;
-  (* The absolute deadline propagated with the request: --deadline wins,
-     else it is derived from --timeout (per-attempt budget for the
-     server's default 1+1 attempts, plus a second of slack). *)
-  let deadline =
-    match deadline with
-    | Some d -> Some (Fault.Clock.now () +. d)
-    | None -> Option.map (fun t -> Fault.Clock.now () +. (t *. 2.0) +. 1.0) timeout
-  in
+let run_client server op key timeout budget deadline optimize stats_json () =
+  let who = "synth client" in
   let req =
     match op with
     | `Stats -> P.Stats
     | `Shutdown -> P.Shutdown
     | `Lookup -> P.Lookup key
     | `Synth ->
+        let deadline = Option.map (fun d -> Fault.Clock.now () +. d) deadline in
         P.Synth (key, { P.default_params with timeout; budget; optimize; deadline })
   in
-  let who = "synth client" in
-  match roundtrip who server req with
-  | P.Goodbye -> Printf.printf "# server shutting down\n"
-  | P.Snapshot j -> (
-      match stats_json with
-      | Some path -> write_json path j
-      | None -> print_endline (Json.to_string j))
-  | P.Served s -> ( match print_served s with 0 -> () | code -> exit code)
-  | _ -> fail ~who exit_unreachable "protocol error: unexpected response type"
+  match execute ~who ~server req with
+  | _, P.Goodbye, _ -> Printf.printf "# server shutting down\n"
+  | _, P.Snapshot j, _ -> write_json (Some (Option.value stats_json ~default:"-")) j
+  | answers, _, _ -> exit_with (List.map print_served answers)
 
 let client_term =
   let op =

@@ -296,3 +296,19 @@ let to_str = function
 let to_list = function
   | Arr l -> Ok l
   | v -> Error (Printf.sprintf "expected array, got %s" (type_name v))
+
+let opt k conv j =
+  match member k j with
+  | None | Some Null -> Ok None
+  | Some v -> Result.map Option.some (conv v)
+
+let list ?item conv j =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | v :: rest -> (
+        match (conv v, item) with
+        | Ok x, _ -> go (i + 1) (x :: acc) rest
+        | Error e, Some item -> Error (Printf.sprintf "%s %d: %s" item i e)
+        | (Error _ as e), None -> e)
+  in
+  Result.bind (to_list j) (go 0 [])

@@ -37,3 +37,13 @@ val to_int : t -> (int, string) result
 val to_float : t -> (float, string) result
 val to_str : t -> (string, string) result
 val to_list : t -> (t list, string) result
+
+val opt : string -> (t -> ('a, string) result) -> t -> ('a option, string) result
+(** [opt k conv j] reads the optional member [k] of [j]: [Ok None] when
+    it is absent or [Null], else [conv] of it. *)
+
+val list : ?item:string -> (t -> ('a, string) result) -> t -> ('a list, string) result
+(** [list conv j] is [conv] over the elements of the array [j], in order.
+    The first failing element's error wins, prefixed with
+    ["<item> <i>: "] (its 0-based index) when [item] is given; a
+    non-array fails as {!to_list} does. *)

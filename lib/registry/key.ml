@@ -112,33 +112,25 @@ let to_json k =
 
 let ( let* ) = Result.bind
 
+(* Absent or null members take {!make}'s defaults. *)
 let of_json j =
   match j with
   | Json.Obj _ -> (
-      let field name conv default =
-        match Json.member name j with
-        | None | Some Json.Null -> Ok default
-        | Some v -> conv v
-      in
       let* n =
         match Json.member "n" j with
         | Some v -> Json.to_int v
         | None -> Error "job is missing required field \"n\""
       in
-      let* m = field "m" Json.to_int 1 in
-      let* isa = field "isa" Json.to_str "cmov" in
+      let* m = Json.opt "m" Json.to_int j in
+      let* isa = Json.opt "isa" Json.to_str j in
       let* engine =
-        field "engine"
-          (fun v -> Result.bind (Json.to_str v) engine_of_string)
-          Astar
+        Json.opt "engine" (fun v -> Result.bind (Json.to_str v) engine_of_string) j
       in
       let* heuristic =
-        field "heuristic"
-          (fun v -> Result.bind (Json.to_str v) heuristic_of_string)
-          Search.Perm_count
+        Json.opt "heuristic" (fun v -> Result.bind (Json.to_str v) heuristic_of_string) j
       in
       let* cut =
-        field "cut"
+        Json.opt "cut"
           (fun v ->
             (* Batch jobs may give the CLI's numeric factor instead of the
                canonical string form. *)
@@ -148,14 +140,10 @@ let of_json j =
                 if Float.is_finite k then Ok (cut_of_factor k)
                 else Error "cut: factor must be finite"
             | _ -> Result.bind (Json.to_str v) cut_of_string)
-          (Search.Mult 1.0)
+          j
       in
-      let* max_len =
-        match Json.member "max_len" j with
-        | None | Some Json.Null -> Ok None
-        | Some v -> Result.map Option.some (Json.to_int v)
-      in
-      match make ~m ~isa ~engine ~heuristic ~cut ?max_len n with
+      let* max_len = Json.opt "max_len" Json.to_int j in
+      match make ?m ?isa ?engine ?heuristic ?cut ?max_len n with
       | k -> Ok k
       | exception Invalid_argument msg -> Error msg)
   | _ -> Error "job must be a JSON object"

@@ -112,18 +112,8 @@ let ( let* ) = Result.bind
 
 let parse_jobs src =
   let* j = Json.parse src in
-  let* jobs = Json.to_list j in
-  if jobs = [] then Error "jobs file is an empty array"
-  else
-    List.fold_left
-      (fun acc (i, job) ->
-        let* keys = acc in
-        match Key.of_json job with
-        | Ok k -> Ok (k :: keys)
-        | Error e -> Error (Printf.sprintf "job %d: %s" i e))
-      (Ok [])
-      (List.mapi (fun i job -> (i, job)) jobs)
-    |> Result.map List.rev
+  if j = Json.Arr [] then Error "jobs file is an empty array"
+  else Json.list ~item:"job" Key.of_json j
 
 (* ------------------------------------------------------------------ *)
 (* One job.                                                            *)

@@ -248,15 +248,7 @@ let parse_meta src =
               let* passes =
                 match Json.member "opt_passes" j with
                 | None -> Ok []
-                | Some a ->
-                    let* items = Json.to_list a in
-                    List.fold_left
-                      (fun acc item ->
-                        let* acc = acc in
-                        let* s = Json.to_str item in
-                        Ok (s :: acc))
-                      (Ok []) items
-                    |> Result.map List.rev
+                | Some a -> Json.list Json.to_str a
               in
               Ok (Some { optimized_from; passes })
         in
@@ -283,10 +275,6 @@ let quarantine ~root ~hash ~reason src =
      file already in quarantine, or visible in neither. *)
   fsync_path qdir;
   fsync_path (Filename.dirname src)
-
-let quarantine_count ~root =
-  let q = quarantine_dir root in
-  if Sys.file_exists q then Array.length (readdir q) else 0
 
 (* ------------------------------------------------------------------ *)
 (* Load / lookup.                                                      *)
@@ -569,20 +557,11 @@ let read_warmset ~root =
       Error (Printf.sprintf "warm-set snapshot: unsupported schema %S" schema)
     else
       match Json.member "keys" j with
-      | Some (Json.Arr items) ->
-          List.fold_left
-            (fun acc kj ->
-              let* acc = acc in
-              let* key = Key.of_json kj in
-              Ok (key :: acc))
-            (Ok []) items
-          |> Result.map List.rev
+      | Some (Json.Arr _ as keys) -> Json.list Key.of_json keys
       | _ -> Error "warm-set snapshot: missing \"keys\" array"
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance.                                                        *)
-
-let list_hashes ~root = (scan ~root).hashes
 
 (* The static analyzer's verdict on one entry: [Ok] when lint-clean,
    [Error reason] when any ERROR-severity finding fires. A stored kernel is
@@ -631,7 +610,7 @@ let verify_all ?counters ?(lint = false) ~root () =
             (fun (c : counters) -> c.quarantined <- c.quarantined + 1)
             counters;
           (hash, Error reason))
-    (list_hashes ~root)
+    (scan ~root).hashes
 
 type gc_report = {
   kept : int;

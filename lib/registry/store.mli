@@ -174,10 +174,6 @@ type scan = {
 
 val scan : root:string -> scan
 
-val list_hashes : root:string -> string list
-(** Sorted entry hashes currently in the store (no verification).
-    [(scan ~root).hashes]. *)
-
 val load_unverified : root:string -> string -> (entry, string) result
 (** Read an entry by hash without certification or quarantine — for
     [registry list] style inspection only; never serve from this. *)
@@ -194,8 +190,6 @@ val verify_all :
     ({!Analysis.Lint.check_all}): any ERROR-severity finding — a provably
     removable instruction in a kernel that is supposed to be optimal —
     quarantines the entry too, with the findings as the recorded reason. *)
-
-val quarantine_count : root:string -> int
 
 val warmset_path : string -> string
 (** [<root>/warmset.json] — where the daemon's drain persists its LRU

@@ -94,36 +94,19 @@ let request_to_json = function
 
 let ( let* ) = Result.bind
 
-(* [f] over a JSON array's elements; the first error wins. *)
-let map_all f xs =
-  Result.map List.rev
-    (List.fold_left
-       (fun acc x ->
-         let* acc = acc in
-         let* y = f x in
-         Ok (y :: acc))
-       (Ok []) xs)
+let bool what = function Json.Bool b -> Ok b | _ -> Error (what ^ ": expected bool")
 
 let params_of_json j =
-  let field name conv default =
-    match Json.member name j with
-    | None | Some Json.Null -> Ok default
-    | Some v -> conv v
-  in
-  let* timeout =
-    field "timeout" (fun v -> Result.map Option.some (Json.to_float v)) None
-  in
-  let* budget = field "budget" (fun v -> Result.map Option.some (Json.to_int v)) None in
-  let* retries = field "retries" Json.to_int default_params.retries in
-  let* backoff = field "backoff" Json.to_float default_params.backoff in
-  let* optimize =
-    field "optimize"
-      (function Json.Bool b -> Ok b | _ -> Error "optimize: expected bool")
-      default_params.optimize
-  in
-  let* deadline =
-    field "deadline" (fun v -> Result.map Option.some (Json.to_float v)) None
-  in
+  let* timeout = Json.opt "timeout" Json.to_float j in
+  let* budget = Json.opt "budget" Json.to_int j in
+  let* retries = Json.opt "retries" Json.to_int j in
+  let* backoff = Json.opt "backoff" Json.to_float j in
+  let* optimize = Json.opt "optimize" (bool "optimize") j in
+  let* deadline = Json.opt "deadline" Json.to_float j in
+  let d = default_params in
+  let retries = Option.value retries ~default:d.retries
+  and backoff = Option.value backoff ~default:d.backoff
+  and optimize = Option.value optimize ~default:d.optimize in
   let absent_or ok = Option.fold ~none:true ~some:ok in
   if retries < 0 then Error "retries: must be >= 0"
   else if backoff < 0. then Error "backoff: must be >= 0"
@@ -151,7 +134,7 @@ let request_of_json j =
           match Json.member "jobs" j with
           | None -> Error "batch: missing \"jobs\""
           | Some jobs ->
-              let* keys = Result.bind (Json.to_list jobs) (map_all Key.of_json) in
+              let* keys = Json.list Key.of_json jobs in
               let* p = params_of_json j in
               Ok (Batch (keys, p)))
       | "stats" -> Ok Stats
@@ -207,55 +190,40 @@ let response_to_json = function
           ("retry_after_s", Json.Float retry_after);
         ]
 
-(* A numeric member, or [default] when absent or not a number. *)
-let num j name default =
-  match Json.member name j with
-  | Some v -> ( match Json.to_float v with Ok f -> f | Error _ -> default)
-  | None -> default
+(* A served answer's optional members are lenient: absent, null or
+   mistyped reads as absent. *)
+let lenient j name conv = Option.join (Result.to_option (Json.opt name conv j))
 
 let served_of_json j =
-  let str name =
-    match Json.member name j with
-    | Some (Json.Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "served: missing %S" name)
+  let get name conv = lenient j name conv in
+  let need name =
+    Option.to_result ~none:(Printf.sprintf "served: missing %S" name) (get name Json.to_str)
   in
-  let ostr name =
-    match Json.member name j with Some (Json.Str s) -> Some s | _ -> None
-  in
-  let oint name =
-    match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
-  in
-  let bool name =
-    match Json.member name j with Some (Json.Bool b) -> b | _ -> false
-  in
-  let onum name =
-    match Json.member name j with
-    | Some (Json.Null) | None -> None
-    | Some v -> ( match Json.to_float v with Ok f -> Some f | Error _ -> None)
-  in
-  let* status = str "status" in
-  let* canonical = str "canonical" in
+  let flag name = get name (bool name) = Some true in
+  let* status = need "status" in
+  let* canonical = need "canonical" in
   Ok
     {
       status;
-      source = ostr "source";
+      source = get "source" Json.to_str;
       canonical;
-      kernel = ostr "kernel";
-      length = oint "length";
-      degraded = bool "degraded";
-      rung = (match oint "rung" with Some r -> r | None -> 0);
-      attempts = (match oint "attempts" with Some a -> a | None -> 0);
-      elapsed = num j "elapsed_s" 0.;
-      coalesced = bool "coalesced";
-      error = ostr "error";
-      retry_after = onum "retry_after_s";
+      kernel = get "kernel" Json.to_str;
+      length = get "length" Json.to_int;
+      degraded = flag "degraded";
+      rung = Option.value (get "rung" Json.to_int) ~default:0;
+      attempts = Option.value (get "attempts" Json.to_int) ~default:0;
+      elapsed = Option.value (get "elapsed_s" Json.to_float) ~default:0.;
+      coalesced = flag "coalesced";
+      error = get "error" Json.to_str;
+      retry_after = get "retry_after_s" Json.to_float;
     }
 
 let response_of_json j =
   match Json.member "ok" j with
   | Some (Json.Bool false) -> (
       match Json.member "type" j with
-      | Some (Json.Str "overloaded") -> Ok (Overloaded (num j "retry_after_s" 0.1))
+      | Some (Json.Str "overloaded") ->
+          Ok (Overloaded (Option.value (lenient j "retry_after_s" Json.to_float) ~default:0.1))
       | _ -> (
           match Json.member "error" j with
           | Some (Json.Str msg) -> Ok (Refused msg)
@@ -265,8 +233,8 @@ let response_of_json j =
       | Some (Json.Str "served") -> Result.map (fun s -> Served s) (served_of_json j)
       | Some (Json.Str "jobs") -> (
           match Json.member "jobs" j with
-          | Some (Json.Arr jobs) ->
-              Result.map (fun served -> Jobs served) (map_all served_of_json jobs)
+          | Some (Json.Arr _ as jobs) ->
+              Result.map (fun served -> Jobs served) (Json.list served_of_json jobs)
           | _ -> Error "jobs response: missing \"jobs\" array")
       | Some (Json.Str "stats") -> (
           match Json.member "stats" j with

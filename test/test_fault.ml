@@ -231,7 +231,7 @@ let test_degraded_never_stored () =
   | Ok _ -> Alcotest.fail "store accepted a degraded result"
   | Error _ -> ());
   check Alcotest.int "nothing stored" 0
-    (List.length (Registry.Store.list_hashes ~root));
+    (List.length (Registry.Store.scan ~root).Registry.Store.hashes);
   (* ...and a tampered entry claiming degraded:true is quarantined on
      load rather than served. *)
   (match Registry.Store.insert ~root key3 r with
@@ -313,7 +313,7 @@ let test_never_serve_uncertified () =
               | Ok () -> ()
               | Error m -> Alcotest.fail ("post-recovery bad entry: " ^ m))
           | Error m -> Alcotest.fail ("post-recovery unreadable entry: " ^ m))
-        (Registry.Store.list_hashes ~root))
+        (Registry.Store.scan ~root).Registry.Store.hashes)
     plans
 
 let test_torn_insert_invisible_after_recovery () =
@@ -375,8 +375,8 @@ let test_recovery_requarantines_halfwritten () =
       let rcv = Registry.Store.recover ~root () in
       check Alcotest.int (site ^ ": requarantined") 1 rcv.Registry.Store.requarantined;
       check Alcotest.int (site ^ ": store empty after recovery") 0
-        (List.length (Registry.Store.list_hashes ~root));
-      assert (Registry.Store.quarantine_count ~root > 0);
+        (List.length (Registry.Store.scan ~root).Registry.Store.hashes);
+      assert ((Registry.Store.scan ~root).Registry.Store.quarantined > 0);
       assert (Registry.Store.lookup ~root key3 = Registry.Store.Miss))
     [ "registry.write_kernel"; "registry.write_meta" ]
 

@@ -269,7 +269,7 @@ let test_store_quarantine () =
   | Registry.Store.Hit _ -> Alcotest.fail "served a corrupted kernel"
   | Registry.Store.Miss -> Alcotest.fail "corrupted entry vanished");
   check Alcotest.int "quarantined counter" 1 counters.Registry.Store.quarantined;
-  check Alcotest.int "quarantine dir" 1 (Registry.Store.quarantine_count ~root);
+  check Alcotest.int "quarantine dir" 1 (Registry.Store.scan ~root).Registry.Store.quarantined;
   (* The bad entry was moved aside: the key now misses and can be
      repopulated. *)
   assert (Registry.Store.lookup ~counters ~root key2 = Registry.Store.Miss);
@@ -283,7 +283,7 @@ let test_store_quarantine () =
   | Registry.Store.Quarantined _ -> ()
   | _ -> Alcotest.fail "expected quarantine of unparsable kernel");
   check Alcotest.int "two quarantined dirs" 2
-    (Registry.Store.quarantine_count ~root)
+    (Registry.Store.scan ~root).Registry.Store.quarantined
 
 let test_store_lint_quarantine () =
   let root = fresh_root () in
@@ -339,7 +339,7 @@ let test_store_lint_quarantine () =
     counters.Registry.Store.lint_errors;
   check Alcotest.int "quarantined counter" 1
     counters.Registry.Store.quarantined;
-  check Alcotest.int "quarantine dir" 1 (Registry.Store.quarantine_count ~root);
+  check Alcotest.int "quarantine dir" 1 (Registry.Store.scan ~root).Registry.Store.quarantined;
   (* Quarantined means gone: the key misses and can be re-synthesized. *)
   assert (Registry.Store.lookup ~root key2 = Registry.Store.Miss)
 
@@ -366,9 +366,9 @@ let test_store_verify_gc () =
   (* verify_all above already quarantined the corrupt entry; the dry run
      must leave both areas exactly as it found them. *)
   check Alcotest.int "dry run leaves quarantine alone" 1
-    (Registry.Store.quarantine_count ~root);
+    (Registry.Store.scan ~root).Registry.Store.quarantined;
   check Alcotest.int "dry run removes nothing" 1
-    (List.length (Registry.Store.list_hashes ~root));
+    (List.length (Registry.Store.scan ~root).Registry.Store.hashes);
   (match dry.Registry.Store.victims with
   | [ v ] ->
       check Alcotest.bool "victim is the quarantined entry" true
@@ -380,7 +380,7 @@ let test_store_verify_gc () =
   check Alcotest.bool "reclaimed bytes" true
     (report.Registry.Store.reclaimed_bytes > 0);
   check Alcotest.int "one victim" 1 (List.length report.Registry.Store.victims);
-  check Alcotest.int "quarantine emptied" 0 (Registry.Store.quarantine_count ~root)
+  check Alcotest.int "quarantine emptied" 0 (Registry.Store.scan ~root).Registry.Store.quarantined
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler and batch.                                                *)
