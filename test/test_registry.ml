@@ -494,6 +494,23 @@ let test_batch_timeout_and_failure () =
   check Alcotest.int "a finished search is not retried" 1
     r.Registry.Scheduler.attempts
 
+let test_exhaustion_is_final () =
+  (* The search and its live-state count are deterministic: a key that
+     exhausts a configured budget at every rung would exhaust it again,
+     so the first exhaustion ends the job. *)
+  let key = Registry.Key.make ~engine:Registry.Key.Level 4 in
+  let r =
+    Registry.Scheduler.run_one ~timeout:None ~retries:2 ~backoff:0.
+      ~budget:(Some 10) key
+  in
+  (match r.Registry.Scheduler.status with
+  | Registry.Scheduler.Exhausted { budget; _ } ->
+      check (Alcotest.option Alcotest.int) "budget" (Some 10) budget
+  | _ -> Alcotest.fail "expected an exhausted job");
+  check Alcotest.int "one attempt" 1 r.Registry.Scheduler.attempts;
+  check Alcotest.int "one log entry" 1
+    (List.length r.Registry.Scheduler.attempt_log)
+
 let test_parse_jobs () =
   (match
      Registry.Scheduler.parse_jobs
@@ -540,6 +557,8 @@ let () =
             test_batch_matches_sequential;
           Alcotest.test_case "timeout + failure" `Quick
             test_batch_timeout_and_failure;
+          Alcotest.test_case "exhaustion is final" `Quick
+            test_exhaustion_is_final;
           Alcotest.test_case "parse jobs" `Quick test_parse_jobs;
           Alcotest.test_case "polish provenance" `Quick test_polish_provenance;
         ] );
