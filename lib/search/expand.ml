@@ -1,21 +1,4 @@
-type heuristic = No_heuristic | Perm_count | Assign_count | Dist_bound
-type cut = No_cut | Mult of float | Add of int
-type action_filter = All_actions | Optimal_guided
-type engine = Astar | Level_sync
-
-type options = {
-  engine : engine;
-  heuristic : heuristic;
-  cut : cut;
-  action_filter : action_filter;
-  erasure_check : bool;
-  dist_viability : bool;
-  dedup : bool;
-  max_len : int option;
-  max_solutions : int;
-  trace_every : int option;
-  state_budget : int option;
-}
+include Types
 
 exception Resource_exhausted of { live : int; budget : int option }
 

@@ -36,26 +36,9 @@
     the caller's own, which is what makes the core safe to call from
     multiple domains at once. *)
 
-type heuristic = No_heuristic | Perm_count | Assign_count | Dist_bound
-type cut = No_cut | Mult of float | Add of int
-type action_filter = All_actions | Optimal_guided
-type engine = Astar | Level_sync
-
-type options = {
-  engine : engine;
-  heuristic : heuristic;
-  cut : cut;
-  action_filter : action_filter;
-  erasure_check : bool;
-  dist_viability : bool;
-  dedup : bool;
-  max_len : int option;
-  max_solutions : int;
-  trace_every : int option;
-  state_budget : int option;
-}
-(** See {!Search.options} for field documentation; [Search.options] is an
-    alias of this type. *)
+include module type of struct
+  include Types
+end
 
 exception Resource_exhausted of { live : int; budget : int option }
 (** The typed "out of memory budget" signal: the number of live search
@@ -69,9 +52,9 @@ exception Resource_exhausted of { live : int; budget : int option }
 
 val check_budget : options -> live:int -> unit
 (** [check_budget opts ~live] raises {!Resource_exhausted} when [live]
-    (the engine's count of live states: the dedup table, or the open set
-    when dedup is off) exceeds the configured budget. Zero-cost when no
-    budget is set and no fault plan is installed. *)
+    (the engine's count of live states: the entries of its dedup table)
+    exceeds the configured budget. Zero-cost when no budget is set and no
+    fault plan is installed. *)
 
 type delta = {
   mutable generated : int;  (** Successor states built (finals included). *)

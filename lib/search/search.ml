@@ -2,33 +2,12 @@ module Heap = Heap
 module Expand = Expand
 module Stats = Stats
 
-type heuristic = Expand.heuristic =
-  | No_heuristic
-  | Perm_count
-  | Assign_count
-  | Dist_bound
+include Types
 
-type cut = Expand.cut = No_cut | Mult of float | Add of int
-type action_filter = Expand.action_filter = All_actions | Optimal_guided
-type engine = Expand.engine = Astar | Level_sync
 type mode = Find_first | All_optimal | Prove_none of int
 
 exception Timeout
 exception Resource_exhausted = Expand.Resource_exhausted
-
-type options = Expand.options = {
-  engine : engine;
-  heuristic : heuristic;
-  cut : cut;
-  action_filter : action_filter;
-  erasure_check : bool;
-  dist_viability : bool;
-  dedup : bool;
-  max_len : int option;
-  max_solutions : int;
-  trace_every : int option;
-  state_budget : int option;
-}
 
 let default =
   {
@@ -38,7 +17,6 @@ let default =
     action_filter = All_actions;
     erasure_check = true;
     dist_viability = true;
-    dedup = true;
     max_len = None;
     max_solutions = 10_000;
     trace_every = None;
@@ -52,38 +30,6 @@ let best =
     action_filter = Optimal_guided;
     cut = Mult 1.0;
   }
-
-type trace_point = Stats.trace_point = {
-  t : float;
-  open_states : int;
-  solutions_found : int;
-}
-
-type level_stat = Stats.level_stat = {
-  depth : int;
-  nodes_expanded : int;
-  succs_generated : int;
-  succs_kept : int;
-  finals_found : int;
-  succs_deduped : int;
-  cut_pruned : int;
-  viability_pruned : int;
-  bound_pruned : int;
-  open_after : int;
-}
-
-type stats = Stats.t = {
-  expanded : int;
-  generated : int;
-  deduped : int;
-  pruned_cut : int;
-  pruned_viability : int;
-  pruned_bound : int;
-  max_open : int;
-  elapsed : float;
-  timeline : trace_point list;
-  levels : level_stat list;
-}
 
 type 'i outcome = {
   programs : 'i array list;
@@ -121,7 +67,7 @@ let add_parent n parent instr = n.more <- n.more @ [ (parent, instr) ]
    shared core into [delta]. *)
 type 'i expander =
   Expand.delta ->
-  known:(Sstate.t -> bool) option ->
+  known:(Sstate.t -> bool) ->
   g':int ->
   threshold:int ->
   Sstate.t ->
@@ -377,7 +323,7 @@ type 'i level = {
   nodes : 'i node array;  (* the level's frontier, in merge order *)
   g' : int;  (* successor depth *)
   threshold : int;
-  known : (Sstate.t -> bool) option;  (* reads [seen], frozen while a chunk drains *)
+  known : Sstate.t -> bool;  (* reads [seen], frozen while a chunk drains *)
 }
 
 type 'i pool = {
@@ -463,7 +409,8 @@ let make_pool ~workers machine =
       p_results = Array.make chunk [];
       p_deltas = Array.init chunk (fun _ -> Expand.zero_delta ());
       p_level =
-        Atomic.make { nodes = [||]; g' = 0; threshold = 0; known = None };
+        Atomic.make
+          { nodes = [||]; g' = 0; threshold = 0; known = (fun _ -> false) };
       p_hi = Atomic.make 0;
       p_cursor = Atomic.make 0;
       p_epoch = Atomic.make 0;
@@ -560,10 +507,7 @@ let run_level ctx pool m mode =
                 final_order := fn :: !final_order);
             if mode = Find_first then stop := true
         | Expand.Open { instr; state = state'; _ } -> (
-            let seen_before =
-              if opts.dedup then Sstate.Tbl.find_opt seen state' else None
-            in
-            match seen_before with
+            match Sstate.Tbl.find_opt seen state' with
             | Some l when l < g' -> drop ()
             | _ -> (
                 match Sstate.Tbl.find_opt next state' with
@@ -573,29 +517,18 @@ let run_level ctx pool m mode =
                     if track_all then add_parent n' node instr
                 | None ->
                     let n' = child ~g:g' ~paths:node.paths state' node instr in
-                    if opts.dedup then Sstate.Tbl.replace seen state' g';
+                    Sstate.Tbl.replace seen state' g';
                     Sstate.Tbl.replace next state' n'))
       in
       (* Only states of earlier levels: [seen] gains none of those during
          the level, so the answer cannot change before [register] runs. *)
-      let known =
-        if opts.dedup then
-          Some
-            (fun v ->
-              match Sstate.Tbl.find_opt seen v with
-              | Some l -> l < g'
-              | None -> false)
-        else None
-      in
-      (* Live states: the cross-level dedup table dominates memory when
-         dedup is on; otherwise the frontier itself is all we hold. *)
-      let live () =
-        if opts.dedup then Sstate.Tbl.length seen
-        else Array.length nodes + Sstate.Tbl.length next
+      let known v =
+        match Sstate.Tbl.find_opt seen v with Some l -> l < g' | None -> false
       in
       let consume node succs =
         check_deadline ctx;
-        Expand.check_budget opts ~live:(live ());
+        (* Live states: the cross-level dedup table dominates memory. *)
+        Expand.check_budget opts ~live:(Sstate.Tbl.length seen);
         ctx.expanded <- ctx.expanded + 1;
         a.a_expanded <- a.a_expanded + 1;
         sample_trace ctx ~open_states:(Sstate.Tbl.length next);
@@ -683,9 +616,7 @@ let run_astar ctx m =
       | None -> continue := false
       | Some (_, node) ->
           check_deadline ctx;
-          Expand.check_budget opts
-            ~live:
-              (if opts.dedup then Sstate.Tbl.length seen else Heap.size heap);
+          Expand.check_budget opts ~live:(Sstate.Tbl.length seen);
           let a = acc_at ctx node.g in
           ctx.expanded <- ctx.expanded + 1;
           a.a_expanded <- a.a_expanded + 1;
@@ -704,14 +635,10 @@ let run_astar ctx m =
           in
           (* [seen] only ever lowers a depth, so a state it holds at depth
              <= g' now is still dropped when its turn comes below. *)
-          let known =
-            if opts.dedup then
-              Some
-                (fun v ->
-                  match Sstate.Tbl.find_opt seen v with
-                  | Some l -> l <= g'
-                  | None -> false)
-            else None
+          let known v =
+            match Sstate.Tbl.find_opt seen v with
+            | Some l -> l <= g'
+            | None -> false
           in
           let succs = expand a.d ~known ~g' ~threshold node.state in
           List.iter
@@ -723,14 +650,12 @@ let run_astar ctx m =
                   found := Some (child ~g:g' ~paths:node.paths state node instr);
                   continue := false
               | Expand.Open { instr; state; pc } -> (
-                  match
-                    if opts.dedup then Sstate.Tbl.find_opt seen state else None
-                  with
+                  match Sstate.Tbl.find_opt seen state with
                   | Some l when l <= g' -> drop ()
                   | _ ->
                       let n' = child ~g:g' ~paths:node.paths state node instr in
                       note_level_pc g' pc;
-                      if opts.dedup then Sstate.Tbl.replace seen state g';
+                      Sstate.Tbl.replace seen state g';
                       let ao = acc_at ctx g' in
                       ao.a_open <- ao.a_open + 1;
                       Heap.push heap (g' + heuristic_value ctx n') n'))
@@ -763,7 +688,7 @@ let cmov_machine env =
       (fun () ->
         let arena = Sstate.Arena.create cfg in
         fun delta ~known ~g' ~threshold s ->
-          Expand.expand ?known env arena delta ~g' ~threshold s);
+          Expand.expand ~known env arena delta ~g' ~threshold s);
   }
 
 (* Any other machine: [Expand.expand_codes] needs no scratch of its own. *)
@@ -775,7 +700,7 @@ let code_machine env isa =
     root_final;
     expander =
       (fun () delta ~known ~g' ~threshold s ->
-        Expand.expand_codes ?known env isa delta ~g' ~threshold s);
+        Expand.expand_codes ~known env isa delta ~g' ~threshold s);
   }
 
 let dispatch ?domains ctx mode m =

@@ -40,37 +40,9 @@ module Stats : module type of Stats
     optimal-action filter (Section 3.2), and the non-optimality-preserving
     perm-count cut (Section 3.5). *)
 
-type heuristic = Expand.heuristic =
-  | No_heuristic  (** [h = 0]: plain Dijkstra ordering. *)
-  | Perm_count
-      (** Number of distinct value-register projections minus one — the
-          paper's best-performing guidance (Section 3.1). Not admissible. *)
-  | Assign_count
-      (** Number of distinct full assignments minus one. Not admissible. *)
-  | Dist_bound
-      (** [max] over assignments of the precomputed single-assignment
-          distance (Section 3.1). Admissible, so A* stays optimal. *)
-
-type cut = Expand.cut =
-  | No_cut
-  | Mult of float
-      (** [Mult k]: discard a state at level [l] whose distinct-permutation
-          count exceeds [k *] the minimum over the surviving states at level
-          [l - 1] (Section 3.5). [Mult 1.0] is the most aggressive setting;
-          [Mult 2.0] keeps every optimal [n = 3] solution. *)
-  | Add of int
-      (** [Add d]: additive variant — discard when the count exceeds the
-          previous level's minimum plus [d] (the "+2" row of the ablation
-          table). *)
-
-type action_filter = Expand.action_filter =
-  | All_actions
-  | Optimal_guided
-      (** Only instructions that begin an optimal sorting sequence for at
-          least one assignment in the state (Section 3.2). Not
-          optimality-preserving. *)
-
-type engine = Expand.engine = Astar | Level_sync
+include module type of struct
+  include Types
+end
 
 exception Timeout
 (** Raised by the engines when a [?deadline] passes mid-search (checked once
@@ -98,73 +70,13 @@ type mode =
       (** [Prove_none l]: exhaust all levels up to and including [l]; used
           to certify that no kernel of length [<= l] exists. *)
 
-type options = Expand.options = {
-  engine : engine;
-  heuristic : heuristic;
-  cut : cut;
-  action_filter : action_filter;
-  erasure_check : bool;  (** Prune states that erased a value (Sec. 3.3). *)
-  dist_viability : bool;
-      (** Prune states whose distance lower bound exceeds the remaining
-          budget (requires a length bound to bite; always prunes dead
-          assignments). *)
-  dedup : bool;  (** Deduplicate states across the whole search (Sec. 3.6). *)
-  max_len : int option;  (** Initial length bound, if known. *)
-  max_solutions : int;
-      (** Cap on reconstructed programs in [All_optimal] mode (the exact
-          count is always reported; only reconstruction is capped). *)
-  trace_every : int option;
-      (** Sample the timeline (Figure 1) every this many expansions. *)
-  state_budget : int option;
-      (** Cap on live search states (the dedup table when [dedup] is on,
-          the open set otherwise — PAPER.md §6 reports multi-GB state sets
-          at [n = 5]). Exceeding it raises {!Resource_exhausted}; [None]
-          never does. *)
-}
-
 val default : options
 (** [Astar], no heuristic, no cut, all actions, both viability checks,
-    dedup on, no bound. *)
+    no bound. *)
 
 val best : options
 (** The paper's best configuration (III): A* with the perm-count heuristic,
     optimal-action filter, distance viability, and [Mult 1.0] cut. *)
-
-type trace_point = Stats.trace_point = {
-  t : float;  (** Seconds since the search started. *)
-  open_states : int;
-  solutions_found : int;
-}
-
-type level_stat = Stats.level_stat = {
-  depth : int;  (** Depth of the expanded nodes. *)
-  nodes_expanded : int;
-  succs_generated : int;
-  succs_kept : int;
-  finals_found : int;
-  succs_deduped : int;
-  cut_pruned : int;
-  viability_pruned : int;
-  bound_pruned : int;
-  open_after : int;
-}
-(** Per-depth expansion/prune breakdown; see {!Stats.level_stat}. The
-    vetting buckets are mutually exclusive and exhaustive:
-    [succs_generated = succs_kept + finals_found + cut_pruned +
-    viability_pruned + bound_pruned] at every depth, for every engine. *)
-
-type stats = Stats.t = {
-  expanded : int;  (** States popped / processed. *)
-  generated : int;  (** Successor states built. *)
-  deduped : int;  (** Successors dropped as already seen. *)
-  pruned_cut : int;
-  pruned_viability : int;
-  pruned_bound : int;
-  max_open : int;
-  elapsed : float;
-  timeline : trace_point list;  (** Oldest first. *)
-  levels : level_stat list;  (** Shallowest first. *)
-}
 
 type 'i outcome = {
   programs : 'i array list;

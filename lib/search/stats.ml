@@ -1,30 +1,4 @@
-type trace_point = { t : float; open_states : int; solutions_found : int }
-
-type level_stat = {
-  depth : int;
-  nodes_expanded : int;
-  succs_generated : int;
-  succs_kept : int;
-  finals_found : int;
-  succs_deduped : int;
-  cut_pruned : int;
-  viability_pruned : int;
-  bound_pruned : int;
-  open_after : int;
-}
-
-type t = {
-  expanded : int;
-  generated : int;
-  deduped : int;
-  pruned_cut : int;
-  pruned_viability : int;
-  pruned_bound : int;
-  max_open : int;
-  elapsed : float;
-  timeline : trace_point list;
-  levels : level_stat list;
-}
+include Types
 
 let to_json ?label ?(extra = []) s =
   let open Json in
