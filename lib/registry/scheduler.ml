@@ -192,7 +192,8 @@ let polish ~optimize key (r : Search.result) =
 (* One job, run to completion on the calling domain (a serve pool
    worker): up to [1 + retries] attempts, each against its own deadline,
    with backoff between attempts; a finished search that yields no
-   publishable kernel is final. Exceptions must not escape, so
+   publishable kernel, or one that exhausts a configured state budget,
+   is final. Exceptions must not escape, so
    everything funnels into a [status]; each failed attempt is recorded
    in the [attempt_log]. *)
 let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
@@ -214,8 +215,13 @@ let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
              would end the same way. *)
           | Error msg -> `Final (Failed msg))
       | exception Search.Timeout -> `Retry Timed_out
-      | exception Search.Resource_exhausted { live; budget } ->
-          `Retry (Exhausted { live; budget })
+      (* The search and its live-state count are deterministic: the next
+         attempt would exhaust the same budget at the same state. Only
+         the [search.alloc_budget] fault site raises with no budget. *)
+      | exception Search.Resource_exhausted { live; budget = Some b } ->
+          `Final (Exhausted { live; budget = Some b })
+      | exception Search.Resource_exhausted { live; budget = None } ->
+          `Retry (Exhausted { live; budget = None })
       | exception e -> `Retry (Failed (Printexc.to_string e))
     in
     let give_up status =
