@@ -382,6 +382,60 @@ let test_store_verify_gc () =
   check Alcotest.int "one victim" 1 (List.length report.Registry.Store.victims);
   check Alcotest.int "quarantine emptied" 0 (Registry.Store.scan ~root).Registry.Store.quarantined
 
+(* A shard child is an entry only when it is 32 hex digits that begin
+   with its shard's name. Anything else -- a stray file, or an entry
+   filed under the wrong shard -- is quarantined from where it lies at
+   open, and the open still succeeds. *)
+let test_store_recover_strays () =
+  let root = fresh_root () in
+  List.iter
+    (fun key ->
+      match Registry.Store.insert ~root key (synth_result key) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m)
+    [ key2; key3 ];
+  let store = Filename.concat root "store" in
+  let mkdir d = try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> () in
+  let plant () =
+    mkdir (Filename.concat store "ab");
+    let oc = open_out (Filename.concat store "ab/junk") in
+    output_string oc "not an entry\n";
+    close_out oc
+  in
+  plant ();
+  (* Move key2's entry into a shard its hash does not start with. *)
+  let h2 = Registry.Key.hash key2 in
+  let wrong = if String.sub h2 0 2 = "cd" then "ef" else "cd" in
+  mkdir (Filename.concat store wrong);
+  Sys.rename
+    (Filename.concat store (String.sub h2 0 2 ^ "/" ^ h2))
+    (Filename.concat store (wrong ^ "/" ^ h2));
+  let r = Registry.Store.recover ~root () in
+  check Alcotest.int "both strays requarantined" 2
+    r.Registry.Store.requarantined;
+  check Alcotest.int "quarantine holds both" 2
+    (Registry.Store.scan ~root).Registry.Store.quarantined;
+  (match Registry.Store.lookup ~root key3 with
+  | Registry.Store.Hit _ -> ()
+  | _ -> Alcotest.fail "the valid entry must still hit");
+  assert (Registry.Store.lookup ~root key2 = Registry.Store.Miss);
+  plant ();
+  let srv =
+    Serve.Server.create
+      {
+        Serve.Server.socket_path = "unused.sock";
+        root;
+        capacity = 8;
+        workers = 1;
+        max_conns = 8;
+        max_queue = 8;
+        breaker_threshold = 3;
+        breaker_cooldown = 5.0;
+        drain_grace = 5.0;
+      }
+  in
+  Serve.Server.destroy srv
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler and batch.                                                *)
 
@@ -550,6 +604,8 @@ let () =
           Alcotest.test_case "quarantine" `Quick test_store_quarantine;
           Alcotest.test_case "lint quarantine" `Quick test_store_lint_quarantine;
           Alcotest.test_case "verify + gc" `Quick test_store_verify_gc;
+          Alcotest.test_case "recover quarantines strays" `Quick
+            test_store_recover_strays;
         ] );
       ( "scheduler",
         [

@@ -628,6 +628,34 @@ let test_deadline_expired_before_dispatch () =
   check Alcotest.string "warm hit beats the deadline" "cached"
     warm.Serve.Protocol.status
 
+(* A retry never starts once the request's deadline has passed: no
+   client is waiting for its answer. Each attempt runs at least its 1 ms
+   timeout, so at most window / timeout + 1 of them begin before the
+   deadline, whatever [retries] allows. *)
+let test_no_retry_after_deadline () =
+  let root = fresh_root () in
+  let srv = Serve.Server.create (default_config root "unused.sock") in
+  Fun.protect ~finally:(fun () -> Serve.Server.destroy srv) @@ fun () ->
+  let timeout = 0.001 and window = 0.05 in
+  let params =
+    {
+      Serve.Protocol.default_params with
+      timeout = Some timeout;
+      retries = 200;
+      backoff = 0.;
+      deadline = Some (Fault.Clock.now () +. window);
+    }
+  in
+  let slow = Registry.Key.make ~engine:Registry.Key.Level 4 in
+  let s =
+    served_exn (Serve.Server.handle srv (Serve.Protocol.Synth (slow, params)))
+  in
+  check Alcotest.string "timed out" "timed_out" s.Serve.Protocol.status;
+  let bound = int_of_float (window /. timeout) + 1 in
+  if s.Serve.Protocol.attempts > bound then
+    Alcotest.failf "%d attempts, at most %d can begin before the deadline"
+      s.Serve.Protocol.attempts bound
+
 (* Satellite: the poison-key chaos scenario. serve.worker_death=always
    makes every search for key3 die. With threshold 2 the breaker trips
    after exactly 2 worker deaths; the third request fast-fails with
@@ -1398,6 +1426,8 @@ let () =
             test_overload_burst_stays_typed;
           Alcotest.test_case "deadline expired before dispatch" `Quick
             test_deadline_expired_before_dispatch;
+          Alcotest.test_case "no retry after the deadline" `Quick
+            test_no_retry_after_deadline;
           Alcotest.test_case "stats schema" `Quick test_stats_schema;
           Alcotest.test_case "stats registry block is counters_json" `Quick
             test_stats_registry_schema;
