@@ -193,19 +193,26 @@ let polish ~optimize key (r : Search.result) =
    worker): up to [1 + retries] attempts, each against its own deadline,
    with backoff between attempts; a finished search that yields no
    publishable kernel, or one that exhausts a configured state budget,
-   is final. Exceptions must not escape, so
+   is final, and so is a failed attempt whose backoff would end at or
+   after the job's [deadline]. Exceptions must not escape, so
    everything funnels into a [status]; each failed attempt is recorded
    in the [attempt_log]. *)
-let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
+let run_one ?(optimize = false) ?deadline ~timeout ~retries ~backoff ~budget
+    key =
   let start = Fault.Clock.now () in
   let log = ref [] in
   let rec attempt k =
-    let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
+    let attempt_deadline =
+      match (Option.map (fun t -> Fault.Clock.now () +. t) timeout, deadline) with
+      | Some a, Some d -> Some (Float.min a d)
+      | a, None -> a
+      | None, d -> d
+    in
     let outcome =
       match
         if Fault.fire Fault.Scheduler_job_exception then
           raise (Fault.Injected Fault.Scheduler_job_exception);
-        run_key ?deadline ?budget key
+        run_key ?deadline:attempt_deadline ?budget key
       with
       | o -> (
           match polish ~optimize key o.result with
@@ -231,12 +238,19 @@ let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
     match outcome with
     | `Done (pol, o) -> (Synthesized, Some (pol, o), k)
     | `Final status -> give_up status
-    | `Retry status when k > retries -> give_up status
     | `Retry status ->
         let d = backoff_delay ~base:backoff ~key ~attempt:k in
-        log := { n = k; failure = failure_string status; backoff = d } :: !log;
-        Fault.Clock.sleep_for d;
-        attempt (k + 1)
+        let late =
+          match deadline with
+          | Some dl -> Fault.Clock.now () +. d >= dl
+          | None -> false
+        in
+        if k > retries || late then give_up status
+        else begin
+          log := { n = k; failure = failure_string status; backoff = d } :: !log;
+          Fault.Clock.sleep_for d;
+          attempt (k + 1)
+        end
   in
   let status, outcome, attempts = attempt 1 in
   let pol = Option.map fst outcome in

@@ -139,6 +139,7 @@ val polish :
 
 val run_one :
   ?optimize:bool ->
+  ?deadline:float ->
   timeout:float option ->
   retries:int ->
   backoff:float ->
@@ -147,7 +148,9 @@ val run_one :
   job_result
 (** One job run to completion in the calling domain: up to [1 + retries]
     attempts through {!run_key}'s degradation ladder (with [budget]),
-    each against its own deadline of [timeout] seconds, then {!polish}.
+    each against its own deadline of [timeout] seconds, capped at the
+    job's absolute [deadline] (a {!Fault.Clock} instant) if given, then
+    {!polish}.
     A {!polish} error (no kernel within the bound, or one that fails
     certification) is final: the search is deterministic, so a retry
     would end the same way. So is an exhaustion of a configured
@@ -157,7 +160,10 @@ val run_one :
     before the next:
     [backoff * 2^(attempt-1)] seconds, capped at 2, scaled by a
     deterministic jitter in [0.5, 1.5) derived from the key and attempt
-    number — so identical jobs sleep identical schedules. Never raises;
+    number — so identical jobs sleep identical schedules. A retry whose
+    sleep would end at or after [deadline] is not made: the job ends
+    with the failed attempt's status, and no attempt or sleep starts
+    once the deadline has passed. Never raises;
     every failure funnels into the [status] and the [attempt_log]. The
     serve pool ([lib/serve]) runs this for every daemon request and
     every batch job. *)

@@ -78,6 +78,7 @@ let is_hex_string s =
     s
 
 let is_shard_name name = String.length name = 2 && is_hex_string name
+let is_hash name = String.length name = 32 && is_hex_string name
 let shard_of_hash hash = String.sub hash 0 2
 let sharded_path ~root hash = store_dir root / shard_of_hash hash / hash
 let entry_dir ~root key = sharded_path ~root (Key.hash key)
@@ -140,13 +141,15 @@ type scan = {
   hashes : string list;  (** Sharded entry hashes, sorted. *)
   flat : string list;  (** Names awaiting migration out of store/. *)
   tmp : string list;  (** Torn [.tmp-*] staging dirs (full paths). *)
+  stray : string list;  (** Shard children that are no entry (full paths). *)
   shards : int;  (** Shard directories present. *)
   quarantined : int;  (** Directories in the quarantine area. *)
 }
 
 let scan ~root =
   let dir = store_dir root in
-  let hashes = ref [] and flat = ref [] and tmp = ref [] and shards = ref 0 in
+  let hashes = ref [] and flat = ref [] and tmp = ref [] and stray = ref [] in
+  let shards = ref 0 in
   if Sys.file_exists dir then
     Array.iter
       (fun name ->
@@ -157,8 +160,10 @@ let scan ~root =
             (fun sub ->
               if String.starts_with ~prefix:".tmp-" sub then
                 tmp := (dir / name / sub) :: !tmp
+              else if is_hash sub && shard_of_hash sub = name then
+                hashes := sub :: !hashes
               else if not (String.starts_with ~prefix:"." sub) then
-                hashes := sub :: !hashes)
+                stray := (dir / name / sub) :: !stray)
             (readdir (dir / name))
         end
         else if not (String.starts_with ~prefix:"." name) then
@@ -170,6 +175,7 @@ let scan ~root =
     hashes = List.sort compare !hashes;
     flat = List.sort compare !flat;
     tmp = List.sort compare !tmp;
+    stray = List.sort compare !stray;
     shards = !shards;
     quarantined;
   }
@@ -427,19 +433,21 @@ let insert ?counters ?(degraded = false) ?provenance ~root key
 
 type recovery = { rolled_back : int; migrated : int; requarantined : int }
 
+(* Quarantine a store child under its own name, from where it lies. One
+   that vanished meanwhile was handled by another process; that is not an
+   error. *)
+let quarantine_child ~root ~reason src =
+  try quarantine ~root ~hash:(Filename.basename src) ~reason src
+  with Sys_error _ when not (Sys.file_exists src) -> ()
+
 (* Move one entry of the old flat layout (store/<hash>/) into its shard:
    a single rename, so a crash leaves it in exactly one of the two
    places and the next open finishes the job. The caller fsyncs store/.
    A name that cannot be an entry is quarantined as [`Broken]. *)
 let migrate_flat ~root name =
   let src = store_dir root / name in
-  let quarantine_flat reason =
-    (* A flat copy that vanished meanwhile was handled by another
-       process; that is not an error. *)
-    try quarantine ~root ~hash:name ~reason src
-    with Sys_error _ when not (Sys.file_exists src) -> ()
-  in
-  if not (String.length name = 32 && is_hex_string name) then begin
+  let quarantine_flat reason = quarantine_child ~root ~reason src in
+  if not (is_hash name) then begin
     quarantine_flat "recovery: not a store entry name";
     `Broken
   end
@@ -468,6 +476,13 @@ let recover ?counters ~root () =
       remove_tree tmp;
       incr rolled_back)
     s.tmp;
+  (* A shard child that is no entry, or an entry filed under another
+     shard: loading it would read another path. *)
+  List.iter
+    (fun src ->
+      quarantine_child ~root ~reason:"recovery: not an entry of its shard" src;
+      incr requarantined)
+    s.stray;
   let migrated =
     List.filter
       (fun name ->

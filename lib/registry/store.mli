@@ -137,7 +137,8 @@ type recovery = {
           shard. *)
   requarantined : int;
       (** Structurally broken entries (missing or unparsable files,
-          hash/key mismatch, a [degraded] flag) moved to quarantine. *)
+          hash/key mismatch, a [degraded] flag) and shard children that
+          are no entry of their shard, moved to quarantine. *)
 }
 
 val recover : ?counters:counters -> root:string -> unit -> recovery
@@ -145,7 +146,9 @@ val recover : ?counters:counters -> root:string -> unit -> recovery
     insert left in the store; renames every flat-layout entry into its
     shard (one rename each, then the shard directories and [store/] are
     fsynced; a flat entry that vanished meanwhile was moved by another
-    process); and quarantines entries that fail the {e structural}
+    process); quarantines, from where it lies, every shard child that
+    is no entry of its shard (a stray name, or an entry filed under
+    another shard); and quarantines entries that fail the {e structural}
     checks (readable, parsable, hash/key consistent — the full [n!]
     certification still happens on every serving load). A flat entry
     whose sharded twin already exists is quarantined with the reason
@@ -162,6 +165,10 @@ type scan = {
       (** Names still in the flat [store/<hash>/] position, sorted: what
           the next {!recover} will migrate. Never read as entries. *)
   tmp : string list;  (** Torn [.tmp-*] staging dirs (full paths). *)
+  stray : string list;
+      (** Children of a shard directory that are not 32 hex digits
+          beginning with that shard's name (full paths, sorted): never
+          read as entries; the next {!recover} quarantines them. *)
   shards : int;  (** Shard directories present. *)
   quarantined : int;  (** Directories in the quarantine area. *)
 }

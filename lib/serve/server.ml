@@ -290,20 +290,10 @@ let synth_leader t key (p : Protocol.synth_params) =
         (* A quarantined entry is already aside: synthesize afresh. *)
         Atomic.incr t.searches;
         let job () =
-          (* Queue-wait comes out of the client's budget: the scheduler
-             gets whatever is left of the deadline, never more than the
-             requested per-attempt timeout. *)
-          let timeout =
-            match p.Protocol.deadline with
-            | None -> p.Protocol.timeout
-            | Some d ->
-                let remaining = Float.max 0. (d -. Fault.Clock.now ()) in
-                Some
-                  (match p.Protocol.timeout with
-                  | None -> remaining
-                  | Some tmo -> Float.min tmo remaining)
-          in
-          Scheduler.run_one ~optimize:p.Protocol.optimize ~timeout
+          (* Queue-wait comes out of the client's budget: no attempt
+             outlives the deadline, and none starts after it. *)
+          Scheduler.run_one ~optimize:p.Protocol.optimize
+            ?deadline:p.Protocol.deadline ~timeout:p.Protocol.timeout
             ~retries:p.Protocol.retries ~backoff:p.Protocol.backoff
             ~budget:p.Protocol.budget key
         in
