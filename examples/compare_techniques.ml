@@ -70,12 +70,3 @@ let () =
     | None -> "no plan")
     (ts p.Planning.Planner.elapsed)
     (Printf.sprintf "%d expanded" p.Planning.Planner.expanded);
-  (* MCTS (AlphaDev-style). *)
-  let m = Mcts.search ~opts:{ (Mcts.default n) with Mcts.simulations = 30_000 } n in
-  row "MCTS (AlphaDev-style)"
-    (match (m.Mcts.correct, m.Mcts.best_length) with
-    | true, Some l -> Printf.sprintf "found len %d" l
-    | _ -> "no correct kernel")
-    (ts m.Mcts.elapsed)
-    (Printf.sprintf "%d simulations, %d tree nodes" m.Mcts.simulations_run
-       m.Mcts.tree_nodes)

@@ -102,17 +102,20 @@ let test_minmax_shorter_than_cmov () =
   check Alcotest.int "minmax 8" 8 mm;
   check Alcotest.int "cmov 11" 11 cmov
 
-(* The umbrella library exposes a coherent surface. *)
+(* The top-level entry points a library user calls first. *)
 let test_umbrella () =
-  (match Sortsynth.synthesize 3 with
+  let cfg = Isa.Config.default 3 in
+  (match Search.synthesize 3 with
   | Some p ->
       assert (verify 3 p);
-      let asm = Sortsynth.to_x86 3 p in
+      let asm = Isa.Program.to_x86 cfg p in
       assert (String.length asm > 0)
-  | None -> Alcotest.fail "umbrella synthesize failed");
-  match Sortsynth.synthesize_minmax 3 with
-  | Some p -> check Alcotest.int "minmax len" 8 (Array.length p)
-  | None -> Alcotest.fail "umbrella minmax failed"
+  | None -> Alcotest.fail "synthesize failed");
+  match (Minmax.synthesize 3).Search.programs with
+  | p :: _ ->
+      assert (Minmax.Vexec.sorts_all_permutations cfg p);
+      check Alcotest.int "minmax len" 8 (Array.length p)
+  | [] -> Alcotest.fail "minmax synthesize failed"
 
 (* Determinism: two runs of the same search produce identical results. *)
 let test_search_deterministic () =

@@ -119,35 +119,8 @@ let test_pddl_wellformed () =
   assert (balanced dom);
   assert (balanced prob)
 
-(* --- MCTS --- *)
-
-let test_mcts_n2_finds_kernel () =
-  let r = Mcts.search ~opts:{ (Mcts.default 2) with Mcts.simulations = 50_000 } 2 in
-  assert r.Mcts.correct;
-  match r.Mcts.best with
-  | Some p -> assert (verify 2 p)
-  | None -> Alcotest.fail "MCTS should find an n=2 kernel"
-
-let test_mcts_budget_scaling () =
-  (* More simulations never yields a longer best kernel (best only
-     improves). *)
-  let len sims =
-    match
-      (Mcts.search ~opts:{ (Mcts.default 2) with Mcts.simulations = sims } 2)
-        .Mcts.best_length
-    with
-    | Some l -> l
-    | None -> max_int
-  in
-  assert (len 60_000 <= len 2_000)
-
-let test_mcts_reports_tree_growth () =
-  let r = Mcts.search ~opts:{ (Mcts.default 2) with Mcts.simulations = 5_000 } 2 in
-  assert (r.Mcts.tree_nodes > 1);
-  assert (r.Mcts.simulations_run = 5_000)
-
 let () =
-  Alcotest.run "planning-mcts"
+  Alcotest.run "planning"
     [
       ( "planner",
         [
@@ -165,10 +138,4 @@ let () =
           Alcotest.test_case "length bound" `Quick test_max_len_bound;
         ] );
       ("pddl", [ Alcotest.test_case "emitters well-formed" `Quick test_pddl_wellformed ]);
-      ( "mcts",
-        [
-          Alcotest.test_case "n=2 finds kernel" `Slow test_mcts_n2_finds_kernel;
-          Alcotest.test_case "budget scaling" `Slow test_mcts_budget_scaling;
-          Alcotest.test_case "tree growth" `Quick test_mcts_reports_tree_growth;
-        ] );
     ]
