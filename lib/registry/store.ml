@@ -446,9 +446,8 @@ let quarantine_child ~root ~reason src =
    A name that cannot be an entry is quarantined as [`Broken]. *)
 let migrate_flat ~root name =
   let src = store_dir root / name in
-  let quarantine_flat reason = quarantine_child ~root ~reason src in
   if not (is_hash name) then begin
-    quarantine_flat "recovery: not a store entry name";
+    quarantine_child ~root ~reason:"recovery: not a store entry name" src;
     `Broken
   end
   else begin
@@ -462,7 +461,7 @@ let migrate_flat ~root name =
     | exception Unix.Unix_error ((Unix.EEXIST | Unix.ENOTEMPTY), _, _) ->
         (* The sharded twin is what lookups serve; keep the old bytes
            aside rather than deleting them. *)
-        quarantine_flat "superseded by sharded entry";
+        quarantine_child ~root ~reason:"superseded by sharded entry" src;
         `Not_moved
   end
 
